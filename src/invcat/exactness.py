@@ -7,6 +7,7 @@ with the biconditional between the two verdicts checked last.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -81,24 +82,23 @@ def is_iso(cat: FiniteCategory, f: Morphism) -> bool:
 
 
 def is_mono_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> bool:
-    enum = enum if enum is not None else Enumeration(cat)
-    for w in cat.objects:
-        pool = enum.pool(w, f.dom)
-        for x in pool:
-            for y in pool:
-                if x != y and cat.compose(f, x) == cat.compose(f, y):
-                    return False
-    return True
+    return _cancellable(cat, f, enum, left=True)
 
 
 def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> bool:
+    return _cancellable(cat, f, enum, left=False)
+
+
+def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration | None, left: bool) -> bool:
+    """Whether x ↦ f∘x (left) or x ↦ x∘f is injective on every enumerated
+    pool it applies to, stopping at the first repeated composite."""
     enum = enum if enum is not None else Enumeration(cat)
     for w in cat.objects:
-        pool = enum.pool(f.cod, w)
-        for x in pool:
-            for y in pool:
-                if x != y and cat.compose(x, f) == cat.compose(y, f):
-                    return False
+        seen: dict = {}
+        for x in enum.pool(w, f.dom) if left else enum.pool(f.cod, w):
+            composite = cat.compose(f, x) if left else cat.compose(x, f)
+            if seen.setdefault(composite, x) != x:
+                return False
     return True
 
 
@@ -108,40 +108,39 @@ def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> str | None:
     """None when u satisfies the kernel universal property for f: f∘u = 0 and
     every g with f∘g = 0 factors through u exactly once."""
-    enum = enum if enum is not None else Enumeration(cat)
     if u.cod != f.dom:
         return f"{render_morphism(u)} does not land in dom(f)"
     if not cat.is_zero(cat.compose(f, u)):
         return f"f∘u ≠ 0 for u = {render_morphism(u)}"
-    for w in cat.objects:
-        for g in enum.pool(w, f.dom):
-            if not cat.is_zero(cat.compose(f, g)):
-                continue
-            hits = [h for h in cat.hom(w, u.dom) if cat.compose(u, h) == g]
-            if len(hits) != 1:
-                return (
-                    f"{render_morphism(g)} factors through {render_morphism(u)} "
-                    f"in {len(hits)} ways"
-                )
-    return None
+    return _unique_factorization_witness(cat, f, u, enum, left=True)
 
 
 def cokernel_witness(cat: FiniteCategory, f: Morphism, q: Morphism, enum: Enumeration | None = None) -> str | None:
-    enum = enum if enum is not None else Enumeration(cat)
     if q.dom != f.cod:
         return f"{render_morphism(q)} does not start at cod(f)"
     if not cat.is_zero(cat.compose(q, f)):
         return f"q∘f ≠ 0 for q = {render_morphism(q)}"
+    return _unique_factorization_witness(cat, f, q, enum, left=False)
+
+
+def _unique_factorization_witness(
+    cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None, left: bool
+) -> str | None:
+    """The first g killed by f (f∘g = 0 if left, else g∘f = 0) that is not u∘h
+    (h∘u) for exactly one h, or None.  The counts for each object w are built
+    at its first killed g, so a failing candidate costs no more than a rescan."""
+    enum = enum if enum is not None else Enumeration(cat)
+    then = cat.compose if left else (lambda a, b: cat.compose(b, a))
     for w in cat.objects:
-        for g in enum.pool(f.cod, w):
-            if not cat.is_zero(cat.compose(g, f)):
+        pool, hom = (enum.pool(w, u.cod), (w, u.dom)) if left else (enum.pool(u.dom, w), (u.cod, w))
+        ways = None
+        for g in pool:
+            if not cat.is_zero(then(f, g)):
                 continue
-            hits = [h for h in cat.hom(q.cod, w) if cat.compose(h, q) == g]
-            if len(hits) != 1:
-                return (
-                    f"{render_morphism(g)} factors through {render_morphism(q)} "
-                    f"in {len(hits)} ways"
-                )
+            if ways is None:
+                ways = Counter(then(u, h) for h in cat.hom(*hom))
+            if ways[g] != 1:
+                return f"{render_morphism(g)} factors through {render_morphism(u)} in {ways[g]} ways"
     return None
 
 

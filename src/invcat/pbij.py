@@ -250,6 +250,8 @@ class PBijCategory(FiniteCategory):
             zero = ZERO_FINSET
             sets.insert(0, zero)
         super().__init__(sets, zero)
+        # one shared object per distinct composite, not one per cached (f, g)
+        self._canonical: dict = {}
 
     def _hom(self, a: FinSet, b: FinSet) -> tuple[Morphism, ...]:
         return enumerate_pbij(a, b)
@@ -270,7 +272,8 @@ class PBijCategory(FiniteCategory):
         return tuple(sorted(seen, key=lambda f: tuple(sorted(f.payload))))
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
-        return compose_pbij(f, g)
+        composite = compose_pbij(f, g)
+        return self._canonical.setdefault(composite, composite)
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

@@ -168,16 +168,20 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
     """The annihilator f′ found from its defining property, by enumeration."""
     enum = enum if enum is not None else Enumeration(cat)
-    cache = enum.scratch.setdefault("annihilator", {})
+    candidates = _cached_candidates(cat, f, enum)
+    if not candidates:
+        raise AnnihilatorNotFoundError(f)
+    if len(candidates) > 1:
+        raise AnnihilatorNotUniqueError(f, candidates)
+    return candidates[0]
+
+
+def _cached_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple[Projection, ...]:
+    # one search per f and run, shared by annihilator_by_search and the Baer* clauses
+    cache = enum.scratch.setdefault("annihilator-candidates", {})
     hit = cache.get(f)
     if hit is None:
-        candidates = annihilator_candidates(cat, f, enum)
-        if not candidates:
-            raise AnnihilatorNotFoundError(f)
-        if len(candidates) > 1:
-            raise AnnihilatorNotUniqueError(f, candidates)
-        hit = candidates[0]
-        cache[f] = hit
+        hit = cache[f] = annihilator_candidates(cat, f, enum)
     return hit
 
 
@@ -211,21 +215,13 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
             return f"{render_object(cat.zero_object)} is not initial and terminal at {render_object(a)}"
         return None
 
-    def _candidates(f: Morphism):
-        cache = enum.scratch.setdefault("annihilator-candidates", {})
-        hit = cache.get(f)
-        if hit is None:
-            hit = annihilator_candidates(cat, f, enum)
-            cache[f] = hit
-        return hit
-
     def annihilator_exists(f: Morphism):
-        if not _candidates(f):
+        if not _cached_candidates(cat, f, enum):
             return f"no annihilator for {render_morphism(f)}"
         return None
 
     def annihilator_unique(f: Morphism):
-        candidates = _candidates(f)
+        candidates = _cached_candidates(cat, f, enum)
         if len(candidates) > 1:
             return (
                 f"{len(candidates)} annihilators for {render_morphism(f)}: "

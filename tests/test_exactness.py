@@ -6,6 +6,7 @@ from invcat import (
     NoFactorizationError,
     NoKernelError,
     NonCommutingSquareError,
+    canonical_pbij_category,
     check_coherence,
     check_exactness,
     check_normal_conormal,
@@ -19,10 +20,12 @@ from invcat import (
     make_pbij,
     mono_epi_factorize,
     pullback_witness,
+    render_morphism,
     subset_projection,
 )
 from invcat.exactness import (
     Factorization,
+    cokernel_witness,
     is_epi_by_cancellation,
     is_mono_by_cancellation,
     kernel_witness,
@@ -30,7 +33,7 @@ from invcat.exactness import (
     subobject_iso,
 )
 from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
-from invcat.pbij import ZERO_FINSET, image_labels
+from invcat.pbij import ZERO_FINSET, corestriction, image_labels, zero_pbij
 from invcat.report import FAIL, PASS
 
 
@@ -49,6 +52,118 @@ def test_cancellation_route_agrees(pbij2, budget):
     for m in list(enum.morphisms()):
         assert is_mono(pbij2, m) == is_mono_by_cancellation(pbij2, m, enum)
         assert is_epi(pbij2, m) == is_epi_by_cancellation(pbij2, m, enum)
+
+
+# ---- reference scans -------------------------------------------------------
+#
+# The library checks cancellation with one pass per pool and counts
+# factorizations once per object; these are the plain pairwise and rescan
+# definitions it must agree with.
+
+
+def pairwise_cancellable(cat, f, enum, left):
+    for w in cat.objects:
+        pool = enum.pool(w, f.dom) if left else enum.pool(f.cod, w)
+        for x in pool:
+            for y in pool:
+                if left and x != y and cat.compose(f, x) == cat.compose(f, y):
+                    return False
+                if not left and x != y and cat.compose(x, f) == cat.compose(y, f):
+                    return False
+    return True
+
+
+def rescan_kernel_witness(cat, f, u, enum):
+    if u.cod != f.dom:
+        return f"{render_morphism(u)} does not land in dom(f)"
+    if not cat.is_zero(cat.compose(f, u)):
+        return f"f∘u ≠ 0 for u = {render_morphism(u)}"
+    for w in cat.objects:
+        for g in enum.pool(w, f.dom):
+            if not cat.is_zero(cat.compose(f, g)):
+                continue
+            hits = [h for h in cat.hom(w, u.dom) if cat.compose(u, h) == g]
+            if len(hits) != 1:
+                return f"{render_morphism(g)} factors through {render_morphism(u)} in {len(hits)} ways"
+    return None
+
+
+def rescan_cokernel_witness(cat, f, q, enum):
+    if q.dom != f.cod:
+        return f"{render_morphism(q)} does not start at cod(f)"
+    if not cat.is_zero(cat.compose(q, f)):
+        return f"q∘f ≠ 0 for q = {render_morphism(q)}"
+    for w in cat.objects:
+        for g in enum.pool(f.cod, w):
+            if not cat.is_zero(cat.compose(g, f)):
+                continue
+            hits = [h for h in cat.hom(q.cod, w) if cat.compose(h, q) == g]
+            if len(hits) != 1:
+                return f"{render_morphism(g)} factors through {render_morphism(q)} in {len(hits)} ways"
+    return None
+
+
+def assert_scans_agree_with_reference(cat, budget):
+    enum = Enumeration(cat, budget)
+    for f in list(enum.morphisms()):
+        assert is_mono_by_cancellation(cat, f, enum) == pairwise_cancellable(cat, f, enum, True), f
+        assert is_epi_by_cancellation(cat, f, enum) == pairwise_cancellable(cat, f, enum, False), f
+        for u in list(enum.morphisms_into(f.dom)):
+            assert kernel_witness(cat, f, u, enum) == rescan_kernel_witness(cat, f, u, enum)
+        for q in list(enum.morphisms_out_of(f.cod)):
+            assert cokernel_witness(cat, f, q, enum) == rescan_cokernel_witness(cat, f, q, enum)
+
+
+def test_scans_agree_with_reference_on_models(pbij3, budget):
+    assert_scans_agree_with_reference(pbij3, budget)
+    assert_scans_agree_with_reference(two_object_category(symmetric_inverse_monoid(2)), budget)
+
+
+def _mono_collision(cat):
+    # u∘∅ := u∘id for the mono u = S1↪S2, so x ↦ u∘x is no longer injective
+    s1, s2 = cat.finset("S1"), cat.finset("S2")
+    u = make_pbij(s1, s2, (("e1", "e1"),))
+    return cat.with_corrupted_composition(u, zero_pbij(s1, s1), u), u
+
+
+def test_scans_agree_with_reference_on_corrupted_clones(pbij2, budget):
+    s1, s2 = pbij2.finset("S1"), pbij2.finset("S2")
+    swap = make_pbij(s2, s2, (("e1", "e2"), ("e2", "e1")))
+    top = make_pbij(s2, s2, (("e1", "e1"),))
+    point = make_pbij(s1, s2, (("e1", "e2"),))
+    clones = [
+        _mono_collision(pbij2)[0],
+        # a killed composite made non-zero, and a non-zero one made zero
+        pbij2.with_corrupted_composition(top, zero_pbij(s2, s2), top),
+        pbij2.with_corrupted_composition(swap, point, zero_pbij(s1, s2)),
+        pbij2.with_corrupted_involution(swap, pbij2.identity(s2)),
+        pbij2.with_corrupted_involution(point, zero_pbij(s2, s1)),
+    ]
+    for clone in clones:
+        assert_scans_agree_with_reference(clone, budget)
+
+
+def test_mono_collision_fails_the_criterion(pbij2, budget):
+    clone, u = _mono_collision(pbij2)
+    assert is_mono(clone, u)
+    assert not is_mono_by_cancellation(clone, u)
+    clause = check_exactness(clone, budget).clause("exact.mono-epi-criterion")
+    assert clause.status == FAIL
+    assert clause.counterexample == f"mono criterion and cancellation disagree on {render_morphism(u)}"
+
+
+def test_witness_text_counts_factorizations(fixture_cat, A, B, f):
+    too_small = kernel_witness(fixture_cat, f, inclusion(A, ()))
+    assert too_small == "A→A {1↦3} factors through 0→A ∅ in 0 ways"
+    too_small = cokernel_witness(fixture_cat, f, corestriction(B, ()))
+    assert too_small == "B→A {c↦1} factors through B→0 ∅ in 0 ways"
+    # the empty map on S1 is neither mono nor epi: ∅ factors through it via ∅ and id
+    cat = canonical_pbij_category((0, 1, 2))
+    s1 = cat.finset("S1")
+    empty = zero_pbij(s1, s1)
+    expected = "S1→S1 ∅ factors through S1→S1 ∅ in 2 ways"
+    assert kernel_witness(cat, empty, empty) == expected
+    assert cokernel_witness(cat, empty, empty) == expected
 
 
 def test_kernel_fixture(fixture_cat, A, f):

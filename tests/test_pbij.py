@@ -200,3 +200,29 @@ def test_size_finset_shapes():
     cat = canonical_pbij_category((2, 2, 3))
     names = [o.name for o in cat.objects]
     assert names.count("S2") == 1  # duplicate sizes collapse
+
+
+def test_equal_composites_are_one_object():
+    cat = canonical_pbij_category((2,))
+    s2 = cat.finset("S2")
+    swap = make_pbij(s2, s2, (("e1", "e2"), ("e2", "e1")))
+    first = cat.compose(swap, swap)
+    again = cat.compose(cat.identity(s2), cat.identity(s2))
+    assert first == again == cat.identity(s2)
+    assert first is again
+    # the empty map arises from many distinct pairs
+    e1 = partial_identity(s2, ("e1",))
+    e2 = partial_identity(s2, ("e2",))
+    assert cat.compose(e1, e2) is cat.compose(e2, e1) is cat.compose(e1, zero_pbij(s2, s2))
+
+
+def test_interning_leaves_corrupted_composites_alone():
+    cat = canonical_pbij_category((2,))
+    s2 = cat.finset("S2")
+    e1 = partial_identity(s2, ("e1",))
+    wrong = partial_identity(s2, ("e2",))
+    clone = cat.with_corrupted_composition(e1, e1, wrong)
+    assert clone.compose(e1, e1) is wrong
+    assert clone.compose(e1, cat.identity(s2)) == e1
+    assert cat.compose(e1, e1) == e1
+    assert clone.compose(cat.identity(s2), e1) is clone.compose(e1, cat.identity(s2))

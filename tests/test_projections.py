@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import invcat.projections
 from invcat import (
     Enumeration,
     LatticeError,
@@ -128,3 +129,22 @@ def test_annihilator_not_found_is_loud(fixture_cat, A, B, f):
     twisted = fixture_cat.with_corrupted_composition(f, i3, wrong)
     with pytest.raises(AnnihilatorNotFoundError):
         annihilator_by_search(twisted, f)
+    # a failed search is cached per run and raises again from the cache
+    enum = Enumeration(twisted)
+    for _ in range(2):
+        with pytest.raises(AnnihilatorNotFoundError):
+            annihilator_by_search(twisted, f, enum)
+
+
+def test_annihilator_searched_once_per_morphism(pbij2, budget, monkeypatch):
+    searched = []
+    search = invcat.projections.annihilator_candidates
+
+    def counting(cat, f, enum=None):
+        searched.append(f)
+        return search(cat, f, enum)
+
+    monkeypatch.setattr(invcat.projections, "annihilator_candidates", counting)
+    assert check_baer_star(pbij2, budget).passed
+    assert searched and len(searched) == len(set(searched))
+
