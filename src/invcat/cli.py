@@ -19,7 +19,6 @@ from .core import (
 from .exactness import check_coherence, check_exactness
 from .monoid import MonoidAxiomError, classify_exactness, validate_inverse_monoid
 from .pbij import (
-    PBijValidationError,
     enumerate_pbij,
     hom_count,
     image_subset,
@@ -71,9 +70,6 @@ def _guarded(fn):
             )
             _emit(report, kwargs.get("out"))
             sys.exit(EXIT_CLAUSE_FAILURES)
-        except (SpecFormatError, PBijValidationError) as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(EXIT_INVALID_INPUT)
         except InvcatError as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_INVALID_INPUT)

@@ -180,6 +180,29 @@ class FiniteCategory:
         picked = rng.sample(pool, min(count, len(pool)))
         return tuple(sorted(picked, key=morphism_sort_key))
 
+    # Closed forms of the constructions in projections.py and exactness.py,
+    # for models that know them; None means "find it by search".  They read
+    # the pure model, so a clone's seeded defects do not reach them.
+
+    def _annihilator(self, f: Morphism) -> Projection | None:
+        return None
+
+    def _kernel(self, f: Morphism) -> Morphism | None:
+        return None
+
+    def _cokernel(self, f: Morphism) -> Morphism | None:
+        return None
+
+    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism, Any] | None:
+        """(p, q, through) with f = p∘q, p mono and q epi."""
+        return None
+
+    def _same_subobject(self, u: Morphism, k: Morphism) -> bool | None:
+        return None
+
+    def _same_quotient(self, q1: Morphism, q2: Morphism) -> bool | None:
+        return None
+
     # ---- public surface ----------------------------------------------
 
     @property
@@ -467,14 +490,6 @@ def is_generalized_inverse(cat: FiniteCategory, f: Morphism, g: Morphism) -> boo
 
 def is_projection(cat: FiniteCategory, f: Morphism) -> bool:
     return f.dom == f.cod and cat.compose(f, f) == f and cat.involve(f) == f
-
-
-def involution(cat: FiniteCategory, f: Morphism) -> Morphism:
-    return cat.involve(f)
-
-
-def quasi_inverses(cat: FiniteCategory, f: Morphism) -> tuple[Morphism, ...]:
-    return cat.quasi_inverses_of(f)
 
 
 # ---- the inverse-category axiom suite ----------------------------------

@@ -19,16 +19,6 @@ from .core import (
     build_report,
     render_morphism,
 )
-from .pbij import (
-    PBijCategory,
-    corestriction,
-    defined_labels,
-    image_labels,
-    inclusion,
-    subset_finset,
-    undefined_labels,
-    unhit_labels,
-)
 from .projections import (
     NotBaerStarError,
     annihilator,
@@ -145,16 +135,13 @@ def _unique_factorization_witness(
 
 
 def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
-    """The canonical kernel of f.
-
-    In the partial-bijection category this is the inclusion of the subset
-    where f is undefined; elsewhere it is found by searching the enumerated
-    monos for one with the universal property.  With `certify` the universal
-    property is verified by enumeration either way.
+    """The canonical kernel of f: the model's closed form when it has one,
+    otherwise the first enumerated mono with the universal property.  With
+    `certify` the universal property is verified by enumeration either way.
     """
     enum = enum if enum is not None else Enumeration(cat)
-    if isinstance(cat, PBijCategory):
-        u = inclusion(f.dom, undefined_labels(f))
+    u = cat._kernel(f)
+    if u is not None:
         if certify:
             witness = kernel_witness(cat, f, u, enum)
             if witness is not None:
@@ -172,11 +159,11 @@ def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumera
 
 
 def cokernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
-    """The canonical cokernel: in the partial-bijection category, the
-    corestriction of cod(f) onto the labels f does not hit."""
+    """The canonical cokernel: the model's closed form when it has one,
+    otherwise the first enumerated epi with the universal property."""
     enum = enum if enum is not None else Enumeration(cat)
-    if isinstance(cat, PBijCategory):
-        q = corestriction(f.cod, unhit_labels(f))
+    q = cat._cokernel(f)
+    if q is not None:
         if certify:
             witness = cokernel_witness(cat, f, q, enum)
             if witness is not None:
@@ -206,32 +193,24 @@ class Factorization:
 
 
 def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
-    if isinstance(cat, PBijCategory):
-        img = image_labels(f)
-        through = subset_finset(img)
-        p = inclusion(f.cod, img)
-        q = Morphism(f.dom, through, f.payload)
-    else:
-        enum = enum if enum is not None else Enumeration(cat)
-        found = None
-        for mid in cat.objects:
-            for q in enum.pool(f.dom, mid):
-                if not is_epi(cat, q):
-                    continue
-                for p in enum.pool(mid, f.cod):
-                    if is_mono(cat, p) and cat.compose(p, q) == f:
-                        found = Factorization(p, q, mid)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            raise NoFactorizationError(f)
-        p, q, through = found.p, found.q, found.through
+    """The model's closed form when it has one, search otherwise; checked either way."""
+    found = cat._factorization(f)
+    p, q, through = found if found is not None else _factorization_by_search(cat, f, enum)
     if cat.compose(p, q) != f or not is_mono(cat, p) or not is_epi(cat, q):
         raise NoFactorizationError(f)
     return Factorization(p, q, through)
+
+
+def _factorization_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> tuple:
+    enum = enum if enum is not None else Enumeration(cat)
+    for mid in cat.objects:
+        for q in enum.pool(f.dom, mid):
+            if not is_epi(cat, q):
+                continue
+            for p in enum.pool(mid, f.cod):
+                if is_mono(cat, p) and cat.compose(p, q) == f:
+                    return p, q, mid
+    raise NoFactorizationError(f)
 
 
 def subobject_iso(cat: FiniteCategory, u: Morphism, k: Morphism) -> Morphism | None:
@@ -255,21 +234,22 @@ def quotient_iso(cat: FiniteCategory, q1: Morphism, q2: Morphism) -> Morphism | 
 
 
 def _same_subobject(cat: FiniteCategory, u: Morphism, k: Morphism) -> bool:
-    # two monos into the same object present the same subobject; for partial
-    # bijections that is exactly "same image subset"
+    # monos into one object present the same subobject when they differ by an iso
     if u.cod != k.cod:
         return False
-    if isinstance(cat, PBijCategory):
-        return image_labels(u) == image_labels(k)
+    same = cat._same_subobject(u, k)
+    if same is not None:
+        return same
     return u == k or subobject_iso(cat, u, k) is not None
 
 
 def _same_quotient(cat: FiniteCategory, q1: Morphism, q2: Morphism) -> bool:
-    # dually, epis out of the same object agree iff defined on the same subset
+    # dually, epis out of one object present the same quotient when they differ by an iso
     if q1.dom != q2.dom:
         return False
-    if isinstance(cat, PBijCategory):
-        return defined_labels(q1) == defined_labels(q2)
+    same = cat._same_quotient(q1, q2)
+    if same is not None:
+        return same
     return q1 == q2 or quotient_iso(cat, q1, q2) is not None
 
 

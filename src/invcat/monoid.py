@@ -15,7 +15,7 @@ from .core import (
     check_inverse_category,
 )
 from .exactness import check_exactness
-from .pbij import enumerate_pbij, pbij_pairs, size_finset
+from .pbij import compose_pbij, enumerate_pbij, pbij_pairs, size_finset
 from .report import FAIL, PASS, Clause, VerificationReport, merge_reports
 
 
@@ -281,12 +281,8 @@ def symmetric_inverse_monoid(n: int) -> InverseMonoid:
     labels = {f: pbij_label(pbij_pairs(f)) for f in morphisms}
     table = {}
     for f in morphisms:
-        mf = dict(pbij_pairs(f))
         for g in morphisms:
-            composite = frozenset(
-                (x, mf[y]) for x, y in pbij_pairs(g) if y in mf
-            )
-            table[(labels[f], labels[g])] = pbij_label(composite)
+            table[(labels[f], labels[g])] = pbij_label(compose_pbij(f, g).payload)
     identity = pbij_label((e, e) for e in a.elements)
     return validate_inverse_monoid(sorted(labels.values()), table, identity)
 

@@ -204,32 +204,6 @@ def annihilator_pbij(f: Morphism) -> Projection:
     return subset_projection(f.dom, undefined_labels(f))
 
 
-def domain_projection_pbij(f: Morphism) -> Projection:
-    return subset_projection(f.dom, defined_labels(f))
-
-
-def image_projection_pbij(f: Morphism) -> Projection:
-    return subset_projection(f.cod, image_labels(f))
-
-
-@dataclass(frozen=True)
-class PBijStructure:
-    inverse: Morphism
-    annihilator: Projection
-    domain_projection: Projection
-    image_projection: Projection
-
-
-def pbij_structure(f: Morphism) -> PBijStructure:
-    """The four canonical companions of a partial bijection, in closed form."""
-    return PBijStructure(
-        inverse=invert_pbij(f),
-        annihilator=annihilator_pbij(f),
-        domain_projection=domain_projection_pbij(f),
-        image_projection=image_projection_pbij(f),
-    )
-
-
 # ---- the category ------------------------------------------------------
 
 
@@ -290,6 +264,30 @@ class PBijCategory(FiniteCategory):
 
     def zero(self, a: FinSet, b: FinSet) -> Morphism:
         return zero_pbij(a, b)
+
+    def _annihilator(self, f: Morphism) -> Projection:
+        return annihilator_pbij(f)
+
+    def _kernel(self, f: Morphism) -> Morphism:
+        # the inclusion of the subset where f is undefined
+        return inclusion(f.dom, undefined_labels(f))
+
+    def _cokernel(self, f: Morphism) -> Morphism:
+        # the corestriction of cod(f) onto the labels f does not hit
+        return corestriction(f.cod, unhit_labels(f))
+
+    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism, FinSet]:
+        img = image_labels(f)
+        through = subset_finset(img)
+        return inclusion(f.cod, img), Morphism(f.dom, through, f.payload), through
+
+    def _same_subobject(self, u: Morphism, k: Morphism) -> bool:
+        # monos into one set present the same subobject iff their images agree
+        return image_labels(u) == image_labels(k)
+
+    def _same_quotient(self, q1: Morphism, q2: Morphism) -> bool:
+        # epis out of one set agree iff they are defined on the same subset
+        return defined_labels(q1) == defined_labels(q2)
 
     def finset(self, name: str) -> FinSet:
         for s in self.objects:

@@ -23,7 +23,6 @@ from .core import (
     render_object,
 )
 from .report import Clause, VerificationReport, run_clause
-from .pbij import PBijCategory, annihilator_pbij
 
 
 class NotBaerStarError(InvcatError):
@@ -186,9 +185,10 @@ def _cached_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> t
 
 
 def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
-    """f′: closed form for the full partial-bijection category, search otherwise."""
-    if isinstance(cat, PBijCategory):
-        return annihilator_pbij(f)
+    """f′: the model's closed form when it has one, search otherwise."""
+    closed = cat._annihilator(f)
+    if closed is not None:
+        return closed
     return annihilator_by_search(cat, f, enum)
 
 

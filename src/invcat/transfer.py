@@ -93,6 +93,20 @@ def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: En
     return annihilator(cat, once.morphism, enum)
 
 
+def _apply(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
+    """kind(f)(p), the one place that picks the map for a transfer kind."""
+    if kind is TransferKind.IMAGE:
+        return apply_P(cat, f, p)
+    if kind is TransferKind.INVERSE_IMAGE:
+        return apply_Pprime(cat, f, p, enum)
+    return apply_Pdoubleprime(cat, f, p, enum)
+
+
+def _source(kind: TransferKind, f: Morphism):
+    """dom f for the covariant P, cod f for the contravariant P′ and P″."""
+    return f.dom if kind is TransferKind.IMAGE else f.cod
+
+
 # ---- explicit tables -------------------------------------------------------
 
 
@@ -130,17 +144,10 @@ class TransferMap:
 
 def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
     enum = enum if enum is not None else Enumeration(cat)
-    if kind is TransferKind.IMAGE:
-        src, tgt = f.dom, f.cod
-        fn = lambda i: apply_P(cat, f, i)
-    elif kind is TransferKind.INVERSE_IMAGE:
-        src, tgt = f.cod, f.dom
-        fn = lambda j: apply_Pprime(cat, f, j, enum)
-    else:
-        src, tgt = f.cod, f.dom
-        fn = lambda j: apply_Pdoubleprime(cat, f, j, enum)
-    source, target = lattice_on(enum, src), lattice_on(enum, tgt)
-    return TransferMap(kind, f, source, target, {p: fn(p) for p in source.elements})
+    source = lattice_on(enum, _source(kind, f))
+    target = lattice_on(enum, f.cod if kind is TransferKind.IMAGE else f.dom)
+    table = {p: _apply(cat, kind, f, p, enum) for p in source.elements}
+    return TransferMap(kind, f, source, target, table)
 
 
 # ---- subobject transfer ----------------------------------------------------
@@ -300,18 +307,11 @@ def _semilattice_map_clauses(
     preserved, hence so is the order."""
     cat = enum.cat
 
-    def source(f: Morphism) -> ProjectionLattice:
-        return lattice_on(enum, f.dom if kind is TransferKind.IMAGE else f.cod)
-
     def fn(f: Morphism, p: Projection) -> Projection:
-        if kind is TransferKind.IMAGE:
-            return apply_P(cat, f, p)
-        if kind is TransferKind.INVERSE_IMAGE:
-            return apply_Pprime(cat, f, p, enum)
-        return apply_Pdoubleprime(cat, f, p, enum)
+        return _apply(cat, kind, f, p, enum)
 
     def meets(f: Morphism):
-        lat = source(f)
+        lat = lattice_on(enum, _source(kind, f))
         for i in lat.elements:
             fi = fn(f, i)
             for j in lat.elements:
@@ -326,7 +326,7 @@ def _semilattice_map_clauses(
         return None
 
     def order(f: Morphism):
-        lat = source(f)
+        lat = lattice_on(enum, _source(kind, f))
         for i in lat.elements:
             for j in lat.elements:
                 if cat.compose(i.morphism, j.morphism) != i.morphism:
@@ -390,31 +390,44 @@ def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
     return [run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
 
 
-def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
+def _contravariant_mono_epi_clauses(
+    enum: Enumeration, prefix: str, kind: TransferKind, noun: str, anchor: str
+) -> list[Clause]:
+    """The laws P′ and P″ share: kind(f) is injective iff f is epi, and
+    surjective iff f is mono."""
     cat = enum.cat
 
-    def table(f):
-        return transfer_table(cat, TransferKind.INVERSE_IMAGE, f, enum)
-
     def injective_iff_epi(f: Morphism):
-        injective, epi = table(f).is_injective(), is_epi(cat, f)
+        injective, epi = transfer_table(cat, kind, f, enum).is_injective(), is_epi(cat, f)
         if injective != epi:
             return (
-                f"inverse image map of f = {render_morphism(f)} is "
+                f"{noun} map of f = {render_morphism(f)} is "
                 f"{'injective' if injective else 'not injective'} but f is "
                 f"{'epi' if epi else 'not epi'}"
             )
         return None
 
     def surjective_iff_mono(f: Morphism):
-        surjective, mono = table(f).is_surjective(), is_mono(cat, f)
+        surjective, mono = transfer_table(cat, kind, f, enum).is_surjective(), is_mono(cat, f)
         if surjective != mono:
             return (
-                f"inverse image map of f = {render_morphism(f)} is "
+                f"{noun} map of f = {render_morphism(f)} is "
                 f"{'surjective' if surjective else 'not surjective'} but f is "
                 f"{'mono' if mono else 'not mono'}"
             )
         return None
+
+    return [
+        run_clause(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
+        run_clause(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
+    ]
+
+
+def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
+    cat = enum.cat
+    clauses = _contravariant_mono_epi_clauses(
+        enum, "inverse-image", TransferKind.INVERSE_IMAGE, "inverse image", "3.3.i"
+    )
 
     def bottom_top(f: Morphism):
         ann = annihilator(cat, f, enum)
@@ -430,12 +443,9 @@ def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
         return None
 
-    return [
-        run_clause("inverse-image.injective-iff-epi", "3.3.i", enum.morphisms(), injective_iff_epi),
-        run_clause("inverse-image.surjective-iff-mono", "3.3.i", enum.morphisms(), surjective_iff_mono),
-        run_clause("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top),
-        run_clause("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top),
-    ]
+    clauses.append(run_clause("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
+    clauses.append(run_clause("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
+    return clauses
 
 
 def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
@@ -519,29 +529,9 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
 
 def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-
-    def table(f):
-        return transfer_table(cat, TransferKind.STRICT_PREIMAGE, f, enum)
-
-    def injective_iff_epi(f: Morphism):
-        injective, epi = table(f).is_injective(), is_epi(cat, f)
-        if injective != epi:
-            return (
-                f"strict preimage map of f = {render_morphism(f)} is "
-                f"{'injective' if injective else 'not injective'} but f is "
-                f"{'epi' if epi else 'not epi'}"
-            )
-        return None
-
-    def surjective_iff_mono(f: Morphism):
-        surjective, mono = table(f).is_surjective(), is_mono(cat, f)
-        if surjective != mono:
-            return (
-                f"strict preimage map of f = {render_morphism(f)} is "
-                f"{'surjective' if surjective else 'not surjective'} but f is "
-                f"{'mono' if mono else 'not mono'}"
-            )
-        return None
+    clauses = _contravariant_mono_epi_clauses(
+        enum, "preimage", TransferKind.STRICT_PREIMAGE, "strict preimage", "4.1.i"
+    )
 
     def bottom_top(f: Morphism):
         if apply_Pdoubleprime(cat, f, bottom(cat, f.cod), enum) != bottom(cat, f.dom):
@@ -557,12 +547,11 @@ def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
         return None
 
-    return [
-        run_clause("preimage.injective-iff-epi", "4.1.i", enum.morphisms(), injective_iff_epi),
-        run_clause("preimage.surjective-iff-mono", "4.1.i", enum.morphisms(), surjective_iff_mono),
-        run_clause("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top),
-        run_clause("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom),
-    ]
+    clauses.append(run_clause("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
+    clauses.append(
+        run_clause("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
+    )
+    return clauses
 
 
 def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
@@ -662,16 +651,18 @@ _KIND_NAMES = {
 
 def functoriality_clauses_for(kind: TransferKind):
     name, anchor = _KIND_NAMES[kind]
+    # P is covariant, P(f∘g) = P(f)∘P(g) on P(dom g); P′ and P″ are
+    # contravariant, K(f∘g) = K(g)∘K(f) on P(cod f)
+    if kind is TransferKind.IMAGE:
+        law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
+    else:
+        law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
 
     def group(enum: Enumeration) -> list[Clause]:
         cat = enum.cat
 
         def fn(f: Morphism, p: Projection) -> Projection:
-            if kind is TransferKind.IMAGE:
-                return apply_P(cat, f, p)
-            if kind is TransferKind.INVERSE_IMAGE:
-                return apply_Pprime(cat, f, p, enum)
-            return apply_Pdoubleprime(cat, f, p, enum)
+            return _apply(cat, kind, f, p, enum)
 
         def identity_law(a):
             ida = cat.identity(a)
@@ -686,22 +677,13 @@ def functoriality_clauses_for(kind: TransferKind):
         def composition_law(pair):
             f, g = pair
             fg = cat.compose(f, g)
-            if kind is TransferKind.IMAGE:
-                for i in lattice_on(enum, g.dom).elements:
-                    if fn(fg, i) != fn(f, fn(g, i)):
-                        return (
-                            f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at "
-                            f"i = {render_morphism(i.morphism)} for f = {render_morphism(f)}, "
-                            f"g = {render_morphism(g)}"
-                        )
-            else:
-                for j in lattice_on(enum, f.cod).elements:
-                    if fn(fg, j) != fn(g, fn(f, j)):
-                        return (
-                            f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at "
-                            f"j = {render_morphism(j.morphism)} for f = {render_morphism(f)}, "
-                            f"g = {render_morphism(g)}"
-                        )
+            first, then = (g, f) if kind is TransferKind.IMAGE else (f, g)
+            for p in lattice_on(enum, _source(kind, fg)).elements:
+                if fn(fg, p) != fn(then, fn(first, p)):
+                    return (
+                        f"{law} = {render_morphism(p.morphism)} for f = {render_morphism(f)}, "
+                        f"g = {render_morphism(g)}"
+                    )
             return None
 
         return [
@@ -735,49 +717,13 @@ SUITES: dict[str, tuple] = {
     "connection": (connection_complement_clauses,),
     "functoriality": tuple(functoriality_clauses_for(k) for k in TransferKind),
 }
-SUITES["all"] = tuple(g for key in (
-    "2.1", "2.2", "2.3", "3.1", "3.3", "3.4", "3.5", "4.1", "4.2", "connection", "functoriality"
-) for g in SUITES[key])
+SUITES["all"] = tuple(g for groups in SUITES.values() for g in groups)
 
 
 def theorem_suite(cat: FiniteCategory, suite_id: str, budget: Budget | None = None) -> VerificationReport:
     if suite_id not in SUITES:
         raise KeyError(f"unknown suite {suite_id!r}; choose from {sorted(SUITES)}")
     return build_report(f"theorems-{suite_id}", cat, SUITES[suite_id], budget)
-
-
-def check_theorems_P(cat: FiniteCategory, budget: Budget | None = None) -> VerificationReport:
-    return build_report(
-        "theorems-P",
-        cat,
-        [image_smallest_subobject_clauses, image_lattice_map_clauses, image_order_clauses],
-        budget,
-    )
-
-
-def check_theorems_Pprime(cat: FiniteCategory, budget: Budget | None = None) -> VerificationReport:
-    return build_report(
-        "theorems-P'",
-        cat,
-        [
-            inverse_image_pullback_clauses,
-            inverse_image_lattice_map_clauses,
-            inverse_image_order_clauses,
-        ],
-        budget,
-    )
-
-
-def check_theorems_Pdoubleprime(cat: FiniteCategory, budget: Budget | None = None) -> VerificationReport:
-    return build_report(
-        "theorems-P''", cat, [preimage_lattice_map_clauses, preimage_order_clauses], budget
-    )
-
-
-def check_connections(cat: FiniteCategory, budget: Budget | None = None) -> VerificationReport:
-    return build_report(
-        "connections", cat, [connection_mono_epi_clauses, connection_complement_clauses], budget
-    )
 
 
 # ---- closed form vs definitional agreement ---------------------------------

@@ -10,11 +10,9 @@ from invcat import (
     NotInverseCategoryError,
     PBijCategory,
     check_inverse_category,
-    involution,
     is_generalized_inverse,
     is_projection,
     make_pbij,
-    quasi_inverses,
     render_morphism,
 )
 from invcat.core import ShapeMismatchError, morphism_sort_key
@@ -57,8 +55,7 @@ def test_quasi_inverse_unique_in_pbij(fixture_cat, f):
 
 
 def test_module_level_helpers(fixture_cat, f):
-    assert quasi_inverses(fixture_cat, f) == (fixture_cat.involve(f),)
-    assert involution(fixture_cat, f) == fixture_cat.involve(f)
+    assert fixture_cat.quasi_inverses_of(f) == (fixture_cat.involve(f),)
     assert is_projection(fixture_cat, fixture_cat.compose(fixture_cat.involve(f), f))
     assert not is_projection(fixture_cat, f)
 

@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 
 from invcat import (
     CommutingSquare,
     Enumeration,
+    FiniteCategory,
     NoFactorizationError,
     NoKernelError,
     NonCommutingSquareError,
+    PBijCategory,
     canonical_pbij_category,
     check_coherence,
     check_exactness,
@@ -25,6 +29,8 @@ from invcat import (
 )
 from invcat.exactness import (
     Factorization,
+    _same_quotient,
+    _same_subobject,
     cokernel_witness,
     is_epi_by_cancellation,
     is_mono_by_cancellation,
@@ -312,3 +318,43 @@ def test_coherence_spot_values(fixture_cat, A, f):
     k = kernel(fixture_cat, f, certify=False)
     kk = fixture_cat.compose(k, fixture_cat.involve(k))
     assert kk == subset_projection(A, ("3",)).morphism
+
+
+# ---- closed forms against the search route ----------------------------------
+
+
+class SearchRoutePBij(PBijCategory):
+    """Partial bijections with the closed-form hooks switched back to
+    FiniteCategory's, so every construction is found by search."""
+
+    _annihilator = FiniteCategory._annihilator
+    _kernel = FiniteCategory._kernel
+    _cokernel = FiniteCategory._cokernel
+    _factorization = FiniteCategory._factorization
+    _same_subobject = FiniteCategory._same_subobject
+    _same_quotient = FiniteCategory._same_quotient
+
+
+def test_closed_forms_agree_with_search_route(budget):
+    fast = canonical_pbij_category((0, 1, 2))
+    slow = SearchRoutePBij(fast.objects)
+    fast_enum, slow_enum = Enumeration(fast, budget), Enumeration(slow, budget)
+    for f in list(fast_enum.morphisms()):
+        u, k = kernel(slow, f, enum=slow_enum), kernel(fast, f, enum=fast_enum)
+        assert subobject_iso(fast, u, k) is not None, render_morphism(f)
+        q1, q2 = cokernel(slow, f, enum=slow_enum), cokernel(fast, f, enum=fast_enum)
+        assert quotient_iso(fast, q1, q2) is not None, render_morphism(f)
+        p1 = mono_epi_factorize(slow, f, slow_enum).p
+        p2 = mono_epi_factorize(fast, f, fast_enum).p
+        assert subobject_iso(fast, p1, p2) is not None, render_morphism(f)
+    monos = [m for m in fast_enum.morphisms() if is_mono(fast, m)]
+    epis = [m for m in fast_enum.morphisms() if is_epi(fast, m)]
+    for u, k in itertools.product(monos, repeat=2):
+        assert _same_subobject(slow, u, k) == _same_subobject(fast, u, k), (u, k)
+    for q1, q2 in itertools.product(epis, repeat=2):
+        assert _same_quotient(slow, q1, q2) == _same_quotient(fast, q1, q2), (q1, q2)
+    for check in (check_exactness, check_coherence):
+        on_search, on_closed = check(slow, budget), check(fast, budget)
+        assert [(c.clause_id, c.status, c.checked) for c in on_search.clauses] == [
+            (c.clause_id, c.status, c.checked) for c in on_closed.clauses
+        ]

@@ -8,11 +8,7 @@ from invcat import (
     apply_Pdoubleprime,
     apply_Pprime,
     check_closed_forms,
-    check_connections,
     check_functoriality,
-    check_theorems_P,
-    check_theorems_Pdoubleprime,
-    check_theorems_Pprime,
     cyclic_group,
     image_of,
     inclusion,
@@ -113,10 +109,6 @@ def test_unknown_suite_rejected(pbij2):
 
 
 def test_suite_wrappers(pbij2, budget):
-    assert check_theorems_P(pbij2, budget).passed
-    assert check_theorems_Pprime(pbij2, budget).passed
-    assert check_theorems_Pdoubleprime(pbij2, budget).passed
-    assert check_connections(pbij2, budget).passed
     assert check_functoriality(pbij2, budget=budget).passed
     one = check_functoriality(pbij2, TransferKind.IMAGE, budget)
     assert {c.clause_id for c in one.clauses} == {
