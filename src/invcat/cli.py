@@ -18,14 +18,7 @@ from .core import (
 )
 from .exactness import check_coherence, check_exactness
 from .monoid import MonoidAxiomError, classify_exactness, validate_inverse_monoid
-from .pbij import (
-    enumerate_pbij,
-    hom_count,
-    image_subset,
-    inverse_image_subset,
-    preimage_subset,
-    size_finset,
-)
+from .pbij import enumerate_pbij, hom_count, size_finset
 from .projections import check_baer_star
 from .report import (
     EXIT_BUDGET_EXCEEDED,
@@ -37,7 +30,7 @@ from .report import (
     merge_reports,
 )
 from .specfile import SpecFormatError, build_category, load_monoid_table, load_spec
-from .transfer import SUITES, theorem_suite
+from .transfer import SUBSET_FORMS, SUITES, TransferKind, _source, theorem_suite
 
 
 def _emit(report: VerificationReport, out: str | None) -> None:
@@ -167,7 +160,7 @@ def theorems(suite, spec_path, out, max_size, sample, no_sample, seed):
 
 
 @main.command(name="eval")
-@click.option("--functor", required=True, type=click.Choice(["P", "P'", "P''"]))
+@click.option("--functor", required=True, type=click.Choice([k.value for k in TransferKind]))
 @click.option("--morphism", "morphism_name", required=True,
               help="Name of a declared morphism in the spec.")
 @click.option("--projection", "projection_csv", required=True,
@@ -184,20 +177,16 @@ def eval_(functor, morphism_name, projection_csv, spec_path):
     if not isinstance(f.payload, frozenset):
         raise SpecFormatError("eval needs a spec with explicit partial bijections")
     labels = tuple(x for x in projection_csv.split(",") if x)
-    base = f.dom if functor == "P" else f.cod
+    kind = TransferKind(functor)
+    base = _source(kind, f)
     unknown = [x for x in labels if x not in base.elements]
     if unknown:
+        side = "dom" if kind is TransferKind.IMAGE else "cod"
         raise SpecFormatError(
             f"labels {unknown} are not elements of {base.name} "
-            f"(the projection must live on {'dom' if functor == 'P' else 'cod'}(f))"
+            f"(the projection must live on {side}(f))"
         )
-    if functor == "P":
-        result = image_subset(f, labels)
-    elif functor == "P'":
-        result = inverse_image_subset(f, labels)
-    else:
-        result = preimage_subset(f, labels)
-    click.echo("{" + ",".join(result) + "}")
+    click.echo("{" + ",".join(SUBSET_FORMS[kind](f, labels)) + "}")
 
 
 @main.command()

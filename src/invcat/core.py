@@ -395,7 +395,7 @@ class Enumeration:
         self.budget = budget if budget is not None else Budget()
         self._pools: dict = {}
         self.sampled = False
-        self.scratch: dict = {}
+        self._memo: dict = {}
 
     def pool(self, a, b) -> tuple[Morphism, ...]:
         key = (a, b)
@@ -406,6 +406,17 @@ class Enumeration:
             if sampled:
                 self.sampled = True
         return pool
+
+    def cached(self, fn: Callable, key):
+        """fn(cat, key, self), computed once per run for each fn and key.
+        Callers name fn as a module global, so a wrapper put there sees every call."""
+        slot = (fn, key)
+        try:
+            return self._memo[slot]
+        except KeyError:
+            pass
+        value = self._memo[slot] = fn(self.cat, key, self)
+        return value
 
     def morphisms(self) -> Iterator[Morphism]:
         for a in self.cat.objects:

@@ -23,8 +23,8 @@ from .projections import (
     NotBaerStarError,
     annihilator,
     annihilator_by_search,
-    baer_star_clauses,
-    projections_on,
+    annihilator_clauses,
+    projection_cases,
 )
 from .report import FAIL, PASS, Clause, VerificationReport, run_clause
 
@@ -282,10 +282,9 @@ class CommutingSquare:
             raise NonCommutingSquareError("bottom and right legs end at different objects")
 
 
-def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration | None = None) -> str | None:
+def pullback_witness(cat: FiniteCategory, square: CommutingSquare) -> str | None:
     """None when the square is a pullback: every cone (x, y) with
     bottom∘x = right∘y is mediated by exactly one morphism into the vertex."""
-    enum = enum if enum is not None else Enumeration(cat)
     if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
         raise NonCommutingSquareError(
             f"square does not commute: bottom∘left ≠ right∘top for bottom = "
@@ -313,8 +312,8 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
     return None
 
 
-def is_pullback(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration | None = None) -> bool:
-    return pullback_witness(cat, square, enum) is None
+def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:
+    return pullback_witness(cat, square) is None
 
 
 # ---- the exactness checklists ---------------------------------------------
@@ -400,15 +399,14 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
             return f"epi criterion and cancellation disagree on {render_morphism(f)}"
         return None
 
-    def projection_factors(case):
-        a, i = case
+    def projection_factors(i):
         try:
             mono_epi_factorize(cat, i.morphism, enum)
         except NoFactorizationError as err:
             return str(err)
         return None
 
-    projection_cases = [(a, i) for a in cat.objects for i in projections_on(cat, a, enum)]
+    projections = projection_cases(enum)
 
     clauses = [
         run_clause("exact.kernels", "1.1", enum.morphisms(), has_kernel),
@@ -419,10 +417,9 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         run_clause("exact.mono-epi-criterion", "1", enum.morphisms(), mono_epi_criterion),
     ]
 
-    baer = [c for c in baer_star_clauses(enum) if c.clause_id in BAER_SIDE_CLAUSE_IDS[:3]]
-    clauses.extend(baer)
+    clauses.extend(annihilator_clauses(enum))
     clauses.append(
-        run_clause("baer.projection-factorization", "1.1", projection_cases, projection_factors)
+        run_clause("baer.projection-factorization", "1.1", projections, projection_factors)
     )
 
     a_ok = all(c.status == PASS for c in clauses if c.clause_id in EXACTNESS_CLAUSE_IDS)

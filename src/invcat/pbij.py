@@ -217,10 +217,10 @@ class PBijCategory(FiniteCategory):
 
     has_involution_rule = True
 
-    def __init__(self, sets: Iterable[FinSet], include_zero: bool = True):
+    def __init__(self, sets: Iterable[FinSet]):
         sets = list(sets)
         zero = next((s for s in sets if len(s) == 0), None)
-        if zero is None and include_zero:
+        if zero is None:
             zero = ZERO_FINSET
             sets.insert(0, zero)
         super().__init__(sets, zero)
@@ -304,4 +304,4 @@ def size_finset(k: int) -> FinSet:
 
 
 def canonical_pbij_category(sizes: Iterable[int]) -> PBijCategory:
-    return PBijCategory([size_finset(k) for k in sorted(set(sizes))], include_zero=True)
+    return PBijCategory([size_finset(k) for k in sorted(set(sizes))])

@@ -109,11 +109,26 @@ class ProjectionLattice:
         return len(self.elements)
 
 
+def lattice_on(enum: Enumeration, a) -> ProjectionLattice:
+    """P(a) as found by enumeration, derived once per run.  The semilattice
+    laws are projection_lattice's business, not verified here."""
+    return enum.cached(_lattice, a)
+
+
+def _lattice(cat: FiniteCategory, a, enum: Enumeration) -> ProjectionLattice:
+    return ProjectionLattice(a, projections_on(cat, a, enum), top(cat, a), bottom(cat, a))
+
+
+def projection_cases(enum: Enumeration) -> list[Projection]:
+    """Every projection on every object, for the clauses quantifying over them."""
+    return [i for a in enum.cat.objects for i in lattice_on(enum, a).elements]
+
+
 def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) -> ProjectionLattice:
     """Build P(a) and verify it is a meet semilattice with top and bottom."""
-    elements = projections_on(cat, a, enum)
+    lattice = lattice_on(enum if enum is not None else Enumeration(cat), a)
+    elements, one, zero = lattice.elements, lattice.top, lattice.bottom
     pool = set(elements)
-    one, zero = top(cat, a), bottom(cat, a)
     if one not in pool or zero not in pool:
         raise LatticeError(f"P({render_object(a)}) is missing top or bottom")
     for i in elements:
@@ -136,7 +151,7 @@ def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) 
             for k in elements:
                 if meet(cat, m, k) != meet(cat, i, meet(cat, j, k)):
                     raise LatticeError("meet is not associative")
-    return ProjectionLattice(a, elements, one, zero)
+    return lattice
 
 
 # ---- annihilators -------------------------------------------------------
@@ -146,7 +161,7 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     """All projections p on dom(f) with: f∘g = 0  ⇔  p∘g = g, for every
     enumerated g into dom(f).  In a Baer*-category there is exactly one."""
     enum = enum if enum is not None else Enumeration(cat)
-    candidates = projections_on(cat, f.dom, enum)
+    candidates = lattice_on(enum, f.dom).elements
     # the projections on dom(f) are themselves morphisms into dom(f) and are
     # exactly the g's that tell projections apart, so test against them even
     # when the sampled pool happens to miss them
@@ -167,21 +182,12 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
     """The annihilator f′ found from its defining property, by enumeration."""
     enum = enum if enum is not None else Enumeration(cat)
-    candidates = _cached_candidates(cat, f, enum)
+    candidates = enum.cached(annihilator_candidates, f)
     if not candidates:
         raise AnnihilatorNotFoundError(f)
     if len(candidates) > 1:
         raise AnnihilatorNotUniqueError(f, candidates)
     return candidates[0]
-
-
-def _cached_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple[Projection, ...]:
-    # one search per f and run, shared by annihilator_by_search and the Baer* clauses
-    cache = enum.scratch.setdefault("annihilator-candidates", {})
-    hit = cache.get(f)
-    if hit is None:
-        hit = cache[f] = annihilator_candidates(cat, f, enum)
-    return hit
 
 
 def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
@@ -204,24 +210,19 @@ def is_closed(cat: FiniteCategory, i: Projection, enum: Enumeration | None = Non
 # ---- the Baer* suite ----------------------------------------------------
 
 
-def baer_star_clauses(enum: Enumeration) -> list[Clause]:
+def annihilator_clauses(enum: Enumeration) -> list[Clause]:
+    """The annihilator laws shared with check_exactness: existence, uniqueness, closure."""
     cat = enum.cat
     if cat.zero_object is None:
         raise InvcatError("Baer* checks need a designated zero object")
 
-    def zero_object_ok(a):
-        into, outof = cat.hom(a, cat.zero_object), cat.hom(cat.zero_object, a)
-        if len(into) != 1 or len(outof) != 1:
-            return f"{render_object(cat.zero_object)} is not initial and terminal at {render_object(a)}"
-        return None
-
     def annihilator_exists(f: Morphism):
-        if not _cached_candidates(cat, f, enum):
+        if not enum.cached(annihilator_candidates, f):
             return f"no annihilator for {render_morphism(f)}"
         return None
 
     def annihilator_unique(f: Morphism):
-        candidates = _cached_candidates(cat, f, enum)
+        candidates = enum.cached(annihilator_candidates, f)
         if len(candidates) > 1:
             return (
                 f"{len(candidates)} annihilators for {render_morphism(f)}: "
@@ -230,8 +231,7 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
             )
         return None
 
-    def projections_closed(case):
-        a, i = case
+    def projections_closed(i: Projection):
         try:
             back = annihilator_by_search(cat, annihilator_by_search(cat, i.morphism, enum).morphism, enum)
         except NotBaerStarError as err:
@@ -241,6 +241,24 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
                 f"projection {render_morphism(i.morphism)} is not closed: "
                 f"(i′)′ = {render_morphism(back.morphism)}"
             )
+        return None
+
+    cases = projection_cases(enum)
+    return [
+        run_clause("baer.annihilator-exists", "1", enum.morphisms(), annihilator_exists),
+        run_clause("baer.annihilator-unique", "1", enum.morphisms(), annihilator_unique),
+        run_clause("baer.projections-closed", "1.1", cases, projections_closed),
+    ]
+
+
+def baer_star_clauses(enum: Enumeration) -> list[Clause]:
+    cat = enum.cat
+    shared = annihilator_clauses(enum)  # raises first when no zero object is designated
+
+    def zero_object_ok(a):
+        into, outof = cat.hom(a, cat.zero_object), cat.hom(cat.zero_object, a)
+        if len(into) != 1 or len(outof) != 1:
+            return f"{render_object(cat.zero_object)} is not initial and terminal at {render_object(a)}"
         return None
 
     def triple_annihilator(f: Morphism):
@@ -262,15 +280,9 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
             return f"P({render_object(a)}): {err}"
         return None
 
-    projection_cases = [
-        (a, i) for a in cat.objects for i in projections_on(cat, a, enum)
-    ]
-
     return [
         run_clause("baer.zero-object", "1", cat.objects, zero_object_ok),
-        run_clause("baer.annihilator-exists", "1", enum.morphisms(), annihilator_exists),
-        run_clause("baer.annihilator-unique", "1", enum.morphisms(), annihilator_unique),
-        run_clause("baer.projections-closed", "1.1", projection_cases, projections_closed),
+        *shared,
         run_clause("baer.triple-annihilator", "1.1", enum.morphisms(), triple_annihilator),
         run_clause("projections.meet-semilattice", "2", cat.objects, semilattice_ok),
     ]

@@ -104,7 +104,6 @@ def run_clause(
     anchor: str,
     cases: Iterable,
     check: Callable,
-    sampled: bool = False,
 ) -> Clause:
     """Evaluate `check` over `cases`, stopping at the first returned witness."""
     checked = 0
@@ -112,8 +111,8 @@ def run_clause(
         checked += 1
         witness = check(case)
         if witness is not None:
-            return Clause(clause_id, anchor, FAIL, checked, witness, sampled)
-    return Clause(clause_id, anchor, PASS, checked, None, sampled)
+            return Clause(clause_id, anchor, FAIL, checked, witness)
+    return Clause(clause_id, anchor, PASS, checked)
 
 
 def merge_reports(suite: str, *reports: VerificationReport) -> VerificationReport:

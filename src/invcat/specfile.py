@@ -129,23 +129,7 @@ def parse_spec(data) -> CategorySpec:
                 _require(isinstance(n, int) and 0 <= n, f"bad size {n!r}")
             gen = GeneratorSpec("all-pbij", sizes=tuple(sizes))
         else:
-            extra = set(raw) - {"kind", "elements", "identity", "table"}
-            _require(not extra, f"unknown inverse-monoid fields: {sorted(extra)}")
-            elements = _string_list(raw.get("elements", []), "monoid elements")
-            _require(bool(elements), "inverse-monoid needs elements")
-            _require(len(set(elements)) == len(elements), "duplicate monoid elements")
-            identity = raw.get("identity")
-            _require(isinstance(identity, str) and identity, "inverse-monoid needs an identity")
-            table = raw.get("table")
-            _require(isinstance(table, list) and len(table) == len(elements),
-                     "table must be a square row list, one row per element")
-            rows = []
-            for row in table:
-                rows.append(_string_list(row, "table row"))
-                _require(len(rows[-1]) == len(elements), "table rows must match element count")
-            gen = GeneratorSpec(
-                "inverse-monoid", elements=elements, identity=identity, table=tuple(rows)
-            )
+            gen = _cayley_table(raw, {"kind"})
         return CategorySpec(tuple(objects), None, gen)
 
     _require(bool(objects), "explicit specs need at least one object")
@@ -235,22 +219,13 @@ def load_spec(path) -> CategorySpec:
 # ---- turning specs into categories ----------------------------------------
 
 
-def monoid_from_generator(gen: GeneratorSpec) -> InverseMonoid:
-    table = {
-        (x, y): gen.table[i][j]
-        for i, x in enumerate(gen.elements)
-        for j, y in enumerate(gen.elements)
-    }
-    return validate_inverse_monoid(gen.elements, table, gen.identity)
-
-
-def parse_monoid_table(data) -> tuple[tuple[str, ...], dict, str]:
-    """Shape-check a Cayley-table document {elements, identity, table} and
-    return the pieces for validate_inverse_monoid (which does the algebra)."""
+def _cayley_table(data, also_allowed: set) -> GeneratorSpec:
+    """Shape-check a Cayley-table document {elements, identity, table}, the
+    table row-major over the elements; validate_inverse_monoid does the algebra."""
     _require(isinstance(data, dict), "monoid table must be a mapping")
-    extra = set(data) - {"elements", "identity", "table"}
+    extra = set(data) - {"elements", "identity", "table"} - also_allowed
     _require(not extra, f"unknown monoid fields: {sorted(extra)}")
-    elements = _string_list(data.get("elements", []), "elements")
+    elements = _string_list(data.get("elements", []), "monoid elements")
     _require(bool(elements), "monoid needs elements")
     _require(len(set(elements)) == len(elements), "duplicate monoid elements")
     identity = data.get("identity")
@@ -260,13 +235,29 @@ def parse_monoid_table(data) -> tuple[tuple[str, ...], dict, str]:
         isinstance(table, list) and len(table) == len(elements),
         "table must have one row per element",
     )
-    flat = {}
-    for i, row in enumerate(table):
-        row = _string_list(row, "table row")
-        _require(len(row) == len(elements), "table rows must match element count")
-        for j, value in enumerate(row):
-            flat[(elements[i], elements[j])] = value
-    return elements, flat, identity
+    rows = tuple(_string_list(row, "table row") for row in table)
+    _require(all(len(row) == len(elements) for row in rows), "table rows must match element count")
+    return GeneratorSpec("inverse-monoid", elements=elements, identity=identity, table=rows)
+
+
+def _monoid_parts(gen: GeneratorSpec) -> tuple[tuple[str, ...], dict, str]:
+    """(elements, {(x, y): xy}, identity): the arguments of validate_inverse_monoid."""
+    table = {
+        (x, y): gen.table[i][j]
+        for i, x in enumerate(gen.elements)
+        for j, y in enumerate(gen.elements)
+    }
+    return gen.elements, table, gen.identity
+
+
+def monoid_from_generator(gen: GeneratorSpec) -> InverseMonoid:
+    return validate_inverse_monoid(*_monoid_parts(gen))
+
+
+def parse_monoid_table(data) -> tuple[tuple[str, ...], dict, str]:
+    """Shape-check a Cayley-table document and return the pieces for
+    validate_inverse_monoid."""
+    return _monoid_parts(_cayley_table(data, set()))
 
 
 def load_monoid_table(path) -> tuple[tuple[str, ...], dict, str]:

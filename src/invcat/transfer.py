@@ -39,12 +39,22 @@ from .exactness import (
     mono_epi_factorize,
     pullback_witness,
 )
+from .pbij import (
+    PBijCategory,
+    annihilator_pbij,
+    image_subset,
+    inverse_image_subset,
+    preimage_subset,
+    projection_labels,
+    subset_projection,
+)
 from .projections import (
     NotBaerStarError,
     ProjectionLattice,
     annihilator,
+    annihilator_by_search,
     bottom,
-    projections_on,
+    lattice_on,
     top,
 )
 from .report import Clause, VerificationReport, run_clause
@@ -58,6 +68,21 @@ class TransferKind(str, Enum):
     IMAGE = "P"
     INVERSE_IMAGE = "P'"
     STRICT_PREIMAGE = "P''"
+
+
+# clause-id prefix, catalog anchor and report noun of each kind
+_KIND_NAMES = {
+    TransferKind.IMAGE: ("image", "2", "image"),
+    TransferKind.INVERSE_IMAGE: ("inverse-image", "3", "inverse image"),
+    TransferKind.STRICT_PREIMAGE: ("preimage", "4", "strict preimage"),
+}
+
+# the partial-bijection closed form of each kind, on subsets of element labels
+SUBSET_FORMS = {
+    TransferKind.IMAGE: image_subset,
+    TransferKind.INVERSE_IMAGE: inverse_image_subset,
+    TransferKind.STRICT_PREIMAGE: preimage_subset,
+}
 
 
 def transfer(cat: FiniteCategory, f: Morphism, h: Morphism) -> Morphism:
@@ -107,19 +132,11 @@ def _source(kind: TransferKind, f: Morphism):
     return f.dom if kind is TransferKind.IMAGE else f.cod
 
 
+def _target(kind: TransferKind, f: Morphism):
+    return f.cod if kind is TransferKind.IMAGE else f.dom
+
+
 # ---- explicit tables -------------------------------------------------------
-
-
-def lattice_on(enum: Enumeration, a) -> ProjectionLattice:
-    """P(a) as found by enumeration, cached per run.  The semilattice laws
-    themselves are the axioms suite's business, not re-verified here."""
-    cache = enum.scratch.setdefault("lattice", {})
-    lat = cache.get(a)
-    if lat is None:
-        elements = projections_on(enum.cat, a, enum)
-        lat = ProjectionLattice(a, elements, top(enum.cat, a), bottom(enum.cat, a))
-        cache[a] = lat
-    return lat
 
 
 @dataclass(frozen=True)
@@ -145,7 +162,7 @@ class TransferMap:
 def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
     enum = enum if enum is not None else Enumeration(cat)
     source = lattice_on(enum, _source(kind, f))
-    target = lattice_on(enum, f.cod if kind is TransferKind.IMAGE else f.dom)
+    target = lattice_on(enum, _target(kind, f))
     table = {p: _apply(cat, kind, f, p, enum) for p in source.elements}
     return TransferMap(kind, f, source, target, table)
 
@@ -153,13 +170,8 @@ def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: E
 # ---- subobject transfer ----------------------------------------------------
 
 
-def _monos_into(enum: Enumeration, b) -> tuple[Morphism, ...]:
-    cache = enum.scratch.setdefault("monos-into", {})
-    hit = cache.get(b)
-    if hit is None:
-        hit = tuple(s for s in enum.morphisms_into(b) if is_mono(enum.cat, s))
-        cache[b] = hit
-    return hit
+def _monos_into(cat: FiniteCategory, b, enum: Enumeration) -> tuple[Morphism, ...]:
+    return tuple(s for s in enum.morphisms_into(b) if is_mono(cat, s))
 
 
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
@@ -191,7 +203,7 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
     pp = cat.compose(p, cat.involve(p))
     if cat.compose(pp, fu) != fu:
         return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
-    for s in _monos_into(enum, f.cod):
+    for s in enum.cached(_monos_into, f.cod):
         ss = cat.compose(s, cat.involve(s))
         if cat.compose(ss, fu) == fu and cat.compose(ss, p) != p:
             return (
@@ -213,7 +225,7 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, certify: boo
     u = mono_epi_factorize(cat, moved.morphism, enum).p
     if certify:
         try:
-            witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u), enum)
+            witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
         except NonCommutingSquareError as err:
             witness = str(err)
         if witness is not None:
@@ -238,10 +250,22 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
 # ---- law suites ------------------------------------------------------------
 
 
+def _run(clause_id: str, anchor: str, cases, check) -> Clause:
+    """run_clause, reporting a missing or ambiguous f′, which every law below uses."""
+
+    def guarded(case):
+        try:
+            return check(case)
+        except NotBaerStarError as err:
+            return str(err)
+
+    return run_clause(clause_id, anchor, cases, guarded)
+
+
 def _mono_pairs(enum: Enumeration, into_dom: bool):
     """(f, mono) pairs: monos into dom(f) when into_dom, else into cod(f)."""
     for f in enum.morphisms():
-        for s in _monos_into(enum, f.dom if into_dom else f.cod):
+        for s in enum.cached(_monos_into, f.dom if into_dom else f.cod):
             yield f, s
 
 
@@ -256,7 +280,7 @@ def image_smallest_subobject_clauses(enum: Enumeration) -> list[Clause]:
             return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
         return None
 
-    return [run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest)]
+    return [_run("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest)]
 
 
 def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
@@ -290,22 +314,18 @@ def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        run_clause("image.preserves-mono", "2.2.i", enum.morphisms(), preserves_mono),
-        run_clause("image.preserves-epi", "2.2.i", enum.morphisms(), preserves_epi),
-        run_clause("image.bottom-top", "2.2.ii", enum.morphisms(), bottom_top),
-        run_clause("image.domain-projection", "2.2.iii", enum.morphisms(), domain_projection),
+        _run("image.preserves-mono", "2.2.i", enum.morphisms(), preserves_mono),
+        _run("image.preserves-epi", "2.2.i", enum.morphisms(), preserves_epi),
+        _run("image.bottom-top", "2.2.ii", enum.morphisms(), bottom_top),
+        _run("image.domain-projection", "2.2.iii", enum.morphisms(), domain_projection),
     ]
 
 
-def _semilattice_map_clauses(
-    enum: Enumeration,
-    prefix: str,
-    kind: TransferKind,
-    anchors: tuple[str, str],
-) -> list[Clause]:
+def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tuple[str, str]) -> list[Clause]:
     """The two lattice-map laws every transfer map satisfies: meets are
     preserved, hence so is the order."""
     cat = enum.cat
+    prefix = _KIND_NAMES[kind][0]
 
     def fn(f: Morphism, p: Projection) -> Projection:
         return _apply(cat, kind, f, p, enum)
@@ -341,14 +361,14 @@ def _semilattice_map_clauses(
         return None
 
     return [
-        run_clause(f"{prefix}.meet-homomorphism", anchors[0], enum.morphisms(), meets),
-        run_clause(f"{prefix}.order-preserving", anchors[1], enum.morphisms(), order),
+        _run(f"{prefix}.meet-homomorphism", anchors[0], enum.morphisms(), meets),
+        _run(f"{prefix}.order-preserving", anchors[1], enum.morphisms(), order),
     ]
 
 
 def image_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    clauses = _semilattice_map_clauses(enum, "image", TransferKind.IMAGE, ("2.3.i", "2.3.ii"))
+    clauses = _semilattice_map_clauses(enum, TransferKind.IMAGE, ("2.3.i", "2.3.ii"))
 
     def bounded(f: Morphism):
         ff = cat.compose(f, cat.involve(f))
@@ -371,8 +391,8 @@ def image_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(run_clause("image.bounded-by-image", "2.3.iii", enum.morphisms(), bounded))
-    clauses.append(run_clause("image.saturation", "2.3.iv", enum.morphisms(), saturation))
+    clauses.append(_run("image.bounded-by-image", "2.3.iii", enum.morphisms(), bounded))
+    clauses.append(_run("image.saturation", "2.3.iv", enum.morphisms(), saturation))
     return clauses
 
 
@@ -387,15 +407,14 @@ def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
             return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
         return None
 
-    return [run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
+    return [_run("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
 
 
-def _contravariant_mono_epi_clauses(
-    enum: Enumeration, prefix: str, kind: TransferKind, noun: str, anchor: str
-) -> list[Clause]:
+def _contravariant_mono_epi_clauses(enum: Enumeration, kind: TransferKind, anchor: str) -> list[Clause]:
     """The laws P′ and P″ share: kind(f) is injective iff f is epi, and
     surjective iff f is mono."""
     cat = enum.cat
+    prefix, _, noun = _KIND_NAMES[kind]
 
     def injective_iff_epi(f: Morphism):
         injective, epi = transfer_table(cat, kind, f, enum).is_injective(), is_epi(cat, f)
@@ -418,16 +437,14 @@ def _contravariant_mono_epi_clauses(
         return None
 
     return [
-        run_clause(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
-        run_clause(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
+        _run(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
+        _run(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
     ]
 
 
 def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    clauses = _contravariant_mono_epi_clauses(
-        enum, "inverse-image", TransferKind.INVERSE_IMAGE, "inverse image", "3.3.i"
-    )
+    clauses = _contravariant_mono_epi_clauses(enum, TransferKind.INVERSE_IMAGE, "3.3.i")
 
     def bottom_top(f: Morphism):
         ann = annihilator(cat, f, enum)
@@ -443,16 +460,14 @@ def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
         return None
 
-    clauses.append(run_clause("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
-    clauses.append(run_clause("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
+    clauses.append(_run("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
+    clauses.append(_run("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
     return clauses
 
 
 def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    clauses = _semilattice_map_clauses(
-        enum, "inverse-image", TransferKind.INVERSE_IMAGE, ("3.4.i", "3.4.ii")
-    )
+    clauses = _semilattice_map_clauses(enum, TransferKind.INVERSE_IMAGE, ("3.4.i", "3.4.ii"))
 
     def bounded_below(f: Morphism):
         ann = annihilator(cat, f, enum).morphism
@@ -475,8 +490,8 @@ def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(run_clause("inverse-image.bounded-below", "3.4.iii", enum.morphisms(), bounded_below))
-    clauses.append(run_clause("inverse-image.saturation-to-top", "3.4.iv", enum.morphisms(), saturation_to_top))
+    clauses.append(_run("inverse-image.bounded-below", "3.4.iii", enum.morphisms(), bounded_below))
+    clauses.append(_run("inverse-image.saturation-to-top", "3.4.iv", enum.morphisms(), saturation_to_top))
     return clauses
 
 
@@ -521,17 +536,15 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        run_clause("connection.mono-match", "3.5.i", enum.morphisms(), mono_match),
-        run_clause("connection.epi-match", "3.5.ii", enum.morphisms(), epi_match),
-        run_clause("connection.triple-identities", "3.5.iii", enum.morphisms(), triple_identities),
+        _run("connection.mono-match", "3.5.i", enum.morphisms(), mono_match),
+        _run("connection.epi-match", "3.5.ii", enum.morphisms(), epi_match),
+        _run("connection.triple-identities", "3.5.iii", enum.morphisms(), triple_identities),
     ]
 
 
 def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    clauses = _contravariant_mono_epi_clauses(
-        enum, "preimage", TransferKind.STRICT_PREIMAGE, "strict preimage", "4.1.i"
-    )
+    clauses = _contravariant_mono_epi_clauses(enum, TransferKind.STRICT_PREIMAGE, "4.1.i")
 
     def bottom_top(f: Morphism):
         if apply_Pdoubleprime(cat, f, bottom(cat, f.cod), enum) != bottom(cat, f.dom):
@@ -547,18 +560,16 @@ def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
         return None
 
-    clauses.append(run_clause("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
+    clauses.append(_run("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
     clauses.append(
-        run_clause("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
+        _run("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
     )
     return clauses
 
 
 def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    clauses = _semilattice_map_clauses(
-        enum, "preimage", TransferKind.STRICT_PREIMAGE, ("4.2.v", "4.2.vi")
-    )
+    clauses = _semilattice_map_clauses(enum, TransferKind.STRICT_PREIMAGE, ("4.2.v", "4.2.vi"))
 
     def bounded_above(f: Morphism):
         double = annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism
@@ -581,8 +592,8 @@ def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(run_clause("preimage.bounded-above", "4.2.vii", enum.morphisms(), bounded_above))
-    clauses.append(run_clause("preimage.annihilated-below", "4.2.viii", enum.morphisms(), annihilated_below))
+    clauses.append(_run("preimage.bounded-above", "4.2.vii", enum.morphisms(), bounded_above))
+    clauses.append(_run("preimage.annihilated-below", "4.2.viii", enum.morphisms(), annihilated_below))
     return clauses
 
 
@@ -633,24 +644,18 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        run_clause("connection.complement-identity", "4", enum.morphisms(), complement_identity),
-        run_clause("connection.equivalence-mono-epi", "4.i", enum.morphisms(), equivalence_mono_epi),
-        run_clause("connection.equivalence-units", "4.ii", enum.morphisms(), equivalence_units),
-        run_clause("connection.equivalence-annihilators", "4.iii", enum.morphisms(), equivalence_annihilators),
+        _run("connection.complement-identity", "4", enum.morphisms(), complement_identity),
+        _run("connection.equivalence-mono-epi", "4.i", enum.morphisms(), equivalence_mono_epi),
+        _run("connection.equivalence-units", "4.ii", enum.morphisms(), equivalence_units),
+        _run("connection.equivalence-annihilators", "4.iii", enum.morphisms(), equivalence_annihilators),
     ]
 
 
 # ---- functoriality ---------------------------------------------------------
 
-_KIND_NAMES = {
-    TransferKind.IMAGE: ("image", "2"),
-    TransferKind.INVERSE_IMAGE: ("inverse-image", "3"),
-    TransferKind.STRICT_PREIMAGE: ("preimage", "4"),
-}
-
 
 def functoriality_clauses_for(kind: TransferKind):
-    name, anchor = _KIND_NAMES[kind]
+    name, anchor, _ = _KIND_NAMES[kind]
     # P is covariant, P(f∘g) = P(f)∘P(g) on P(dom g); P′ and P″ are
     # contravariant, K(f∘g) = K(g)∘K(f) on P(cod f)
     if kind is TransferKind.IMAGE:
@@ -687,8 +692,8 @@ def functoriality_clauses_for(kind: TransferKind):
             return None
 
         return [
-            run_clause(f"functor.{name}.identity", anchor, cat.objects, identity_law),
-            run_clause(f"functor.{name}.composition", anchor, enum.composable_pairs(), composition_law),
+            _run(f"functor.{name}.identity", anchor, cat.objects, identity_law),
+            _run(f"functor.{name}.composition", anchor, enum.composable_pairs(), composition_law),
         ]
 
     return group
@@ -733,17 +738,6 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
     """The subset-arithmetic fast paths for partial bijections, re-derived the
     slow way: annihilators from their defining property by enumeration,
     transfers from raw composition and search-based annihilators."""
-    from .pbij import (
-        PBijCategory,
-        annihilator_pbij,
-        image_subset,
-        inverse_image_subset,
-        preimage_subset,
-        projection_labels,
-        subset_projection,
-    )
-    from .projections import annihilator_by_search
-
     cat = enum.cat
     if not isinstance(cat, PBijCategory):
         raise InvcatError("closed-form agreement checks only make sense for partial bijections")
@@ -758,43 +752,37 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
             )
         return None
 
-    def image_agree(f: Morphism):
-        for i in lattice_on(enum, f.dom).elements:
-            fast = subset_projection(f.cod, image_subset(f, projection_labels(i)))
-            slow = Projection(f.cod, cat.compose(cat.compose(f, i.morphism), cat.involve(f)))
-            if fast != slow:
-                return f"image transfer mismatch at i = {render_morphism(i.morphism)}, f = {render_morphism(f)}"
-        return None
+    def definitional(kind: TransferKind, f: Morphism, p: Projection) -> Projection:
+        # the definitions, by composition and search, never through _apply or
+        # the _annihilator hook, so that agreement with the fast path means something
+        if kind is TransferKind.IMAGE:
+            return Projection(f.cod, cat.compose(cat.compose(f, p.morphism), cat.involve(f)))
+        if kind is TransferKind.INVERSE_IMAGE:
+            p_ann = annihilator_by_search(cat, p.morphism, enum)
+            return annihilator_by_search(cat, cat.compose(p_ann.morphism, f), enum)
+        once = annihilator_by_search(cat, cat.compose(p.morphism, f), enum)
+        return annihilator_by_search(cat, once.morphism, enum)
 
-    def inverse_image_agree(f: Morphism):
-        for j in lattice_on(enum, f.cod).elements:
-            fast = subset_projection(f.dom, inverse_image_subset(f, projection_labels(j)))
-            j_ann = annihilator_by_search(cat, j.morphism, enum)
-            slow = annihilator_by_search(cat, cat.compose(j_ann.morphism, f), enum)
-            if fast != slow:
-                return (
-                    f"inverse image transfer mismatch at j = {render_morphism(j.morphism)}, "
-                    f"f = {render_morphism(f)}"
-                )
-        return None
+    def transfer_agree(kind: TransferKind):
+        name, anchor, noun = _KIND_NAMES[kind]
+        at = "i" if kind is TransferKind.IMAGE else "j"
 
-    def preimage_agree(f: Morphism):
-        for j in lattice_on(enum, f.cod).elements:
-            fast = subset_projection(f.dom, preimage_subset(f, projection_labels(j)))
-            once = annihilator_by_search(cat, cat.compose(j.morphism, f), enum)
-            slow = annihilator_by_search(cat, once.morphism, enum)
-            if fast != slow:
-                return (
-                    f"strict preimage transfer mismatch at j = {render_morphism(j.morphism)}, "
-                    f"f = {render_morphism(f)}"
-                )
-        return None
+        def agree(f: Morphism):
+            for p in lattice_on(enum, _source(kind, f)).elements:
+                labels = SUBSET_FORMS[kind](f, projection_labels(p))
+                fast = subset_projection(_target(kind, f), labels)
+                if fast != definitional(kind, f, p):
+                    return (
+                        f"{noun} transfer mismatch at {at} = {render_morphism(p.morphism)}, "
+                        f"f = {render_morphism(f)}"
+                    )
+            return None
+
+        return _run(f"fastpath.{name}", anchor, enum.morphisms(), agree)
 
     return [
-        run_clause("fastpath.annihilator", "1", enum.morphisms(), ann_agree),
-        run_clause("fastpath.image", "2", enum.morphisms(), image_agree),
-        run_clause("fastpath.inverse-image", "3", enum.morphisms(), inverse_image_agree),
-        run_clause("fastpath.preimage", "4", enum.morphisms(), preimage_agree),
+        _run("fastpath.annihilator", "1", enum.morphisms(), ann_agree),
+        *(transfer_agree(kind) for kind in TransferKind),
     ]
 
 

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from invcat.cli import main
+from test_golden import NOT_BAER_STAR
 
 FIXTURE_DOC = {
     "format-version": 1,
@@ -91,6 +92,11 @@ def test_eval_error_paths(runner, tmp_path):
     wrong_side = runner.invoke(main, ["eval", "--spec", spec, "--functor", "P",
                                       "--morphism", "f", "--projection", "a"])
     assert wrong_side.exit_code == 2
+    assert "must live on dom(f)" in wrong_side.output
+    wrong_side = runner.invoke(main, ["eval", "--spec", spec, "--functor", "P''",
+                                      "--morphism", "f", "--projection", "1"])
+    assert wrong_side.exit_code == 2
+    assert "must live on cod(f)" in wrong_side.output
     monoid_spec = write(tmp_path, "m.json", {
         "format-version": 1,
         "generators": {"kind": "inverse-monoid", "elements": ["1"],
@@ -143,6 +149,14 @@ def test_theorems_command_and_suite_choice(runner, tmp_path):
     assert doc["suite"] == "theorems-3.5"
     bogus = runner.invoke(main, ["theorems", "--suite", "9.9", "--spec", spec])
     assert bogus.exit_code == 2
+
+
+def test_theorems_missing_annihilator_exits_one(runner, tmp_path):
+    spec = write(tmp_path, "spec.json", NOT_BAER_STAR)
+    result = runner.invoke(main, ["theorems", "--suite", "3.3", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    failing = [c for c in json.loads(result.output)["clauses"] if c["status"] == "fail"]
+    assert any("no projection annihilates" in c["counterexample"] for c in failing)
 
 
 def test_classify_command(runner, tmp_path):

@@ -151,3 +151,20 @@ def test_morphism_sort_key_is_total_on_mixed_payloads(A, B):
         Morphism("X", "X", "label"),
     ]
     assert sorted(ms, key=morphism_sort_key)
+
+
+def test_enumeration_memo_computes_once_per_run_and_key(pbij2):
+    enum = Enumeration(pbij2)
+    calls = []
+
+    def empty(cat, key, run):
+        assert cat is pbij2 and run.cat is pbij2
+        calls.append(key)
+        return ()
+
+    # an empty result is a result: it is cached like any other
+    assert enum.cached(empty, "a") == () and enum.cached(empty, "a") == ()
+    enum.cached(empty, "b")
+    assert calls == ["a", "b"]
+    Enumeration(pbij2).cached(empty, "a")
+    assert calls == ["a", "b", "a"]

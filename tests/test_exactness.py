@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import invcat.projections
 from invcat import (
     CommutingSquare,
     Enumeration,
@@ -358,3 +359,25 @@ def test_closed_forms_agree_with_search_route(budget):
         assert [(c.clause_id, c.status, c.checked) for c in on_search.clauses] == [
             (c.clause_id, c.status, c.checked) for c in on_closed.clauses
         ]
+
+
+def test_exactness_evaluates_only_the_clauses_it_reports(pbij2, budget, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("check_exactness verified a projection lattice")
+
+    monkeypatch.setattr(invcat.projections, "projection_lattice", unexpected)
+    report = check_exactness(pbij2, budget)
+    assert [c.clause_id for c in report.clauses] == [
+        "exact.kernels",
+        "exact.cokernels",
+        "exact.normal",
+        "exact.conormal",
+        "exact.factorization",
+        "exact.mono-epi-criterion",
+        "baer.annihilator-exists",
+        "baer.annihilator-unique",
+        "baer.projections-closed",
+        "baer.projection-factorization",
+        "theorem.exact-iff-baer",
+    ]
+    assert report.passed

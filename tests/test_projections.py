@@ -5,13 +5,18 @@ import pytest
 import invcat.projections
 from invcat import (
     Enumeration,
+    InvcatError,
     LatticeError,
+    Morphism,
+    TableCategory,
     check_baer_star,
+    check_exactness,
     make_pbij,
     partial_identity,
     subset_projection,
+    theorem_suite,
 )
-from invcat.monoid import chain_semilattice, two_object_category
+from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import annihilator_pbij, projection_labels
 from invcat.projections import (
     AnnihilatorNotFoundError,
@@ -148,3 +153,28 @@ def test_annihilator_searched_once_per_morphism(pbij2, budget, monkeypatch):
     assert check_baer_star(pbij2, budget).passed
     assert searched and len(searched) == len(set(searched))
 
+
+def test_projections_searched_once_per_object(budget, monkeypatch):
+    # a table model lists no projection pool, so each P(A) is a search
+    cat = two_object_category(symmetric_inverse_monoid(2))
+    searched = []
+    search = invcat.projections.projections_on
+
+    def counting(cat, a, enum=None):
+        searched.append(a)
+        return search(cat, a, enum)
+
+    monkeypatch.setattr(invcat.projections, "projections_on", counting)
+    for run in (check_baer_star, check_exactness, lambda c, b: theorem_suite(c, "all", b)):
+        searched.clear()
+        run(cat, budget)
+        assert sorted(searched) == sorted(cat.objects)
+
+
+def test_missing_zero_object_is_loud():
+    e = Morphism("X", "X", "e")
+    cat = TableCategory(["X"], {("X", "X"): [e]}, {(e, e): e}, {"X": e})
+    with pytest.raises(InvcatError, match="designated zero object"):
+        check_baer_star(cat)
+    with pytest.raises(InvcatError, match="no zero object designated"):
+        check_exactness(cat)

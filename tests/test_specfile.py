@@ -21,6 +21,7 @@ from invcat.specfile import (
     ObjectSpec,
     SpecFormatError,
     monoid_from_generator,
+    parse_monoid_table,
     spec_from_category_fixture,
 )
 
@@ -207,3 +208,24 @@ def test_spec_from_category_fixture(A, B, f):
     assert parse_spec(serialize_spec(spec)) == spec
     cat, named = build_category(spec)
     assert named["f"].payload == f.payload
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"elements": [], "identity": "1", "table": []},
+        {"elements": ["1", "1"], "identity": "1", "table": [["1", "1"], ["1", "1"]]},
+        {"elements": ["1"], "identity": "", "table": [["1"]]},
+        {"elements": ["1", "a"], "identity": "1", "table": [["1", "a"]]},
+        {"elements": ["1", "a"], "identity": "1", "table": [["1", "a"], ["a"]]},
+        {"elements": ["1"], "identity": "1", "table": [[1]]},
+        {"elements": ["1"], "identity": "1", "table": [["1"]], "zero": "1"},
+    ],
+)
+def test_cayley_tables_shape_checked_alike(table):
+    # a spec's inverse-monoid generator and a classify table share one parser
+    with pytest.raises(SpecFormatError) as from_table:
+        parse_monoid_table(table)
+    with pytest.raises(SpecFormatError) as from_spec:
+        parse_spec({"format-version": 1, "generators": {"kind": "inverse-monoid", **table}})
+    assert str(from_table.value) == str(from_spec.value)

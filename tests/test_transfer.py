@@ -7,12 +7,16 @@ from invcat import (
     apply_P,
     apply_Pdoubleprime,
     apply_Pprime,
+    build_category,
     check_closed_forms,
     check_functoriality,
     cyclic_group,
     image_of,
     inclusion,
     inverse_image_of,
+    make_pbij,
+    parse_spec,
+    size_finset,
     subset_projection,
     theorem_suite,
     transfer,
@@ -23,6 +27,8 @@ from invcat.exactness import NotMonoError
 from invcat.pbij import image_labels, projection_labels
 from invcat.transfer import SUITES, TransferKind, square_for_inverse_image
 from invcat.core import InvcatError
+from invcat.report import FAIL
+from test_golden import NOT_BAER_STAR
 
 
 def test_transfer_conjugates(fixture_cat, A, f):
@@ -143,3 +149,23 @@ def test_closed_forms_need_pbij_model(budget):
     cat = two_object_category(cyclic_group(2))
     with pytest.raises(InvcatError):
         check_closed_forms(cat, budget)
+
+
+def test_missing_annihilator_is_a_failing_clause(budget):
+    cat = build_category(parse_spec(NOT_BAER_STAR))[0]
+    report = theorem_suite(cat, "3.3", budget)
+    assert report.exit_code() == 1
+    failing = {c.clause_id: c.counterexample for c in report.failures()}
+    assert failing["inverse-image.bottom-top"] == (
+        "no projection annihilates exactly what B→A {b1↦a1} kills"
+    )
+
+
+def test_closed_forms_report_a_missing_annihilator(pbij2, budget):
+    s2 = size_finset(2)
+    p1 = make_pbij(s2, s2, (("e1", "e1"),))
+    twisted = pbij2.with_corrupted_composition(p1, p1, make_pbij(s2, s2, ()))
+    report = check_closed_forms(twisted, budget)
+    ann = report.clause("fastpath.annihilator")
+    assert ann.status == FAIL
+    assert ann.counterexample.startswith("no projection annihilates exactly what")
