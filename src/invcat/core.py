@@ -74,12 +74,20 @@ class Morphism:
     The payload is model data: a frozenset of (x, y) pairs for partial
     bijections, an element label for monoid-presented categories.  `name`
     is documentation only and is excluded from equality and hashing.
+    The hash is computed once, at construction, as hash((dom, cod, payload)).
     """
 
     dom: Any
     cod: Any
     payload: Any
     name: str | None = field(default=None, compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.payload)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<{render_morphism(self)}>"
@@ -107,10 +115,18 @@ def morphism_sort_key(f: Morphism):
 
 @dataclass(frozen=True, slots=True)
 class Projection:
-    """An idempotent, self-adjoint endomorphism, tagged with its object."""
+    """An idempotent, self-adjoint endomorphism, tagged with its object.
+    The hash is computed once, at construction, as hash((obj, morphism))."""
 
     obj: Any
     morphism: Morphism
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.obj, self.morphism)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

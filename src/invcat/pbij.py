@@ -8,7 +8,7 @@ is pair reversal, and hom(A, B) has Σ_k C(|A|,k)·C(|B|,k)·k! elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Iterable
 
@@ -35,10 +35,12 @@ class DuplicateCodomainElementError(PBijValidationError):
 
 @dataclass(frozen=True, slots=True)
 class FinSet:
-    """A finite set of string labels with a name.  Labels are kept sorted."""
+    """A finite set of string labels with a name.  Labels are kept sorted.
+    The hash is computed once, at construction, as hash((name, elements))."""
 
     name: str
     elements: tuple[str, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -48,6 +50,10 @@ class FinSet:
         if len(set(self.elements)) != len(self.elements):
             raise InvcatError(f"duplicate element labels in {self.name}")
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        object.__setattr__(self, "_hash", hash((self.name, self.elements)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __contains__(self, label: str) -> bool:
         return label in self.elements

@@ -199,6 +199,7 @@ def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = Non
 
 
 def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
+    enum = enum if enum is not None else Enumeration(cat)
     return annihilator(cat, annihilator(cat, f, enum).morphism, enum)
 
 

@@ -105,6 +105,7 @@ def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: Enumerat
         raise ObjectMismatchError(
             f"projection lives on {render_object(j.obj)}, not on cod(f) = {render_object(f.cod)}"
         )
+    enum = enum if enum is not None else Enumeration(cat)
     j_ann = annihilator(cat, j.morphism, enum)
     return annihilator(cat, cat.compose(j_ann.morphism, f), enum)
 
@@ -114,12 +115,19 @@ def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: En
         raise ObjectMismatchError(
             f"projection lives on {render_object(j.obj)}, not on cod(f) = {render_object(f.cod)}"
         )
+    enum = enum if enum is not None else Enumeration(cat)
     once = annihilator(cat, cat.compose(j.morphism, f), enum)
     return annihilator(cat, once.morphism, enum)
 
 
 def _apply(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
-    """kind(f)(p), the one place that picks the map for a transfer kind."""
+    """kind(f)(p), computed once per run; a raised error is not cached."""
+    return enum.cached(_transfer_value, (kind, f, p))
+
+
+def _transfer_value(cat: FiniteCategory, key, enum: Enumeration) -> Projection:
+    """The one place that picks the map for a transfer kind."""
+    kind, f, p = key
     if kind is TransferKind.IMAGE:
         return apply_P(cat, f, p)
     if kind is TransferKind.INVERSE_IMAGE:
@@ -300,15 +308,16 @@ def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def bottom_top(f: Morphism):
-        if apply_P(cat, f, bottom(cat, f.dom)) != bottom(cat, f.cod):
+        if _apply(cat, TransferKind.IMAGE, f, bottom(cat, f.dom), enum) != bottom(cat, f.cod):
             return f"P(f)(0) ≠ 0 for f = {render_morphism(f)}"
         ff = cat.compose(f, cat.involve(f))
-        if apply_P(cat, f, top(cat, f.dom)) != Projection(f.cod, ff):
+        if _apply(cat, TransferKind.IMAGE, f, top(cat, f.dom), enum) != Projection(f.cod, ff):
             return f"P(f)(1) ≠ f∘f* for f = {render_morphism(f)}"
         return None
 
     def domain_projection(f: Morphism):
-        moved = apply_P(cat, f, Projection(f.dom, cat.compose(cat.involve(f), f)))
+        dom_proj = Projection(f.dom, cat.compose(cat.involve(f), f))
+        moved = _apply(cat, TransferKind.IMAGE, f, dom_proj, enum)
         if moved != Projection(f.cod, cat.compose(f, cat.involve(f))):
             return f"P(f)(f*∘f) ≠ f∘f* for f = {render_morphism(f)}"
         return None
@@ -373,7 +382,7 @@ def image_order_clauses(enum: Enumeration) -> list[Clause]:
     def bounded(f: Morphism):
         ff = cat.compose(f, cat.involve(f))
         for i in lattice_on(enum, f.dom).elements:
-            moved = apply_P(cat, f, i).morphism
+            moved = _apply(cat, TransferKind.IMAGE, f, i, enum).morphism
             if cat.compose(moved, ff) != moved:
                 return f"P(f)(i) ≰ f∘f* for f = {render_morphism(f)}, i = {render_morphism(i.morphism)}"
         return None
@@ -384,7 +393,7 @@ def image_order_clauses(enum: Enumeration) -> list[Clause]:
         for i in lattice_on(enum, f.dom).elements:
             if cat.compose(dom_proj, i.morphism) != dom_proj:
                 continue
-            if apply_P(cat, f, i).morphism != ff:
+            if _apply(cat, TransferKind.IMAGE, f, i, enum).morphism != ff:
                 return (
                     f"i ≥ f*∘f but P(f)(i) ≠ f∘f* for f = {render_morphism(f)}, "
                     f"i = {render_morphism(i.morphism)}"
@@ -448,15 +457,15 @@ def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
 
     def bottom_top(f: Morphism):
         ann = annihilator(cat, f, enum)
-        if apply_Pprime(cat, f, bottom(cat, f.cod), enum) != ann:
+        if _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum) != ann:
             return f"P'(f)(0) ≠ f′ for f = {render_morphism(f)}"
-        if apply_Pprime(cat, f, top(cat, f.cod), enum) != top(cat, f.dom):
+        if _apply(cat, TransferKind.INVERSE_IMAGE, f, top(cat, f.cod), enum) != top(cat, f.dom):
             return f"P'(f)(1) ≠ 1 for f = {render_morphism(f)}"
         return None
 
     def image_to_top(f: Morphism):
         ff = Projection(f.cod, cat.compose(f, cat.involve(f)))
-        if apply_Pprime(cat, f, ff, enum) != top(cat, f.dom):
+        if _apply(cat, TransferKind.INVERSE_IMAGE, f, ff, enum) != top(cat, f.dom):
             return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
         return None
 
@@ -472,7 +481,7 @@ def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
     def bounded_below(f: Morphism):
         ann = annihilator(cat, f, enum).morphism
         for j in lattice_on(enum, f.cod).elements:
-            moved = apply_Pprime(cat, f, j, enum).morphism
+            moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum).morphism
             if cat.compose(ann, moved) != ann:
                 return f"P'(f)(j) ≱ f′ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
         return None
@@ -483,7 +492,7 @@ def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
         for j in lattice_on(enum, f.cod).elements:
             if cat.compose(ff, j.morphism) != ff:
                 continue
-            if apply_Pprime(cat, f, j, enum) != one:
+            if _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum) != one:
                 return (
                     f"j ≥ f∘f* but P'(f)(j) ≠ 1 for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -524,14 +533,14 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
 
     def triple_identities(f: Morphism):
         for i in lattice_on(enum, f.dom).elements:
-            fi = apply_P(cat, f, i)
-            back = apply_Pprime(cat, f, fi, enum)
-            if apply_P(cat, f, back) != fi:
+            fi = _apply(cat, TransferKind.IMAGE, f, i, enum)
+            back = _apply(cat, TransferKind.INVERSE_IMAGE, f, fi, enum)
+            if _apply(cat, TransferKind.IMAGE, f, back, enum) != fi:
                 return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i.morphism)} for f = {render_morphism(f)}"
         for j in lattice_on(enum, f.cod).elements:
-            fj = apply_Pprime(cat, f, j, enum)
-            back = apply_P(cat, f, fj)
-            if apply_Pprime(cat, f, back, enum) != fj:
+            fj = _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum)
+            back = _apply(cat, TransferKind.IMAGE, f, fj, enum)
+            if _apply(cat, TransferKind.INVERSE_IMAGE, f, back, enum) != fj:
                 return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j.morphism)} for f = {render_morphism(f)}"
         return None
 
@@ -547,16 +556,17 @@ def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     clauses = _contravariant_mono_epi_clauses(enum, TransferKind.STRICT_PREIMAGE, "4.1.i")
 
     def bottom_top(f: Morphism):
-        if apply_Pdoubleprime(cat, f, bottom(cat, f.cod), enum) != bottom(cat, f.dom):
+        zero = _apply(cat, TransferKind.STRICT_PREIMAGE, f, bottom(cat, f.cod), enum)
+        if zero != bottom(cat, f.dom):
             return f"P''(f)(0) ≠ 0 for f = {render_morphism(f)}"
         double = annihilator(cat, annihilator(cat, f, enum).morphism, enum)
-        if apply_Pdoubleprime(cat, f, top(cat, f.cod), enum) != double:
+        if _apply(cat, TransferKind.STRICT_PREIMAGE, f, top(cat, f.cod), enum) != double:
             return f"P''(f)(1) ≠ f″ for f = {render_morphism(f)}"
         return None
 
     def coannihilator_to_bottom(f: Morphism):
         co = annihilator(cat, cat.involve(f), enum)
-        if apply_Pdoubleprime(cat, f, co, enum) != bottom(cat, f.dom):
+        if _apply(cat, TransferKind.STRICT_PREIMAGE, f, co, enum) != bottom(cat, f.dom):
             return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
         return None
 
@@ -574,7 +584,7 @@ def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
     def bounded_above(f: Morphism):
         double = annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism
         for j in lattice_on(enum, f.cod).elements:
-            moved = apply_Pdoubleprime(cat, f, j, enum).morphism
+            moved = _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum).morphism
             if cat.compose(moved, double) != moved:
                 return f"P''(f)(j) ≰ f″ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
         return None
@@ -585,7 +595,7 @@ def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
         for j in lattice_on(enum, f.cod).elements:
             if cat.compose(j.morphism, co) != j.morphism:
                 continue
-            if apply_Pdoubleprime(cat, f, j, enum) != zero:
+            if _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum) != zero:
                 return (
                     f"j ≤ (f*)′ but P''(f)(j) ≠ 0 for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -603,8 +613,9 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
     def complement_identity(f: Morphism):
         for j in lattice_on(enum, f.cod).elements:
             j_ann = annihilator(cat, j.morphism, enum)
-            via = annihilator(cat, apply_Pprime(cat, f, j_ann, enum).morphism, enum)
-            if apply_Pdoubleprime(cat, f, j, enum) != via:
+            moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, j_ann, enum)
+            via = annihilator(cat, moved.morphism, enum)
+            if _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum) != via:
                 return (
                     f"P''(f)(j) ≠ (P'(f)(j′))′ for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -621,8 +632,13 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def equivalence_units(f: Morphism):
-        prime_top = apply_Pprime(cat, f, top(cat, f.cod), enum) == top(cat, f.dom)
-        double_bottom = apply_Pdoubleprime(cat, f, bottom(cat, f.cod), enum) == bottom(cat, f.dom)
+        prime_top = (
+            _apply(cat, TransferKind.INVERSE_IMAGE, f, top(cat, f.cod), enum) == top(cat, f.dom)
+        )
+        double_bottom = (
+            _apply(cat, TransferKind.STRICT_PREIMAGE, f, bottom(cat, f.cod), enum)
+            == bottom(cat, f.dom)
+        )
         if prime_top != double_bottom:
             return (
                 f"P'(f)(1) = 1 is {prime_top} but P''(f)(0) = 0 is {double_bottom} "
@@ -632,9 +648,9 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
 
     def equivalence_annihilators(f: Morphism):
         ann = annihilator(cat, f, enum)
-        prime_side = apply_Pprime(cat, f, bottom(cat, f.cod), enum) == ann
-        double_side = apply_Pdoubleprime(cat, f, top(cat, f.cod), enum) == annihilator(
-            cat, ann.morphism, enum
+        prime_side = _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum) == ann
+        double_side = _apply(cat, TransferKind.STRICT_PREIMAGE, f, top(cat, f.cod), enum) == (
+            annihilator(cat, ann.morphism, enum)
         )
         if prime_side != double_side:
             return (

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from invcat import (
@@ -9,11 +11,14 @@ from invcat import (
     Morphism,
     NotInverseCategoryError,
     PBijCategory,
+    Projection,
     check_inverse_category,
     is_generalized_inverse,
     is_projection,
     make_pbij,
     render_morphism,
+    symmetric_inverse_monoid,
+    two_object_category,
 )
 from invcat.core import ShapeMismatchError, morphism_sort_key
 from invcat.report import FAIL, PASS, SKIPPED
@@ -25,6 +30,25 @@ def test_morphism_name_does_not_affect_identity(A, B):
     assert named == anon
     assert hash(named) == hash(anon)
     assert "g" in render_morphism(named)
+
+
+def test_hash_is_stored_and_equals_the_field_tuple_hash(A, B):
+    # equal to what the generated __hash__ returned, so the iteration order of
+    # sets of morphisms, and with it every search order, stays as it was
+    pbij = make_pbij(A, B, (("1", "a"),), name="g")
+    label = two_object_category(symmetric_inverse_monoid(2)).hom("X", "X")[1]
+    proj = Projection(A, make_pbij(A, A, (("1", "1"),)))
+    assert hash(pbij) == hash((A, B, frozenset({("1", "a")})))
+    assert hash(label) == hash(("X", "X", label.payload))
+    assert hash(A) == hash(("A", ("1", "2", "3")))
+    assert hash(FinSet("A", ("3", "1", "2"))) == hash(A)
+    assert hash(proj) == hash((A, proj.morphism))
+    assert hash(replace(pbij, name="h")) == hash(replace(pbij, name=None)) == hash(pbij)
+    moved = replace(pbij, payload=frozenset())
+    assert moved != pbij and replace(moved, payload=pbij.payload) == pbij
+    assert hash(replace(moved, payload=pbij.payload)) == hash(pbij)
+    assert hash(replace(A, elements=("2", "3", "1"))) == hash(A)
+    assert hash(replace(proj, obj=A)) == hash(proj)
 
 
 def test_compose_applies_right_factor_first(fixture_cat, A, B, f):

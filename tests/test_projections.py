@@ -9,6 +9,8 @@ from invcat import (
     LatticeError,
     Morphism,
     TableCategory,
+    apply_Pdoubleprime,
+    apply_Pprime,
     check_baer_star,
     check_exactness,
     make_pbij,
@@ -169,6 +171,30 @@ def test_projections_searched_once_per_object(budget, monkeypatch):
         searched.clear()
         run(cat, budget)
         assert sorted(searched) == sorted(cat.objects)
+
+
+def test_one_off_calls_search_each_object_once(monkeypatch):
+    # called without an enumeration, each call makes one and shares it
+    # between the annihilators it needs
+    cat = two_object_category(symmetric_inverse_monoid(2))
+    searched = []
+    search = invcat.projections.projections_on
+
+    def counting(cat, a, enum=None):
+        searched.append(a)
+        return search(cat, a, enum)
+
+    monkeypatch.setattr(invcat.projections, "projections_on", counting)
+    f, one = cat.hom("X", "X")[1], top(cat, "X")
+    for call in (
+        lambda: apply_Pprime(cat, f, one),
+        lambda: apply_Pdoubleprime(cat, f, one),
+        lambda: double_annihilator(cat, f),
+        lambda: is_closed(cat, one),
+    ):
+        searched.clear()
+        call()
+        assert searched == ["X"]
 
 
 def test_missing_zero_object_is_loud():

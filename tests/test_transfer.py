@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 from invcat import (
@@ -8,6 +11,7 @@ from invcat import (
     apply_Pdoubleprime,
     apply_Pprime,
     build_category,
+    canonical_pbij_category,
     check_closed_forms,
     check_functoriality,
     cyclic_group,
@@ -16,6 +20,7 @@ from invcat import (
     inverse_image_of,
     make_pbij,
     parse_spec,
+    render_morphism,
     size_finset,
     subset_projection,
     theorem_suite,
@@ -25,10 +30,14 @@ from invcat import (
 )
 from invcat.exactness import NotMonoError
 from invcat.pbij import image_labels, projection_labels
-from invcat.transfer import SUITES, TransferKind, square_for_inverse_image
+from invcat.projections import AnnihilatorNotFoundError, bottom
+from invcat.transfer import SUITES, TransferKind, _apply, square_for_inverse_image
 from invcat.core import InvcatError
 from invcat.report import FAIL
 from test_golden import NOT_BAER_STAR
+
+# the module, which the package's `transfer` function shadows as an attribute
+transfer_module = importlib.import_module("invcat.transfer")
 
 
 def test_transfer_conjugates(fixture_cat, A, f):
@@ -169,3 +178,36 @@ def test_closed_forms_report_a_missing_annihilator(pbij2, budget):
     ann = report.clause("fastpath.annihilator")
     assert ann.status == FAIL
     assert ann.counterexample.startswith("no projection annihilates exactly what")
+
+
+def _count_transfer_values(monkeypatch) -> Counter:
+    computed = Counter()
+    for name in ("apply_P", "apply_Pprime", "apply_Pdoubleprime"):
+
+        def counting(cat, f, p, *enum, name=name, real=getattr(transfer_module, name)):
+            computed[name, f, p] += 1
+            return real(cat, f, p, *enum)
+
+        monkeypatch.setattr(transfer_module, name, counting)
+    return computed
+
+
+def test_transfer_values_computed_once_per_run(budget, monkeypatch):
+    computed = _count_transfer_values(monkeypatch)
+    assert theorem_suite(canonical_pbij_category((0, 1, 2)), "functoriality", budget).passed
+    assert computed and max(computed.values()) == 1
+    assert {name for name, _, _ in computed} == {"apply_P", "apply_Pprime", "apply_Pdoubleprime"}
+
+
+def test_transfer_errors_are_not_cached(budget, monkeypatch):
+    cat = build_category(parse_spec(NOT_BAER_STAR))[0]
+    enum = Enumeration(cat, budget)
+    f = next(m for m in enum.morphisms() if render_morphism(m) == "B→A {b1↦a1}")
+    computed = _count_transfer_values(monkeypatch)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(AnnihilatorNotFoundError) as raised:
+            _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum)
+        texts.append(str(raised.value))
+    assert texts == ["no projection annihilates exactly what B→A {b1↦a1} kills"] * 2
+    assert sum(computed.values()) == 2
