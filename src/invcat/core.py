@@ -191,6 +191,11 @@ class FiniteCategory:
         # projection searches stay complete even when hom-sets are sampled
         return None
 
+    def _zero(self, a, b) -> Morphism | None:
+        # models that know their zero morphisms override this; None means
+        # "compose through the designated zero object"
+        return None
+
     def _hom_sample(self, a, b, count: int, rng: random.Random) -> tuple[Morphism, ...]:
         pool = list(self.hom(a, b))
         picked = rng.sample(pool, min(count, len(pool)))
@@ -293,13 +298,15 @@ class FiniteCategory:
         key = (a, b)
         hit = self._zero_cache.get(key)
         if hit is None:
-            z = self._zero_object
-            if z is None:
-                raise ZeroUnavailableError("no zero object designated")
-            into, outof = self.hom(a, z), self.hom(z, b)
-            if len(into) != 1 or len(outof) != 1:
-                raise ZeroUnavailableError(f"{render_object(z)} is not a zero object")
-            hit = self.compose(outof[0], into[0])
+            hit = self._zero(a, b)
+            if hit is None:
+                z = self._zero_object
+                if z is None:
+                    raise ZeroUnavailableError("no zero object designated")
+                into, outof = self.hom(a, z), self.hom(z, b)
+                if len(into) != 1 or len(outof) != 1:
+                    raise ZeroUnavailableError(f"{render_object(z)} is not a zero object")
+                hit = self.compose(outof[0], into[0])
             self._zero_cache[key] = hit
         return hit
 
@@ -458,17 +465,6 @@ class Enumeration:
                         for g in self.pool(a, b):
                             yield f, g
 
-    def composable_triples(self) -> Iterator[tuple[Morphism, Morphism, Morphism]]:
-        objs = self.cat.objects
-        for a in objs:
-            for b in objs:
-                for c in objs:
-                    for d in objs:
-                        for f in self.pool(c, d):
-                            for g in self.pool(b, c):
-                                for h in self.pool(a, b):
-                                    yield f, g, h
-
     def total_enumerated(self) -> int:
         return sum(len(p) for p in self._pools.values())
 
@@ -539,10 +535,65 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             return f"id∘f ≠ f for {render_morphism(f)}"
         return None
 
-    def associativity(triple):
-        f, g, h = triple
-        left = cat.compose(cat.compose(f, g), h)
-        right = cat.compose(f, cat.compose(g, h))
+    # Associativity works on morphism ids given out on first sight.  rows[i]
+    # maps j to the id of morphisms[i]∘morphisms[j]; each composite is
+    # computed once, through cat.compose, when a triple first needs it, so a
+    # clone's overrides still win and a missing table entry raises at the
+    # first triple that needs it.  Each triple asks for (f, g), (fg, h),
+    # (g, h), (f, gh), in that order.
+    ids: dict = {}
+    morphisms: list[Morphism] = []
+    rows: list[dict] = []
+
+    def intern(m: Morphism) -> int:
+        i = ids.get(m)
+        if i is None:
+            i = ids[m] = len(morphisms)
+            morphisms.append(m)
+            rows.append({})
+        return i
+
+    def composite(i: int, j: int) -> int:
+        k = intern(cat.compose(morphisms[i], morphisms[j]))
+        rows[i][j] = k
+        return k
+
+    def associativity_cases():
+        """(id of (f∘g)∘h, id of f∘(g∘h), f, g, h) for every composable
+        triple: objects a, b, c, d, then f ∈ pool(c, d), g ∈ pool(b, c),
+        h ∈ pool(a, b)."""
+        objs = cat.objects
+        for a in objs:
+            for b in objs:
+                hs = [(h, intern(h)) for h in enum.pool(a, b)]
+                if not hs:
+                    continue
+                for c in objs:
+                    gs = [(g, intern(g)) for g in enum.pool(b, c)]
+                    for d in objs:
+                        for f in enum.pool(c, d):
+                            fi = intern(f)
+                            frow = rows[fi]
+                            for g, gi in gs:
+                                grow = rows[gi]
+                                fgi = frow.get(gi)
+                                if fgi is None:
+                                    fgi = composite(fi, gi)
+                                fgrow = rows[fgi]
+                                for h, hi in hs:
+                                    left = fgrow.get(hi)
+                                    if left is None:
+                                        left = composite(fgi, hi)
+                                    ghi = grow.get(hi)
+                                    if ghi is None:
+                                        ghi = composite(gi, hi)
+                                    right = frow.get(ghi)
+                                    if right is None:
+                                        right = composite(fi, ghi)
+                                    yield left, right, f, g, h
+
+    def associativity(case):
+        left, right, f, g, h = case
         if left != right:
             return (
                 f"(f∘g)∘h ≠ f∘(g∘h) for f={render_morphism(f)}, "
@@ -616,7 +667,7 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
 
     clauses = [
         run_clause("category.identity-laws", "cat", enum.morphisms(), identity_laws),
-        run_clause("category.associativity", "cat", enum.composable_triples(), associativity),
+        run_clause("category.associativity", "cat", associativity_cases(), associativity),
         run_clause("inverse.exists", "1", enum.morphisms(), inverse_exists),
         run_clause("inverse.unique", "1", enum.morphisms(), inverse_unique),
         run_clause("involution.involutory", "1", enum.morphisms(), involutory),

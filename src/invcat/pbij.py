@@ -268,7 +268,7 @@ class PBijCategory(FiniteCategory):
         )
         return tuple(subset_projection(a, labels) for labels in subsets)
 
-    def zero(self, a: FinSet, b: FinSet) -> Morphism:
+    def _zero(self, a: FinSet, b: FinSet) -> Morphism:
         return zero_pbij(a, b)
 
     def _annihilator(self, f: Morphism) -> Projection:

@@ -8,20 +8,28 @@ from invcat import (
     CompositionError,
     Enumeration,
     FinSet,
+    InvcatError,
     Morphism,
     NotInverseCategoryError,
     PBijCategory,
     Projection,
+    TableCategory,
+    build_category,
+    canonical_pbij_category,
     check_inverse_category,
     is_generalized_inverse,
     is_projection,
     make_pbij,
+    parse_spec,
     render_morphism,
+    size_finset,
     symmetric_inverse_monoid,
     two_object_category,
 )
+import invcat.core as core
 from invcat.core import ShapeMismatchError, morphism_sort_key
-from invcat.report import FAIL, PASS, SKIPPED
+from invcat.report import FAIL, PASS, SKIPPED, run_clause
+from test_golden import README_FIXTURE
 
 
 def test_morphism_name_does_not_affect_identity(A, B):
@@ -89,6 +97,23 @@ def test_zero_routing(fixture_cat, A, B):
     assert z.payload == frozenset()
     assert fixture_cat.is_zero(z)
     assert not fixture_cat.is_zero(fixture_cat.identity(A))
+
+
+def test_pbij_zero_comes_from_the_model_once_per_category(monkeypatch):
+    cat = canonical_pbij_category((1, 2))
+    s1, s2 = size_finset(1), size_finset(2)
+
+    def composed(f, g):
+        raise AssertionError("the zero was composed through the zero object")
+
+    monkeypatch.setattr(cat, "_compose", composed)
+    z = cat.zero(s1, s2)
+    assert z == Morphism(s1, s2, frozenset())
+    assert cat.zero(s1, s2) is z
+    assert cat.is_zero(z) and not cat.is_zero(cat.identity(s2))
+    p1 = make_pbij(s2, s2, (("e1", "e1"),))
+    twin = cat.with_corrupted_involution(p1, p1)
+    assert cat._zero_cache and twin._zero_cache == {}
 
 
 def test_axiom_suite_green_on_pbij2(pbij2, budget):
@@ -192,3 +217,135 @@ def test_enumeration_memo_computes_once_per_run_and_key(pbij2):
     assert calls == ["a", "b"]
     Enumeration(pbij2).cached(empty, "a")
     assert calls == ["a", "b", "a"]
+
+
+# ---- associativity over morphism ids, against the per-triple check ------
+
+
+def _reference_associativity(cat, budget):
+    """The per-triple check, kept as the oracle: every composable triple in
+    pool order (objects a, b, c, d, then f: c→d, g: b→c, h: a→b), four
+    cat.compose calls each."""
+    enum = Enumeration(cat, budget)
+    objs = cat.objects
+
+    def triples():
+        for a in objs:
+            for b in objs:
+                for c in objs:
+                    for d in objs:
+                        for f in enum.pool(c, d):
+                            for g in enum.pool(b, c):
+                                for h in enum.pool(a, b):
+                                    yield f, g, h
+
+    def check(triple):
+        f, g, h = triple
+        left = cat.compose(cat.compose(f, g), h)
+        right = cat.compose(f, cat.compose(g, h))
+        if left != right:
+            return (
+                f"(f∘g)∘h ≠ f∘(g∘h) for f={render_morphism(f)}, "
+                f"g={render_morphism(g)}, h={render_morphism(h)}"
+            )
+        return None
+
+    return run_clause("category.associativity", "cat", triples(), check)
+
+
+def test_associativity_agrees_with_the_per_triple_check(budget):
+    base = canonical_pbij_category((1, 2))
+    for cat in (canonical_pbij_category((0, 1, 2)), base):
+        got = check_inverse_category(cat, budget).clause("category.associativity")
+        assert got == _reference_associativity(cat, budget)
+        assert got.status == PASS
+    # one clone per composable pair of the checked base, each made after the
+    # previous clone was checked, so nothing may carry over between them
+    clones = failing = 0
+    objs = base.objects
+    for a in objs:
+        for b in objs:
+            for c in objs:
+                for f in base.hom(b, c):
+                    for g in base.hom(a, b):
+                        fg = base.compose(f, g)
+                        wrong = next((m for m in base.hom(a, c) if m != fg), None)
+                        if wrong is None:
+                            continue
+                        twin = base.with_corrupted_composition(f, g, wrong)
+                        got = check_inverse_category(twin, budget).clause("category.associativity")
+                        assert got == _reference_associativity(twin, budget), (f, g, wrong)
+                        clones += 1
+                        failing += got.status == FAIL
+    assert failing == clones > 100
+
+
+def _cyclic3():
+    """Z/3 on one object X, labelled so that the pools list the generator
+    "a", the unit "b", then "c": on this order, asking for (g, h) before
+    (fg, h) changes which composite is needed first."""
+    ms = {label: Morphism("X", "X", label) for label in "abc"}
+    power = {"b": 0, "a": 1, "c": 2}
+    label = {k: x for x, k in power.items()}
+    table = {
+        (ms[x], ms[y]): ms[label[(power[x] + power[y]) % 3]] for x in ms for y in ms
+    }
+    return TableCategory(("X",), {("X", "X"): tuple(ms.values())}, table, {"X": ms["b"]})
+
+
+@pytest.mark.parametrize("make", [_cyclic3, lambda: canonical_pbij_category((0, 1, 2))])
+def test_associativity_computes_each_composite_once_in_triple_order(make, monkeypatch, budget):
+    def record(cat, calls):
+        real = cat.compose
+
+        def compose(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        cat.compose = compose
+
+    reference = make()
+    first_calls = []
+    record(reference, first_calls)
+    _reference_associativity(reference, budget)
+    first_calls = list(dict.fromkeys(first_calls))
+
+    cat = make()
+    calls, by_clause = [], {}
+    record(cat, calls)
+    real = core.run_clause
+
+    def measure(clause_id, anchor, cases, check):
+        before = len(calls)
+        clause = real(clause_id, anchor, cases, check)
+        by_clause[clause_id] = calls[before:]
+        return clause
+
+    monkeypatch.setattr(core, "run_clause", measure)
+    check_inverse_category(cat, budget)
+    assert by_clause["category.associativity"] == first_calls
+
+
+def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypatch, budget):
+    base = build_category(parse_spec(README_FIXTURE))[0]
+    identities = {base.identity(a) for a in base.objects}
+    pairs = [(f, g) for f, g in base._table if f not in identities and g not in identities]
+    assert len(pairs) > 20
+    started = []
+    real = core.run_clause
+
+    def spy(clause_id, anchor, cases, check):
+        started.append(clause_id)
+        return real(clause_id, anchor, cases, check)
+
+    monkeypatch.setattr(core, "run_clause", spy)
+    for pair in pairs:
+        damaged = [build_category(parse_spec(README_FIXTURE))[0] for _ in range(2)]
+        for cat in damaged:
+            del cat._table[pair]
+        with pytest.raises(InvcatError) as want:
+            _reference_associativity(damaged[0], budget)
+        with pytest.raises(InvcatError) as got:
+            check_inverse_category(damaged[1], budget)
+        assert started[-1] == "category.associativity"
+        assert str(got.value) == str(want.value)

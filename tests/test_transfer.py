@@ -1,4 +1,3 @@
-import importlib
 from collections import Counter
 
 import pytest
@@ -24,20 +23,17 @@ from invcat import (
     size_finset,
     subset_projection,
     theorem_suite,
-    transfer,
     transfer_table,
     two_object_category,
 )
 from invcat.exactness import NotMonoError
 from invcat.pbij import image_labels, projection_labels
 from invcat.projections import AnnihilatorNotFoundError, bottom
-from invcat.transfer import SUITES, TransferKind, _apply, square_for_inverse_image
+import invcat.transfer as transfer_module
+from invcat.transfer import SUITES, TransferKind, _apply, square_for_inverse_image, transfer
 from invcat.core import InvcatError
 from invcat.report import FAIL
 from test_golden import NOT_BAER_STAR
-
-# the module, which the package's `transfer` function shadows as an attribute
-transfer_module = importlib.import_module("invcat.transfer")
 
 
 def test_transfer_conjugates(fixture_cat, A, f):
@@ -178,6 +174,13 @@ def test_closed_forms_report_a_missing_annihilator(pbij2, budget):
     ann = report.clause("fastpath.annihilator")
     assert ann.status == FAIL
     assert ann.counterexample.startswith("no projection annihilates exactly what")
+
+
+def test_package_attribute_transfer_is_the_module():
+    import invcat
+
+    assert invcat.transfer is transfer_module
+    assert invcat.transfer.apply_P is apply_P
 
 
 def _count_transfer_values(monkeypatch) -> Counter:
