@@ -311,7 +311,8 @@ class FiniteCategory:
         return hit
 
     def is_zero(self, f: Morphism) -> bool:
-        return f == self.zero(f.dom, f.cod)
+        z = self.zero(f.dom, f.cod)
+        return f is z or (f._hash == z._hash and f == z)
 
     def morphism_pool(self, a, b, budget: Budget | None = None) -> tuple[tuple[Morphism, ...], bool]:
         """The hom-set, or a seeded sample of it when over budget.
@@ -411,7 +412,8 @@ class TableCategory(FiniteCategory):
 
 
 class Enumeration:
-    """Deterministic morphism pools for one verification run, under a budget."""
+    """One verification run: its deterministic morphism pools under a
+    budget, its memo, and the morphism ids every clause of the run shares."""
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
@@ -419,6 +421,11 @@ class Enumeration:
         self._pools: dict = {}
         self.sampled = False
         self._memo: dict = {}
+        # morphisms_by_id[i] has id i, and rows[i] maps an id j to the id of
+        # morphisms_by_id[i]∘morphisms_by_id[j] once that is computed
+        self._ids: dict = {}
+        self.morphisms_by_id: list[Morphism] = []
+        self.rows: list[dict] = []
 
     def pool(self, a, b) -> tuple[Morphism, ...]:
         key = (a, b)
@@ -440,6 +447,26 @@ class Enumeration:
             pass
         value = self._memo[slot] = fn(self.cat, key, self)
         return value
+
+    def intern(self, m: Morphism) -> int:
+        """The id of m in this run, given out on first sight."""
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self.morphisms_by_id)
+            self.morphisms_by_id.append(m)
+            self.rows.append({})
+        return i
+
+    def compose_id(self, i: int, j: int) -> int:
+        """The id of morphisms_by_id[i]∘morphisms_by_id[j], computed once per
+        run through cat.compose, so a clone's overrides still win and a
+        missing table entry raises where it is first needed."""
+        row = self.rows[i]
+        k = row.get(j)
+        if k is None:
+            morphisms = self.morphisms_by_id
+            k = row[j] = self.intern(self.cat.compose(morphisms[i], morphisms[j]))
+        return k
 
     def morphisms(self) -> Iterator[Morphism]:
         for a in self.cat.objects:
@@ -535,28 +562,10 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             return f"id∘f ≠ f for {render_morphism(f)}"
         return None
 
-    # Associativity works on morphism ids given out on first sight.  rows[i]
-    # maps j to the id of morphisms[i]∘morphisms[j]; each composite is
-    # computed once, through cat.compose, when a triple first needs it, so a
-    # clone's overrides still win and a missing table entry raises at the
-    # first triple that needs it.  Each triple asks for (f, g), (fg, h),
-    # (g, h), (f, gh), in that order.
-    ids: dict = {}
-    morphisms: list[Morphism] = []
-    rows: list[dict] = []
-
-    def intern(m: Morphism) -> int:
-        i = ids.get(m)
-        if i is None:
-            i = ids[m] = len(morphisms)
-            morphisms.append(m)
-            rows.append({})
-        return i
-
-    def composite(i: int, j: int) -> int:
-        k = intern(cat.compose(morphisms[i], morphisms[j]))
-        rows[i][j] = k
-        return k
+    # Associativity works on the run's morphism ids (enum.intern), each
+    # composite computed once, when a triple first needs it.  Each triple
+    # asks for (f, g), (fg, h), (g, h), (f, gh), in that order.
+    intern, compose_id, rows = enum.intern, enum.compose_id, enum.rows
 
     def associativity_cases():
         """(id of (f∘g)∘h, id of f∘(g∘h), f, g, h) for every composable
@@ -578,18 +587,18 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
                                 grow = rows[gi]
                                 fgi = frow.get(gi)
                                 if fgi is None:
-                                    fgi = composite(fi, gi)
+                                    fgi = compose_id(fi, gi)
                                 fgrow = rows[fgi]
                                 for h, hi in hs:
                                     left = fgrow.get(hi)
                                     if left is None:
-                                        left = composite(fgi, hi)
+                                        left = compose_id(fgi, hi)
                                     ghi = grow.get(hi)
                                     if ghi is None:
-                                        ghi = composite(gi, hi)
+                                        ghi = compose_id(gi, hi)
                                     right = frow.get(ghi)
                                     if right is None:
-                                        right = composite(fi, ghi)
+                                        right = compose_id(fi, ghi)
                                     yield left, right, f, g, h
 
     def associativity(case):

@@ -282,34 +282,64 @@ class CommutingSquare:
             raise NonCommutingSquareError("bottom and right legs end at different objects")
 
 
-def pullback_witness(cat: FiniteCategory, square: CommutingSquare) -> str | None:
+def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration | None = None) -> str | None:
     """None when the square is a pullback: every cone (x, y) with
-    bottom∘x = right∘y is mediated by exactly one morphism into the vertex."""
-    if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
+    bottom∘x = right∘y is mediated by exactly one morphism into the vertex.
+
+    Works on the run's morphism ids.  For each object w the mediator counts
+    of (left, top), the fibres of x ↦ bottom∘x and the list of (y, right∘y)
+    are built once per run, so squares sharing a leg share its tables.
+    Cones are visited y first, then x, each in hom order."""
+    enum = enum if enum is not None else Enumeration(cat)
+    left, top = enum.intern(square.left), enum.intern(square.top)
+    right, bottom = enum.intern(square.right), enum.intern(square.bottom)
+    if enum.compose_id(bottom, left) != enum.compose_id(right, top):
         raise NonCommutingSquareError(
             f"square does not commute: bottom∘left ≠ right∘top for bottom = "
             f"{render_morphism(square.bottom)}, left = {render_morphism(square.left)}"
         )
-    vertex = square.left.dom
-    a, y_obj = square.bottom.dom, square.right.dom
     for w in cat.objects:
-        mediators: dict = {}
-        for m in cat.hom(w, vertex):
-            key = (cat.compose(square.left, m), cat.compose(square.top, m))
-            mediators.setdefault(key, []).append(m)
-        xs_by_composite: dict = {}
-        for x in cat.hom(w, a):
-            xs_by_composite.setdefault(cat.compose(square.bottom, x), []).append(x)
-        for y in cat.hom(w, y_obj):
-            z = cat.compose(square.right, y)
-            for x in xs_by_composite.get(z, ()):
-                hits = mediators.get((x, y), ())
-                if len(hits) != 1:
+        mediators = enum.cached(_mediator_counts, (left, top, w))
+        fibres = enum.cached(_fibres, (bottom, w))
+        for y, yi, z in enum.cached(_legs, (right, w)):
+            for x, xi in fibres.get(z, ()):
+                count = mediators.get((xi, yi), 0)
+                if count != 1:
                     return (
                         f"cone x = {render_morphism(x)}, y = {render_morphism(y)} "
-                        f"has {len(hits)} mediating morphisms"
+                        f"has {count} mediating morphisms"
                     )
     return None
+
+
+def _mediator_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
+    """How many m: w → vertex give each pair of ids (left∘m, top∘m)."""
+    left, top, w = key
+    compose_id, intern = enum.compose_id, enum.intern
+    return Counter(
+        (compose_id(left, m), compose_id(top, m))
+        for m in map(intern, cat.hom(w, enum.morphisms_by_id[left].dom))
+    )
+
+
+def _fibres(cat: FiniteCategory, key, enum: Enumeration) -> dict:
+    """The x: w → dom(bottom), as (x, id of x), grouped by the id of bottom∘x."""
+    bottom, w = key
+    out: dict = {}
+    for x in cat.hom(w, enum.morphisms_by_id[bottom].dom):
+        xi = enum.intern(x)
+        out.setdefault(enum.compose_id(bottom, xi), []).append((x, xi))
+    return out
+
+
+def _legs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
+    """(y, id of y, id of right∘y) for every y: w → dom(right), in hom order."""
+    right, w = key
+    out = []
+    for y in cat.hom(w, enum.morphisms_by_id[right].dom):
+        yi = enum.intern(y)
+        out.append((y, yi, enum.compose_id(right, yi)))
+    return tuple(out)
 
 
 def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:

@@ -269,7 +269,9 @@ class PBijCategory(FiniteCategory):
         return tuple(subset_projection(a, labels) for labels in subsets)
 
     def _zero(self, a: FinSet, b: FinSet) -> Morphism:
-        return zero_pbij(a, b)
+        # the same object as every composite equal to it, so is_zero meets it by identity
+        zero = zero_pbij(a, b)
+        return self._canonical.setdefault(zero, zero)
 
     def _annihilator(self, f: Morphism) -> Projection:
         return annihilator_pbij(f)

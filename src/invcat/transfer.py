@@ -135,6 +135,41 @@ def _transfer_value(cat: FiniteCategory, key, enum: Enumeration) -> Projection:
     return apply_Pdoubleprime(cat, f, p, enum)
 
 
+class _TransferRow(dict):
+    """kind(f) on the run's morphism ids: the id of a projection p maps to
+    the id of kind(f)(p).  A projection's id is its morphism's id, since
+    p.obj is dom(p.morphism).  A missing entry is filled once, through
+    _apply; an entry whose computation raises is not stored."""
+
+    __slots__ = ("kind", "f", "enum")
+
+    def __init__(self, kind: TransferKind, f: Morphism, enum: Enumeration):
+        super().__init__()
+        self.kind, self.f, self.enum = kind, f, enum
+
+    def __missing__(self, p: int) -> int:
+        enum = self.enum
+        m = enum.morphisms_by_id[p]
+        moved = _apply(enum.cat, self.kind, self.f, Projection(m.dom, m), enum)
+        q = self[p] = enum.intern(moved.morphism)
+        return q
+
+
+def _transfer_row(cat: FiniteCategory, key, enum: Enumeration) -> _TransferRow:
+    kind, f = key
+    return _TransferRow(kind, enum.morphisms_by_id[f], enum)
+
+
+def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
+    """The row of kind(f), for the morphism with id f, kept once per run."""
+    return enum.cached(_transfer_row, (kind, f))
+
+
+def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
+    """(p, id of p) for every p in P(a), in lattice order."""
+    return tuple((p, enum.intern(p.morphism)) for p in lattice_on(enum, a).elements)
+
+
 def _source(kind: TransferKind, f: Morphism):
     """dom f for the covariant P, cod f for the contravariant P′ and P″."""
     return f.dom if kind is TransferKind.IMAGE else f.cod
@@ -182,6 +217,14 @@ def _monos_into(cat: FiniteCategory, b, enum: Enumeration) -> tuple[Morphism, ..
     return tuple(s for s in enum.morphisms_into(b) if is_mono(cat, s))
 
 
+def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple:
+    """(s, id of s∘s*) for every enumerated mono s into b."""
+    return tuple(
+        (s, enum.compose_id(enum.intern(s), enum.intern(cat.involve(s))))
+        for s in enum.cached(_monos_into, b)
+    )
+
+
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
     """The image of f∘u: the mono part p of the factorization of the
     transferred projection P(f)(u∘u*) = p∘p*.
@@ -211,9 +254,9 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
     pp = cat.compose(p, cat.involve(p))
     if cat.compose(pp, fu) != fu:
         return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
-    for s in enum.cached(_monos_into, f.cod):
-        ss = cat.compose(s, cat.involve(s))
-        if cat.compose(ss, fu) == fu and cat.compose(ss, p) != p:
+    fu_id, p_id, compose_id = enum.intern(fu), enum.intern(p), enum.compose_id
+    for s, ss in enum.cached(_mono_projections, f.cod):
+        if compose_id(ss, fu_id) == fu_id and compose_id(ss, p_id) != p_id:
             return (
                 f"f∘u = {render_morphism(fu)} factors through {render_morphism(s)} "
                 f"but {render_morphism(p)} does not"
@@ -233,7 +276,7 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, certify: boo
     u = mono_epi_factorize(cat, moved.morphism, enum).p
     if certify:
         try:
-            witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
+            witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u), enum)
         except NonCommutingSquareError as err:
             witness = str(err)
         if witness is not None:
@@ -333,21 +376,18 @@ def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
 def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tuple[str, str]) -> list[Clause]:
     """The two lattice-map laws every transfer map satisfies: meets are
     preserved, hence so is the order."""
-    cat = enum.cat
     prefix = _KIND_NAMES[kind][0]
+    compose_id = enum.compose_id
 
-    def fn(f: Morphism, p: Projection) -> Projection:
-        return _apply(cat, kind, f, p, enum)
+    def row_and_source(f: Morphism):
+        return _row(enum, kind, enum.intern(f)), enum.cached(_projection_ids, _source(kind, f))
 
     def meets(f: Morphism):
-        lat = lattice_on(enum, _source(kind, f))
-        for i in lat.elements:
-            fi = fn(f, i)
-            for j in lat.elements:
-                met = Projection(i.obj, cat.compose(i.morphism, j.morphism))
-                left = fn(f, met)
-                right = Projection(fi.obj, cat.compose(fi.morphism, fn(f, j).morphism))
-                if left != right:
+        row, source = row_and_source(f)
+        for i, ii in source:
+            fi = row[ii]
+            for j, ji in source:
+                if row[compose_id(ii, ji)] != compose_id(fi, row[ji]):
                     return (
                         f"meet not preserved by {kind.value}(f) for f = {render_morphism(f)}, "
                         f"i = {render_morphism(i.morphism)}, j = {render_morphism(j.morphism)}"
@@ -355,13 +395,13 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
         return None
 
     def order(f: Morphism):
-        lat = lattice_on(enum, _source(kind, f))
-        for i in lat.elements:
-            for j in lat.elements:
-                if cat.compose(i.morphism, j.morphism) != i.morphism:
+        row, source = row_and_source(f)
+        for i, ii in source:
+            for j, ji in source:
+                if compose_id(ii, ji) != ii:
                     continue
-                fi, fj = fn(f, i), fn(f, j)
-                if cat.compose(fi.morphism, fj.morphism) != fi.morphism:
+                fi, fj = row[ii], row[ji]
+                if compose_id(fi, fj) != fi:
                     return (
                         f"i ≤ j but {kind.value}(f)(i) ≰ {kind.value}(f)(j) for "
                         f"f = {render_morphism(f)}, i = {render_morphism(i.morphism)}, "
@@ -697,10 +737,13 @@ def functoriality_clauses_for(kind: TransferKind):
 
         def composition_law(pair):
             f, g = pair
-            fg = cat.compose(f, g)
-            first, then = (g, f) if kind is TransferKind.IMAGE else (f, g)
-            for p in lattice_on(enum, _source(kind, fg)).elements:
-                if fn(fg, p) != fn(then, fn(first, p)):
+            fi, gi = enum.intern(f), enum.intern(g)
+            fg = enum.compose_id(fi, gi)
+            first, then = (gi, fi) if kind is TransferKind.IMAGE else (fi, gi)
+            at_fg, at_first, at_then = (_row(enum, kind, i) for i in (fg, first, then))
+            source = _source(kind, enum.morphisms_by_id[fg])
+            for p, pi in enum.cached(_projection_ids, source):
+                if at_fg[pi] != at_then[at_first[pi]]:
                     return (
                         f"{law} = {render_morphism(p.morphism)} for f = {render_morphism(f)}, "
                         f"g = {render_morphism(g)}"

@@ -116,6 +116,18 @@ def test_pbij_zero_comes_from_the_model_once_per_category(monkeypatch):
     assert cat._zero_cache and twin._zero_cache == {}
 
 
+def test_pbij_zero_is_the_object_an_equal_composite_returns():
+    cat = canonical_pbij_category((1, 2))
+    s1, s2 = size_finset(1), size_finset(2)
+    p1, p2 = make_pbij(s2, s2, (("e1", "e1"),)), make_pbij(s2, s2, (("e2", "e2"),))
+    empty = cat.compose(p1, p2)  # composed before the zero is asked for
+    assert cat.zero(s2, s2) is empty
+    z = cat.zero(s1, s2)  # asked for before any equal composite
+    assert cat.compose(make_pbij(s1, s2, (("e1", "e1"),)), cat.zero(s1, s1)) is z
+    assert cat.is_zero(Morphism(s1, s2, frozenset()))
+    assert not cat.is_zero(make_pbij(s1, s2, (("e1", "e2"),)))
+
+
 def test_axiom_suite_green_on_pbij2(pbij2, budget):
     report = check_inverse_category(pbij2, budget)
     assert report.passed, [c.clause_id for c in report.failures()]
@@ -324,6 +336,32 @@ def test_associativity_computes_each_composite_once_in_triple_order(make, monkey
     monkeypatch.setattr(core, "run_clause", measure)
     check_inverse_category(cat, budget)
     assert by_clause["category.associativity"] == first_calls
+
+
+def test_associativity_fills_the_run_table_every_clause_shares(budget):
+    cat = canonical_pbij_category((0, 1, 2))
+    enum = Enumeration(cat, budget)
+    core.inverse_category_clauses(enum)
+    calls = []
+    real = cat.compose
+    cat.compose = lambda f, g: calls.append((f, g)) or real(f, g)
+    pairs = list(enum.composable_pairs())
+    for f, g in pairs:
+        fg = enum.morphisms_by_id[enum.compose_id(enum.intern(f), enum.intern(g))]
+        assert fg == real(f, g)
+    assert len(pairs) == 166 and calls == []
+
+
+def test_compose_id_goes_through_compose_once_per_pair(pbij2, budget):
+    s2 = size_finset(2)
+    p1, p2 = make_pbij(s2, s2, (("e1", "e1"),)), make_pbij(s2, s2, (("e2", "e2"),))
+    twin = pbij2.with_corrupted_composition(p1, p2, p1)
+    enum = Enumeration(twin, budget)
+    i, j = enum.intern(p1), enum.intern(p2)
+    assert enum.intern(make_pbij(s2, s2, (("e1", "e1"),))) == i
+    assert enum.compose_id(i, j) == i  # the clone's override wins
+    assert enum.morphisms_by_id[enum.compose_id(j, i)] == twin.zero(s2, s2)
+    assert enum.rows[i] == {j: i}
 
 
 def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypatch, budget):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from invcat import (
     check_normal_conormal,
     cokernel,
     inclusion,
+    inverse_image_of,
     is_epi,
     is_iso,
     is_mono,
@@ -27,6 +29,7 @@ from invcat import (
     pullback_witness,
     render_morphism,
     subset_projection,
+    theorem_suite,
 )
 from invcat.exactness import (
     Factorization,
@@ -42,6 +45,7 @@ from invcat.exactness import (
 from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import ZERO_FINSET, corestriction, image_labels, zero_pbij
 from invcat.report import FAIL, PASS
+from invcat.transfer import square_for_inverse_image
 
 
 def test_mono_epi_iso_closed_forms(fixture_cat, A, B, f):
@@ -307,6 +311,104 @@ def test_square_shape_and_commutation_errors(fixture_cat, A, B, f):
     square = CommutingSquare(top=bad_top, left=u, right=v, bottom=f)
     with pytest.raises(NonCommutingSquareError):
         pullback_witness(fixture_cat, square)
+
+
+# ---- pullback witnesses against the per-square scan ---------------------------
+
+
+def reference_pullback_witness(cat, square):
+    """The per-square scan, kept as the oracle: for each object w the
+    mediator, x and y tables are rebuilt, and cones are visited y first,
+    then x, each in hom order."""
+    if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
+        raise NonCommutingSquareError(
+            f"square does not commute: bottom∘left ≠ right∘top for bottom = "
+            f"{render_morphism(square.bottom)}, left = {render_morphism(square.left)}"
+        )
+    vertex = square.left.dom
+    a, y_obj = square.bottom.dom, square.right.dom
+    for w in cat.objects:
+        mediators: dict = {}
+        for m in cat.hom(w, vertex):
+            key = (cat.compose(square.left, m), cat.compose(square.top, m))
+            mediators.setdefault(key, []).append(m)
+        xs_by_composite: dict = {}
+        for x in cat.hom(w, a):
+            xs_by_composite.setdefault(cat.compose(square.bottom, x), []).append(x)
+        for y in cat.hom(w, y_obj):
+            z = cat.compose(square.right, y)
+            for x in xs_by_composite.get(z, ()):
+                hits = mediators.get((x, y), ())
+                if len(hits) != 1:
+                    return (
+                        f"cone x = {render_morphism(x)}, y = {render_morphism(y)} "
+                        f"has {len(hits)} mediating morphisms"
+                    )
+    return None
+
+
+def pullback_outcome(witness, cat, square, *enum):
+    try:
+        return witness(cat, square, *enum)
+    except NonCommutingSquareError as err:
+        return f"raises {err}"
+
+
+def test_pullback_witness_agrees_on_every_inverse_image_square(budget):
+    # the squares suite 3.1 builds, all checked in one run so that they share tables
+    cat = canonical_pbij_category((0, 1, 2))
+    enum = Enumeration(cat, budget)
+    squares = 0
+    for f in list(enum.morphisms()):
+        for v in list(enum.morphisms_into(f.cod)):
+            if not is_mono(cat, v):
+                continue
+            u = inverse_image_of(cat, f, v, certify=False, enum=enum)
+            square = square_for_inverse_image(cat, f, v, u)
+            assert pullback_witness(cat, square, enum) == reference_pullback_witness(cat, square)
+            squares += 1
+    assert squares == theorem_suite(cat, "3.1", budget).clause("inverse-image.pullback").checked
+
+
+def test_pullback_witness_agrees_on_perturbed_fixture_squares(fixture_cat, A, B, f):
+    cat = fixture_cat
+    v = inclusion(B, ("a", "c"))
+    u = inclusion(A, ("1", "3"))
+    top = cat.compose(cat.involve(v), cat.compose(f, u))
+    squares = [CommutingSquare(top=top, left=left, right=v, bottom=f) for left in cat.hom(u.dom, A)]
+    squares += [CommutingSquare(top=edge, left=u, right=v, bottom=f) for edge in cat.hom(u.dom, v.dom)]
+    enum = Enumeration(cat)
+    outcomes = []
+    for square in squares:
+        expected = pullback_outcome(reference_pullback_witness, cat, square)
+        assert pullback_outcome(pullback_witness, cat, square) == expected, square
+        assert pullback_outcome(pullback_witness, cat, square, enum) == expected, square
+        outcomes.append(expected)
+    assert outcomes.count(None) == 2  # the square itself, once in each list
+    assert outcomes[1] == "cone x = A→A ∅, y = A→{a,c} ∅ has 4 mediating morphisms"
+
+
+def test_pullback_witness_agrees_on_every_commuting_square(budget):
+    # every commuting square of (0,1,2) on a mono right leg, pullback or not, so
+    # that the first failing cone depends on the order the cones are visited in
+    cat = canonical_pbij_category((0, 1, 2))
+    enum = Enumeration(cat, budget)
+    objs = cat.objects
+    outcomes = Counter()
+    for bottom in list(enum.morphisms()):
+        for right in list(enum.morphisms_into(bottom.cod)):
+            if not is_mono(cat, right):
+                continue
+            for vertex in objs:
+                for left in cat.hom(vertex, bottom.dom):
+                    for top in cat.hom(vertex, right.dom):
+                        if cat.compose(bottom, left) != cat.compose(right, top):
+                            continue
+                        square = CommutingSquare(top=top, left=left, right=right, bottom=bottom)
+                        witness = pullback_witness(cat, square, enum)
+                        assert witness == reference_pullback_witness(cat, square), square
+                        outcomes[witness is None] += 1
+    assert outcomes[True] and outcomes[False] > outcomes[True], outcomes
 
 
 def test_coherence_and_normal_conormal_green(pbij2, budget):

@@ -28,12 +28,28 @@ from invcat import (
 )
 from invcat.exactness import NotMonoError
 from invcat.pbij import image_labels, projection_labels
-from invcat.projections import AnnihilatorNotFoundError, bottom
+from invcat.exactness import NoFactorizationError, NonCommutingSquareError
+from invcat.projections import AnnihilatorNotFoundError, NotBaerStarError, bottom, lattice_on, top
 import invcat.transfer as transfer_module
-from invcat.transfer import SUITES, TransferKind, _apply, square_for_inverse_image, transfer
-from invcat.core import InvcatError
+from invcat.transfer import (
+    _KIND_NAMES,
+    SUITES,
+    TransferCertificationError,
+    TransferKind,
+    _apply,
+    _mono_pairs,
+    _monos_into,
+    _row,
+    _run,
+    _source,
+    square_for_inverse_image,
+    transfer,
+)
+from invcat.core import InvcatError, Projection, build_report
 from invcat.report import FAIL
-from test_golden import NOT_BAER_STAR
+from test_exactness import reference_pullback_witness
+from test_golden import CLONES, NOT_BAER_STAR
+from test_golden import _clone as _golden_clone
 
 
 def test_transfer_conjugates(fixture_cat, A, f):
@@ -214,3 +230,193 @@ def test_transfer_errors_are_not_cached(budget, monkeypatch):
         texts.append(str(raised.value))
     assert texts == ["no projection annihilates exactly what B→A {b1↦a1} kills"] * 2
     assert sum(computed.values()) == 2
+
+
+# ---- the id-level laws against their Projection-level definitions -----------
+#
+# The library checks the composition, meet and order laws, the smallest
+# subobject and the pullback property on per-run morphism ids and transfer
+# rows; these are the Projection-level bodies they must agree with, clause
+# for clause.
+
+
+def _reference_law_clauses(cat, budget):
+    enum = Enumeration(cat, budget)
+    clauses = []
+    for kind in TransferKind:
+        prefix, anchor, _ = _KIND_NAMES[kind]
+
+        def fn(f, p, kind=kind):
+            return _apply(cat, kind, f, p, enum)
+
+        def meets(f, kind=kind, fn=fn):
+            lat = lattice_on(enum, _source(kind, f))
+            for i in lat.elements:
+                fi = fn(f, i)
+                for j in lat.elements:
+                    met = Projection(i.obj, cat.compose(i.morphism, j.morphism))
+                    left = fn(f, met)
+                    right = Projection(fi.obj, cat.compose(fi.morphism, fn(f, j).morphism))
+                    if left != right:
+                        return (
+                            f"meet not preserved by {kind.value}(f) for f = {render_morphism(f)}, "
+                            f"i = {render_morphism(i.morphism)}, j = {render_morphism(j.morphism)}"
+                        )
+            return None
+
+        def order(f, kind=kind, fn=fn):
+            lat = lattice_on(enum, _source(kind, f))
+            for i in lat.elements:
+                for j in lat.elements:
+                    if cat.compose(i.morphism, j.morphism) != i.morphism:
+                        continue
+                    fi, fj = fn(f, i), fn(f, j)
+                    if cat.compose(fi.morphism, fj.morphism) != fi.morphism:
+                        return (
+                            f"i ≤ j but {kind.value}(f)(i) ≰ {kind.value}(f)(j) for "
+                            f"f = {render_morphism(f)}, i = {render_morphism(i.morphism)}, "
+                            f"j = {render_morphism(j.morphism)}"
+                        )
+            return None
+
+        if kind is TransferKind.IMAGE:
+            law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
+        else:
+            law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
+
+        def composition_law(pair, kind=kind, fn=fn, law=law):
+            f, g = pair
+            fg = cat.compose(f, g)
+            first, then = (g, f) if kind is TransferKind.IMAGE else (f, g)
+            for p in lattice_on(enum, _source(kind, fg)).elements:
+                if fn(fg, p) != fn(then, fn(first, p)):
+                    return (
+                        f"{law} = {render_morphism(p.morphism)} for f = {render_morphism(f)}, "
+                        f"g = {render_morphism(g)}"
+                    )
+            return None
+
+        clauses += [
+            _run(f"{prefix}.meet-homomorphism", "", enum.morphisms(), meets),
+            _run(f"{prefix}.order-preserving", "", enum.morphisms(), order),
+            _run(f"functor.{prefix}.composition", anchor, enum.composable_pairs(), composition_law),
+        ]
+
+    def smallest(case):
+        f, u = case
+        try:
+            p = image_of(cat, f, u, certify=False, enum=enum)
+            witness = reference_smallest_subobject_witness(cat, f, u, p, enum)
+            if witness is not None:
+                raise TransferCertificationError(witness)
+        except (TransferCertificationError, NoFactorizationError) as err:
+            return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
+        return None
+
+    def pullback(case):
+        f, v = case
+        try:
+            u = inverse_image_of(cat, f, v, certify=False, enum=enum)
+            try:
+                witness = reference_pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
+            except NonCommutingSquareError as err:
+                witness = str(err)
+            if witness is not None:
+                raise TransferCertificationError(witness)
+        except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
+            return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
+        return None
+
+    clauses += [
+        _run("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest),
+        _run("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback),
+    ]
+    return {c.clause_id: c for c in clauses}
+
+
+def reference_smallest_subobject_witness(cat, f, u, p, enum):
+    fu = cat.compose(f, u)
+    pp = cat.compose(p, cat.involve(p))
+    if cat.compose(pp, fu) != fu:
+        return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
+    for s in enum.cached(_monos_into, f.cod):
+        ss = cat.compose(s, cat.involve(s))
+        if cat.compose(ss, fu) == fu and cat.compose(ss, p) != p:
+            return (
+                f"f∘u = {render_morphism(fu)} factors through {render_morphism(s)} "
+                f"but {render_morphism(p)} does not"
+            )
+    return None
+
+
+# the suites holding the clauses above, run in one pass as in suite "all"
+LAW_GROUPS = [g for suite in ("2.1", "2.3", "3.1", "3.4", "4.2", "functoriality") for g in SUITES[suite]]
+
+
+def _assert_laws_agree(cat, budget) -> int:
+    """Compare on one category; the number of compared clauses that fail."""
+    expected = _reference_law_clauses(cat, budget)
+    report = build_report("laws", cat, LAW_GROUPS, budget)
+    for clause_id, want in expected.items():
+        got = report.clause(clause_id)
+        assert (got.status, got.checked, got.counterexample) == (
+            want.status,
+            want.checked,
+            want.counterexample,
+        ), clause_id
+    return sum(c.status == FAIL for c in expected.values())
+
+
+def _endomorphism_clones(base):
+    """One clone of base per composable pair of endomorphisms, with the
+    composite replaced by another member of its hom-set."""
+    for a in base.objects:
+        for f in base.hom(a, a):
+            for g in base.hom(a, a):
+                fg = base.compose(f, g)
+                wrong = next((m for m in base.hom(a, a) if m != fg), None)
+                if wrong is not None:
+                    yield base.with_corrupted_composition(f, g, wrong)
+
+
+def test_id_level_laws_agree_with_projection_level_definitions(budget):
+    for cat in (canonical_pbij_category((0, 1, 2)), canonical_pbij_category((1, 2))):
+        assert _assert_laws_agree(cat, budget) == 0
+    assert sum(_assert_laws_agree(_golden_clone(name), budget) > 0 for name in CLONES) >= 4
+    clones = list(_endomorphism_clones(canonical_pbij_category((1, 2))))
+    failing = sum(_assert_laws_agree(clone, budget) > 0 for clone in clones)
+    assert len(clones) == 53 and failing > 40, failing
+
+
+def test_transfer_values_live_on_their_morphisms_domain(budget, monkeypatch):
+    # a projection's id in a transfer row is its morphism's id, which needs p.obj = dom p
+    values = []
+    real = transfer_module._transfer_value
+
+    def recording(cat, key, enum):
+        values.append(real(cat, key, enum))
+        return values[-1]
+
+    monkeypatch.setattr(transfer_module, "_transfer_value", recording)
+    cats = [canonical_pbij_category((0, 1, 2)), two_object_category(cyclic_group(3))]
+    cats += [_golden_clone(name) for name in CLONES]
+    for cat in cats:
+        theorem_suite(cat, "all", budget)
+    assert len(values) > 1000
+    assert all(p.obj == p.morphism.dom for p in values)
+
+
+def test_transfer_rows_store_no_failed_value(budget, monkeypatch):
+    cat = build_category(parse_spec(NOT_BAER_STAR))[0]
+    enum = Enumeration(cat, budget)
+    f = next(m for m in enum.morphisms() if render_morphism(m) == "B→A {b1↦a1}")
+    computed = _count_transfer_values(monkeypatch)
+    row = _row(enum, TransferKind.INVERSE_IMAGE, enum.intern(f))
+    zero = enum.intern(bottom(cat, f.cod).morphism)
+    for _ in range(2):
+        with pytest.raises(AnnihilatorNotFoundError):
+            row[zero]
+    assert zero not in row and sum(computed.values()) == 2
+    one = enum.intern(top(cat, f.cod).morphism)
+    assert enum.morphisms_by_id[row[one]] == top(cat, f.dom).morphism
+    assert row[one] == row[one] and sum(computed.values()) == 3
