@@ -113,11 +113,15 @@ labels = st.text(alphabet=string.ascii_lowercase + string.digits, min_size=1, ma
 @st.composite
 def explicit_specs(draw):
     n_objects = draw(st.integers(min_value=1, max_value=3))
-    names = draw(st.lists(labels, min_size=n_objects, max_size=n_objects, unique=True))
+    # "0" is reserved for the empty object; rename it before asking for
+    # uniqueness so that drawing both "0" and "o0" cannot yield a duplicate.
+    object_names = labels.map(lambda name: "o0" if name == "0" else name)
+    names = draw(st.lists(object_names, min_size=n_objects, max_size=n_objects,
+                          unique=True))
     objects = []
     for name in names:
         els = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
-        objects.append(ObjectSpec(name if name != "0" else "o0", tuple(els)))
+        objects.append(ObjectSpec(name, tuple(els)))
     morphisms = []
     n_morphisms = draw(st.integers(min_value=0, max_value=2))
     for i in range(n_morphisms):
