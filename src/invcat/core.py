@@ -419,6 +419,7 @@ class Enumeration:
         self.cat = cat
         self.budget = budget if budget is not None else Budget()
         self._pools: dict = {}
+        self._pool_ids: dict = {}
         self.sampled = False
         self._memo: dict = {}
         # morphisms_by_id[i] has id i, and rows[i] maps an id j to the id of
@@ -426,6 +427,7 @@ class Enumeration:
         self._ids: dict = {}
         self.morphisms_by_id: list[Morphism] = []
         self.rows: list[dict] = []
+        self._zero_ids: dict = {}
 
     def pool(self, a, b) -> tuple[Morphism, ...]:
         key = (a, b)
@@ -436,6 +438,14 @@ class Enumeration:
             if sampled:
                 self.sampled = True
         return pool
+
+    def pool_ids(self, a, b) -> tuple[int, ...]:
+        """The ids of pool(a, b), in pool order, interned once per run."""
+        key = (a, b)
+        ids = self._pool_ids.get(key)
+        if ids is None:
+            ids = self._pool_ids[key] = tuple(map(self.intern, self.pool(a, b)))
+        return ids
 
     def cached(self, fn: Callable, key):
         """fn(cat, key, self), computed once per run for each fn and key.
@@ -467,6 +477,15 @@ class Enumeration:
             morphisms = self.morphisms_by_id
             k = row[j] = self.intern(self.cat.compose(morphisms[i], morphisms[j]))
         return k
+
+    def zero_id(self, a, b) -> int:
+        """The id of cat.zero(a, b), interned once per run: a composite is
+        zero exactly when its id is this one."""
+        key = (a, b)
+        i = self._zero_ids.get(key)
+        if i is None:
+            i = self._zero_ids[key] = self.intern(self.cat.zero(a, b))
+        return i
 
     def morphisms(self) -> Iterator[Morphism]:
         for a in self.cat.objects:

@@ -24,6 +24,7 @@ from .projections import (
     annihilator,
     annihilator_by_search,
     annihilator_clauses,
+    killed,
     projection_cases,
 )
 from .report import FAIL, PASS, Clause, VerificationReport, run_clause
@@ -81,12 +82,14 @@ def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 
 def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration | None, left: bool) -> bool:
     """Whether x ↦ f∘x (left) or x ↦ x∘f is injective on every enumerated
-    pool it applies to, stopping at the first repeated composite."""
+    pool it applies to, on the run's morphism ids, stopping at the first
+    repeated composite."""
     enum = enum if enum is not None else Enumeration(cat)
+    fi, compose_id = enum.intern(f), enum.compose_id
     for w in cat.objects:
         seen: dict = {}
-        for x in enum.pool(w, f.dom) if left else enum.pool(f.cod, w):
-            composite = cat.compose(f, x) if left else cat.compose(x, f)
+        for x in enum.pool_ids(w, f.dom) if left else enum.pool_ids(f.cod, w):
+            composite = compose_id(fi, x) if left else compose_id(x, fi)
             if seen.setdefault(composite, x) != x:
                 return False
     return True
@@ -117,21 +120,32 @@ def _unique_factorization_witness(
     cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None, left: bool
 ) -> str | None:
     """The first g killed by f (f∘g = 0 if left, else g∘f = 0) that is not u∘h
-    (h∘u) for exactly one h, or None.  The counts for each object w are built
-    at its first killed g, so a failing candidate costs no more than a rescan."""
+    (h∘u) for exactly one h, or None, visiting w, then g, in pool order.
+
+    Works on the run's morphism ids: the killed g of each (f, w, side) and
+    the factorization counts of each (u, w, side) are built once per run."""
     enum = enum if enum is not None else Enumeration(cat)
-    then = cat.compose if left else (lambda a, b: cat.compose(b, a))
+    fi, ui = enum.intern(f), enum.intern(u)
     for w in cat.objects:
-        pool, hom = (enum.pool(w, u.cod), (w, u.dom)) if left else (enum.pool(u.dom, w), (u.cod, w))
-        ways = None
-        for g in pool:
-            if not cat.is_zero(then(f, g)):
-                continue
-            if ways is None:
-                ways = Counter(then(u, h) for h in cat.hom(*hom))
-            if ways[g] != 1:
-                return f"{render_morphism(g)} factors through {render_morphism(u)} in {ways[g]} ways"
+        hits = killed(enum, fi, w, left)[1]
+        if not hits:
+            continue
+        ways = enum.cached(_factorization_counts, (ui, w, left))
+        for g, gi in hits:
+            if ways[gi] != 1:
+                return f"{render_morphism(g)} factors through {render_morphism(u)} in {ways[gi]} ways"
     return None
+
+
+def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
+    """How many h give each composite id: u∘h for h: w → dom u when left,
+    h∘u for h: cod u → w otherwise."""
+    u, w, left = key
+    m = enum.morphisms_by_id[u]
+    intern, compose_id = enum.intern, enum.compose_id
+    if left:
+        return Counter(compose_id(u, intern(h)) for h in cat.hom(w, m.dom))
+    return Counter(compose_id(intern(h), u) for h in cat.hom(m.cod, w))
 
 
 def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:

@@ -159,24 +159,72 @@ def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) 
 
 def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> tuple[Projection, ...]:
     """All projections p on dom(f) with: f∘g = 0  ⇔  p∘g = g, for every
-    enumerated g into dom(f).  In a Baer*-category there is exactly one."""
+    enumerated g into dom(f).  In a Baer*-category there is exactly one.
+
+    Works on the run's morphism ids: the candidates are the projections
+    whose "fixes" mask (see _fixes_masks) equals f's "killed" mask, whose
+    bit k is set when f∘g = 0 for the k-th probe g."""
     enum = enum if enum is not None else Enumeration(cat)
-    candidates = lattice_on(enum, f.dom).elements
-    # the projections on dom(f) are themselves morphisms into dom(f) and are
-    # exactly the g's that tell projections apart, so test against them even
-    # when the sampled pool happens to miss them
-    probes = list(enum.morphisms_into(f.dom))
-    probes.extend(q.morphism for q in candidates)
-    out = []
-    for p in candidates:
-        ok = True
-        for g in probes:
-            if cat.is_zero(cat.compose(f, g)) != (cat.compose(p.morphism, g) == g):
-                ok = False
-                break
-        if ok:
-            out.append(p)
-    return tuple(out)
+    a, fi = f.dom, enum.intern(f)
+    elements = lattice_on(enum, a).elements
+    killed_mask, offset = 0, 0
+    for w in cat.objects:
+        killed_mask |= killed(enum, fi, w, left=True)[0] << offset
+        offset += len(enum.pool(w, a))
+    zero, compose_id, intern = enum.zero_id(a, f.cod), enum.compose_id, enum.intern
+    for k, p in enumerate(elements, offset):
+        if compose_id(fi, intern(p.morphism)) == zero:
+            killed_mask |= 1 << k
+    fixes = enum.cached(_fixes_masks, a)
+    return tuple(p for p, mask in zip(elements, fixes) if mask == killed_mask)
+
+
+def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
+    """The "fixes" mask of each projection p on a, in lattice order: bit k
+    is set when p∘g = g for the k-th probe g.  The probes are every
+    enumerated g into a, then the projections on a themselves, which tell
+    projections apart even when a sampled pool happens to miss them."""
+    intern, compose_id = enum.intern, enum.compose_id
+    elements = lattice_on(enum, a).elements
+    probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
+    probes.extend(intern(p.morphism) for p in elements)
+    masks = []
+    for p in elements:
+        pi, mask = intern(p.morphism), 0
+        for k, g in enumerate(probes):
+            if compose_id(pi, g) == g:
+                mask |= 1 << k
+        masks.append(mask)
+    return tuple(masks)
+
+
+def killed(enum: Enumeration, f: int, w, left: bool) -> tuple[int, tuple]:
+    """What the morphism with id f kills among the g in pool(w, dom f) when
+    left (f∘g = 0), or in pool(cod f, w) otherwise (g∘f = 0): a mask with
+    bit k set when the k-th g is killed, and (g, id of g) for each killed g,
+    in pool order.  Built once per run; the annihilator search and the
+    kernel and cokernel witnesses share it."""
+    return enum.cached(_killed, (f, w, left))
+
+
+def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
+    f, w, left = key
+    m, compose_id = enum.morphisms_by_id[f], enum.compose_id
+    if left:
+        pool, ids = enum.pool(w, m.dom), enum.pool_ids(w, m.dom)
+        composites = [compose_id(f, g) for g in ids]
+    else:
+        pool, ids = enum.pool(m.cod, w), enum.pool_ids(m.cod, w)
+        composites = [compose_id(g, f) for g in ids]
+    if not composites:
+        return 0, ()
+    zero = enum.zero_id(w, m.cod) if left else enum.zero_id(m.dom, w)
+    mask, out = 0, []
+    for k, (g, gi, composite) in enumerate(zip(pool, ids, composites)):
+        if composite == zero:
+            mask |= 1 << k
+            out.append((g, gi))
+    return mask, tuple(out)
 
 
 def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:

@@ -237,7 +237,8 @@ def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True
         raise ShapeMismatchError(f"{render_morphism(u)} does not land in dom(f)")
     if not is_mono(cat, u):
         raise NotMonoError(f"{render_morphism(u)} is not a monomorphism")
-    moved = apply_P(cat, f, Projection(f.dom, cat.compose(u, cat.involve(u))))
+    uu = Projection(f.dom, cat.compose(u, cat.involve(u)))
+    moved = _apply(cat, TransferKind.IMAGE, f, uu, enum)
     p = mono_epi_factorize(cat, moved.morphism, enum).p
     if certify:
         witness = smallest_subobject_witness(cat, f, u, p, enum)
@@ -272,7 +273,8 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, certify: boo
         raise ShapeMismatchError(f"{render_morphism(v)} does not land in cod(f)")
     if not is_mono(cat, v):
         raise NotMonoError(f"{render_morphism(v)} is not a monomorphism")
-    moved = apply_Pprime(cat, f, Projection(f.cod, cat.compose(v, cat.involve(v))), enum)
+    vv = Projection(f.cod, cat.compose(v, cat.involve(v)))
+    moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, vv, enum)
     u = mono_epi_factorize(cat, moved.morphism, enum).p
     if certify:
         try:

@@ -8,6 +8,7 @@ from invcat import (
     CommutingSquare,
     Enumeration,
     FiniteCategory,
+    InvcatError,
     NoFactorizationError,
     NoKernelError,
     NonCommutingSquareError,
@@ -35,6 +36,7 @@ from invcat.exactness import (
     Factorization,
     _same_quotient,
     _same_subobject,
+    _unique_factorization_witness,
     cokernel_witness,
     is_epi_by_cancellation,
     is_mono_by_cancellation,
@@ -42,10 +44,13 @@ from invcat.exactness import (
     quotient_iso,
     subobject_iso,
 )
-from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
+from invcat.monoid import chain_semilattice, cyclic_group, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import ZERO_FINSET, corestriction, image_labels, zero_pbij
+from invcat.projections import annihilator_candidates, lattice_on
 from invcat.report import FAIL, PASS
+from invcat.specfile import build_category, parse_spec
 from invcat.transfer import square_for_inverse_image
+from test_golden import README_FIXTURE
 
 
 def test_mono_epi_iso_closed_forms(fixture_cat, A, B, f):
@@ -128,6 +133,117 @@ def assert_scans_agree_with_reference(cat, budget):
 def test_scans_agree_with_reference_on_models(pbij3, budget):
     assert_scans_agree_with_reference(pbij3, budget)
     assert_scans_agree_with_reference(two_object_category(symmetric_inverse_monoid(2)), budget)
+
+
+# ---- annihilator search and factorization witnesses on morphism ids ----------
+#
+# The library runs both searches on per-run morphism ids, from per-run masks,
+# killed tables and factorization counts; these are the Morphism-level
+# searches it replaced, kept as the oracle.
+
+
+def reference_annihilator_candidates(cat, f, enum):
+    candidates = lattice_on(enum, f.dom).elements
+    probes = list(enum.morphisms_into(f.dom))
+    probes.extend(q.morphism for q in candidates)
+    out = []
+    for p in candidates:
+        ok = True
+        for g in probes:
+            if cat.is_zero(cat.compose(f, g)) != (cat.compose(p.morphism, g) == g):
+                ok = False
+                break
+        if ok:
+            out.append(p)
+    return tuple(out)
+
+
+def reference_factorization_witness(cat, f, u, enum, left):
+    then = cat.compose if left else (lambda a, b: cat.compose(b, a))
+    for w in cat.objects:
+        pool, hom = (enum.pool(w, u.cod), (w, u.dom)) if left else (enum.pool(u.dom, w), (u.cod, w))
+        ways = None
+        for g in pool:
+            if not cat.is_zero(then(f, g)):
+                continue
+            if ways is None:
+                ways = Counter(then(u, h) for h in cat.hom(*hom))
+            if ways[g] != 1:
+                return f"{render_morphism(g)} factors through {render_morphism(u)} in {ways[g]} ways"
+    return None
+
+
+def endomorphism_clones(base):
+    """One clone of base per composable pair of endomorphisms, with the
+    composite replaced by another member of its hom-set."""
+    for a in base.objects:
+        for f in base.hom(a, a):
+            for g in base.hom(a, a):
+                fg = base.compose(f, g)
+                wrong = next((m for m in base.hom(a, a) if m != fg), None)
+                if wrong is not None:
+                    yield base.with_corrupted_composition(f, g, wrong)
+
+
+def involution_clones(base):
+    """One clone of base per endomorphism, with its involution replaced by
+    another member of its hom-set."""
+    for a in base.objects:
+        for f in base.hom(a, a):
+            star = base.involve(f)
+            wrong = next((m for m in base.hom(a, a) if m != star), None)
+            if wrong is not None:
+                yield base.with_corrupted_involution(f, wrong)
+
+
+def assert_searches_agree_with_reference(cat, budget) -> Counter:
+    """Compare every annihilator search and every shape-correct witness in one
+    run, so that they share its tables; how many of each outcome were seen."""
+    enum = Enumeration(cat, budget)
+    seen = Counter()
+    for f in list(enum.morphisms()):
+        got = annihilator_candidates(cat, f, enum)
+        assert got == reference_annihilator_candidates(cat, f, enum), render_morphism(f)
+        seen[f"{len(got)} candidates"] += 1
+        for left, others in ((True, enum.morphisms_into(f.dom)), (False, enum.morphisms_out_of(f.cod))):
+            for u in list(others):
+                got = _unique_factorization_witness(cat, f, u, enum, left)
+                assert got == reference_factorization_witness(cat, f, u, enum, left), (f, u, left)
+                seen["witness" if got is not None else "none"] += 1
+    return seen
+
+
+def test_searches_agree_with_reference(budget):
+    base = canonical_pbij_category((1, 2))
+    cats = [canonical_pbij_category((0, 1, 2)), base, build_category(parse_spec(README_FIXTURE))[0]]
+    for monoid in (symmetric_inverse_monoid(2), symmetric_inverse_monoid(3), cyclic_group(4), chain_semilattice(3)):
+        cats.append(two_object_category(monoid))
+    seen = Counter()
+    for cat in cats:
+        seen.update(assert_searches_agree_with_reference(cat, budget))
+    # the clones are made from a base already checked, so tables kept on the
+    # category instead of the run would show up as stale answers
+    composition, involution = list(endomorphism_clones(base)), list(involution_clones(base))
+    assert (len(composition), len(involution)) == (53, 9)
+    for cat in composition + involution:
+        seen.update(assert_searches_agree_with_reference(cat, budget))
+    assert seen["0 candidates"] and seen["1 candidates"], seen
+    assert seen["witness"] > seen["none"] > 0, seen
+
+
+def test_missing_table_entry_raises_from_exactness_and_coherence(budget):
+    # the searches compose through the run's id table, which reaches every
+    # composite through cat.compose, so a hole in the table still raises
+    pairs = list(build_category(parse_spec(README_FIXTURE))[0]._table)
+    assert len(pairs) == 81
+    for f, g in pairs:
+        expected = f"composition table is missing {render_morphism(f)} after {render_morphism(g)}"
+        for check in (check_exactness, check_coherence):
+            damaged = build_category(parse_spec(README_FIXTURE))[0]
+            del damaged._table[(f, g)]
+            with pytest.raises(InvcatError) as raised:
+                check(damaged, budget)
+            assert str(raised.value) == expected
 
 
 def _mono_collision(cat):

@@ -47,7 +47,7 @@ from invcat.transfer import (
 )
 from invcat.core import InvcatError, Projection, build_report
 from invcat.report import FAIL
-from test_exactness import reference_pullback_witness
+from test_exactness import endomorphism_clones, reference_pullback_witness
 from test_golden import CLONES, NOT_BAER_STAR
 from test_golden import _clone as _golden_clone
 
@@ -212,10 +212,13 @@ def _count_transfer_values(monkeypatch) -> Counter:
 
 
 def test_transfer_values_computed_once_per_run(budget, monkeypatch):
+    # "all" includes 2.1 and 3.1, whose image_of and inverse_image_of share the run's values
     computed = _count_transfer_values(monkeypatch)
-    assert theorem_suite(canonical_pbij_category((0, 1, 2)), "functoriality", budget).passed
-    assert computed and max(computed.values()) == 1
-    assert {name for name, _, _ in computed} == {"apply_P", "apply_Pprime", "apply_Pdoubleprime"}
+    for suite in ("functoriality", "all"):
+        computed.clear()
+        assert theorem_suite(canonical_pbij_category((0, 1, 2)), suite, budget).passed
+        assert computed and max(computed.values()) == 1, suite
+        assert {name for name, _, _ in computed} == {"apply_P", "apply_Pprime", "apply_Pdoubleprime"}
 
 
 def test_transfer_errors_are_not_cached(budget, monkeypatch):
@@ -367,23 +370,13 @@ def _assert_laws_agree(cat, budget) -> int:
     return sum(c.status == FAIL for c in expected.values())
 
 
-def _endomorphism_clones(base):
-    """One clone of base per composable pair of endomorphisms, with the
-    composite replaced by another member of its hom-set."""
-    for a in base.objects:
-        for f in base.hom(a, a):
-            for g in base.hom(a, a):
-                fg = base.compose(f, g)
-                wrong = next((m for m in base.hom(a, a) if m != fg), None)
-                if wrong is not None:
-                    yield base.with_corrupted_composition(f, g, wrong)
 
 
 def test_id_level_laws_agree_with_projection_level_definitions(budget):
     for cat in (canonical_pbij_category((0, 1, 2)), canonical_pbij_category((1, 2))):
         assert _assert_laws_agree(cat, budget) == 0
     assert sum(_assert_laws_agree(_golden_clone(name), budget) > 0 for name in CLONES) >= 4
-    clones = list(_endomorphism_clones(canonical_pbij_category((1, 2))))
+    clones = list(endomorphism_clones(canonical_pbij_category((1, 2))))
     failing = sum(_assert_laws_agree(clone, budget) > 0 for clone in clones)
     assert len(clones) == 53 and failing > 40, failing
 
