@@ -73,7 +73,7 @@ def _guarded(fn):
 def _budget_options(fn):
     fn = click.option(
         "--max-size",
-        type=int,
+        type=click.IntRange(min=0),
         default=4,
         envvar="INVCAT_MAX_SIZE",
         show_default=True,
@@ -81,7 +81,7 @@ def _budget_options(fn):
     )(fn)
     fn = click.option(
         "--sample",
-        type=int,
+        type=click.IntRange(min=1),
         default=64,
         show_default=True,
         help="Morphisms drawn per over-budget hom-set.",
@@ -186,6 +186,9 @@ def eval_(functor, morphism_name, projection_csv, spec_path):
             f"labels {unknown} are not elements of {base.name} "
             f"(the projection must live on {side}(f))"
         )
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise SpecFormatError(f"labels {repeated} are given more than once")
     click.echo("{" + ",".join(SUBSET_FORMS[kind](f, labels)) + "}")
 
 

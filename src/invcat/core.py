@@ -163,11 +163,20 @@ class FiniteCategory:
             raise InvcatError("duplicate object names in category")
         self._zero_object = zero_object
         self._hom_cache: dict = {}
-        self._compose_cache: dict = {}
-        self._zero_cache: dict = {}
-        self._quasi_inverse_cache: dict = {}
         self._compose_overrides: dict = {}
         self._involve_overrides: dict = {}
+        self._empty_table()
+
+    def _empty_table(self) -> None:
+        # morphisms_by_id[i] has id i; rows[i] maps an id j to the id of
+        # morphisms_by_id[i]∘morphisms_by_id[j].  Entries here and in the
+        # involution and zero ids are filled on first need, and an entry
+        # whose computation raises is not stored.
+        self._ids: dict = {}
+        self.morphisms_by_id: list[Morphism] = []
+        self.rows: list[dict] = []
+        self._involution_ids: dict = {}
+        self._zero_ids: dict = {}
 
     # ---- model hooks -------------------------------------------------
 
@@ -242,37 +251,49 @@ class FiniteCategory:
             self._hom_cache[key] = hit
         return hit
 
+    def intern(self, m: Morphism) -> int:
+        """The id of m in this category, given out on first sight."""
+        i = self._ids.get(m)
+        if i is None:
+            i = self._ids[m] = len(self.morphisms_by_id)
+            self.morphisms_by_id.append(m)
+            self.rows.append({})
+        return i
+
+    def compose_id(self, i: int, j: int) -> int:
+        """The id of morphisms_by_id[i]∘morphisms_by_id[j], computed once per
+        category: from a clone's override when it has one, otherwise by the
+        model rule, so a missing table entry raises where it is first needed."""
+        row = self.rows[i]
+        k = row.get(j)
+        if k is None:
+            f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
+            if g.cod != f.dom:
+                raise CompositionError(
+                    f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
+                    f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
+                )
+            fg = self._compose_overrides.get((f, g))
+            k = row[j] = self.intern(fg if fg is not None else self._compose(f, g))
+        return k
+
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
-        if g.cod != f.dom:
-            raise CompositionError(
-                f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
-                f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
-            )
-        key = (f, g)
-        if self._compose_overrides:
-            hit = self._compose_overrides.get(key)
-            if hit is not None:
-                return hit
-        hit = self._compose_cache.get(key)
-        if hit is None:
-            hit = self._compose(f, g)
-            self._compose_cache[key] = hit
-        return hit
+        return self.morphisms_by_id[self.compose_id(self.intern(f), self.intern(g))]
 
     def involve(self, f: Morphism) -> Morphism:
-        """The canonical involution f*.
-
-        Uses the model rule when one exists, otherwise falls back to the
-        unique quasi-inverse found by search (raising when it is not unique).
-        """
-        if self._involve_overrides:
-            hit = self._involve_overrides.get(f)
-            if hit is not None:
-                return hit
-        g = self._involve(f)
-        if g is not None:
-            return g
-        return self.unique_quasi_inverse(f)
+        """The canonical involution f*, computed once per category: from a
+        clone's override, the model rule, or else the unique quasi-inverse
+        found by search (raising when it is not unique)."""
+        i = self.intern(f)
+        k = self._involution_ids.get(i)
+        if k is None:
+            g = self._involve_overrides.get(f)
+            if g is None:
+                g = self._involve(f)
+            if g is None:
+                g = self.unique_quasi_inverse(f)
+            k = self._involution_ids[i] = self.intern(g)
+        return self.morphisms_by_id[k]
 
     def quasi_inverses_of(self, f: Morphism) -> tuple[Morphism, ...]:
         out = []
@@ -285,34 +306,34 @@ class FiniteCategory:
         return tuple(out)
 
     def unique_quasi_inverse(self, f: Morphism) -> Morphism:
-        hit = self._quasi_inverse_cache.get(f)
-        if hit is None:
-            candidates = self.quasi_inverses_of(f)
-            if len(candidates) != 1:
-                raise NotInverseCategoryError(f, candidates)
-            hit = candidates[0]
-            self._quasi_inverse_cache[f] = hit
-        return hit
+        candidates = self.quasi_inverses_of(f)
+        if len(candidates) != 1:
+            raise NotInverseCategoryError(f, candidates)
+        return candidates[0]
+
+    def zero_id(self, a, b) -> int:
+        """The id of the zero morphism a → b, computed once per category: a
+        composite is zero exactly when its id is this one."""
+        key = (a, b)
+        i = self._zero_ids.get(key)
+        if i is None:
+            z = self._zero(a, b)
+            if z is None:
+                o = self._zero_object
+                if o is None:
+                    raise ZeroUnavailableError("no zero object designated")
+                into, outof = self.hom(a, o), self.hom(o, b)
+                if len(into) != 1 or len(outof) != 1:
+                    raise ZeroUnavailableError(f"{render_object(o)} is not a zero object")
+                z = self.compose(outof[0], into[0])
+            i = self._zero_ids[key] = self.intern(z)
+        return i
 
     def zero(self, a, b) -> Morphism:
-        key = (a, b)
-        hit = self._zero_cache.get(key)
-        if hit is None:
-            hit = self._zero(a, b)
-            if hit is None:
-                z = self._zero_object
-                if z is None:
-                    raise ZeroUnavailableError("no zero object designated")
-                into, outof = self.hom(a, z), self.hom(z, b)
-                if len(into) != 1 or len(outof) != 1:
-                    raise ZeroUnavailableError(f"{render_object(z)} is not a zero object")
-                hit = self.compose(outof[0], into[0])
-            self._zero_cache[key] = hit
-        return hit
+        return self.morphisms_by_id[self.zero_id(a, b)]
 
     def is_zero(self, f: Morphism) -> bool:
-        z = self.zero(f.dom, f.cod)
-        return f is z or (f._hash == z._hash and f == z)
+        return self.intern(f) == self.zero_id(f.dom, f.cod)
 
     def morphism_pool(self, a, b, budget: Budget | None = None) -> tuple[tuple[Morphism, ...], bool]:
         """The hom-set, or a seeded sample of it when over budget.
@@ -348,11 +369,9 @@ class FiniteCategory:
     def _clone(self) -> "FiniteCategory":
         twin = copy.copy(self)
         twin._hom_cache = dict(self._hom_cache)
-        twin._compose_cache = {}
-        twin._zero_cache = {}
-        twin._quasi_inverse_cache = {}
         twin._compose_overrides = dict(self._compose_overrides)
         twin._involve_overrides = dict(self._involve_overrides)
+        twin._empty_table()
         return twin
 
 
@@ -413,7 +432,7 @@ class TableCategory(FiniteCategory):
 
 class Enumeration:
     """One verification run: its deterministic morphism pools under a
-    budget, its memo, and the morphism ids every clause of the run shares."""
+    budget and its memo.  Morphism ids and composites live on the category."""
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
@@ -422,12 +441,6 @@ class Enumeration:
         self._pool_ids: dict = {}
         self.sampled = False
         self._memo: dict = {}
-        # morphisms_by_id[i] has id i, and rows[i] maps an id j to the id of
-        # morphisms_by_id[i]∘morphisms_by_id[j] once that is computed
-        self._ids: dict = {}
-        self.morphisms_by_id: list[Morphism] = []
-        self.rows: list[dict] = []
-        self._zero_ids: dict = {}
 
     def pool(self, a, b) -> tuple[Morphism, ...]:
         key = (a, b)
@@ -440,11 +453,11 @@ class Enumeration:
         return pool
 
     def pool_ids(self, a, b) -> tuple[int, ...]:
-        """The ids of pool(a, b), in pool order, interned once per run."""
+        """The category's ids of pool(a, b), in pool order, looked up once per run."""
         key = (a, b)
         ids = self._pool_ids.get(key)
         if ids is None:
-            ids = self._pool_ids[key] = tuple(map(self.intern, self.pool(a, b)))
+            ids = self._pool_ids[key] = tuple(map(self.cat.intern, self.pool(a, b)))
         return ids
 
     def cached(self, fn: Callable, key):
@@ -457,35 +470,6 @@ class Enumeration:
             pass
         value = self._memo[slot] = fn(self.cat, key, self)
         return value
-
-    def intern(self, m: Morphism) -> int:
-        """The id of m in this run, given out on first sight."""
-        i = self._ids.get(m)
-        if i is None:
-            i = self._ids[m] = len(self.morphisms_by_id)
-            self.morphisms_by_id.append(m)
-            self.rows.append({})
-        return i
-
-    def compose_id(self, i: int, j: int) -> int:
-        """The id of morphisms_by_id[i]∘morphisms_by_id[j], computed once per
-        run through cat.compose, so a clone's overrides still win and a
-        missing table entry raises where it is first needed."""
-        row = self.rows[i]
-        k = row.get(j)
-        if k is None:
-            morphisms = self.morphisms_by_id
-            k = row[j] = self.intern(self.cat.compose(morphisms[i], morphisms[j]))
-        return k
-
-    def zero_id(self, a, b) -> int:
-        """The id of cat.zero(a, b), interned once per run: a composite is
-        zero exactly when its id is this one."""
-        key = (a, b)
-        i = self._zero_ids.get(key)
-        if i is None:
-            i = self._zero_ids[key] = self.intern(self.cat.zero(a, b))
-        return i
 
     def morphisms(self) -> Iterator[Morphism]:
         for a in self.cat.objects:
@@ -571,6 +555,10 @@ def _involve_or_witness(cat: FiniteCategory, f: Morphism):
         return None, str(err)
 
 
+def _quasi_inverses(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple[Morphism, ...]:
+    return cat.quasi_inverses_of(f)
+
+
 def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
@@ -581,10 +569,10 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             return f"id∘f ≠ f for {render_morphism(f)}"
         return None
 
-    # Associativity works on the run's morphism ids (enum.intern), each
+    # Associativity works on the category's morphism ids (cat.intern), each
     # composite computed once, when a triple first needs it.  Each triple
     # asks for (f, g), (fg, h), (g, h), (f, gh), in that order.
-    intern, compose_id, rows = enum.intern, enum.compose_id, enum.rows
+    intern, compose_id, rows = cat.intern, cat.compose_id, cat.rows
 
     def associativity_cases():
         """(id of (f∘g)∘h, id of f∘(g∘h), f, g, h) for every composable
@@ -630,12 +618,12 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def inverse_exists(f: Morphism):
-        if not cat.quasi_inverses_of(f):
+        if not enum.cached(_quasi_inverses, f):
             return f"{render_morphism(f)} has no quasi-inverse"
         return None
 
     def inverse_unique(f: Morphism):
-        candidates = cat.quasi_inverses_of(f)
+        candidates = enum.cached(_quasi_inverses, f)
         if len(candidates) > 1:
             return (
                 f"{render_morphism(f)} has {len(candidates)} quasi-inverses, e.g. "
@@ -679,10 +667,12 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def moore_penrose_unique(f: Morphism):
+        # a quasi-inverse g already has fgf = f and gfg = g
         hits = []
-        for g in cat.hom(f.cod, f.dom):
+        for g in enum.cached(_quasi_inverses, f):
+            fg, gf = cat.compose(f, g), cat.compose(g, f)
             try:
-                if is_generalized_inverse(cat, f, g):
+                if cat.involve(fg) == fg and cat.involve(gf) == gf:
                     hits.append(g)
             except NotInverseCategoryError:
                 continue
@@ -706,7 +696,7 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
 
     if cat.has_involution_rule:
         def model_agreement(f: Morphism):
-            candidates = cat.quasi_inverses_of(f)
+            candidates = enum.cached(_quasi_inverses, f)
             if len(candidates) != 1:
                 return f"{render_morphism(f)} has {len(candidates)} quasi-inverses"
             if cat.involve(f) != candidates[0]:

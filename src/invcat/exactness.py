@@ -82,10 +82,10 @@ def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 
 def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration | None, left: bool) -> bool:
     """Whether x ↦ f∘x (left) or x ↦ x∘f is injective on every enumerated
-    pool it applies to, on the run's morphism ids, stopping at the first
+    pool it applies to, on morphism ids, stopping at the first
     repeated composite."""
     enum = enum if enum is not None else Enumeration(cat)
-    fi, compose_id = enum.intern(f), enum.compose_id
+    fi, compose_id = cat.intern(f), cat.compose_id
     for w in cat.objects:
         seen: dict = {}
         for x in enum.pool_ids(w, f.dom) if left else enum.pool_ids(f.cod, w):
@@ -122,10 +122,10 @@ def _unique_factorization_witness(
     """The first g killed by f (f∘g = 0 if left, else g∘f = 0) that is not u∘h
     (h∘u) for exactly one h, or None, visiting w, then g, in pool order.
 
-    Works on the run's morphism ids: the killed g of each (f, w, side) and
+    Works on morphism ids: the killed g of each (f, w, side) and
     the factorization counts of each (u, w, side) are built once per run."""
     enum = enum if enum is not None else Enumeration(cat)
-    fi, ui = enum.intern(f), enum.intern(u)
+    fi, ui = cat.intern(f), cat.intern(u)
     for w in cat.objects:
         hits = killed(enum, fi, w, left)[1]
         if not hits:
@@ -141,8 +141,8 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
     """How many h give each composite id: u∘h for h: w → dom u when left,
     h∘u for h: cod u → w otherwise."""
     u, w, left = key
-    m = enum.morphisms_by_id[u]
-    intern, compose_id = enum.intern, enum.compose_id
+    m = cat.morphisms_by_id[u]
+    intern, compose_id = cat.intern, cat.compose_id
     if left:
         return Counter(compose_id(u, intern(h)) for h in cat.hom(w, m.dom))
     return Counter(compose_id(intern(h), u) for h in cat.hom(m.cod, w))
@@ -300,14 +300,14 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
     """None when the square is a pullback: every cone (x, y) with
     bottom∘x = right∘y is mediated by exactly one morphism into the vertex.
 
-    Works on the run's morphism ids.  For each object w the mediator counts
+    Works on morphism ids.  For each object w the mediator counts
     of (left, top), the fibres of x ↦ bottom∘x and the list of (y, right∘y)
     are built once per run, so squares sharing a leg share its tables.
     Cones are visited y first, then x, each in hom order."""
     enum = enum if enum is not None else Enumeration(cat)
-    left, top = enum.intern(square.left), enum.intern(square.top)
-    right, bottom = enum.intern(square.right), enum.intern(square.bottom)
-    if enum.compose_id(bottom, left) != enum.compose_id(right, top):
+    left, top = cat.intern(square.left), cat.intern(square.top)
+    right, bottom = cat.intern(square.right), cat.intern(square.bottom)
+    if cat.compose_id(bottom, left) != cat.compose_id(right, top):
         raise NonCommutingSquareError(
             f"square does not commute: bottom∘left ≠ right∘top for bottom = "
             f"{render_morphism(square.bottom)}, left = {render_morphism(square.left)}"
@@ -329,10 +329,10 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
 def _mediator_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
     """How many m: w → vertex give each pair of ids (left∘m, top∘m)."""
     left, top, w = key
-    compose_id, intern = enum.compose_id, enum.intern
+    compose_id, intern = cat.compose_id, cat.intern
     return Counter(
         (compose_id(left, m), compose_id(top, m))
-        for m in map(intern, cat.hom(w, enum.morphisms_by_id[left].dom))
+        for m in map(intern, cat.hom(w, cat.morphisms_by_id[left].dom))
     )
 
 
@@ -340,9 +340,9 @@ def _fibres(cat: FiniteCategory, key, enum: Enumeration) -> dict:
     """The x: w → dom(bottom), as (x, id of x), grouped by the id of bottom∘x."""
     bottom, w = key
     out: dict = {}
-    for x in cat.hom(w, enum.morphisms_by_id[bottom].dom):
-        xi = enum.intern(x)
-        out.setdefault(enum.compose_id(bottom, xi), []).append((x, xi))
+    for x in cat.hom(w, cat.morphisms_by_id[bottom].dom):
+        xi = cat.intern(x)
+        out.setdefault(cat.compose_id(bottom, xi), []).append((x, xi))
     return out
 
 
@@ -350,9 +350,9 @@ def _legs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
     """(y, id of y, id of right∘y) for every y: w → dom(right), in hom order."""
     right, w = key
     out = []
-    for y in cat.hom(w, enum.morphisms_by_id[right].dom):
-        yi = enum.intern(y)
-        out.append((y, yi, enum.compose_id(right, yi)))
+    for y in cat.hom(w, cat.morphisms_by_id[right].dom):
+        yi = cat.intern(y)
+        out.append((y, yi, cat.compose_id(right, yi)))
     return tuple(out)
 
 

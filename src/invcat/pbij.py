@@ -230,8 +230,6 @@ class PBijCategory(FiniteCategory):
             zero = ZERO_FINSET
             sets.insert(0, zero)
         super().__init__(sets, zero)
-        # one shared object per distinct composite, not one per cached (f, g)
-        self._canonical: dict = {}
 
     def _hom(self, a: FinSet, b: FinSet) -> tuple[Morphism, ...]:
         return enumerate_pbij(a, b)
@@ -252,8 +250,7 @@ class PBijCategory(FiniteCategory):
         return tuple(sorted(seen, key=lambda f: tuple(sorted(f.payload))))
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
-        composite = compose_pbij(f, g)
-        return self._canonical.setdefault(composite, composite)
+        return compose_pbij(f, g)
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)
@@ -269,9 +266,7 @@ class PBijCategory(FiniteCategory):
         return tuple(subset_projection(a, labels) for labels in subsets)
 
     def _zero(self, a: FinSet, b: FinSet) -> Morphism:
-        # the same object as every composite equal to it, so is_zero meets it by identity
-        zero = zero_pbij(a, b)
-        return self._canonical.setdefault(zero, zero)
+        return zero_pbij(a, b)
 
     def _annihilator(self, f: Morphism) -> Projection:
         return annihilator_pbij(f)

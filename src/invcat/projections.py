@@ -161,17 +161,17 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     """All projections p on dom(f) with: f∘g = 0  ⇔  p∘g = g, for every
     enumerated g into dom(f).  In a Baer*-category there is exactly one.
 
-    Works on the run's morphism ids: the candidates are the projections
+    Works on morphism ids: the candidates are the projections
     whose "fixes" mask (see _fixes_masks) equals f's "killed" mask, whose
     bit k is set when f∘g = 0 for the k-th probe g."""
     enum = enum if enum is not None else Enumeration(cat)
-    a, fi = f.dom, enum.intern(f)
+    a, fi = f.dom, cat.intern(f)
     elements = lattice_on(enum, a).elements
     killed_mask, offset = 0, 0
     for w in cat.objects:
         killed_mask |= killed(enum, fi, w, left=True)[0] << offset
         offset += len(enum.pool(w, a))
-    zero, compose_id, intern = enum.zero_id(a, f.cod), enum.compose_id, enum.intern
+    zero, compose_id, intern = cat.zero_id(a, f.cod), cat.compose_id, cat.intern
     for k, p in enumerate(elements, offset):
         if compose_id(fi, intern(p.morphism)) == zero:
             killed_mask |= 1 << k
@@ -184,7 +184,7 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     is set when p∘g = g for the k-th probe g.  The probes are every
     enumerated g into a, then the projections on a themselves, which tell
     projections apart even when a sampled pool happens to miss them."""
-    intern, compose_id = enum.intern, enum.compose_id
+    intern, compose_id = cat.intern, cat.compose_id
     elements = lattice_on(enum, a).elements
     probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
     probes.extend(intern(p.morphism) for p in elements)
@@ -209,7 +209,7 @@ def killed(enum: Enumeration, f: int, w, left: bool) -> tuple[int, tuple]:
 
 def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     f, w, left = key
-    m, compose_id = enum.morphisms_by_id[f], enum.compose_id
+    m, compose_id = cat.morphisms_by_id[f], cat.compose_id
     if left:
         pool, ids = enum.pool(w, m.dom), enum.pool_ids(w, m.dom)
         composites = [compose_id(f, g) for g in ids]
@@ -218,7 +218,7 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
         composites = [compose_id(g, f) for g in ids]
     if not composites:
         return 0, ()
-    zero = enum.zero_id(w, m.cod) if left else enum.zero_id(m.dom, w)
+    zero = cat.zero_id(w, m.cod) if left else cat.zero_id(m.dom, w)
     mask, out = 0, []
     for k, (g, gi, composite) in enumerate(zip(pool, ids, composites)):
         if composite == zero:

@@ -136,7 +136,7 @@ def _transfer_value(cat: FiniteCategory, key, enum: Enumeration) -> Projection:
 
 
 class _TransferRow(dict):
-    """kind(f) on the run's morphism ids: the id of a projection p maps to
+    """kind(f) on morphism ids: the id of a projection p maps to
     the id of kind(f)(p).  A projection's id is its morphism's id, since
     p.obj is dom(p.morphism).  A missing entry is filled once, through
     _apply; an entry whose computation raises is not stored."""
@@ -149,15 +149,16 @@ class _TransferRow(dict):
 
     def __missing__(self, p: int) -> int:
         enum = self.enum
-        m = enum.morphisms_by_id[p]
-        moved = _apply(enum.cat, self.kind, self.f, Projection(m.dom, m), enum)
-        q = self[p] = enum.intern(moved.morphism)
+        cat = enum.cat
+        m = cat.morphisms_by_id[p]
+        moved = _apply(cat, self.kind, self.f, Projection(m.dom, m), enum)
+        q = self[p] = cat.intern(moved.morphism)
         return q
 
 
 def _transfer_row(cat: FiniteCategory, key, enum: Enumeration) -> _TransferRow:
     kind, f = key
-    return _TransferRow(kind, enum.morphisms_by_id[f], enum)
+    return _TransferRow(kind, cat.morphisms_by_id[f], enum)
 
 
 def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
@@ -167,7 +168,7 @@ def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
 
 def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
     """(p, id of p) for every p in P(a), in lattice order."""
-    return tuple((p, enum.intern(p.morphism)) for p in lattice_on(enum, a).elements)
+    return tuple((p, cat.intern(p.morphism)) for p in lattice_on(enum, a).elements)
 
 
 def _source(kind: TransferKind, f: Morphism):
@@ -220,7 +221,7 @@ def _monos_into(cat: FiniteCategory, b, enum: Enumeration) -> tuple[Morphism, ..
 def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple:
     """(s, id of s∘s*) for every enumerated mono s into b."""
     return tuple(
-        (s, enum.compose_id(enum.intern(s), enum.intern(cat.involve(s))))
+        (s, cat.compose_id(cat.intern(s), cat.intern(cat.involve(s))))
         for s in enum.cached(_monos_into, b)
     )
 
@@ -255,7 +256,7 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
     pp = cat.compose(p, cat.involve(p))
     if cat.compose(pp, fu) != fu:
         return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
-    fu_id, p_id, compose_id = enum.intern(fu), enum.intern(p), enum.compose_id
+    fu_id, p_id, compose_id = cat.intern(fu), cat.intern(p), cat.compose_id
     for s, ss in enum.cached(_mono_projections, f.cod):
         if compose_id(ss, fu_id) == fu_id and compose_id(ss, p_id) != p_id:
             return (
@@ -379,10 +380,11 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
     """The two lattice-map laws every transfer map satisfies: meets are
     preserved, hence so is the order."""
     prefix = _KIND_NAMES[kind][0]
-    compose_id = enum.compose_id
+    cat = enum.cat
+    compose_id = cat.compose_id
 
     def row_and_source(f: Morphism):
-        return _row(enum, kind, enum.intern(f)), enum.cached(_projection_ids, _source(kind, f))
+        return _row(enum, kind, cat.intern(f)), enum.cached(_projection_ids, _source(kind, f))
 
     def meets(f: Morphism):
         row, source = row_and_source(f)
@@ -739,11 +741,11 @@ def functoriality_clauses_for(kind: TransferKind):
 
         def composition_law(pair):
             f, g = pair
-            fi, gi = enum.intern(f), enum.intern(g)
-            fg = enum.compose_id(fi, gi)
+            fi, gi = cat.intern(f), cat.intern(g)
+            fg = cat.compose_id(fi, gi)
             first, then = (gi, fi) if kind is TransferKind.IMAGE else (fi, gi)
             at_fg, at_first, at_then = (_row(enum, kind, i) for i in (fg, first, then))
-            source = _source(kind, enum.morphisms_by_id[fg])
+            source = _source(kind, cat.morphisms_by_id[fg])
             for p, pi in enum.cached(_projection_ids, source):
                 if at_fg[pi] != at_then[at_first[pi]]:
                     return (

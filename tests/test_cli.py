@@ -107,6 +107,31 @@ def test_eval_error_paths(runner, tmp_path):
     assert no_pairs.exit_code == 2
 
 
+@pytest.mark.parametrize("functor,projection", [("P", "1,1"), ("P'", "a,c,a"), ("P''", "b,b")])
+def test_eval_rejects_repeated_labels(runner, tmp_path, functor, projection):
+    spec = write(tmp_path, "spec.json", FIXTURE_DOC)
+    result = runner.invoke(main, ["eval", "--spec", spec, "--functor", functor,
+                                  "--morphism", "f", "--projection", projection])
+    assert result.exit_code == 2
+    assert "given more than once" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,env",
+    [
+        (["--sample", "0", "--max-size", "1"], {}),
+        (["--sample", "-1", "--max-size", "1"], {}),
+        (["--max-size", "-1"], {}),
+        ([], {"INVCAT_MAX_SIZE": "-1"}),
+    ],
+)
+def test_budget_bounds_are_usage_errors(runner, tmp_path, args, env):
+    spec = write(tmp_path, "spec.json", FIXTURE_DOC)
+    result = runner.invoke(main, ["axioms", "--spec", spec, *args], env=env)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output and "Traceback" not in result.output
+
+
 def test_axioms_green_on_generated_category(runner, tmp_path):
     spec = write(tmp_path, "spec.json", PBIJ23_DOC)
     result = runner.invoke(main, ["axioms", "--spec", spec])

@@ -532,6 +532,21 @@ def test_coherence_and_normal_conormal_green(pbij2, budget):
     assert check_normal_conormal(pbij2, budget).passed
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: canonical_pbij_category((0, 1, 2)), lambda: two_object_category(cyclic_group(4))],
+)
+def test_exactness_then_coherence_compose_each_pair_once(make, budget):
+    cat = make()
+    calls = []
+    real = cat._compose
+    cat._compose = lambda f, g: calls.append((f, g)) or real(f, g)
+    assert check_exactness(cat, budget).passed
+    made = len(calls)
+    assert check_coherence(cat, budget).passed
+    assert made and len(set(calls)) == len(calls)
+
+
 def test_coherence_spot_values(fixture_cat, A, f):
     # ker f composed with its involution is exactly the annihilator projection
     k = kernel(fixture_cat, f, certify=False)

@@ -404,12 +404,12 @@ def test_transfer_rows_store_no_failed_value(budget, monkeypatch):
     enum = Enumeration(cat, budget)
     f = next(m for m in enum.morphisms() if render_morphism(m) == "B→A {b1↦a1}")
     computed = _count_transfer_values(monkeypatch)
-    row = _row(enum, TransferKind.INVERSE_IMAGE, enum.intern(f))
-    zero = enum.intern(bottom(cat, f.cod).morphism)
+    row = _row(enum, TransferKind.INVERSE_IMAGE, cat.intern(f))
+    zero = cat.intern(bottom(cat, f.cod).morphism)
     for _ in range(2):
         with pytest.raises(AnnihilatorNotFoundError):
             row[zero]
     assert zero not in row and sum(computed.values()) == 2
-    one = enum.intern(top(cat, f.cod).morphism)
-    assert enum.morphisms_by_id[row[one]] == top(cat, f.dom).morphism
+    one = cat.intern(top(cat, f.cod).morphism)
+    assert cat.morphisms_by_id[row[one]] == top(cat, f.dom).morphism
     assert row[one] == row[one] and sum(computed.values()) == 3
