@@ -13,7 +13,7 @@ from functools import cached_property
 from math import comb, factorial
 from typing import Any, Callable, Iterable, Iterator
 
-from .report import SKIPPED, Clause, VerificationReport, run_clause
+from .report import SKIPPED, Clause, MissingConstructionError, VerificationReport, run_clause
 
 
 class InvcatError(Exception):
@@ -40,7 +40,7 @@ class LatticeError(InvcatError):
     pass
 
 
-class NotInverseCategoryError(InvcatError):
+class NotInverseCategoryError(InvcatError, MissingConstructionError):
     """A morphism with no, or more than one, quasi-inverse."""
 
     def __init__(self, morphism: "Morphism", candidates: tuple):
@@ -61,6 +61,10 @@ class BudgetExceededError(InvcatError):
             f"hom({render_object(dom)}, {render_object(cod)}) has {hom_size} morphisms, "
             "over the enumeration budget"
         )
+
+
+class BudgetValueError(InvcatError):
+    """A Budget with max_size below 0 or sample below 1."""
 
 
 def render_object(obj: Any) -> str:
@@ -139,6 +143,12 @@ class Budget:
     max_size: int = 4
     sample: int | None = 64
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_size < 0:
+            raise BudgetValueError(f"max_size must be at least 0, got {self.max_size}")
+        if self.sample is not None and self.sample < 1:
+            raise BudgetValueError(f"sample must be at least 1 or None, got {self.sample}")
 
     @cached_property
     def homset_limit(self) -> int:
@@ -548,13 +558,6 @@ def is_projection(cat: FiniteCategory, f: Morphism) -> bool:
 # ---- the inverse-category axiom suite ----------------------------------
 
 
-def _involve_or_witness(cat: FiniteCategory, f: Morphism):
-    try:
-        return cat.involve(f), None
-    except NotInverseCategoryError as err:
-        return None, str(err)
-
-
 def _quasi_inverses(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple[Morphism, ...]:
     return cat.quasi_inverses_of(f)
 
@@ -632,23 +635,15 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def involutory(f: Morphism):
-        g, witness = _involve_or_witness(cat, f)
-        if witness:
-            return witness
-        gg, witness = _involve_or_witness(cat, g)
-        if witness:
-            return witness
+        gg = cat.involve(cat.involve(f))
         if gg != f:
             return f"(f*)* = {render_morphism(gg)} ≠ f = {render_morphism(f)}"
         return None
 
     def antihomomorphism(pair):
         f, g = pair
-        try:
-            left = cat.involve(cat.compose(f, g))
-            right = cat.compose(cat.involve(g), cat.involve(f))
-        except NotInverseCategoryError as err:
-            return str(err)
+        left = cat.involve(cat.compose(f, g))
+        right = cat.compose(cat.involve(g), cat.involve(f))
         if left != right:
             return (
                 f"(f∘g)* ≠ g*∘f* for f={render_morphism(f)}, g={render_morphism(g)}"
@@ -656,14 +651,8 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def moore_penrose(f: Morphism):
-        g, witness = _involve_or_witness(cat, f)
-        if witness:
-            return witness
-        try:
-            if not is_generalized_inverse(cat, f, g):
-                return f"f* fails the Moore-Penrose laws for {render_morphism(f)}"
-        except NotInverseCategoryError as err:
-            return str(err)
+        if not is_generalized_inverse(cat, f, cat.involve(f)):
+            return f"f* fails the Moore-Penrose laws for {render_morphism(f)}"
         return None
 
     def moore_penrose_unique(f: Morphism):

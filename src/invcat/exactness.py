@@ -27,22 +27,22 @@ from .projections import (
     killed,
     projection_cases,
 )
-from .report import FAIL, PASS, Clause, VerificationReport, run_clause
+from .report import FAIL, PASS, Clause, MissingConstructionError, VerificationReport, run_clause
 
 
-class NoKernelError(InvcatError):
+class NoKernelError(InvcatError, MissingConstructionError):
     def __init__(self, f: Morphism, reason: str):
         self.morphism = f
         super().__init__(f"no kernel for {render_morphism(f)}: {reason}")
 
 
-class NoCokernelError(InvcatError):
+class NoCokernelError(InvcatError, MissingConstructionError):
     def __init__(self, f: Morphism, reason: str):
         self.morphism = f
         super().__init__(f"no cokernel for {render_morphism(f)}: {reason}")
 
 
-class NoFactorizationError(InvcatError):
+class NoFactorizationError(InvcatError, MissingConstructionError):
     def __init__(self, f: Morphism):
         self.morphism = f
         super().__init__(f"{render_morphism(f)} has no mono-epi factorization")
@@ -382,17 +382,11 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
     def has_kernel(f: Morphism):
-        try:
-            kernel(cat, f, certify=True, enum=enum)
-        except NoKernelError as err:
-            return str(err)
+        kernel(cat, f, certify=True, enum=enum)
         return None
 
     def has_cokernel(f: Morphism):
-        try:
-            cokernel(cat, f, certify=True, enum=enum)
-        except NoCokernelError as err:
-            return str(err)
+        cokernel(cat, f, certify=True, enum=enum)
         return None
 
     def monos(it):
@@ -430,10 +424,7 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         return f"epi {render_morphism(v)} is not the cokernel of any enumerated morphism"
 
     def factors(f: Morphism):
-        try:
-            mono_epi_factorize(cat, f, enum)
-        except NoFactorizationError as err:
-            return str(err)
+        mono_epi_factorize(cat, f, enum)
         return None
 
     def mono_epi_criterion(f: Morphism):
@@ -442,15 +433,6 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         if is_epi(cat, f) != is_epi_by_cancellation(cat, f, enum):
             return f"epi criterion and cancellation disagree on {render_morphism(f)}"
         return None
-
-    def projection_factors(i):
-        try:
-            mono_epi_factorize(cat, i.morphism, enum)
-        except NoFactorizationError as err:
-            return str(err)
-        return None
-
-    projections = projection_cases(enum)
 
     clauses = [
         run_clause("exact.kernels", "1.1", enum.morphisms(), has_kernel),
@@ -462,9 +444,8 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
     ]
 
     clauses.extend(annihilator_clauses(enum))
-    clauses.append(
-        run_clause("baer.projection-factorization", "1.1", projections, projection_factors)
-    )
+    projections = (i.morphism for i in projection_cases(enum))
+    clauses.append(run_clause("baer.projection-factorization", "1.1", projections, factors))
 
     a_ok = all(c.status == PASS for c in clauses if c.clause_id in EXACTNESS_CLAUSE_IDS)
     b_ok = all(c.status == PASS for c in clauses if c.clause_id in BAER_SIDE_CLAUSE_IDS)
@@ -506,10 +487,7 @@ def normal_conormal_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
     def mono_is_kernel(u: Morphism):
-        try:
-            h = annihilator_by_search(cat, cat.involve(u), enum).morphism
-        except NotBaerStarError as err:
-            return str(err)
+        h = annihilator_by_search(cat, cat.involve(u), enum).morphism
         witness = kernel_witness(cat, h, u, enum)
         if witness is not None:
             return f"mono {render_morphism(u)} is not the kernel of (u*)′: {witness}"
@@ -522,10 +500,7 @@ def normal_conormal_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def epi_is_cokernel(v: Morphism):
-        try:
-            h = annihilator_by_search(cat, v, enum).morphism
-        except NotBaerStarError as err:
-            return str(err)
+        h = annihilator_by_search(cat, v, enum).morphism
         witness = cokernel_witness(cat, h, v, enum)
         if witness is not None:
             return f"epi {render_morphism(v)} is not the cokernel of v′: {witness}"
@@ -557,10 +532,7 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
     def kernel_annihilator(f: Morphism):
         u = kernel(cat, f, certify=False, enum=enum)
         left = cat.compose(u, cat.involve(u))
-        try:
-            right = annihilator_by_search(cat, f, enum).morphism
-        except NotBaerStarError as err:
-            return str(err)
+        right = annihilator_by_search(cat, f, enum).morphism
         if left != right:
             return f"ker(f)∘ker(f)* ≠ f′ for {render_morphism(f)}"
         return None

@@ -22,10 +22,10 @@ from .core import (
     render_morphism,
     render_object,
 )
-from .report import Clause, VerificationReport, run_clause
+from .report import Clause, MissingConstructionError, VerificationReport, run_clause
 
 
-class NotBaerStarError(InvcatError):
+class NotBaerStarError(InvcatError, MissingConstructionError):
     pass
 
 
@@ -281,10 +281,7 @@ def annihilator_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def projections_closed(i: Projection):
-        try:
-            back = annihilator_by_search(cat, annihilator_by_search(cat, i.morphism, enum).morphism, enum)
-        except NotBaerStarError as err:
-            return str(err)
+        back = annihilator_by_search(cat, annihilator_by_search(cat, i.morphism, enum).morphism, enum)
         if back != i:
             return (
                 f"projection {render_morphism(i.morphism)} is not closed: "
@@ -311,13 +308,10 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def triple_annihilator(f: Morphism):
-        try:
-            first = annihilator_by_search(cat, f, enum)
-            third = annihilator_by_search(
-                cat, annihilator_by_search(cat, first.morphism, enum).morphism, enum
-            )
-        except NotBaerStarError as err:
-            return str(err)
+        first = annihilator_by_search(cat, f, enum)
+        third = annihilator_by_search(
+            cat, annihilator_by_search(cat, first.morphism, enum).morphism, enum
+        )
         if first != third:
             return f"f′ ≠ f‴ for {render_morphism(f)}"
         return None

@@ -18,6 +18,12 @@ EXIT_BUDGET_EXCEEDED = 3
 REPORT_FORMAT_VERSION = 1
 
 
+class MissingConstructionError(Exception):
+    """A construction a law needs (quasi-inverse, annihilator, kernel,
+    cokernel, mono-epi factorization) does not exist in the category under
+    test: a counterexample to the law, not malformed input."""
+
+
 @dataclass(frozen=True)
 class Clause:
     """Outcome of one verified law.
@@ -105,13 +111,20 @@ def run_clause(
     cases: Iterable,
     check: Callable,
 ) -> Clause:
-    """Evaluate `check` over `cases`, stopping at the first returned witness."""
+    """Evaluate `check` over `cases`, stopping at the first returned witness.
+
+    A MissingConstructionError ends the clause as a failure with the error's
+    message as its counterexample; any other error (malformed input, an
+    incomplete table) propagates."""
     checked = 0
-    for case in cases:
-        checked += 1
-        witness = check(case)
-        if witness is not None:
-            return Clause(clause_id, anchor, FAIL, checked, witness)
+    try:
+        for case in cases:
+            checked += 1
+            witness = check(case)
+            if witness is not None:
+                return Clause(clause_id, anchor, FAIL, checked, witness)
+    except MissingConstructionError as err:
+        return Clause(clause_id, anchor, FAIL, checked, str(err))
     return Clause(clause_id, anchor, PASS, checked)
 
 

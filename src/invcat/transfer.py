@@ -304,18 +304,6 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
 # ---- law suites ------------------------------------------------------------
 
 
-def _run(clause_id: str, anchor: str, cases, check) -> Clause:
-    """run_clause, reporting a missing or ambiguous f′, which every law below uses."""
-
-    def guarded(case):
-        try:
-            return check(case)
-        except NotBaerStarError as err:
-            return str(err)
-
-    return run_clause(clause_id, anchor, cases, guarded)
-
-
 def _mono_pairs(enum: Enumeration, into_dom: bool):
     """(f, mono) pairs: monos into dom(f) when into_dom, else into cod(f)."""
     for f in enum.morphisms():
@@ -334,7 +322,7 @@ def image_smallest_subobject_clauses(enum: Enumeration) -> list[Clause]:
             return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
         return None
 
-    return [_run("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest)]
+    return [run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest)]
 
 
 def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
@@ -369,10 +357,10 @@ def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        _run("image.preserves-mono", "2.2.i", enum.morphisms(), preserves_mono),
-        _run("image.preserves-epi", "2.2.i", enum.morphisms(), preserves_epi),
-        _run("image.bottom-top", "2.2.ii", enum.morphisms(), bottom_top),
-        _run("image.domain-projection", "2.2.iii", enum.morphisms(), domain_projection),
+        run_clause("image.preserves-mono", "2.2.i", enum.morphisms(), preserves_mono),
+        run_clause("image.preserves-epi", "2.2.i", enum.morphisms(), preserves_epi),
+        run_clause("image.bottom-top", "2.2.ii", enum.morphisms(), bottom_top),
+        run_clause("image.domain-projection", "2.2.iii", enum.morphisms(), domain_projection),
     ]
 
 
@@ -414,8 +402,8 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
         return None
 
     return [
-        _run(f"{prefix}.meet-homomorphism", anchors[0], enum.morphisms(), meets),
-        _run(f"{prefix}.order-preserving", anchors[1], enum.morphisms(), order),
+        run_clause(f"{prefix}.meet-homomorphism", anchors[0], enum.morphisms(), meets),
+        run_clause(f"{prefix}.order-preserving", anchors[1], enum.morphisms(), order),
     ]
 
 
@@ -444,8 +432,8 @@ def image_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(_run("image.bounded-by-image", "2.3.iii", enum.morphisms(), bounded))
-    clauses.append(_run("image.saturation", "2.3.iv", enum.morphisms(), saturation))
+    clauses.append(run_clause("image.bounded-by-image", "2.3.iii", enum.morphisms(), bounded))
+    clauses.append(run_clause("image.saturation", "2.3.iv", enum.morphisms(), saturation))
     return clauses
 
 
@@ -460,7 +448,7 @@ def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
             return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
         return None
 
-    return [_run("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
+    return [run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
 
 
 def _contravariant_mono_epi_clauses(enum: Enumeration, kind: TransferKind, anchor: str) -> list[Clause]:
@@ -490,8 +478,8 @@ def _contravariant_mono_epi_clauses(enum: Enumeration, kind: TransferKind, ancho
         return None
 
     return [
-        _run(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
-        _run(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
+        run_clause(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
+        run_clause(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
     ]
 
 
@@ -513,8 +501,8 @@ def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
         return None
 
-    clauses.append(_run("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
-    clauses.append(_run("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
+    clauses.append(run_clause("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
+    clauses.append(run_clause("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
     return clauses
 
 
@@ -543,8 +531,8 @@ def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(_run("inverse-image.bounded-below", "3.4.iii", enum.morphisms(), bounded_below))
-    clauses.append(_run("inverse-image.saturation-to-top", "3.4.iv", enum.morphisms(), saturation_to_top))
+    clauses.append(run_clause("inverse-image.bounded-below", "3.4.iii", enum.morphisms(), bounded_below))
+    clauses.append(run_clause("inverse-image.saturation-to-top", "3.4.iv", enum.morphisms(), saturation_to_top))
     return clauses
 
 
@@ -589,9 +577,9 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        _run("connection.mono-match", "3.5.i", enum.morphisms(), mono_match),
-        _run("connection.epi-match", "3.5.ii", enum.morphisms(), epi_match),
-        _run("connection.triple-identities", "3.5.iii", enum.morphisms(), triple_identities),
+        run_clause("connection.mono-match", "3.5.i", enum.morphisms(), mono_match),
+        run_clause("connection.epi-match", "3.5.ii", enum.morphisms(), epi_match),
+        run_clause("connection.triple-identities", "3.5.iii", enum.morphisms(), triple_identities),
     ]
 
 
@@ -614,9 +602,9 @@ def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
             return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
         return None
 
-    clauses.append(_run("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
+    clauses.append(run_clause("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
     clauses.append(
-        _run("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
+        run_clause("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
     )
     return clauses
 
@@ -646,8 +634,8 @@ def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
                 )
         return None
 
-    clauses.append(_run("preimage.bounded-above", "4.2.vii", enum.morphisms(), bounded_above))
-    clauses.append(_run("preimage.annihilated-below", "4.2.viii", enum.morphisms(), annihilated_below))
+    clauses.append(run_clause("preimage.bounded-above", "4.2.vii", enum.morphisms(), bounded_above))
+    clauses.append(run_clause("preimage.annihilated-below", "4.2.viii", enum.morphisms(), annihilated_below))
     return clauses
 
 
@@ -704,10 +692,10 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        _run("connection.complement-identity", "4", enum.morphisms(), complement_identity),
-        _run("connection.equivalence-mono-epi", "4.i", enum.morphisms(), equivalence_mono_epi),
-        _run("connection.equivalence-units", "4.ii", enum.morphisms(), equivalence_units),
-        _run("connection.equivalence-annihilators", "4.iii", enum.morphisms(), equivalence_annihilators),
+        run_clause("connection.complement-identity", "4", enum.morphisms(), complement_identity),
+        run_clause("connection.equivalence-mono-epi", "4.i", enum.morphisms(), equivalence_mono_epi),
+        run_clause("connection.equivalence-units", "4.ii", enum.morphisms(), equivalence_units),
+        run_clause("connection.equivalence-annihilators", "4.iii", enum.morphisms(), equivalence_annihilators),
     ]
 
 
@@ -755,8 +743,8 @@ def functoriality_clauses_for(kind: TransferKind):
             return None
 
         return [
-            _run(f"functor.{name}.identity", anchor, cat.objects, identity_law),
-            _run(f"functor.{name}.composition", anchor, enum.composable_pairs(), composition_law),
+            run_clause(f"functor.{name}.identity", anchor, cat.objects, identity_law),
+            run_clause(f"functor.{name}.composition", anchor, enum.composable_pairs(), composition_law),
         ]
 
     return group
@@ -841,10 +829,10 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
                     )
             return None
 
-        return _run(f"fastpath.{name}", anchor, enum.morphisms(), agree)
+        return run_clause(f"fastpath.{name}", anchor, enum.morphisms(), agree)
 
     return [
-        _run("fastpath.annihilator", "1", enum.morphisms(), ann_agree),
+        run_clause("fastpath.annihilator", "1", enum.morphisms(), ann_agree),
         *(transfer_agree(kind) for kind in TransferKind),
     ]
 

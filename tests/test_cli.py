@@ -166,6 +166,19 @@ def test_exactness_command(runner, tmp_path):
     assert "coherence.kernel-annihilator" in ids
 
 
+def test_exactness_reports_a_missing_factorization(runner, tmp_path):
+    # the README fixture is not exact: a missing construction is a failing
+    # clause (exit 1 with a report), not malformed input (exit 2)
+    spec = write(tmp_path, "spec.json", FIXTURE_DOC)
+    result = runner.invoke(main, ["exactness", "--spec", spec])
+    assert result.exit_code == 1, result.output
+    doc = json.loads(result.output)
+    assert doc["details"]["exact"] is False
+    clause = next(c for c in doc["clauses"] if c["clause-id"] == "coherence.image-via-projection")
+    assert clause["status"] == "fail"
+    assert clause["counterexample"] == "A→A {1↦1, 2↦2} has no mono-epi factorization"
+
+
 def test_theorems_command_and_suite_choice(runner, tmp_path):
     spec = write(tmp_path, "spec.json", PBIJ23_DOC)
     result = runner.invoke(main, ["theorems", "--suite", "3.5", "--spec", spec])

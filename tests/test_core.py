@@ -5,6 +5,7 @@ import pytest
 from invcat import (
     Budget,
     BudgetExceededError,
+    BudgetValueError,
     CompositionError,
     Enumeration,
     FinSet,
@@ -192,6 +193,25 @@ def test_budget_limits_and_sampling():
 
     with pytest.raises(BudgetExceededError):
         big.morphism_pool(s3, s3, Budget(max_size=2, sample=None))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_size": 1, "sample": 0},  # every over-budget pool sampled empty
+        {"sample": -1},
+        {"max_size": -1},
+    ],
+)
+def test_budget_rejects_out_of_range_values(kwargs):
+    with pytest.raises(BudgetValueError):
+        Budget(**kwargs)
+
+
+def test_budget_accepts_the_smallest_values():
+    assert issubclass(BudgetValueError, InvcatError)
+    assert Budget(max_size=0, sample=1).homset_limit == 1
+    assert Budget(max_size=0, sample=None).sample is None
 
 
 def test_enumeration_reflects_sampling():

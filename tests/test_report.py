@@ -8,10 +8,19 @@ from invcat import (
     FAIL,
     PASS,
     SKIPPED,
+    AnnihilatorNotFoundError,
     Clause,
+    InvcatError,
+    MissingConstructionError,
+    NoCokernelError,
+    NoFactorizationError,
+    NoKernelError,
+    NotBaerStarError,
+    NotInverseCategoryError,
     VerificationReport,
     merge_reports,
 )
+from invcat.projections import AnnihilatorNotUniqueError
 from invcat.report import run_clause
 
 
@@ -74,6 +83,46 @@ def test_run_clause_stops_at_first_witness():
     assert clause.checked == 4
     assert seen == [0, 1, 2, 3]
     assert run_clause("c", "1", range(3), lambda n: None).checked == 3
+
+
+def test_run_clause_reports_a_missing_construction():
+    def check(n):
+        if n == 2:
+            raise NotBaerStarError(f"no annihilator for {n}")
+        return None
+
+    clause = run_clause("c", "1", range(5), check)
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 3, "no annihilator for 2")
+
+    def cases():
+        yield 0
+        raise MissingConstructionError("the cases ran out of a construction")
+
+    clause = run_clause("c", "1", cases(), lambda n: None)
+    assert (clause.status, clause.checked) == (FAIL, 1)
+    assert clause.counterexample == "the cases ran out of a construction"
+
+
+def test_missing_construction_family():
+    family = (
+        NotInverseCategoryError,
+        NotBaerStarError,
+        AnnihilatorNotFoundError,
+        AnnihilatorNotUniqueError,
+        NoKernelError,
+        NoCokernelError,
+        NoFactorizationError,
+    )
+    assert all(issubclass(e, InvcatError) and issubclass(e, MissingConstructionError) for e in family)
+    assert not issubclass(InvcatError, MissingConstructionError)
+
+
+def test_run_clause_lets_other_errors_through():
+    def check(n):
+        raise InvcatError("composition table is missing a pair")
+
+    with pytest.raises(InvcatError, match="composition table"):
+        run_clause("c", "1", range(3), check)
 
 
 def test_merge_reports_concatenates():

@@ -40,13 +40,12 @@ from invcat.transfer import (
     _mono_pairs,
     _monos_into,
     _row,
-    _run,
     _source,
     square_for_inverse_image,
     transfer,
 )
 from invcat.core import InvcatError, Projection, build_report
-from invcat.report import FAIL
+from invcat.report import FAIL, run_clause
 from test_exactness import endomorphism_clones, reference_pullback_witness
 from test_golden import CLONES, NOT_BAER_STAR
 from test_golden import _clone as _golden_clone
@@ -300,9 +299,9 @@ def _reference_law_clauses(cat, budget):
             return None
 
         clauses += [
-            _run(f"{prefix}.meet-homomorphism", "", enum.morphisms(), meets),
-            _run(f"{prefix}.order-preserving", "", enum.morphisms(), order),
-            _run(f"functor.{prefix}.composition", anchor, enum.composable_pairs(), composition_law),
+            run_clause(f"{prefix}.meet-homomorphism", "", enum.morphisms(), meets),
+            run_clause(f"{prefix}.order-preserving", "", enum.morphisms(), order),
+            run_clause(f"functor.{prefix}.composition", anchor, enum.composable_pairs(), composition_law),
         ]
 
     def smallest(case):
@@ -331,8 +330,8 @@ def _reference_law_clauses(cat, budget):
         return None
 
     clauses += [
-        _run("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest),
-        _run("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback),
+        run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest),
+        run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback),
     ]
     return {c.clause_id: c for c in clauses}
 
