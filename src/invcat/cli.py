@@ -124,7 +124,7 @@ def main() -> None:
 def axioms(spec_path, out, max_size, sample, no_sample, seed):
     """Inverse-category axioms plus the annihilator (Baer*) laws."""
     budget = _make_budget(max_size, sample, no_sample, seed)
-    cat, _ = build_category(load_spec(spec_path))
+    cat, _ = build_category(load_spec(spec_path), budget)
     report = merge_reports(
         "axioms", check_inverse_category(cat, budget), check_baer_star(cat, budget)
     )
@@ -139,7 +139,7 @@ def exactness(spec_path, out, max_size, sample, no_sample, seed):
     """Both exactness checklists, their biconditional, and the coherence
     identities tying kernels, annihilators and factorizations together."""
     budget = _make_budget(max_size, sample, no_sample, seed)
-    cat, _ = build_category(load_spec(spec_path))
+    cat, _ = build_category(load_spec(spec_path), budget)
     report = merge_reports(
         "exactness", check_exactness(cat, budget), check_coherence(cat, budget)
     )
@@ -155,7 +155,7 @@ def exactness(spec_path, out, max_size, sample, no_sample, seed):
 def theorems(suite, spec_path, out, max_size, sample, no_sample, seed):
     """One transfer-map law group (or all of them)."""
     budget = _make_budget(max_size, sample, no_sample, seed)
-    cat, _ = build_category(load_spec(spec_path))
+    cat, _ = build_category(load_spec(spec_path), budget)
     _finish(theorem_suite(cat, suite, budget), out)
 
 

@@ -53,12 +53,13 @@ class NotInverseCategoryError(InvcatError, MissingConstructionError):
 class BudgetExceededError(InvcatError):
     """A hom-set larger than the enumeration budget allows."""
 
-    def __init__(self, hom_size: int, dom: Any, cod: Any):
+    def __init__(self, hom_size: int, dom: Any, cod: Any, at_least: bool = False):
         self.hom_size = hom_size
         self.dom = dom
         self.cod = cod
+        count = f"at least {hom_size}" if at_least else str(hom_size)
         super().__init__(
-            f"hom({render_object(dom)}, {render_object(cod)}) has {hom_size} morphisms, "
+            f"hom({render_object(dom)}, {render_object(cod)}) has {count} morphisms, "
             "over the enumeration budget"
         )
 
@@ -196,6 +197,12 @@ class FiniteCategory:
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         raise NotImplementedError
 
+    def _compose_rule_id(self, i: int, j: int) -> int:
+        """The id of morphisms_by_id[i]∘morphisms_by_id[j] by the model rule,
+        for a shape-checked pair with no override.  Models that can find the
+        id of a composite without building it override this."""
+        return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
+
     def _involve(self, f: Morphism) -> Morphism | None:
         return None
 
@@ -278,13 +285,13 @@ class FiniteCategory:
         k = row.get(j)
         if k is None:
             f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
-            if g.cod != f.dom:
+            if g.cod is not f.dom and g.cod != f.dom:
                 raise CompositionError(
                     f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
                     f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
                 )
-            fg = self._compose_overrides.get((f, g))
-            k = row[j] = self.intern(fg if fg is not None else self._compose(f, g))
+            fg = self._compose_overrides.get((f, g)) if self._compose_overrides else None
+            k = row[j] = self.intern(fg) if fg is not None else self._compose_rule_id(i, j)
         return k
 
     def compose(self, f: Morphism, g: Morphism) -> Morphism:

@@ -249,8 +249,43 @@ class PBijCategory(FiniteCategory):
             seen.add(Morphism(a, b, frozenset(zip(xs, ys))))
         return tuple(sorted(seen, key=lambda f: tuple(sorted(f.payload))))
 
+    def _empty_table(self) -> None:
+        super()._empty_table()
+        # _codes[i] is the code of morphisms_by_id[i]: the position in cod of
+        # the image of each element of dom, in order, -1 where undefined,
+        # then a trailing -1.  The code of f∘g is code f read at code g.
+        # _code_ids[(a, b)] maps the code of a model composite a → b to its
+        # id; a clone's override never enters it.
+        self._codes: dict = {}
+        self._code_ids: dict = {}
+
+    def _code(self, i: int) -> tuple[int, ...]:
+        f = self.morphisms_by_id[i]
+        position = {y: n for n, y in enumerate(f.cod.elements)}
+        image = dict(f.payload)
+        code = self._codes[i] = tuple(
+            position[image[x]] if x in image else -1 for x in f.dom.elements
+        ) + (-1,)
+        return code
+
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         return compose_pbij(f, g)
+
+    def _compose_rule_id(self, i: int, j: int) -> int:
+        # the model composes each distinct composite once per category
+        code_f = self._codes.get(i) or self._code(i)
+        code_g = self._codes.get(j) or self._code(j)
+        code = tuple(map(code_f.__getitem__, code_g))
+        f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
+        key = (g.dom, f.cod)
+        ids = self._code_ids.get(key)
+        if ids is None:
+            ids = self._code_ids[key] = {}
+        k = ids.get(code)
+        if k is None:
+            k = ids[code] = self.intern(self._compose(f, g))
+            self._codes.setdefault(k, code)
+        return k
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

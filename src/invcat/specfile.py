@@ -6,9 +6,10 @@ Cayley table)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .core import FiniteCategory, InvcatError, Morphism, TableCategory
+from .core import Budget, BudgetExceededError, FiniteCategory, InvcatError, Morphism, TableCategory
 from .monoid import InverseMonoid, two_object_category, validate_inverse_monoid
 from .pbij import (
     ZERO_FINSET,
@@ -269,42 +270,57 @@ def load_monoid_table(path) -> tuple[tuple[str, ...], dict, str]:
     return parse_monoid_table(data)
 
 
-def _saturate(objects: tuple[FinSet, ...], seeds: list[Morphism]) -> TableCategory:
+def _saturate(
+    objects: tuple[FinSet, ...], seeds: list[Morphism], budget: Budget | None = None
+) -> TableCategory:
     """Close the given partial bijections under identities, zero morphisms,
-    involution and composition, and present the result as an explicit table."""
+    involution and composition, and present the result as an explicit table.
+
+    Each composable pair is composed once, when the later of its two members
+    leaves the frontier.  With a budget, a hom-set that grows past
+    budget.homset_limit raises BudgetExceededError at once: a closure cannot
+    be sampled."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
+    limit = budget.homset_limit if budget is not None else math.inf
+    homs: dict = {(a, b): [] for a in objs for b in objs}
     pool: set[Morphism] = set()
-    for a in objs:
-        pool.add(identity_pbij(a))
-        for b in objs:
-            pool.add(zero_pbij(a, b))
-    pool.update(seeds)
+    frontier: list[Morphism] = []
 
-    frontier = list(pool)
+    def add(m: Morphism) -> None:
+        if m not in pool:
+            pool.add(m)
+            frontier.append(m)
+            hom = homs[(m.dom, m.cod)]
+            hom.append(m)
+            if len(hom) > limit:
+                raise BudgetExceededError(len(hom), m.dom, m.cod, at_least=True)
+
+    for a in objs:
+        add(identity_pbij(a))
+        for b in objs:
+            add(zero_pbij(a, b))
+    for m in seeds:
+        add(m)
+
+    # the members that have left the frontier, by domain and by codomain
+    done_from: dict = {a: [] for a in objs}
+    done_into: dict = {a: [] for a in objs}
+    compose_table: dict = {}
     while frontier:
         m = frontier.pop()
-        grown = [invert_pbij(m)]
-        for n in list(pool):
-            if n.dom == m.cod:
-                grown.append(compose_pbij(n, m))
-            if m.dom == n.cod:
-                grown.append(compose_pbij(m, n))
-        for candidate in grown:
-            if candidate not in pool:
-                pool.add(candidate)
-                frontier.append(candidate)
+        done_from[m.dom].append(m)
+        done_into[m.cod].append(m)
+        add(invert_pbij(m))
+        for n in done_from[m.cod]:
+            nm = compose_table[(n, m)] = compose_pbij(n, m)
+            add(nm)
+        for n in done_into[m.dom]:
+            if n is not m:  # m∘m, for an endomorphism m, was made just above
+                mn = compose_table[(m, n)] = compose_pbij(m, n)
+                add(mn)
 
-    homs: dict = {(a, b): [] for a in objs for b in objs}
-    for m in pool:
-        homs[(m.dom, m.cod)].append(m)
-    compose_table = {
-        (f, g): compose_pbij(f, g)
-        for f in pool
-        for g in pool
-        if g.cod == f.dom
-    }
     return TableCategory(
         objects=tuple(objs),
         homs=homs,
@@ -315,9 +331,13 @@ def _saturate(objects: tuple[FinSet, ...], seeds: list[Morphism]) -> TableCatego
     )
 
 
-def build_category(spec: CategorySpec) -> tuple[FiniteCategory, dict[str, Morphism]]:
+def build_category(
+    spec: CategorySpec, budget: Budget | None = None
+) -> tuple[FiniteCategory, dict[str, Morphism]]:
     """Instantiate a spec.  Returns the category and the declared morphisms
-    by name (empty for generator specs)."""
+    by name (empty for generator specs).  With a budget, saturating an
+    explicit spec stops with BudgetExceededError as soon as one of its
+    hom-sets is over budget.homset_limit, whatever budget.sample says."""
     if spec.generators is not None:
         if spec.generators.kind == "all-pbij":
             return canonical_pbij_category(spec.generators.sizes), {}
@@ -335,7 +355,7 @@ def build_category(spec: CategorySpec) -> tuple[FiniteCategory, dict[str, Morphi
         built = make_pbij(finsets[m.dom], finsets[m.cod], m.pairs)
         named[m.name] = built
         seeds.append(built)
-    cat = _saturate(tuple(finsets.values()), seeds)
+    cat = _saturate(tuple(finsets.values()), seeds, budget)
     return cat, named
 
 

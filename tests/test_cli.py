@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from invcat.cli import main
 from test_golden import NOT_BAER_STAR
+from test_specfile import I5_DOC
 
 FIXTURE_DOC = {
     "format-version": 1,
@@ -259,3 +260,11 @@ def test_budget_exit_and_sampling_markers(runner, tmp_path):
     doc = json.loads(soft.output)
     assert doc["stats"]["seed"] == 5
     assert any(c.get("sampled") for c in doc["clauses"])
+
+
+@pytest.mark.parametrize("command", [["axioms"], ["exactness"], ["theorems", "--suite", "all"]])
+def test_saturation_over_budget_exits_three(runner, tmp_path, command):
+    spec = write(tmp_path, "i5.json", I5_DOC)
+    result = runner.invoke(main, [*command, "--spec", spec])
+    assert result.exit_code == 3, result.output
+    assert "hom(A, A) has at least 210 morphisms" in result.output

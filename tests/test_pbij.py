@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invcat import (
+    Budget,
+    Enumeration,
+    FiniteCategory,
     FinSet,
+    PBijCategory,
     PBijValidationError,
     canonical_pbij_category,
+    check_coherence,
+    check_exactness,
+    check_inverse_category,
     compose_pbij,
     enumerate_pbij,
     hom_count,
@@ -22,6 +29,7 @@ from invcat import (
     partial_identity,
     size_finset,
     subset_projection,
+    theorem_suite,
 )
 from invcat.pbij import (
     ZERO_FINSET,
@@ -41,6 +49,7 @@ from invcat.pbij import (
     unhit_labels,
     zero_pbij,
 )
+from test_exactness import endomorphism_clones, involution_clones
 
 
 def brute_force_pbijs(a: FinSet, b: FinSet) -> set[frozenset]:
@@ -226,3 +235,94 @@ def test_interning_leaves_corrupted_composites_alone():
     assert clone.compose(e1, cat.identity(s2)) == e1
     assert cat.compose(e1, e1) == e1
     assert clone.compose(cat.identity(s2), e1) is clone.compose(e1, cat.identity(s2))
+
+
+# ---- composite ids from codes --------------------------------------------
+
+
+class PairRulePBij(PBijCategory):
+    """Partial bijections with FiniteCategory's per-pair hook: every table
+    entry composes its pair and interns the result."""
+
+    _compose_rule_id = FiniteCategory._compose_rule_id
+
+
+def _doc(report) -> dict:
+    doc = report.to_dict()
+    del doc["stats"]["wall-time"]
+    return doc
+
+
+def _assert_rules_agree(by_code, by_pair, runs) -> None:
+    for run in runs:
+        assert _doc(run(by_code)) == _doc(run(by_pair))
+    # entries are filled in the same order, so the two tables are equal
+    assert by_code.morphisms_by_id == by_pair.morphisms_by_id
+    assert by_code.rows == by_pair.rows
+
+
+def test_code_rule_agrees_with_pair_rule_on_every_composite_asked_for(budget):
+    by_code = canonical_pbij_category((0, 1, 2, 3))
+    by_pair = PairRulePBij(by_code.objects)
+    runs = (
+        lambda cat: check_inverse_category(cat, budget),
+        lambda cat: check_exactness(cat, budget),
+        lambda cat: check_coherence(cat, budget),
+        lambda cat: theorem_suite(cat, "all", budget),
+    )
+    _assert_rules_agree(by_code, by_pair, runs)
+    pairs = sum(1 for _ in Enumeration(by_code, budget).composable_pairs())
+    assert sum(map(len, by_code.rows)) > pairs == 3_396
+
+
+def test_code_rule_agrees_with_pair_rule_on_clones(budget):
+    by_code = canonical_pbij_category((1, 2))
+    by_pair = PairRulePBij(by_code.objects)
+    runs = (
+        lambda cat: check_inverse_category(cat, budget),
+        lambda cat: check_exactness(cat, budget),
+        lambda cat: check_coherence(cat, budget),
+    )
+    clones = 0
+    for make in (endomorphism_clones, involution_clones):
+        for code_clone, pair_clone in zip(make(by_code), make(by_pair), strict=True):
+            assert type(pair_clone) is PairRulePBij
+            _assert_rules_agree(code_clone, pair_clone, runs)
+            clones += 1
+    assert clones == 53 + 9
+
+
+def test_code_rule_agrees_with_pair_rule_on_a_sampled_hom_set():
+    budget = Budget(max_size=4, sample=6, seed=3)
+    by_code = canonical_pbij_category((0, 5))
+    by_pair = PairRulePBij(by_code.objects)
+    runs = (lambda cat: check_exactness(cat, budget), lambda cat: check_coherence(cat, budget))
+    _assert_rules_agree(by_code, by_pair, runs)
+    assert all(c.sampled for c in check_exactness(by_code, budget).clauses)
+
+
+def test_an_override_never_answers_another_pair():
+    s2 = size_finset(2)
+    e1, e2 = partial_identity(s2, ("e1",)), partial_identity(s2, ("e2",))
+    base = canonical_pbij_category((2,))
+    empty = base.compose(e1, e2)
+    assert empty == zero_pbij(s2, s2) and base._code_ids
+    for first, then in (((e1, e2), (e2, e1)), ((e2, e1), (e1, e2))):
+        twin = base.with_corrupted_composition(e1, e2, e1)  # e1∘e2 is ∅, made e1
+        assert twin._codes == twin._code_ids == {}  # a clone starts with no codes
+        assert twin.compose(*first) == (e1 if first == (e1, e2) else empty)
+        assert twin.compose(*then) == (e1 if then == (e1, e2) else empty)
+        assert twin.compose(e1, empty) == empty
+        assert twin.compose(e1, e1) == e1 and twin.compose(e2, e2) == e2
+    assert base.compose(e1, e2) == base.compose(e2, e1) == empty
+
+
+def test_compose_runs_once_per_distinct_composite(budget):
+    cat = canonical_pbij_category((0, 1, 2, 3))
+    made = []
+    real = cat._compose
+    cat._compose = lambda f, g: made.append(real(f, g)) or made[-1]
+    check_inverse_category(cat, budget)
+    check_exactness(cat, budget)
+    assert made and len(set(made)) == len(made)
+    assert sum(map(len, cat.rows)) > 20 * len(made)

@@ -1,10 +1,14 @@
 import json
 import string
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import invcat.specfile
 from invcat import (
+    Budget,
+    BudgetExceededError,
     build_category,
     check_inverse_category,
     dumps_spec,
@@ -14,6 +18,7 @@ from invcat import (
     parse_spec,
     serialize_spec,
 )
+from invcat.pbij import ZERO_FINSET, compose_pbij, identity_pbij, invert_pbij, zero_pbij
 from invcat.specfile import (
     CategorySpec,
     GeneratorSpec,
@@ -24,6 +29,7 @@ from invcat.specfile import (
     parse_monoid_table,
     spec_from_category_fixture,
 )
+from test_golden import README_FIXTURE
 
 FIXTURE_DOC = {
     "format-version": 1,
@@ -233,3 +239,75 @@ def test_cayley_tables_shape_checked_alike(table):
     with pytest.raises(SpecFormatError) as from_spec:
         parse_spec({"format-version": 1, "generators": {"kind": "inverse-monoid", **table}})
     assert str(from_table.value) == str(from_spec.value)
+
+
+# ---- saturation ------------------------------------------------------------
+
+# one object on 5 elements: a 5-cycle, a transposition and a rank-4 partial
+# identity generate all of I5, 1,546 endomorphisms
+I5_DOC = {
+    "format-version": 1,
+    "objects": [{"name": "A", "elements": ["1", "2", "3", "4", "5"]}],
+    "morphisms": [
+        {"name": "cycle", "dom": "A", "cod": "A",
+         "pairs": [["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "1"]]},
+        {"name": "swap", "dom": "A", "cod": "A",
+         "pairs": [["1", "2"], ["2", "1"], ["3", "3"], ["4", "4"], ["5", "5"]]},
+        {"name": "drop", "dom": "A", "cod": "A",
+         "pairs": [["1", "1"], ["2", "2"], ["3", "3"], ["4", "4"]]},
+    ],
+}
+
+
+def _reference_closure(objects, seeds) -> set:
+    """Add inverses and every composite of the whole pool until nothing new
+    appears: the closure, by the plainest route."""
+    objects = set(objects) | {ZERO_FINSET}
+    pool = set(seeds) | {identity_pbij(a) for a in objects}
+    pool |= {zero_pbij(a, b) for a in objects for b in objects}
+    while True:
+        grown = pool | {invert_pbij(m) for m in pool}
+        grown |= {compose_pbij(f, g) for f in pool for g in pool if g.cod == f.dom}
+        if grown == pool:
+            return pool
+        pool = grown
+
+
+def _assert_saturation_composes_each_pair_once(spec) -> None:
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            invcat.specfile, "compose_pbij", lambda f, g: made.append((f, g)) or compose_pbij(f, g)
+        )
+        cat, named = build_category(spec)
+    assert len(set(made)) == len(made)
+    pool = {m for hom in cat._homs.values() for m in hom}
+    assert pool == _reference_closure(cat.objects, named.values())
+    # the table the saturation used to build in a pass over every pair
+    assert cat._table == {(f, g): compose_pbij(f, g) for f in pool for g in pool if g.cod == f.dom}
+    assert set(made) == set(cat._table)
+
+
+def test_saturation_composes_each_pair_once_on_the_readme_fixture():
+    _assert_saturation_composes_each_pair_once(parse_spec(README_FIXTURE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(explicit_specs())
+def test_saturation_composes_each_pair_once(spec):
+    _assert_saturation_composes_each_pair_once(spec)
+
+
+def test_saturation_budget_stops_at_the_first_hom_set_over_it():
+    spec = parse_spec(I5_DOC)
+    for budget in (Budget(), Budget(sample=None), Budget(max_size=4, sample=1)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as raised:
+            build_category(spec, budget)
+        assert time.perf_counter() - start < 5
+        assert str(raised.value) == "hom(A, A) has at least 210 morphisms, over the enumeration budget"
+    # under a budget it stays within, the closure is the same as without one
+    cat = build_category(parse_spec(README_FIXTURE), Budget(max_size=2))[0]
+    assert cat._homs == build_category(parse_spec(README_FIXTURE))[0]._homs
+    with pytest.raises(BudgetExceededError):
+        build_category(parse_spec(README_FIXTURE), Budget(max_size=1))
