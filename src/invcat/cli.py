@@ -29,7 +29,13 @@ from .report import (
     VerificationReport,
     merge_reports,
 )
-from .specfile import SpecFormatError, build_category, load_monoid_table, load_spec
+from .specfile import (
+    SpecFormatError,
+    build_category,
+    declared_morphisms,
+    load_monoid_table,
+    load_spec,
+)
 from .transfer import SUBSET_FORMS, SUITES, TransferKind, _source, theorem_suite
 
 
@@ -169,8 +175,10 @@ def theorems(suite, spec_path, out, max_size, sample, no_sample, seed):
               type=click.Path(exists=True, dir_okay=False))
 @_guarded
 def eval_(functor, morphism_name, projection_csv, spec_path):
-    """Apply one transfer map to one projection, via the closed forms."""
-    _, named = build_category(load_spec(spec_path))
+    """Apply one transfer map to one projection, via the closed forms.  An
+    explicit spec is not saturated: only its declared morphisms are built."""
+    spec = load_spec(spec_path)
+    _, named = declared_morphisms(spec) if spec.generators is None else build_category(spec)
     f = named.get(morphism_name)
     if f is None:
         raise SpecFormatError(f"no morphism named {morphism_name!r} in the spec")

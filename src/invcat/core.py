@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb, factorial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .report import SKIPPED, Clause, MissingConstructionError, VerificationReport, run_clause
 
@@ -188,6 +188,7 @@ class FiniteCategory:
         self.rows: list[dict] = []
         self._involution_ids: dict = {}
         self._zero_ids: dict = {}
+        self._hom_ids: dict = {}
 
     # ---- model hooks -------------------------------------------------
 
@@ -202,6 +203,15 @@ class FiniteCategory:
         for a shape-checked pair with no override.  Models that can find the
         id of a composite without building it override this."""
         return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
+
+    def _fill_by_rule(self, pairs: list[tuple[int, int]]) -> None:
+        """Fill the entry of each shape-checked pair (i, j) with no override by
+        the model rule, in order.  An entry whose computation raises is not
+        stored, nor is any after it.  Models that can compose many pairs at
+        once override this."""
+        rows, rule = self.rows, self._compose_rule_id
+        for i, j in pairs:
+            rows[i][j] = rule(i, j)
 
     def _involve(self, f: Morphism) -> Morphism | None:
         return None
@@ -277,6 +287,14 @@ class FiniteCategory:
             self.rows.append({})
         return i
 
+    def hom_ids(self, a, b) -> tuple[int, ...]:
+        """The ids of hom(a, b), in hom order, looked up once per category."""
+        key = (a, b)
+        ids = self._hom_ids.get(key)
+        if ids is None:
+            ids = self._hom_ids[key] = tuple(map(self.intern, self.hom(a, b)))
+        return ids
+
     def compose_id(self, i: int, j: int) -> int:
         """The id of morphisms_by_id[i]∘morphisms_by_id[j], computed once per
         category: from a clone's override when it has one, otherwise by the
@@ -286,13 +304,45 @@ class FiniteCategory:
         if k is None:
             f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
             if g.cod is not f.dom and g.cod != f.dom:
-                raise CompositionError(
-                    f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
-                    f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
-                )
+                raise _shape_error(f, g)
             fg = self._compose_overrides.get((f, g)) if self._compose_overrides else None
             k = row[j] = self.intern(fg) if fg is not None else self._compose_rule_id(i, j)
         return k
+
+    def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
+        """[compose_id(i, j) for j in js] in one call: entries already in the
+        table are read in place, and the missing ones are filled in js order
+        through _fill_by_rule.  A clone with overrides goes pair by pair."""
+        if self._compose_overrides:
+            return [self.compose_id(i, j) for j in js]
+        row = self.rows[i]
+        misses = [(i, j) for j in js if j not in row]
+        if misses:
+            self._fill_checked(misses)
+        return list(map(row.__getitem__, js))
+
+    def compose_ids_column(self, is_: Sequence[int], j: int) -> list[int]:
+        """[compose_id(i, j) for i in is_] in one call, as compose_ids."""
+        if self._compose_overrides:
+            return [self.compose_id(i, j) for i in is_]
+        rows = self.rows
+        misses = [(i, j) for i in is_ if j not in rows[i]]
+        if misses:
+            self._fill_checked(misses)
+        return [rows[i][j] for i in is_]
+
+    def _fill_checked(self, pairs: list[tuple[int, int]]) -> None:
+        # the full shape check runs once for each new pair of objects met
+        # in a row, so once per call on pairs from one hom block
+        by_id = self.morphisms_by_id
+        cod = dom = None
+        for i, j in pairs:
+            f, g = by_id[i], by_id[j]
+            if g.cod is not cod or f.dom is not dom:
+                if g.cod is not f.dom and g.cod != f.dom:
+                    raise _shape_error(f, g)
+                cod, dom = g.cod, f.dom
+        self._fill_by_rule(pairs)
 
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
         return self.morphisms_by_id[self.compose_id(self.intern(f), self.intern(g))]
@@ -390,6 +440,13 @@ class FiniteCategory:
         twin._involve_overrides = dict(self._involve_overrides)
         twin._empty_table()
         return twin
+
+
+def _shape_error(f: Morphism, g: Morphism) -> CompositionError:
+    return CompositionError(
+        f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
+        f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
+    )
 
 
 class TableCategory(FiniteCategory):

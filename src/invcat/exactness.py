@@ -142,10 +142,9 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
     h∘u for h: cod u → w otherwise."""
     u, w, left = key
     m = cat.morphisms_by_id[u]
-    intern, compose_id = cat.intern, cat.compose_id
     if left:
-        return Counter(compose_id(u, intern(h)) for h in cat.hom(w, m.dom))
-    return Counter(compose_id(intern(h), u) for h in cat.hom(m.cod, w))
+        return Counter(cat.compose_ids(u, cat.hom_ids(w, m.dom)))
+    return Counter(cat.compose_ids_column(cat.hom_ids(m.cod, w), u))
 
 
 def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
@@ -207,7 +206,14 @@ class Factorization:
 
 
 def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
-    """The model's closed form when it has one, search otherwise; checked either way."""
+    """The model's closed form when it has one, search otherwise; checked
+    either way.  With `enum`, the checked result is computed once per run."""
+    if enum is None:
+        return _checked_factorization(cat, f, None)
+    return enum.cached(_checked_factorization, f)
+
+
+def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> Factorization:
     found = cat._factorization(f)
     p, q, through = found if found is not None else _factorization_by_search(cat, f, enum)
     if cat.compose(p, q) != f or not is_mono(cat, p) or not is_epi(cat, q):
@@ -329,31 +335,27 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
 def _mediator_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
     """How many m: w → vertex give each pair of ids (left∘m, top∘m)."""
     left, top, w = key
-    compose_id, intern = cat.compose_id, cat.intern
-    return Counter(
-        (compose_id(left, m), compose_id(top, m))
-        for m in map(intern, cat.hom(w, cat.morphisms_by_id[left].dom))
-    )
+    ms = cat.hom_ids(w, cat.morphisms_by_id[left].dom)
+    return Counter(zip(cat.compose_ids(left, ms), cat.compose_ids(top, ms)))
 
 
 def _fibres(cat: FiniteCategory, key, enum: Enumeration) -> dict:
     """The x: w → dom(bottom), as (x, id of x), grouped by the id of bottom∘x."""
     bottom, w = key
+    d = cat.morphisms_by_id[bottom].dom
+    xs = cat.hom_ids(w, d)
     out: dict = {}
-    for x in cat.hom(w, cat.morphisms_by_id[bottom].dom):
-        xi = cat.intern(x)
-        out.setdefault(cat.compose_id(bottom, xi), []).append((x, xi))
+    for x, xi, z in zip(cat.hom(w, d), xs, cat.compose_ids(bottom, xs)):
+        out.setdefault(z, []).append((x, xi))
     return out
 
 
 def _legs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
     """(y, id of y, id of right∘y) for every y: w → dom(right), in hom order."""
     right, w = key
-    out = []
-    for y in cat.hom(w, cat.morphisms_by_id[right].dom):
-        yi = cat.intern(y)
-        out.append((y, yi, cat.compose_id(right, yi)))
-    return tuple(out)
+    d = cat.morphisms_by_id[right].dom
+    ys = cat.hom_ids(w, d)
+    return tuple(zip(cat.hom(w, d), ys, cat.compose_ids(right, ys)))
 
 
 def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:

@@ -171,9 +171,10 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     for w in cat.objects:
         killed_mask |= killed(enum, fi, w, left=True)[0] << offset
         offset += len(enum.pool(w, a))
-    zero, compose_id, intern = cat.zero_id(a, f.cod), cat.compose_id, cat.intern
-    for k, p in enumerate(elements, offset):
-        if compose_id(fi, intern(p.morphism)) == zero:
+    zero = cat.zero_id(a, f.cod)
+    composites = cat.compose_ids(fi, [cat.intern(p.morphism) for p in elements])
+    for k, composite in enumerate(composites, offset):
+        if composite == zero:
             killed_mask |= 1 << k
     fixes = enum.cached(_fixes_masks, a)
     return tuple(p for p, mask in zip(elements, fixes) if mask == killed_mask)
@@ -184,15 +185,14 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     is set when p∘g = g for the k-th probe g.  The probes are every
     enumerated g into a, then the projections on a themselves, which tell
     projections apart even when a sampled pool happens to miss them."""
-    intern, compose_id = cat.intern, cat.compose_id
-    elements = lattice_on(enum, a).elements
     probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
-    probes.extend(intern(p.morphism) for p in elements)
+    elements = [cat.intern(p.morphism) for p in lattice_on(enum, a).elements]
+    probes += elements
     masks = []
     for p in elements:
-        pi, mask = intern(p.morphism), 0
-        for k, g in enumerate(probes):
-            if compose_id(pi, g) == g:
+        mask = 0
+        for k, (composite, g) in enumerate(zip(cat.compose_ids(p, probes), probes)):
+            if composite == g:
                 mask |= 1 << k
         masks.append(mask)
     return tuple(masks)
@@ -209,13 +209,13 @@ def killed(enum: Enumeration, f: int, w, left: bool) -> tuple[int, tuple]:
 
 def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     f, w, left = key
-    m, compose_id = cat.morphisms_by_id[f], cat.compose_id
+    m = cat.morphisms_by_id[f]
     if left:
         pool, ids = enum.pool(w, m.dom), enum.pool_ids(w, m.dom)
-        composites = [compose_id(f, g) for g in ids]
+        composites = cat.compose_ids(f, ids)
     else:
         pool, ids = enum.pool(m.cod, w), enum.pool_ids(m.cod, w)
-        composites = [compose_id(g, f) for g in ids]
+        composites = cat.compose_ids_column(ids, f)
     if not composites:
         return 0, ()
     zero = cat.zero_id(w, m.cod) if left else cat.zero_id(m.dom, w)
@@ -239,7 +239,14 @@ def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | 
 
 
 def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
-    """f′: the model's closed form when it has one, search otherwise."""
+    """f′: the model's closed form when it has one, search otherwise.  With
+    `enum`, it is computed once per run."""
+    if enum is None:
+        return _annihilator_of(cat, f, None)
+    return enum.cached(_annihilator_of, f)
+
+
+def _annihilator_of(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> Projection:
     closed = cat._annihilator(f)
     if closed is not None:
         return closed

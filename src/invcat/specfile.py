@@ -345,18 +345,23 @@ def build_category(
         named = {s: Morphism("X", "X", s) for s in spec.generators.elements}
         return cat, named
 
+    finsets, named = declared_morphisms(spec)
+    cat = _saturate(finsets, list(named.values()), budget)
+    return cat, named
+
+
+def declared_morphisms(spec: CategorySpec) -> tuple[tuple[FinSet, ...], dict[str, Morphism]]:
+    """The objects and the declared morphisms by name of an explicit spec,
+    validated as partial bijections but not saturated."""
     finsets = {
         o.name: FinSet(o.name, o.elements) if o.elements else ZERO_FINSET
         for o in spec.objects
     }
-    named: dict[str, Morphism] = {}
-    seeds: list[Morphism] = []
-    for m in spec.morphisms or ():
-        built = make_pbij(finsets[m.dom], finsets[m.cod], m.pairs)
-        named[m.name] = built
-        seeds.append(built)
-    cat = _saturate(tuple(finsets.values()), seeds, budget)
-    return cat, named
+    named = {
+        m.name: make_pbij(finsets[m.dom], finsets[m.cod], m.pairs)
+        for m in spec.morphisms or ()
+    }
+    return tuple(finsets.values()), named
 
 
 def spec_from_category_fixture(objects: tuple[FinSet, ...], named: dict[str, Morphism]) -> CategorySpec:

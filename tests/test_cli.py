@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -106,6 +107,17 @@ def test_eval_error_paths(runner, tmp_path):
     no_pairs = runner.invoke(main, ["eval", "--spec", monoid_spec, "--functor", "P",
                                     "--morphism", "1", "--projection", ""])
     assert no_pairs.exit_code == 2
+
+
+def test_eval_does_not_saturate_an_explicit_spec(runner, tmp_path):
+    # the declared morphisms are all eval needs; saturating I5 takes seconds
+    spec = write(tmp_path, "i5.json", I5_DOC)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["eval", "--spec", spec, "--functor", "P",
+                                  "--morphism", "cycle", "--projection", "1,2"])
+    assert time.perf_counter() - start < 2
+    assert result.exit_code == 0, result.output
+    assert result.output.strip() == "{2,3}"
 
 
 @pytest.mark.parametrize("functor,projection", [("P", "1,1"), ("P'", "a,c,a"), ("P''", "b,b")])

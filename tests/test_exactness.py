@@ -397,6 +397,42 @@ def test_no_factorization_is_loud(budget):
         mono_epi_factorize(cat, e)
 
 
+def test_factorization_is_checked_once_per_run_and_a_missing_one_every_time(budget):
+    cat = two_object_category(chain_semilattice(2))
+    e = next(m for m in cat.hom("X", "X") if m.payload == "e1")
+    searched = []
+    model = cat._factorization
+    cat._factorization = lambda g: searched.append(g) or model(g)
+    enum = Enumeration(cat, budget)
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(NoFactorizationError) as raised:
+            mono_epi_factorize(cat, e, enum)
+        texts.add(str(raised.value))
+    assert texts == {f"{render_morphism(e)} has no mono-epi factorization"}
+    assert len(searched) == 3
+    one = cat.identity("X")
+    found = mono_epi_factorize(cat, one, enum)
+    assert mono_epi_factorize(cat, one, enum) is found and len(searched) == 4
+    # without a run there is no memo, and the result is the same
+    assert mono_epi_factorize(cat, one) == found and len(searched) == 5
+
+
+def test_a_clone_starts_with_an_empty_memo(fixture_cat, f, budget):
+    enum = Enumeration(fixture_cat, budget)
+    fac = mono_epi_factorize(fixture_cat, f, enum)
+    # in a clone, p∘q is no longer f: its own run must check the closed form again
+    twin = fixture_cat.with_corrupted_composition(fac.p, fac.q, fixture_cat.zero(f.dom, f.cod))
+    twin_enum = Enumeration(twin, budget)
+    assert twin_enum._memo == {}
+    with pytest.raises(NoFactorizationError):
+        mono_epi_factorize(twin, f, twin_enum)
+    assert mono_epi_factorize(fixture_cat, f, enum) is fac
+    image = "coherence.image-via-projection"
+    assert check_coherence(fixture_cat, budget).clause(image).status == PASS
+    assert check_coherence(twin, budget).clause(image).status == FAIL
+
+
 def test_pullback_fixture(fixture_cat, A, B, f):
     v = inclusion(B, ("a", "c"))
     u = inclusion(A, ("1", "3"))

@@ -10,11 +10,14 @@ from hypothesis import given, strategies as st
 
 from invcat import (
     Budget,
+    CompositionError,
     Enumeration,
     FiniteCategory,
     FinSet,
+    InvcatError,
     PBijCategory,
     PBijValidationError,
+    build_category,
     canonical_pbij_category,
     check_coherence,
     check_exactness,
@@ -26,6 +29,7 @@ from invcat import (
     inclusion,
     invert_pbij,
     make_pbij,
+    parse_spec,
     partial_identity,
     size_finset,
     subset_projection,
@@ -50,6 +54,7 @@ from invcat.pbij import (
     zero_pbij,
 )
 from test_exactness import endomorphism_clones, involution_clones
+from test_golden import README_FIXTURE
 
 
 def brute_force_pbijs(a: FinSet, b: FinSet) -> set[frozenset]:
@@ -241,10 +246,21 @@ def test_interning_leaves_corrupted_composites_alone():
 
 
 class PairRulePBij(PBijCategory):
-    """Partial bijections with FiniteCategory's per-pair hook: every table
+    """Partial bijections with FiniteCategory's per-pair hooks: every table
     entry composes its pair and interns the result."""
 
     _compose_rule_id = FiniteCategory._compose_rule_id
+    _fill_by_rule = FiniteCategory._fill_by_rule
+
+
+class PairScanPBij(PBijCategory):
+    """Partial bijections whose block scans go pair by pair through compose_id."""
+
+    def compose_ids(self, i, js):
+        return [self.compose_id(i, j) for j in js]
+
+    def compose_ids_column(self, is_, j):
+        return [self.compose_id(i, j) for i in is_]
 
 
 def _doc(report) -> dict:
@@ -261,9 +277,9 @@ def _assert_rules_agree(by_code, by_pair, runs) -> None:
     assert by_code.rows == by_pair.rows
 
 
-def test_code_rule_agrees_with_pair_rule_on_every_composite_asked_for(budget):
+def _assert_agree_on_every_composite_asked_for(reference, budget) -> None:
     by_code = canonical_pbij_category((0, 1, 2, 3))
-    by_pair = PairRulePBij(by_code.objects)
+    by_pair = reference(by_code.objects)
     runs = (
         lambda cat: check_inverse_category(cat, budget),
         lambda cat: check_exactness(cat, budget),
@@ -275,9 +291,9 @@ def test_code_rule_agrees_with_pair_rule_on_every_composite_asked_for(budget):
     assert sum(map(len, by_code.rows)) > pairs == 3_396
 
 
-def test_code_rule_agrees_with_pair_rule_on_clones(budget):
+def _assert_agree_on_clones(reference, budget) -> None:
     by_code = canonical_pbij_category((1, 2))
-    by_pair = PairRulePBij(by_code.objects)
+    by_pair = reference(by_code.objects)
     runs = (
         lambda cat: check_inverse_category(cat, budget),
         lambda cat: check_exactness(cat, budget),
@@ -286,19 +302,113 @@ def test_code_rule_agrees_with_pair_rule_on_clones(budget):
     clones = 0
     for make in (endomorphism_clones, involution_clones):
         for code_clone, pair_clone in zip(make(by_code), make(by_pair), strict=True):
-            assert type(pair_clone) is PairRulePBij
+            assert type(pair_clone) is reference
             _assert_rules_agree(code_clone, pair_clone, runs)
             clones += 1
     assert clones == 53 + 9
 
 
-def test_code_rule_agrees_with_pair_rule_on_a_sampled_hom_set():
+def _assert_agree_on_a_sampled_hom_set(reference) -> None:
     budget = Budget(max_size=4, sample=6, seed=3)
     by_code = canonical_pbij_category((0, 5))
-    by_pair = PairRulePBij(by_code.objects)
+    by_pair = reference(by_code.objects)
     runs = (lambda cat: check_exactness(cat, budget), lambda cat: check_coherence(cat, budget))
     _assert_rules_agree(by_code, by_pair, runs)
     assert all(c.sampled for c in check_exactness(by_code, budget).clauses)
+
+
+def test_code_rule_agrees_with_pair_rule_on_every_composite_asked_for(budget):
+    _assert_agree_on_every_composite_asked_for(PairRulePBij, budget)
+
+
+def test_code_rule_agrees_with_pair_rule_on_clones(budget):
+    _assert_agree_on_clones(PairRulePBij, budget)
+
+
+def test_code_rule_agrees_with_pair_rule_on_a_sampled_hom_set():
+    _assert_agree_on_a_sampled_hom_set(PairRulePBij)
+
+
+def test_block_scans_agree_with_pair_scans_on_every_composite_asked_for(budget):
+    _assert_agree_on_every_composite_asked_for(PairScanPBij, budget)
+
+
+def test_block_scans_agree_with_pair_scans_on_clones(budget):
+    _assert_agree_on_clones(PairScanPBij, budget)
+
+
+def test_block_scans_agree_with_pair_scans_on_a_sampled_hom_set():
+    _assert_agree_on_a_sampled_hom_set(PairScanPBij)
+
+
+def test_block_scans_check_the_shape_as_compose_id_does():
+    cat = canonical_pbij_category((1, 2))
+    s1, s2 = cat.finset("S1"), cat.finset("S2")
+    f = cat.intern(identity_pbij(s1))
+    good = cat.hom_ids(s1, s1)
+    bad = cat.hom_ids(s2, s2)[-1]
+    with pytest.raises(CompositionError) as pair:
+        cat.compose_id(f, bad)
+    for scan in (lambda: cat.compose_ids(f, [*good, bad]), lambda: cat.compose_ids_column([f], bad)):
+        with pytest.raises(CompositionError) as block:
+            scan()
+        assert str(block.value) == str(pair.value)
+    # ... and the scan that raised filled nothing
+    assert cat.rows[f] == {} and cat.rows[bad] == {}
+    assert cat.compose_ids(f, good) == list(good)
+
+
+def test_block_scans_read_hits_in_place_and_fill_misses_in_order():
+    cat = canonical_pbij_category((2,))
+    s2 = cat.finset("S2")
+    filled = []
+    fill = cat._fill_by_rule
+    cat._fill_by_rule = lambda pairs: filled.append(list(pairs)) or fill(pairs)
+    ids = cat.hom_ids(s2, s2)
+    assert ids == cat.hom_ids(s2, s2) == tuple(map(cat.intern, cat.hom(s2, s2)))
+    f = ids[3]
+    cat.compose_id(f, ids[1])
+    assert cat.compose_ids(f, ids[::-1]) == [cat.compose_id(f, j) for j in ids[::-1]]
+    assert filled == [[(f, j) for j in ids[::-1] if j != ids[1]]]
+    assert cat.compose_ids_column(ids, f) == [cat.compose_id(i, f) for i in ids]
+    assert cat.compose_ids(f, ids) == [cat.compose_id(f, j) for j in ids]
+    assert filled[1:] == [[(i, f) for i in ids if i != f]]
+    # a clone with an override goes pair by pair, and the override wins
+    by_id = cat.morphisms_by_id
+    twin = cat.with_corrupted_composition(by_id[f], by_id[ids[0]], by_id[f])
+    assert twin.hom_ids(s2, s2) == ids and twin.rows[f] == {}
+    twin._fill_by_rule = lambda pairs: filled.append(pairs)
+    got = twin.compose_ids(f, ids)
+    assert len(filled) == 2
+    assert got == [twin.compose_id(f, j) for j in ids]
+    assert got[0] == f != cat.compose_id(f, ids[0])
+
+
+def test_block_scans_take_pairs_from_many_blocks(A, B, f):
+    # A and B have three elements each, so composites out of them share code lengths
+    cat = PBijCategory([A, B])
+    by_id = cat.morphisms_by_id
+    into = [j for w in cat.objects for j in cat.hom_ids(w, A)]
+    out_of = [i for w in cat.objects for i in cat.hom_ids(B, w)]
+    fi = cat.intern(f)
+    row = [by_id[k] for k in cat.compose_ids(fi, into)]
+    assert row == [compose_pbij(f, by_id[j]) for j in into]
+    column = [by_id[k] for k in cat.compose_ids_column(out_of, fi)]
+    assert column == [compose_pbij(by_id[i], f) for i in out_of]
+
+
+def test_block_scans_store_nothing_for_a_pair_whose_composite_raises():
+    damaged = build_category(parse_spec(README_FIXTURE))[0]
+    a = damaged.objects[0]
+    first, f, last = ids = damaged.hom_ids(a, a)
+    del damaged._table[(damaged.morphisms_by_id[f], damaged.morphisms_by_id[last])]
+    with pytest.raises(InvcatError, match="composition table is missing"):
+        damaged.compose_ids(f, ids)
+    # the pairs before it are filled, as compose_id would have filled them
+    assert list(damaged.rows[f]) == [first, f]
+    with pytest.raises(InvcatError, match="composition table is missing"):
+        damaged.compose_ids_column(ids, last)
+    assert last in damaged.rows[first] and last not in damaged.rows[f]
 
 
 def test_an_override_never_answers_another_pair():

@@ -15,13 +15,16 @@ from invcat import (
     check_exactness,
     make_pbij,
     partial_identity,
+    render_morphism,
     subset_projection,
     theorem_suite,
 )
+from invcat.specfile import build_category, parse_spec
 from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import annihilator_pbij, projection_labels
 from invcat.projections import (
     AnnihilatorNotFoundError,
+    NotBaerStarError,
     annihilator,
     annihilator_by_search,
     annihilator_candidates,
@@ -36,6 +39,7 @@ from invcat.projections import (
     top,
 )
 from invcat.report import FAIL, PASS
+from test_golden import NOT_BAER_STAR
 
 
 def test_projections_are_the_powerset(fixture_cat, A):
@@ -141,6 +145,32 @@ def test_annihilator_not_found_is_loud(fixture_cat, A, B, f):
     for _ in range(2):
         with pytest.raises(AnnihilatorNotFoundError):
             annihilator_by_search(twisted, f, enum)
+
+
+def test_annihilator_is_found_once_per_run_and_a_missing_one_every_time(fixture_cat, f, budget):
+    # the closed form is taken once per run
+    asked = []
+    cat = fixture_cat._clone()
+    cat._annihilator = lambda g: asked.append(g) or fixture_cat._annihilator(g)
+    enum = Enumeration(cat, budget)
+    first = annihilator(cat, f, enum)
+    assert annihilator(cat, f, enum) is first and asked == [f]
+    assert annihilator(cat, f) == first and asked == [f, f]
+    # a search that finds nothing raises again, with the same text, every time
+    missing = build_category(parse_spec(NOT_BAER_STAR))[0]
+    a, b = (o for o in missing.objects if o.name in ("A", "B"))
+    g = next(m for m in missing.hom(b, a) if m.payload == frozenset({("b1", "a1")}))
+    searched = []
+    search = missing._annihilator
+    missing._annihilator = lambda h: searched.append(h) or search(h)
+    enum = Enumeration(missing, budget)
+    texts = set()
+    for _ in range(3):
+        with pytest.raises(NotBaerStarError) as raised:
+            annihilator(missing, g, enum)
+        texts.add(str(raised.value))
+    assert len(texts) == 1 and render_morphism(g) in texts.pop()
+    assert len(searched) == 3
 
 
 def test_annihilator_searched_once_per_morphism(pbij2, budget, monkeypatch):
