@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import comb, factorial
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from .report import SKIPPED, Clause, MissingConstructionError, VerificationReport, run_clause
 
@@ -204,15 +204,6 @@ class FiniteCategory:
         id of a composite without building it override this."""
         return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
 
-    def _fill_by_rule(self, pairs: list[tuple[int, int]]) -> None:
-        """Fill the entry of each shape-checked pair (i, j) with no override by
-        the model rule, in order.  An entry whose computation raises is not
-        stored, nor is any after it.  Models that can compose many pairs at
-        once override this."""
-        rows, rule = self.rows, self._compose_rule_id
-        for i, j in pairs:
-            rows[i][j] = rule(i, j)
-
     def _involve(self, f: Morphism) -> Morphism | None:
         return None
 
@@ -304,45 +295,19 @@ class FiniteCategory:
         if k is None:
             f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
             if g.cod is not f.dom and g.cod != f.dom:
-                raise _shape_error(f, g)
+                raise CompositionError(
+                    f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
+                    f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
+                )
             fg = self._compose_overrides.get((f, g)) if self._compose_overrides else None
             k = row[j] = self.intern(fg) if fg is not None else self._compose_rule_id(i, j)
         return k
 
-    def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
-        """[compose_id(i, j) for j in js] in one call: entries already in the
-        table are read in place, and the missing ones are filled in js order
-        through _fill_by_rule.  A clone with overrides goes pair by pair."""
-        if self._compose_overrides:
-            return [self.compose_id(i, j) for j in js]
-        row = self.rows[i]
-        misses = [(i, j) for j in js if j not in row]
-        if misses:
-            self._fill_checked(misses)
-        return list(map(row.__getitem__, js))
-
-    def compose_ids_column(self, is_: Sequence[int], j: int) -> list[int]:
-        """[compose_id(i, j) for i in is_] in one call, as compose_ids."""
-        if self._compose_overrides:
-            return [self.compose_id(i, j) for i in is_]
-        rows = self.rows
-        misses = [(i, j) for i in is_ if j not in rows[i]]
-        if misses:
-            self._fill_checked(misses)
-        return [rows[i][j] for i in is_]
-
-    def _fill_checked(self, pairs: list[tuple[int, int]]) -> None:
-        # the full shape check runs once for each new pair of objects met
-        # in a row, so once per call on pairs from one hom block
-        by_id = self.morphisms_by_id
-        cod = dom = None
-        for i, j in pairs:
-            f, g = by_id[i], by_id[j]
-            if g.cod is not cod or f.dom is not dom:
-                if g.cod is not f.dom and g.cod != f.dom:
-                    raise _shape_error(f, g)
-                cod, dom = g.cod, f.dom
-        self._fill_by_rule(pairs)
+    def compose_ids(self, i: int, js: Iterable[int]) -> list[int]:
+        """[compose_id(i, j) for j in js], reading the entries already in
+        row i in place: a scan over a whole hom block mostly hits."""
+        row, compose_id = self.rows[i], self.compose_id
+        return [k if (k := row.get(j)) is not None else compose_id(i, j) for j in js]
 
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
         return self.morphisms_by_id[self.compose_id(self.intern(f), self.intern(g))]
@@ -440,13 +405,6 @@ class FiniteCategory:
         twin._involve_overrides = dict(self._involve_overrides)
         twin._empty_table()
         return twin
-
-
-def _shape_error(f: Morphism, g: Morphism) -> CompositionError:
-    return CompositionError(
-        f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
-        f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
-    )
 
 
 class TableCategory(FiniteCategory):

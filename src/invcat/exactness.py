@@ -144,7 +144,7 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
     m = cat.morphisms_by_id[u]
     if left:
         return Counter(cat.compose_ids(u, cat.hom_ids(w, m.dom)))
-    return Counter(cat.compose_ids_column(cat.hom_ids(m.cod, w), u))
+    return Counter(cat.compose_id(h, u) for h in cat.hom_ids(m.cod, w))
 
 
 def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:

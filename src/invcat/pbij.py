@@ -271,13 +271,8 @@ class PBijCategory(FiniteCategory):
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         return compose_pbij(f, g)
 
-    def _new_code_id(self, ids: dict, code: tuple, f: Morphism, g: Morphism) -> int:
-        # the model composes each distinct composite once per category
-        k = ids[code] = self.intern(self._compose(f, g))
-        self._codes.setdefault(k, code)
-        return k
-
     def _compose_rule_id(self, i: int, j: int) -> int:
+        # the model composes each distinct composite once per category
         code_f = self._codes.get(i) or self._code(i)
         code_g = self._codes.get(j) or self._code(j)
         code = tuple(map(code_f.__getitem__, code_g))
@@ -287,23 +282,10 @@ class PBijCategory(FiniteCategory):
         if ids is None:
             ids = self._code_ids[key] = {}
         k = ids.get(code)
-        return k if k is not None else self._new_code_id(ids, code, f, g)
-
-    def _fill_by_rule(self, pairs: list[tuple[int, int]]) -> None:
-        # every composite's code first, then one index lookup per block
-        codes, by_id, rows, code_of = self._codes, self.morphisms_by_id, self.rows, self._code
-        gathered = [
-            tuple(map((codes.get(i) or code_of(i)).__getitem__, codes.get(j) or code_of(j)))
-            for i, j in pairs
-        ]
-        dom = cod = ids = None
-        for (i, j), code in zip(pairs, gathered):
-            f, g = by_id[i], by_id[j]
-            if g.dom is not dom or f.cod is not cod:
-                dom, cod = g.dom, f.cod
-                ids = self._code_ids.setdefault((dom, cod), {})
-            k = ids.get(code)
-            rows[i][j] = k if k is not None else self._new_code_id(ids, code, f, g)
+        if k is None:
+            k = ids[code] = self.intern(self._compose(f, g))
+            self._codes.setdefault(k, code)
+        return k
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

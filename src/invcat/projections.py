@@ -215,7 +215,7 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
         composites = cat.compose_ids(f, ids)
     else:
         pool, ids = enum.pool(m.cod, w), enum.pool_ids(m.cod, w)
-        composites = cat.compose_ids_column(ids, f)
+        composites = [cat.compose_id(g, f) for g in ids]
     if not composites:
         return 0, ()
     zero = cat.zero_id(w, m.cod) if left else cat.zero_id(m.dom, w)

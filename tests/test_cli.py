@@ -1,5 +1,4 @@
 import json
-import time
 
 import pytest
 from click.testing import CliRunner
@@ -109,13 +108,15 @@ def test_eval_error_paths(runner, tmp_path):
     assert no_pairs.exit_code == 2
 
 
-def test_eval_does_not_saturate_an_explicit_spec(runner, tmp_path):
+def test_eval_does_not_saturate_an_explicit_spec(runner, tmp_path, monkeypatch):
     # the declared morphisms are all eval needs; saturating I5 takes seconds
+    def saturate(*args):
+        raise AssertionError("eval saturated the spec")
+
+    monkeypatch.setattr("invcat.specfile._saturate", saturate)
     spec = write(tmp_path, "i5.json", I5_DOC)
-    start = time.perf_counter()
     result = runner.invoke(main, ["eval", "--spec", spec, "--functor", "P",
                                   "--morphism", "cycle", "--projection", "1,2"])
-    assert time.perf_counter() - start < 2
     assert result.exit_code == 0, result.output
     assert result.output.strip() == "{2,3}"
 

@@ -246,21 +246,17 @@ def test_interning_leaves_corrupted_composites_alone():
 
 
 class PairRulePBij(PBijCategory):
-    """Partial bijections with FiniteCategory's per-pair hooks: every table
+    """Partial bijections with FiniteCategory's per-pair hook: every table
     entry composes its pair and interns the result."""
 
     _compose_rule_id = FiniteCategory._compose_rule_id
-    _fill_by_rule = FiniteCategory._fill_by_rule
 
 
 class PairScanPBij(PBijCategory):
-    """Partial bijections whose block scans go pair by pair through compose_id."""
+    """Partial bijections whose block scans call compose_id for every pair."""
 
     def compose_ids(self, i, js):
         return [self.compose_id(i, j) for j in js]
-
-    def compose_ids_column(self, is_, j):
-        return [self.compose_id(i, j) for i in is_]
 
 
 def _doc(report) -> dict:
@@ -349,52 +345,34 @@ def test_block_scans_check_the_shape_as_compose_id_does():
     bad = cat.hom_ids(s2, s2)[-1]
     with pytest.raises(CompositionError) as pair:
         cat.compose_id(f, bad)
-    for scan in (lambda: cat.compose_ids(f, [*good, bad]), lambda: cat.compose_ids_column([f], bad)):
-        with pytest.raises(CompositionError) as block:
-            scan()
-        assert str(block.value) == str(pair.value)
-    # ... and the scan that raised filled nothing
-    assert cat.rows[f] == {} and cat.rows[bad] == {}
-    assert cat.compose_ids(f, good) == list(good)
+    with pytest.raises(CompositionError) as block:
+        cat.compose_ids(f, [*good, bad])
+    assert str(block.value) == str(pair.value)
+    assert bad not in cat.rows[f] and cat.compose_ids(f, good) == list(good)
 
 
-def test_block_scans_read_hits_in_place_and_fill_misses_in_order():
+def test_block_scans_read_hits_in_place_and_compute_misses_in_order():
     cat = canonical_pbij_category((2,))
     s2 = cat.finset("S2")
-    filled = []
-    fill = cat._fill_by_rule
-    cat._fill_by_rule = lambda pairs: filled.append(list(pairs)) or fill(pairs)
     ids = cat.hom_ids(s2, s2)
     assert ids == cat.hom_ids(s2, s2) == tuple(map(cat.intern, cat.hom(s2, s2)))
     f = ids[3]
-    cat.compose_id(f, ids[1])
-    assert cat.compose_ids(f, ids[::-1]) == [cat.compose_id(f, j) for j in ids[::-1]]
-    assert filled == [[(f, j) for j in ids[::-1] if j != ids[1]]]
-    assert cat.compose_ids_column(ids, f) == [cat.compose_id(i, f) for i in ids]
-    assert cat.compose_ids(f, ids) == [cat.compose_id(f, j) for j in ids]
-    assert filled[1:] == [[(i, f) for i in ids if i != f]]
-    # a clone with an override goes pair by pair, and the override wins
+    hit = cat.compose_id(f, ids[1])
+    asked = []
+    compose_id = cat.compose_id
+    cat.compose_id = lambda i, j: asked.append(j) or compose_id(i, j)
+    got = cat.compose_ids(f, ids[::-1])
+    assert asked == [j for j in ids[::-1] if j != ids[1]]
+    assert got == [compose_id(f, j) for j in ids[::-1]] and got[-2] == hit
+    assert cat.compose_ids(f, ids) == got[::-1] and len(asked) == len(ids) - 1
+    del cat.compose_id
+    # a clone starts with an empty table, and its override wins
     by_id = cat.morphisms_by_id
     twin = cat.with_corrupted_composition(by_id[f], by_id[ids[0]], by_id[f])
     assert twin.hom_ids(s2, s2) == ids and twin.rows[f] == {}
-    twin._fill_by_rule = lambda pairs: filled.append(pairs)
-    got = twin.compose_ids(f, ids)
-    assert len(filled) == 2
-    assert got == [twin.compose_id(f, j) for j in ids]
-    assert got[0] == f != cat.compose_id(f, ids[0])
-
-
-def test_block_scans_take_pairs_from_many_blocks(A, B, f):
-    # A and B have three elements each, so composites out of them share code lengths
-    cat = PBijCategory([A, B])
-    by_id = cat.morphisms_by_id
-    into = [j for w in cat.objects for j in cat.hom_ids(w, A)]
-    out_of = [i for w in cat.objects for i in cat.hom_ids(B, w)]
-    fi = cat.intern(f)
-    row = [by_id[k] for k in cat.compose_ids(fi, into)]
-    assert row == [compose_pbij(f, by_id[j]) for j in into]
-    column = [by_id[k] for k in cat.compose_ids_column(out_of, fi)]
-    assert column == [compose_pbij(by_id[i], f) for i in out_of]
+    row = twin.compose_ids(f, ids)
+    assert row == [twin.compose_id(f, j) for j in ids]
+    assert row[0] == f != cat.compose_id(f, ids[0])
 
 
 def test_block_scans_store_nothing_for_a_pair_whose_composite_raises():
@@ -406,9 +384,6 @@ def test_block_scans_store_nothing_for_a_pair_whose_composite_raises():
         damaged.compose_ids(f, ids)
     # the pairs before it are filled, as compose_id would have filled them
     assert list(damaged.rows[f]) == [first, f]
-    with pytest.raises(InvcatError, match="composition table is missing"):
-        damaged.compose_ids_column(ids, last)
-    assert last in damaged.rows[first] and last not in damaged.rows[f]
 
 
 def test_an_override_never_answers_another_pair():
