@@ -14,12 +14,13 @@ from .core import (
     Budget,
     BudgetExceededError,
     InvcatError,
-    check_inverse_category,
+    build_report,
+    inverse_category_clauses,
 )
-from .exactness import check_coherence, check_exactness
+from .exactness import coherence_clauses, exactness_clauses, normal_conormal_clauses
 from .monoid import MonoidAxiomError, classify_exactness, validate_inverse_monoid
 from .pbij import enumerate_pbij, hom_count, size_finset
-from .projections import check_baer_star
+from .projections import baer_star_clauses
 from .report import (
     EXIT_BUDGET_EXCEEDED,
     EXIT_CLAUSE_FAILURES,
@@ -27,7 +28,6 @@ from .report import (
     FAIL,
     Clause,
     VerificationReport,
-    merge_reports,
 )
 from .specfile import (
     SpecFormatError,
@@ -131,10 +131,8 @@ def axioms(spec_path, out, max_size, sample, no_sample, seed):
     """Inverse-category axioms plus the annihilator (Baer*) laws."""
     budget = _make_budget(max_size, sample, no_sample, seed)
     cat, _ = build_category(load_spec(spec_path), budget)
-    report = merge_reports(
-        "axioms", check_inverse_category(cat, budget), check_baer_star(cat, budget)
-    )
-    _finish(report, out)
+    groups = [inverse_category_clauses, baer_star_clauses]
+    _finish(build_report("axioms", cat, groups, budget), out)
 
 
 @main.command()
@@ -146,10 +144,8 @@ def exactness(spec_path, out, max_size, sample, no_sample, seed):
     identities tying kernels, annihilators and factorizations together."""
     budget = _make_budget(max_size, sample, no_sample, seed)
     cat, _ = build_category(load_spec(spec_path), budget)
-    report = merge_reports(
-        "exactness", check_exactness(cat, budget), check_coherence(cat, budget)
-    )
-    _finish(report, out)
+    groups = [exactness_clauses, coherence_clauses, normal_conormal_clauses]
+    _finish(build_report("exactness", cat, groups, budget), out)
 
 
 @main.command()

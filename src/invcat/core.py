@@ -153,8 +153,13 @@ class Budget:
 
     @cached_property
     def homset_limit(self) -> int:
-        n = self.max_size
-        return sum(comb(n, k) * comb(n, k) * factorial(k) for k in range(n + 1))
+        return sum(pbij_counts_by_rank(self.max_size, self.max_size))
+
+
+def pbij_counts_by_rank(m: int, n: int) -> list[int]:
+    """C(m,k)·C(n,k)·k!, the number of partial bijections of rank k from an
+    m-set to an n-set, for k = 0 … min(m, n)."""
+    return [comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1)]
 
 
 class FiniteCategory:
@@ -464,7 +469,8 @@ class TableCategory(FiniteCategory):
 
 class Enumeration:
     """One verification run: its deterministic morphism pools under a
-    budget and its memo.  Morphism ids and composites live on the category."""
+    budget, its memo, and the details its clause groups record for the
+    report.  Morphism ids and composites live on the category."""
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
@@ -473,6 +479,7 @@ class Enumeration:
         self._pool_ids: dict = {}
         self.sampled = False
         self._memo: dict = {}
+        self.details: dict = {}
 
     def pool(self, a, b) -> tuple[Morphism, ...]:
         key = (a, b)
@@ -537,6 +544,8 @@ def build_report(
     groups: Iterable[Callable[[Enumeration], list[Clause]]],
     budget: Budget | None = None,
 ) -> VerificationReport:
+    """Run the clause groups in order on one Enumeration, so they share its
+    pools and memo, and report their clauses and the details they recorded."""
     enum = Enumeration(cat, budget)
     start = time.perf_counter()
     clauses: list[Clause] = []
@@ -551,6 +560,7 @@ def build_report(
         morphisms_enumerated=enum.total_enumerated(),
         wall_time=elapsed,
         seed=enum.budget.seed if enum.sampled else None,
+        details=enum.details or None,
     )
 
 

@@ -463,23 +463,17 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
                 f"exactness verdict {a_ok} but annihilator-side verdict {b_ok}",
             )
         )
+    enum.details.update({
+        "exact": a_ok,
+        "baer-star-with-closed-projections": b_ok,
+        "failing-clauses": [c.clause_id for c in clauses if c.status == FAIL],
+    })
     return clauses
 
 
 def check_exactness(cat: FiniteCategory, budget: Budget | None = None) -> VerificationReport:
     """Run both checklists and the biconditional between their verdicts."""
-    report = build_report("exactness", cat, [exactness_clauses], budget)
-    failing = [c.clause_id for c in report.failures()]
-    report.details = {
-        "exact": all(
-            c.status == PASS for c in report.clauses if c.clause_id in EXACTNESS_CLAUSE_IDS
-        ),
-        "baer-star-with-closed-projections": all(
-            c.status == PASS for c in report.clauses if c.clause_id in BAER_SIDE_CLAUSE_IDS
-        ),
-        "failing-clauses": failing,
-    }
-    return report
+    return build_report("exactness", cat, [exactness_clauses], budget)
 
 
 # ---- coherence identities --------------------------------------------------

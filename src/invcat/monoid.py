@@ -5,18 +5,20 @@ precisely when the monoid is a group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 
 from .core import (
     Budget,
+    Enumeration,
     InvcatError,
     Morphism,
     TableCategory,
-    check_inverse_category,
+    build_report,
+    inverse_category_clauses,
 )
-from .exactness import check_exactness
+from .exactness import exactness_clauses
 from .pbij import compose_pbij, enumerate_pbij, pbij_pairs, size_finset
-from .report import FAIL, PASS, Clause, VerificationReport, merge_reports
+from .report import FAIL, PASS, Clause, VerificationReport
 
 
 class TableShapeError(InvcatError):
@@ -111,13 +113,6 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
         inverses[x] = found[0]
 
     idempotents = tuple(x for x in elements if tbl[(x, x)] == x)
-    for e, f in combinations(idempotents, 2):
-        if tbl[(e, f)] != tbl[(f, e)]:
-            raise MonoidAxiomError(
-                "non-commuting-idempotents",
-                f"{e}·{f} = {tbl[(e, f)]} but {f}·{e} = {tbl[(f, e)]}",
-            )
-
     zero = next(
         (z for z in elements if all(tbl[(z, x)] == z and tbl[(x, z)] == z for x in elements)),
         None,
@@ -222,46 +217,45 @@ def classify_exactness(monoid: InverseMonoid, budget: Budget | None = None) -> V
     """Run the inverse-category axioms and exactness checklists on the
     two-object category and assert the exactness verdict matches is_group;
     a mismatch would be loud and interesting."""
-    cat = two_object_category(monoid)
-    axioms = check_inverse_category(cat, budget)
-    exactness = check_exactness(cat, budget)
     group = is_group(monoid)
-    exact = exactness.passed
-    failing = [c.clause_id for c in exactness.failures()]
-    broken = axioms.failures()
 
-    inverse_clause = Clause(
-        "classify.inverse-category",
-        "1",
-        PASS if not broken else FAIL,
-        sum(c.checked for c in axioms.clauses),
-        None if not broken else f"{broken[0].clause_id}: {broken[0].counterexample}",
-    )
-    agree = Clause(
-        "classify.exact-iff-group",
-        "1",
-        PASS if exact == group else FAIL,
-        1,
-        None
-        if exact == group
-        else (
-            f"category is {'exact' if exact else 'not exact'} but the monoid is "
-            f"{'a group' if group else 'not a group'}; failing clauses: {failing or 'none'}"
-        ),
-    )
-    # The verdict clauses are the contract here.  A non-group is SUPPOSED to
-    # fail some exactness clause, so those raw failures stay out of the clause
-    # list (they would poison the exit code) and land in details instead.
-    report = merge_reports("classify", axioms, exactness)
-    report.clauses = [inverse_clause, agree]
-    report.details = {
-        "monoid-size": len(monoid),
-        "is-group": group,
-        "is-exact": exact,
-        "failing-clauses": failing,
-        "inconsistency": exact != group,
-    }
-    return report
+    def verdicts(enum: Enumeration) -> list[Clause]:
+        axioms = inverse_category_clauses(enum)
+        broken = [c for c in axioms if c.status == FAIL]
+        failing = [c.clause_id for c in exactness_clauses(enum) if c.status == FAIL]
+        exact = not failing
+        # The verdict clauses are the contract here.  A non-group is SUPPOSED
+        # to fail some exactness clause, so those raw failures stay out of the
+        # clause list (they would poison the exit code) and land in details.
+        enum.details = {
+            "monoid-size": len(monoid),
+            "is-group": group,
+            "is-exact": exact,
+            "failing-clauses": failing,
+            "inconsistency": exact != group,
+        }
+        inverse_clause = Clause(
+            "classify.inverse-category",
+            "1",
+            PASS if not broken else FAIL,
+            sum(c.checked for c in axioms),
+            None if not broken else f"{broken[0].clause_id}: {broken[0].counterexample}",
+        )
+        agree = Clause(
+            "classify.exact-iff-group",
+            "1",
+            PASS if exact == group else FAIL,
+            1,
+            None
+            if exact == group
+            else (
+                f"category is {'exact' if exact else 'not exact'} but the monoid is "
+                f"{'a group' if group else 'not a group'}; failing clauses: {failing or 'none'}"
+            ),
+        )
+        return [inverse_clause, agree]
+
+    return build_report("classify", two_object_category(monoid), [verdicts], budget)
 
 
 # ---- stock monoids ---------------------------------------------------------

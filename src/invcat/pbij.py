@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial
 from typing import Iterable
 
-from .core import FiniteCategory, InvcatError, Morphism, Projection
+from .core import FiniteCategory, InvcatError, Morphism, Projection, pbij_counts_by_rank
 
 
 class PBijValidationError(InvcatError):
@@ -174,7 +173,7 @@ def corestriction(a: FinSet, labels: Iterable[str]) -> Morphism:
 
 def hom_count(m: int, n: int) -> int:
     """Number of partial bijections from an m-set to an n-set."""
-    return sum(comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1))
+    return sum(pbij_counts_by_rank(m, n))
 
 
 def enumerate_pbij(a: FinSet, b: FinSet) -> tuple[Morphism, ...]:
@@ -238,9 +237,8 @@ class PBijCategory(FiniteCategory):
         return hom_count(len(a), len(b))
 
     def _hom_sample(self, a: FinSet, b: FinSet, count: int, rng) -> tuple[Morphism, ...]:
-        m, n = len(a), len(b)
-        ks = list(range(min(m, n) + 1))
-        weights = [comb(m, k) * comb(n, k) * factorial(k) for k in ks]
+        weights = pbij_counts_by_rank(len(a), len(b))
+        ks = list(range(len(weights)))
         seen = set()
         for _ in range(count):
             k = rng.choices(ks, weights)[0]

@@ -3,8 +3,25 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import invcat.core
+from invcat import (
+    Budget,
+    build_category,
+    check_baer_star,
+    check_coherence,
+    check_exactness,
+    check_inverse_category,
+    classify_exactness,
+    cyclic_group,
+    is_group,
+    parse_spec,
+    symmetric_inverse_monoid,
+    two_object_category,
+)
 from invcat.cli import main
+from invcat.report import PASS, merge_reports
 from test_golden import NOT_BAER_STAR
+from test_monoid import CLASSIFICATION_CORPUS
 from test_specfile import I5_DOC
 
 FIXTURE_DOC = {
@@ -20,6 +37,14 @@ FIXTURE_DOC = {
 
 PBIJ23_DOC = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [2, 3]}}
 PBIJ5_DOC = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [5]}}
+
+
+def monoid_doc(monoid):
+    """A spec whose inverse-monoid generator is the monoid's Cayley table."""
+    table = [[monoid.product(x, y) for y in monoid.elements] for x in monoid.elements]
+    return {"format-version": 1, "generators": {
+        "kind": "inverse-monoid", "elements": list(monoid.elements),
+        "identity": monoid.identity, "table": table}}
 
 Z2_TABLE = {"elements": ["1", "a"], "identity": "1",
             "table": [["1", "a"], ["a", "1"]]}
@@ -281,3 +306,91 @@ def test_saturation_over_budget_exits_three(runner, tmp_path, command):
     result = runner.invoke(main, [*command, "--spec", spec])
     assert result.exit_code == 3, result.output
     assert "hom(A, A) has at least 210 morphisms" in result.output
+
+
+# The reference is the merge of the public checks, each in its own run, that
+# the composite commands used to make.
+SEPARATE_RUNS = {
+    "axioms": (check_inverse_category, check_baer_star),
+    "exactness": (check_exactness, check_coherence),
+}
+COMPOSITE_INPUTS = {
+    "readme-fixture": (FIXTURE_DOC, []),
+    "not-baer-star": (NOT_BAER_STAR, []),
+    "pbij23": (PBIJ23_DOC, []),
+    "pbij5-sampled": (PBIJ5_DOC, ["--sample", "12", "--seed", "5"]),
+    "I2": (monoid_doc(symmetric_inverse_monoid(2)), []),
+    "C3": (monoid_doc(cyclic_group(3)), []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEPARATE_RUNS))
+@pytest.mark.parametrize("name", sorted(COMPOSITE_INPUTS))
+def test_composite_report_equals_the_separate_runs(runner, tmp_path, command, name):
+    doc, args = COMPOSITE_INPUTS[name]
+    result = runner.invoke(main, [command, "--spec", write(tmp_path, "spec.json", doc), *args])
+    assert result.exit_code in (0, 1), result.output
+    got = json.loads(result.output)
+    budget = Budget(sample=12, seed=5) if args else Budget()
+    cat, _ = build_category(parse_spec(doc), budget)
+    want = merge_reports(command, *(check(cat, budget) for check in SEPARATE_RUNS[command]))
+    want = want.to_dict()
+    for report in (got, want):
+        del report["stats"]["wall-time"]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFICATION_CORPUS))
+def test_classify_equals_the_separate_runs(name):
+    monoid = CLASSIFICATION_CORPUS[name]()
+    cat = two_object_category(monoid)
+    axioms, exactness = check_inverse_category(cat), check_exactness(cat)
+    broken = axioms.failures()
+    failing = [c.clause_id for c in exactness.failures()]
+    agree = exactness.passed == is_group(monoid)
+    assert not broken and agree, name
+    want = {
+        "format-version": 1,
+        "suite": "classify",
+        "clauses": [
+            {"clause-id": "classify.inverse-category", "anchor": "1", "status": PASS,
+             "checked": sum(c.checked for c in axioms.clauses)},
+            {"clause-id": "classify.exact-iff-group", "anchor": "1", "status": PASS,
+             "checked": 1},
+        ],
+        "stats": {"morphisms-enumerated": max(axioms.morphisms_enumerated,
+                                              exactness.morphisms_enumerated)},
+        "details": {"monoid-size": len(monoid), "is-group": is_group(monoid),
+                    "is-exact": exactness.passed, "failing-clauses": failing,
+                    "inconsistency": False},
+    }
+    got = classify_exactness(monoid).to_dict()
+    del got["stats"]["wall-time"]
+    assert json.dumps(got, ensure_ascii=False) == json.dumps(want, ensure_ascii=False)
+
+
+@pytest.fixture()
+def enumerations(monkeypatch):
+    """Counts the Enumeration runs constructed while the test runs."""
+    count = [0]
+    init = invcat.core.Enumeration.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(invcat.core.Enumeration, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("command", ["axioms", "exactness"])
+def test_composite_command_is_one_run(runner, tmp_path, enumerations, command):
+    spec = write(tmp_path, "spec.json", PBIJ23_DOC)
+    result = runner.invoke(main, [command, "--spec", spec])
+    assert result.exit_code == 0, result.output
+    assert enumerations[0] == 1
+
+
+def test_classify_is_one_run(enumerations):
+    classify_exactness(cyclic_group(2))
+    assert enumerations[0] == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from invcat import (
+    Budget,
     MonoidAxiomError,
     TableShapeError,
     chain_semilattice,
@@ -142,17 +143,20 @@ def test_two_object_category_is_inverse(budget):
         assert report.passed, [c.clause_id for c in report.failures()]
 
 
+CLASSIFICATION_CORPUS = {
+    "trivial": lambda: cyclic_group(1),
+    "Z2": lambda: cyclic_group(2),
+    "Z3": lambda: cyclic_group(3),
+    "semilattice2": lambda: chain_semilattice(2),
+    "chain3": lambda: chain_semilattice(3),
+    "I1": lambda: symmetric_inverse_monoid(1),
+    "I2": lambda: symmetric_inverse_monoid(2),
+}
+
+
 def test_classification_corpus(budget):
-    corpus = {
-        "trivial": cyclic_group(1),
-        "Z2": cyclic_group(2),
-        "Z3": cyclic_group(3),
-        "semilattice2": chain_semilattice(2),
-        "chain3": chain_semilattice(3),
-        "I1": symmetric_inverse_monoid(1),
-        "I2": symmetric_inverse_monoid(2),
-    }
-    for name, monoid in corpus.items():
+    for name, make in CLASSIFICATION_CORPUS.items():
+        monoid = make()
         report = classify_exactness(monoid, budget)
         details = report.details
         assert details["is-exact"] == details["is-group"], name
@@ -193,3 +197,12 @@ def test_classify_flags_broken_axioms(budget):
     assert clause.status == FAIL
     assert clause.counterexample
     assert report.exit_code() == 1
+
+
+def test_classify_marks_sampled_verdicts():
+    # Budget(max_size=1) samples End(X): the verdicts rest on a sample, so
+    # they carry the flag and the report records the seed, as every other
+    # sampled report does
+    report = classify_exactness(cyclic_group(2), Budget(max_size=1))
+    assert [c.sampled for c in report.clauses] == [True, True]
+    assert report.seed == 0
