@@ -105,6 +105,13 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
 
 
+class Passed(int):
+    """Passed(n), in place of a case: n cases the caller checked in bulk and
+    found passing.  `run_clause` counts them and does not call `check`."""
+
+    __slots__ = ()
+
+
 def run_clause(
     clause_id: str,
     anchor: str,
@@ -119,6 +126,9 @@ def run_clause(
     checked = 0
     try:
         for case in cases:
+            if type(case) is Passed:
+                checked += case
+                continue
             checked += 1
             witness = check(case)
             if witness is not None:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,8 @@ from invcat import (
 )
 import invcat.core as core
 from invcat.core import ShapeMismatchError, morphism_sort_key
-from invcat.report import FAIL, PASS, SKIPPED, run_clause
+from invcat.report import FAIL, PASS, SKIPPED, Clause, Passed, run_clause
+from test_exactness import endomorphism_clones, involution_clones
 from test_golden import README_FIXTURE
 
 
@@ -310,6 +312,107 @@ def test_associativity_agrees_with_the_per_triple_check(budget):
                         clones += 1
                         failing += got.status == FAIL
     assert failing == clones > 100
+
+
+def _reference_antihomomorphism(cat, budget):
+    """The per-pair check, kept as the oracle: every composable pair in pool
+    order (objects a, b, c, then f: b→c, g: a→b), through cat.compose and
+    cat.involve."""
+    enum = Enumeration(cat, budget)
+    objs = cat.objects
+
+    def pairs():
+        for a in objs:
+            for b in objs:
+                for c in objs:
+                    for f in enum.pool(b, c):
+                        for g in enum.pool(a, b):
+                            yield f, g
+
+    def check(pair):
+        f, g = pair
+        left = cat.involve(cat.compose(f, g))
+        right = cat.compose(cat.involve(g), cat.involve(f))
+        if left != right:
+            return f"(f∘g)* ≠ g*∘f* for f={render_morphism(f)}, g={render_morphism(g)}"
+        return None
+
+    return run_clause("involution.antihomomorphism", "1", pairs(), check)
+
+
+def _verdict(clause):
+    return clause.status, clause.checked, clause.counterexample
+
+
+def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
+    # each category is checked twice: the first run starts from an empty
+    # table, the second reads what the first filled, so the block compares
+    # meet filled blocks that pass and filled blocks that fail
+    base = canonical_pbij_category((1, 2))
+    composition, involution = list(endomorphism_clones(base)), list(involution_clones(base))
+    assert (len(composition), len(involution)) == (53, 9)
+    cases = [(canonical_pbij_category(sizes), budget) for sizes in ((0, 1, 2), (1, 2))]
+    cases += [(cat, budget) for cat in composition + involution]
+    cases.append((canonical_pbij_category((0, 5)), Budget(max_size=4, sample=6, seed=3)))
+    failing = Counter()
+    for cat, run_budget in cases:
+        runs = [check_inverse_category(cat, run_budget) for _ in range(2)]
+        want = {
+            "category.associativity": _reference_associativity(cat, run_budget),
+            "involution.antihomomorphism": _reference_antihomomorphism(cat, run_budget),
+        }
+        for clause_id, clause in want.items():
+            for report in runs:
+                assert _verdict(report.clause(clause_id)) == _verdict(clause), (clause_id, cat)
+            failing[clause_id] += clause.status == FAIL
+    # the last category's pools were sampled
+    assert all(c.sampled for c in runs[0].clauses if c.status != SKIPPED)
+    # every composition clone breaks associativity and 44 of them the
+    # antihomomorphism law; every involution clone breaks the latter only
+    assert failing == {"category.associativity": 53, "involution.antihomomorphism": 44 + 9}
+
+
+def test_antihomomorphism_block_compare_reads_only_filled_entries(monkeypatch, budget):
+    # every involution is filled and no composite is: both sides of each
+    # block read as missing, which must not count as agreeing
+    real = core.run_clause
+
+    def antihomomorphism_only(clause_id, anchor, cases, check):
+        if clause_id == "involution.antihomomorphism":
+            return real(clause_id, anchor, cases, check)
+        return Clause(clause_id, anchor, SKIPPED)
+
+    monkeypatch.setattr(core, "run_clause", antihomomorphism_only)
+    clones = list(involution_clones(canonical_pbij_category((1, 2))))
+    for cat in clones:
+        for a in cat.objects:
+            for b in cat.objects:
+                for m in cat.hom(a, b):
+                    cat.involve(m)
+        assert cat.rows and not any(cat.rows)
+        got = check_inverse_category(cat, budget).clause("involution.antihomomorphism")
+        assert _verdict(got) == _verdict(_reference_antihomomorphism(cat, budget))
+        assert got.status == FAIL
+
+
+def test_block_compares_hand_a_warm_passing_category_over_as_passed_cases(monkeypatch, budget):
+    cat = canonical_pbij_category((0, 1, 2, 3))
+    check_inverse_category(cat, budget)
+    handed = {}
+    real = core.run_clause
+
+    def spy(clause_id, anchor, cases, check):
+        if clause_id in ("category.associativity", "involution.antihomomorphism"):
+            cases = handed[clause_id] = list(cases)
+        return real(clause_id, anchor, cases, check)
+
+    monkeypatch.setattr(core, "run_clause", spy)
+    report = check_inverse_category(cat, budget)
+    assert report.passed
+    for clause_id, total in (("category.associativity", 134_920), ("involution.antihomomorphism", 3_396)):
+        cases = handed[clause_id]
+        assert cases and all(type(case) is Passed for case in cases), clause_id
+        assert sum(cases) == report.clause(clause_id).checked == total
 
 
 def _cyclic3():

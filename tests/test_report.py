@@ -21,7 +21,7 @@ from invcat import (
     merge_reports,
 )
 from invcat.projections import AnnihilatorNotUniqueError
-from invcat.report import run_clause
+from invcat.report import Passed, run_clause
 
 
 def test_clause_requires_witness_exactly_on_fail():
@@ -101,6 +101,46 @@ def test_run_clause_reports_a_missing_construction():
     clause = run_clause("c", "1", cases(), lambda n: None)
     assert (clause.status, clause.checked) == (FAIL, 1)
     assert clause.counterexample == "the cases ran out of a construction"
+
+
+def test_run_clause_counts_passed_cases_without_checking_them():
+    seen = []
+
+    def check(case):
+        seen.append(case)
+        return None
+
+    clause = run_clause("c", "1", [Passed(4), Passed(1), Passed(7)], check)
+    assert (clause.status, clause.checked, seen) == (PASS, 12, [])
+    assert type(clause.checked) is int
+
+
+def test_run_clause_counts_passed_cases_before_a_witness():
+    seen = []
+
+    def check(case):
+        seen.append(case)
+        return "bad" if case == "w" else None
+
+    clause = run_clause("c", "1", [Passed(5), "ok", "ok", "w", Passed(3)], check)
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 8, "bad")
+    assert seen == ["ok", "ok", "w"]
+
+
+def test_run_clause_counts_passed_cases_before_a_missing_construction():
+    def cases():
+        yield Passed(6)
+        yield 1
+        raise MissingConstructionError("the cases ran out of a construction")
+
+    clause = run_clause("c", "1", cases(), lambda n: None)
+    assert (clause.status, clause.checked) == (FAIL, 7)
+
+    def check(n):
+        raise NotBaerStarError(f"no annihilator for {n}")
+
+    clause = run_clause("c", "1", [Passed(2), 3], check)
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 3, "no annihilator for 3")
 
 
 def test_missing_construction_family():
