@@ -127,7 +127,8 @@ def parse_spec(data) -> CategorySpec:
                 isinstance(sizes, list) and sizes, "all-pbij needs a non-empty list of sizes"
             )
             for n in sizes:
-                _require(isinstance(n, int) and 0 <= n, f"bad size {n!r}")
+                # JSON true and false load as bool, a subclass of int
+                _require(type(n) is int and 0 <= n, f"bad size {n!r}")
             gen = GeneratorSpec("all-pbij", sizes=tuple(sizes))
         else:
             gen = _cayley_table(raw, {"kind"})

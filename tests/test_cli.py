@@ -155,6 +155,14 @@ def test_eval_rejects_repeated_labels(runner, tmp_path, functor, projection):
     assert "given more than once" in result.output
 
 
+def test_boolean_size_is_invalid_input(runner, tmp_path):
+    spec = write(tmp_path, "spec.json", {"format-version": 1,
+                                         "generators": {"kind": "all-pbij", "sizes": [True, 2]}})
+    result = runner.invoke(main, ["axioms", "--spec", spec])
+    assert result.exit_code == 2, result.output
+    assert "bad size True" in result.output
+
+
 @pytest.mark.parametrize(
     "args,env",
     [
@@ -392,5 +400,10 @@ def test_composite_command_is_one_run(runner, tmp_path, enumerations, command):
 
 
 def test_classify_is_one_run(enumerations):
-    classify_exactness(cyclic_group(2))
+    # validating the Cayley table is a run of its own, on the one-object
+    # category, made before the count for classify starts
+    monoid = cyclic_group(2)
+    assert enumerations[0] == 1
+    enumerations[0] = 0
+    classify_exactness(monoid)
     assert enumerations[0] == 1

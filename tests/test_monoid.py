@@ -1,7 +1,11 @@
+import random
+from itertools import product
+
 import pytest
 
 from invcat import (
     Budget,
+    InverseMonoid,
     MonoidAxiomError,
     TableShapeError,
     chain_semilattice,
@@ -86,6 +90,108 @@ def test_axiom_violations_are_witnessed():
             ("1", "s", "ka", "kb"), square_table(("1", "s", "ka", "kb"), compose), "1"
         )
     assert err.value.violation == "non-unique-inverse"
+
+
+def reference_validate(elements, table, identity):
+    """The inverse-monoid axioms checked by loops of their own, on a
+    shape-checked table whose identity label is an element: the reference
+    for validate_inverse_monoid, which checks them through the
+    inverse-category clauses."""
+    tbl = dict(table)
+    for x in elements:
+        if tbl[(identity, x)] != x or tbl[(x, identity)] != x:
+            raise MonoidAxiomError(
+                "no-identity",
+                f"{identity}·{x} = {tbl[(identity, x)]} and {x}·{identity} = {tbl[(x, identity)]}",
+            )
+    for x in elements:
+        for y in elements:
+            xy = tbl[(x, y)]
+            for z in elements:
+                if tbl[(xy, z)] != tbl[(x, tbl[(y, z)])]:
+                    raise MonoidAxiomError(
+                        "non-associative",
+                        f"({x}·{y})·{z} = {tbl[(xy, z)]} but {x}·({y}·{z}) = {tbl[(x, tbl[(y, z)])]}",
+                    )
+    inverses = {}
+    for x in elements:
+        found = [
+            y
+            for y in elements
+            if tbl[(tbl[(x, y)], x)] == x and tbl[(tbl[(y, x)], y)] == y
+        ]
+        if len(found) != 1:
+            detail = (
+                f"{x} has no generalized inverse"
+                if not found
+                else f"{x} has {len(found)} generalized inverses, e.g. {found[0]} and {found[1]}"
+            )
+            raise MonoidAxiomError("non-unique-inverse", detail)
+        inverses[x] = found[0]
+    idempotents = tuple(x for x in elements if tbl[(x, x)] == x)
+    zero = next(
+        (z for z in elements if all(tbl[(z, x)] == z and tbl[(x, z)] == z for x in elements)),
+        None,
+    )
+    return InverseMonoid(tuple(elements), identity, tbl, inverses, idempotents, zero)
+
+
+def outcome(validate, elements, table, identity):
+    """The validated monoid, or the name of the violated axiom."""
+    try:
+        return validate(elements, table, identity)
+    except MonoidAxiomError as err:
+        return err.violation
+
+
+def with_identity(elements, product_of_others):
+    """The table on elements where "1" is a two-sided identity and each
+    other product, in row-major order, is product_of_others()."""
+    return square_table(
+        elements, lambda x, y: y if x == "1" else x if y == "1" else product_of_others()
+    )
+
+
+def agreement_corpus():
+    """(elements, table, identity): every 3-element table with a two-sided
+    identity, 400 seeded 4-element ones, every 2-element table under either
+    identity label, and the stock monoids."""
+    three = ("1", "a", "b")
+    for values in product(three, repeat=4):
+        yield three, with_identity(three, iter(values).__next__), "1"
+    four = ("1", "a", "b", "c")
+    rng = random.Random(15)
+    for _ in range(400):
+        yield four, with_identity(four, lambda: rng.choice(four)), "1"
+    two = ("0", "1")
+    for values in product(two, repeat=4):
+        for identity in two:
+            yield two, dict(zip(product(two, repeat=2), values)), identity
+    for monoid in (cyclic_group(4), chain_semilattice(3), symmetric_inverse_monoid(2)):
+        yield monoid.elements, monoid.table, monoid.identity
+
+
+def test_validation_agrees_with_the_reference_loops():
+    seen = set()
+    for elements, table, identity in agreement_corpus():
+        got = outcome(validate_inverse_monoid, elements, table, identity)
+        want = outcome(reference_validate, elements, table, identity)
+        assert got == want, (elements, table, identity)
+        seen.add(got if isinstance(got, str) else "valid")
+    assert seen == {"valid", "no-identity", "non-associative", "non-unique-inverse"}
+
+
+def test_validation_never_samples():
+    # Z/210 has more elements than the default budget enumerates, which
+    # would sample End(X) and could pass a broken table
+    labels = [str(k) for k in range(210)]
+    assert len(labels) > Budget().homset_limit
+    table = {(x, y): str((int(x) + int(y)) % 210) for x in labels for y in labels}
+    assert validate_inverse_monoid(labels, table, "0").inverse("1") == "209"
+    table[("5", "7")] = "3"
+    with pytest.raises(MonoidAxiomError) as err:
+        validate_inverse_monoid(labels, table, "0")
+    assert err.value.violation == "non-associative"
 
 
 def test_stock_monoids():

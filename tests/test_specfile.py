@@ -97,6 +97,10 @@ def test_generator_docs():
     assert spec.generators == GeneratorSpec("all-pbij", sizes=(0, 2))
     with pytest.raises(SpecFormatError):
         parse_spec({"format-version": 1, "generators": {"kind": "all-pbij", "sizes": []}})
+    for flag in (True, False):  # JSON booleans are not sizes
+        with pytest.raises(SpecFormatError):
+            parse_spec({"format-version": 1,
+                        "generators": {"kind": "all-pbij", "sizes": [flag, 2]}})
     with pytest.raises(SpecFormatError):
         parse_spec({"format-version": 1, "generators": {"kind": "wat"}})
     mono = parse_spec({
