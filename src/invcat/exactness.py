@@ -152,45 +152,37 @@ def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumera
     otherwise the first enumerated mono with the universal property.  With
     `certify` the universal property is verified by enumeration either way.
     """
-    enum = enum if enum is not None else Enumeration(cat)
-    u = cat._kernel(f)
-    if u is not None:
-        if certify:
-            witness = kernel_witness(cat, f, u, enum)
-            if witness is not None:
-                raise NoKernelError(f, witness)
-        return u
-    for w in cat.objects:
-        for u in enum.pool(w, f.dom):
-            if not is_mono(cat, u):
-                continue
-            if not cat.is_zero(cat.compose(f, u)):
-                continue
-            if kernel_witness(cat, f, u, enum) is None:
-                return u
-    raise NoKernelError(f, "no enumerated mono has the universal property")
+    return _universal(cat, f, certify, enum, left=True)
 
 
 def cokernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
     """The canonical cokernel: the model's closed form when it has one,
     otherwise the first enumerated epi with the universal property."""
+    return _universal(cat, f, certify, enum, left=False)
+
+
+def _universal(cat: FiniteCategory, f: Morphism, certify: bool, enum: Enumeration | None, left: bool) -> Morphism:
+    """The kernel of f (left) or its cokernel: the closed form, checked when
+    `certify`, else the first mono u: w → dom f with f∘u = 0 (epi q: cod f → w
+    with q∘f = 0) that passes the witness, visiting w, then pool order."""
     enum = enum if enum is not None else Enumeration(cat)
-    q = cat._cokernel(f)
-    if q is not None:
+    witness_of, error = (kernel_witness, NoKernelError) if left else (cokernel_witness, NoCokernelError)
+    u = cat._kernel(f) if left else cat._cokernel(f)
+    if u is not None:
         if certify:
-            witness = cokernel_witness(cat, f, q, enum)
+            witness = witness_of(cat, f, u, enum)
             if witness is not None:
-                raise NoCokernelError(f, witness)
-        return q
+                raise error(f, witness)
+        return u
     for w in cat.objects:
-        for q in enum.pool(f.cod, w):
-            if not is_epi(cat, q):
+        for u in enum.pool(w, f.dom) if left else enum.pool(f.cod, w):
+            if not (is_mono(cat, u) if left else is_epi(cat, u)):
                 continue
-            if not cat.is_zero(cat.compose(q, f)):
+            if not cat.is_zero(cat.compose(f, u) if left else cat.compose(u, f)):
                 continue
-            if cokernel_witness(cat, f, q, enum) is None:
-                return q
-    raise NoCokernelError(f, "no enumerated epi has the universal property")
+            if witness_of(cat, f, u, enum) is None:
+                return u
+    raise error(f, f"no enumerated {'mono' if left else 'epi'} has the universal property")
 
 
 # ---- factorization -------------------------------------------------------
@@ -308,8 +300,9 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
 
     Works on morphism ids.  For each object w the mediator counts
     of (left, top), the fibres of x ↦ bottom∘x and the list of (y, right∘y)
-    are built once per run, so squares sharing a leg share its tables.
-    Cones are visited y first, then x, each in hom order."""
+    are built once per run, all as ids, so squares sharing a leg share its
+    tables.  Cones are visited y first, then x, each in hom order; a failing
+    cone's x and y are rendered from their hom-sets, by position."""
     enum = enum if enum is not None else Enumeration(cat)
     left, top = cat.intern(square.left), cat.intern(square.top)
     right, bottom = cat.intern(square.right), cat.intern(square.bottom)
@@ -321,10 +314,12 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
     for w in cat.objects:
         mediators = enum.cached(_mediator_counts, (left, top, w))
         fibres = enum.cached(_fibres, (bottom, w))
-        for y, yi, z in enum.cached(_legs, (right, w)):
-            for x, xi in fibres.get(z, ()):
+        for k, (yi, z) in enumerate(enum.cached(_legs, (right, w))):
+            for xi in fibres.get(z, ()):
                 count = mediators.get((xi, yi), 0)
                 if count != 1:
+                    a, b = square.bottom.dom, square.right.dom
+                    x, y = cat.hom(w, a)[cat.hom_ids(w, a).index(xi)], cat.hom(w, b)[k]
                     return (
                         f"cone x = {render_morphism(x)}, y = {render_morphism(y)} "
                         f"has {count} mediating morphisms"
@@ -340,22 +335,20 @@ def _mediator_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
 
 
 def _fibres(cat: FiniteCategory, key, enum: Enumeration) -> dict:
-    """The x: w → dom(bottom), as (x, id of x), grouped by the id of bottom∘x."""
+    """The ids of the x: w → dom(bottom), in hom order, grouped by the id of bottom∘x."""
     bottom, w = key
-    d = cat.morphisms_by_id[bottom].dom
-    xs = cat.hom_ids(w, d)
+    xs = cat.hom_ids(w, cat.morphisms_by_id[bottom].dom)
     out: dict = {}
-    for x, xi, z in zip(cat.hom(w, d), xs, cat.compose_ids(bottom, xs)):
-        out.setdefault(z, []).append((x, xi))
+    for xi, z in zip(xs, cat.compose_ids(bottom, xs)):
+        out.setdefault(z, []).append(xi)
     return out
 
 
 def _legs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
-    """(y, id of y, id of right∘y) for every y: w → dom(right), in hom order."""
+    """(id of y, id of right∘y) for every y: w → dom(right), in hom order."""
     right, w = key
-    d = cat.morphisms_by_id[right].dom
-    ys = cat.hom_ids(w, d)
-    return tuple(zip(cat.hom(w, d), ys, cat.compose_ids(right, ys)))
+    ys = cat.hom_ids(w, cat.morphisms_by_id[right].dom)
+    return tuple(zip(ys, cat.compose_ids(right, ys)))
 
 
 def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:

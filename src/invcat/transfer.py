@@ -13,7 +13,7 @@ biconditionals, the complement identity tying P'' to P', and functoriality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (
@@ -120,26 +120,12 @@ def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: En
     return annihilator(cat, once.morphism, enum)
 
 
-def _apply(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
-    """kind(f)(p), computed once per run; a raised error is not cached."""
-    return enum.cached(_transfer_value, (kind, f, p))
-
-
-def _transfer_value(cat: FiniteCategory, key, enum: Enumeration) -> Projection:
-    """The one place that picks the map for a transfer kind."""
-    kind, f, p = key
-    if kind is TransferKind.IMAGE:
-        return apply_P(cat, f, p)
-    if kind is TransferKind.INVERSE_IMAGE:
-        return apply_Pprime(cat, f, p, enum)
-    return apply_Pdoubleprime(cat, f, p, enum)
-
-
 class _TransferRow(dict):
-    """kind(f) on morphism ids: the id of a projection p maps to
-    the id of kind(f)(p).  A projection's id is its morphism's id, since
-    p.obj is dom(p.morphism).  A missing entry is filled once, through
-    _apply; an entry whose computation raises is not stored."""
+    """kind(f) on morphism ids, the one store of transfer values: the id of
+    a projection p maps to the id of kind(f)(p).  A projection's id is its
+    morphism's id, since p.obj is dom(p.morphism).  A missing entry is
+    filled once, by the one dispatch over P, P′ and P″; an entry whose
+    computation raises is not stored."""
 
     __slots__ = ("kind", "f", "enum")
 
@@ -148,10 +134,15 @@ class _TransferRow(dict):
         self.kind, self.f, self.enum = kind, f, enum
 
     def __missing__(self, p: int) -> int:
-        enum = self.enum
-        cat = enum.cat
+        cat = self.enum.cat
         m = cat.morphisms_by_id[p]
-        moved = _apply(cat, self.kind, self.f, Projection(m.dom, m), enum)
+        j = Projection(m.dom, m)
+        if self.kind is TransferKind.IMAGE:
+            moved = apply_P(cat, self.f, j)
+        elif self.kind is TransferKind.INVERSE_IMAGE:
+            moved = apply_Pprime(cat, self.f, j, self.enum)
+        else:
+            moved = apply_Pdoubleprime(cat, self.f, j, self.enum)
         q = self[p] = cat.intern(moved.morphism)
         return q
 
@@ -164,6 +155,12 @@ def _transfer_row(cat: FiniteCategory, key, enum: Enumeration) -> _TransferRow:
 def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
     """The row of kind(f), for the morphism with id f, kept once per run."""
     return enum.cached(_transfer_row, (kind, f))
+
+
+def _apply(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
+    """kind(f)(p) as a Projection, read from the row of kind(f)."""
+    m = cat.morphisms_by_id[_row(enum, kind, cat.intern(f))[cat.intern(p.morphism)]]
+    return Projection(m.dom, m)
 
 
 def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
@@ -180,35 +177,44 @@ def _target(kind: TransferKind, f: Morphism):
     return f.cod if kind is TransferKind.IMAGE else f.dom
 
 
+def _row_and_source(enum: Enumeration, kind: TransferKind, f: Morphism) -> tuple:
+    """The row of kind(f) and (p, id of p) for its source lattice."""
+    return _row(enum, kind, enum.cat.intern(f)), enum.cached(_projection_ids, _source(kind, f))
+
+
 # ---- explicit tables -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TransferMap:
-    """One transfer map materialized as a finite table over its source lattice."""
+    """One transfer map as a finite table over its source lattice: `values`
+    holds the id of kind(f)(p) for each p in source order, read from the
+    run's row of kind(f)."""
 
     kind: TransferKind
     morphism: Morphism
     source: ProjectionLattice
     target: ProjectionLattice
-    table: dict
+    values: tuple[int, ...]
+    cat: FiniteCategory = field(compare=False, repr=False)
 
     def apply(self, p: Projection) -> Projection:
-        return self.table[p]
+        m = self.cat.morphisms_by_id[self.values[self.source.elements.index(p)]]
+        return Projection(m.dom, m)
 
     def is_injective(self) -> bool:
-        return len(set(self.table.values())) == len(self.table)
+        return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
-        return set(self.table.values()) >= set(self.target.elements)
+        return set(self.values) >= {self.cat.intern(p.morphism) for p in self.target.elements}
 
 
 def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
     enum = enum if enum is not None else Enumeration(cat)
     source = lattice_on(enum, _source(kind, f))
     target = lattice_on(enum, _target(kind, f))
-    table = {p: _apply(cat, kind, f, p, enum) for p in source.elements}
-    return TransferMap(kind, f, source, target, table)
+    row, source_ids = _row_and_source(enum, kind, f)
+    return TransferMap(kind, f, source, target, tuple(row[i] for _, i in source_ids), cat)
 
 
 # ---- subobject transfer ----------------------------------------------------
@@ -218,11 +224,10 @@ def _monos_into(cat: FiniteCategory, b, enum: Enumeration) -> tuple[Morphism, ..
     return tuple(s for s in enum.morphisms_into(b) if is_mono(cat, s))
 
 
-def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple:
-    """(s, id of s∘s*) for every enumerated mono s into b."""
+def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple[int, ...]:
+    """The id of s∘s* for every enumerated mono s into b, in _monos_into order."""
     return tuple(
-        (s, cat.compose_id(cat.intern(s), cat.intern(cat.involve(s))))
-        for s in enum.cached(_monos_into, b)
+        cat.compose_id(cat.intern(s), cat.intern(cat.involve(s))) for s in enum.cached(_monos_into, b)
     )
 
 
@@ -257,7 +262,7 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
     if cat.compose(pp, fu) != fu:
         return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
     fu_id, p_id, compose_id = cat.intern(fu), cat.intern(p), cat.compose_id
-    for s, ss in enum.cached(_mono_projections, f.cod):
+    for s, ss in zip(enum.cached(_monos_into, f.cod), enum.cached(_mono_projections, f.cod)):
         if compose_id(ss, fu_id) == fu_id and compose_id(ss, p_id) != p_id:
             return (
                 f"f∘u = {render_morphism(fu)} factors through {render_morphism(s)} "
@@ -328,16 +333,13 @@ def image_smallest_subobject_clauses(enum: Enumeration) -> list[Clause]:
 def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
-    def table(f):
-        return transfer_table(cat, TransferKind.IMAGE, f, enum)
-
     def preserves_mono(f: Morphism):
-        if is_mono(cat, f) and not table(f).is_injective():
+        if is_mono(cat, f) and not transfer_table(cat, TransferKind.IMAGE, f, enum).is_injective():
             return f"f = {render_morphism(f)} is mono but its image map is not injective"
         return None
 
     def preserves_epi(f: Morphism):
-        if is_epi(cat, f) and not table(f).is_surjective():
+        if is_epi(cat, f) and not transfer_table(cat, TransferKind.IMAGE, f, enum).is_surjective():
             return f"f = {render_morphism(f)} is epi but its image map is not surjective"
         return None
 
@@ -371,11 +373,8 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
     cat = enum.cat
     compose_id = cat.compose_id
 
-    def row_and_source(f: Morphism):
-        return _row(enum, kind, cat.intern(f)), enum.cached(_projection_ids, _source(kind, f))
-
     def meets(f: Morphism):
-        row, source = row_and_source(f)
+        row, source = _row_and_source(enum, kind, f)
         for i, ii in source:
             fi = row[ii]
             for j, ji in source:
@@ -387,7 +386,7 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
         return None
 
     def order(f: Morphism):
-        row, source = row_and_source(f)
+        row, source = _row_and_source(enum, kind, f)
         for i, ii in source:
             for j, ji in source:
                 if compose_id(ii, ji) != ii:
@@ -409,23 +408,26 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
 
 def image_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
+    compose_id = cat.compose_id
     clauses = _semilattice_map_clauses(enum, TransferKind.IMAGE, ("2.3.i", "2.3.ii"))
 
     def bounded(f: Morphism):
-        ff = cat.compose(f, cat.involve(f))
-        for i in lattice_on(enum, f.dom).elements:
-            moved = _apply(cat, TransferKind.IMAGE, f, i, enum).morphism
-            if cat.compose(moved, ff) != moved:
+        ff = cat.intern(cat.compose(f, cat.involve(f)))
+        row, source = _row_and_source(enum, TransferKind.IMAGE, f)
+        for i, ii in source:
+            moved = row[ii]
+            if compose_id(moved, ff) != moved:
                 return f"P(f)(i) ≰ f∘f* for f = {render_morphism(f)}, i = {render_morphism(i.morphism)}"
         return None
 
     def saturation(f: Morphism):
-        dom_proj = cat.compose(cat.involve(f), f)
-        ff = cat.compose(f, cat.involve(f))
-        for i in lattice_on(enum, f.dom).elements:
-            if cat.compose(dom_proj, i.morphism) != dom_proj:
+        dom_proj = cat.intern(cat.compose(cat.involve(f), f))
+        ff = cat.intern(cat.compose(f, cat.involve(f)))
+        row, source = _row_and_source(enum, TransferKind.IMAGE, f)
+        for i, ii in source:
+            if compose_id(dom_proj, ii) != dom_proj:
                 continue
-            if _apply(cat, TransferKind.IMAGE, f, i, enum).morphism != ff:
+            if row[ii] != ff:
                 return (
                     f"i ≥ f*∘f but P(f)(i) ≠ f∘f* for f = {render_morphism(f)}, "
                     f"i = {render_morphism(i.morphism)}"
@@ -508,23 +510,26 @@ def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
 
 def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
+    compose_id = cat.compose_id
     clauses = _semilattice_map_clauses(enum, TransferKind.INVERSE_IMAGE, ("3.4.i", "3.4.ii"))
 
     def bounded_below(f: Morphism):
-        ann = annihilator(cat, f, enum).morphism
-        for j in lattice_on(enum, f.cod).elements:
-            moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum).morphism
-            if cat.compose(ann, moved) != ann:
+        ann = cat.intern(annihilator(cat, f, enum).morphism)
+        row, source = _row_and_source(enum, TransferKind.INVERSE_IMAGE, f)
+        for j, ji in source:
+            moved = row[ji]
+            if compose_id(ann, moved) != ann:
                 return f"P'(f)(j) ≱ f′ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
         return None
 
     def saturation_to_top(f: Morphism):
-        ff = cat.compose(f, cat.involve(f))
-        one = top(cat, f.dom)
-        for j in lattice_on(enum, f.cod).elements:
-            if cat.compose(ff, j.morphism) != ff:
+        ff = cat.intern(cat.compose(f, cat.involve(f)))
+        one = cat.intern(cat.identity(f.dom))
+        row, source = _row_and_source(enum, TransferKind.INVERSE_IMAGE, f)
+        for j, ji in source:
+            if compose_id(ff, ji) != ff:
                 continue
-            if _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum) != one:
+            if row[ji] != one:
                 return (
                     f"j ≥ f∘f* but P'(f)(j) ≠ 1 for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -541,8 +546,8 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
 
     def mono_match(f: Morphism):
         same = (
-            transfer_table(cat, TransferKind.INVERSE_IMAGE, f, enum).table
-            == transfer_table(cat, TransferKind.IMAGE, cat.involve(f), enum).table
+            transfer_table(cat, TransferKind.INVERSE_IMAGE, f, enum).values
+            == transfer_table(cat, TransferKind.IMAGE, cat.involve(f), enum).values
         )
         if same != is_mono(cat, f):
             return (
@@ -553,8 +558,8 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
 
     def epi_match(f: Morphism):
         same = (
-            transfer_table(cat, TransferKind.IMAGE, f, enum).table
-            == transfer_table(cat, TransferKind.INVERSE_IMAGE, cat.involve(f), enum).table
+            transfer_table(cat, TransferKind.IMAGE, f, enum).values
+            == transfer_table(cat, TransferKind.INVERSE_IMAGE, cat.involve(f), enum).values
         )
         if same != is_epi(cat, f):
             return (
@@ -564,15 +569,15 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def triple_identities(f: Morphism):
-        for i in lattice_on(enum, f.dom).elements:
-            fi = _apply(cat, TransferKind.IMAGE, f, i, enum)
-            back = _apply(cat, TransferKind.INVERSE_IMAGE, f, fi, enum)
-            if _apply(cat, TransferKind.IMAGE, f, back, enum) != fi:
+        fid = cat.intern(f)
+        image, prime = _row(enum, TransferKind.IMAGE, fid), _row(enum, TransferKind.INVERSE_IMAGE, fid)
+        for i, ii in enum.cached(_projection_ids, f.dom):
+            fi = image[ii]
+            if image[prime[fi]] != fi:
                 return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i.morphism)} for f = {render_morphism(f)}"
-        for j in lattice_on(enum, f.cod).elements:
-            fj = _apply(cat, TransferKind.INVERSE_IMAGE, f, j, enum)
-            back = _apply(cat, TransferKind.IMAGE, f, fj, enum)
-            if _apply(cat, TransferKind.INVERSE_IMAGE, f, back, enum) != fj:
+        for j, ji in enum.cached(_projection_ids, f.cod):
+            fj = prime[ji]
+            if prime[image[fj]] != fj:
                 return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j.morphism)} for f = {render_morphism(f)}"
         return None
 
@@ -611,23 +616,26 @@ def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
 
 def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
+    compose_id = cat.compose_id
     clauses = _semilattice_map_clauses(enum, TransferKind.STRICT_PREIMAGE, ("4.2.v", "4.2.vi"))
 
     def bounded_above(f: Morphism):
-        double = annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism
-        for j in lattice_on(enum, f.cod).elements:
-            moved = _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum).morphism
-            if cat.compose(moved, double) != moved:
+        double = cat.intern(annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism)
+        row, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
+        for j, ji in source:
+            moved = row[ji]
+            if compose_id(moved, double) != moved:
                 return f"P''(f)(j) ≰ f″ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
         return None
 
     def annihilated_below(f: Morphism):
-        co = annihilator(cat, cat.involve(f), enum).morphism
-        zero = bottom(cat, f.dom)
-        for j in lattice_on(enum, f.cod).elements:
-            if cat.compose(j.morphism, co) != j.morphism:
+        co = cat.intern(annihilator(cat, cat.involve(f), enum).morphism)
+        zero = cat.zero_id(f.dom, f.dom)
+        row, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
+        for j, ji in source:
+            if compose_id(ji, co) != ji:
                 continue
-            if _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum) != zero:
+            if row[ji] != zero:
                 return (
                     f"j ≤ (f*)′ but P''(f)(j) ≠ 0 for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -643,11 +651,12 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
     def complement_identity(f: Morphism):
-        for j in lattice_on(enum, f.cod).elements:
-            j_ann = annihilator(cat, j.morphism, enum)
-            moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, j_ann, enum)
-            via = annihilator(cat, moved.morphism, enum)
-            if _apply(cat, TransferKind.STRICT_PREIMAGE, f, j, enum) != via:
+        prime = _row(enum, TransferKind.INVERSE_IMAGE, cat.intern(f))
+        double, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
+        for j, ji in source:
+            j_ann = annihilator(cat, j.morphism, enum).morphism
+            via = annihilator(cat, cat.morphisms_by_id[prime[cat.intern(j_ann)]], enum).morphism
+            if double[ji] != cat.intern(via):
                 return (
                     f"P''(f)(j) ≠ (P'(f)(j′))′ for f = {render_morphism(f)}, "
                     f"j = {render_morphism(j.morphism)}"
@@ -714,13 +723,10 @@ def functoriality_clauses_for(kind: TransferKind):
     def group(enum: Enumeration) -> list[Clause]:
         cat = enum.cat
 
-        def fn(f: Morphism, p: Projection) -> Projection:
-            return _apply(cat, kind, f, p, enum)
-
         def identity_law(a):
-            ida = cat.identity(a)
-            for p in lattice_on(enum, a).elements:
-                if fn(ida, p) != p:
+            row = _row(enum, kind, cat.intern(cat.identity(a)))
+            for p, pi in enum.cached(_projection_ids, a):
+                if row[pi] != pi:
                     return (
                         f"{kind.value}(id) moves {render_morphism(p.morphism)} "
                         f"on {render_object(a)}"
@@ -804,8 +810,8 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def definitional(kind: TransferKind, f: Morphism, p: Projection) -> Projection:
-        # the definitions, by composition and search, never through _apply or
-        # the _annihilator hook, so that agreement with the fast path means something
+        # the definitions, by composition and search, never through the transfer
+        # rows or the _annihilator hook, so that agreement with the fast path means something
         if kind is TransferKind.IMAGE:
             return Projection(f.cod, cat.compose(cat.compose(f, p.morphism), cat.involve(f)))
         if kind is TransferKind.INVERSE_IMAGE:

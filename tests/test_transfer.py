@@ -26,10 +26,10 @@ from invcat import (
     transfer_table,
     two_object_category,
 )
-from invcat.exactness import NotMonoError
+from invcat.exactness import NotMonoError, is_epi, is_mono
 from invcat.pbij import image_labels, projection_labels
 from invcat.exactness import NoFactorizationError, NonCommutingSquareError
-from invcat.projections import AnnihilatorNotFoundError, NotBaerStarError, bottom, lattice_on, top
+from invcat.projections import AnnihilatorNotFoundError, NotBaerStarError, annihilator, bottom, lattice_on, top
 import invcat.transfer as transfer_module
 from invcat.transfer import (
     _KIND_NAMES,
@@ -44,9 +44,10 @@ from invcat.transfer import (
     square_for_inverse_image,
     transfer,
 )
-from invcat.core import InvcatError, Projection, build_report
+from invcat.core import InvcatError, Projection, build_report, render_object
 from invcat.report import FAIL, run_clause
 from test_exactness import endomorphism_clones, reference_pullback_witness
+from test_golden import CATEGORIES as GOLDEN_CATEGORIES
 from test_golden import CLONES, NOT_BAER_STAR
 from test_golden import _clone as _golden_clone
 
@@ -236,29 +237,59 @@ def test_transfer_errors_are_not_cached(budget, monkeypatch):
 
 # ---- the id-level laws against their Projection-level definitions -----------
 #
-# The library checks the composition, meet and order laws, the smallest
-# subobject and the pullback property on per-run morphism ids and transfer
-# rows; these are the Projection-level bodies they must agree with, clause
-# for clause.
+# The library checks every law that reads a whole lattice or a whole transfer
+# map, the smallest subobject and the pullback property on per-run morphism
+# ids and transfer rows; these are the Projection-level bodies they must agree
+# with, clause for clause, each transfer value computed by apply_P,
+# apply_Pprime or apply_Pdoubleprime directly.
+
+P, P1, P2 = TransferKind.IMAGE, TransferKind.INVERSE_IMAGE, TransferKind.STRICT_PREIMAGE
 
 
 def _reference_law_clauses(cat, budget):
     enum = Enumeration(cat, budget)
+    values = {}
+
+    def fn(kind, f, p):
+        # kind(f)(p) by definition, kept once per run; a raised error is not kept
+        key = (kind, f, p)
+        if key not in values:
+            if kind is P:
+                values[key] = apply_P(cat, f, p)
+            elif kind is P1:
+                values[key] = apply_Pprime(cat, f, p, enum)
+            else:
+                values[key] = apply_Pdoubleprime(cat, f, p, enum)
+        return values[key]
+
+    def lattice(a):
+        return lattice_on(enum, a).elements
+
+    def table(kind, f):
+        # kind(f) as a dict from its source lattice to Projections, and its target
+        source, target = lattice(_source(kind, f)), lattice(f.cod if kind is P else f.dom)
+        return {p: fn(kind, f, p) for p in source}, target
+
+    def injective(kind, f):
+        t, _ = table(kind, f)
+        return len(set(t.values())) == len(t)
+
+    def surjective(kind, f):
+        t, target = table(kind, f)
+        return set(t.values()) >= set(target)
+
     clauses = []
     for kind in TransferKind:
         prefix, anchor, _ = _KIND_NAMES[kind]
 
-        def fn(f, p, kind=kind):
-            return _apply(cat, kind, f, p, enum)
-
-        def meets(f, kind=kind, fn=fn):
-            lat = lattice_on(enum, _source(kind, f))
-            for i in lat.elements:
-                fi = fn(f, i)
-                for j in lat.elements:
+        def meets(f, kind=kind):
+            lat = lattice(_source(kind, f))
+            for i in lat:
+                fi = fn(kind, f, i)
+                for j in lat:
                     met = Projection(i.obj, cat.compose(i.morphism, j.morphism))
-                    left = fn(f, met)
-                    right = Projection(fi.obj, cat.compose(fi.morphism, fn(f, j).morphism))
+                    left = fn(kind, f, met)
+                    right = Projection(fi.obj, cat.compose(fi.morphism, fn(kind, f, j).morphism))
                     if left != right:
                         return (
                             f"meet not preserved by {kind.value}(f) for f = {render_morphism(f)}, "
@@ -266,13 +297,13 @@ def _reference_law_clauses(cat, budget):
                         )
             return None
 
-        def order(f, kind=kind, fn=fn):
-            lat = lattice_on(enum, _source(kind, f))
-            for i in lat.elements:
-                for j in lat.elements:
+        def order(f, kind=kind):
+            lat = lattice(_source(kind, f))
+            for i in lat:
+                for j in lat:
                     if cat.compose(i.morphism, j.morphism) != i.morphism:
                         continue
-                    fi, fj = fn(f, i), fn(f, j)
+                    fi, fj = fn(kind, f, i), fn(kind, f, j)
                     if cat.compose(fi.morphism, fj.morphism) != fi.morphism:
                         return (
                             f"i ≤ j but {kind.value}(f)(i) ≰ {kind.value}(f)(j) for "
@@ -281,17 +312,24 @@ def _reference_law_clauses(cat, budget):
                         )
             return None
 
-        if kind is TransferKind.IMAGE:
+        def identity_law(a, kind=kind):
+            ida = cat.identity(a)
+            for p in lattice(a):
+                if fn(kind, ida, p) != p:
+                    return f"{kind.value}(id) moves {render_morphism(p.morphism)} on {render_object(a)}"
+            return None
+
+        if kind is P:
             law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
         else:
             law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
 
-        def composition_law(pair, kind=kind, fn=fn, law=law):
+        def composition_law(pair, kind=kind, law=law):
             f, g = pair
             fg = cat.compose(f, g)
-            first, then = (g, f) if kind is TransferKind.IMAGE else (f, g)
-            for p in lattice_on(enum, _source(kind, fg)).elements:
-                if fn(fg, p) != fn(then, fn(first, p)):
+            first, then = (g, f) if kind is P else (f, g)
+            for p in lattice(_source(kind, fg)):
+                if fn(kind, fg, p) != fn(kind, then, fn(kind, first, p)):
                     return (
                         f"{law} = {render_morphism(p.morphism)} for f = {render_morphism(f)}, "
                         f"g = {render_morphism(g)}"
@@ -301,8 +339,134 @@ def _reference_law_clauses(cat, budget):
         clauses += [
             run_clause(f"{prefix}.meet-homomorphism", "", enum.morphisms(), meets),
             run_clause(f"{prefix}.order-preserving", "", enum.morphisms(), order),
+            run_clause(f"functor.{prefix}.identity", anchor, cat.objects, identity_law),
             run_clause(f"functor.{prefix}.composition", anchor, enum.composable_pairs(), composition_law),
         ]
+
+    for kind in (P1, P2):
+        prefix, _, noun = _KIND_NAMES[kind]
+
+        def injective_iff_epi(f, kind=kind, noun=noun):
+            inj, epi = injective(kind, f), is_epi(cat, f)
+            if inj != epi:
+                return (
+                    f"{noun} map of f = {render_morphism(f)} is "
+                    f"{'injective' if inj else 'not injective'} but f is {'epi' if epi else 'not epi'}"
+                )
+            return None
+
+        def surjective_iff_mono(f, kind=kind, noun=noun):
+            surj, mono = surjective(kind, f), is_mono(cat, f)
+            if surj != mono:
+                return (
+                    f"{noun} map of f = {render_morphism(f)} is "
+                    f"{'surjective' if surj else 'not surjective'} but f is {'mono' if mono else 'not mono'}"
+                )
+            return None
+
+        clauses += [
+            run_clause(f"{prefix}.injective-iff-epi", "", enum.morphisms(), injective_iff_epi),
+            run_clause(f"{prefix}.surjective-iff-mono", "", enum.morphisms(), surjective_iff_mono),
+        ]
+
+    def preserves_mono(f):
+        if is_mono(cat, f) and not injective(P, f):
+            return f"f = {render_morphism(f)} is mono but its image map is not injective"
+        return None
+
+    def preserves_epi(f):
+        if is_epi(cat, f) and not surjective(P, f):
+            return f"f = {render_morphism(f)} is epi but its image map is not surjective"
+        return None
+
+    def mono_match(f):
+        same = table(P1, f)[0] == table(P, cat.involve(f))[0]
+        if same != is_mono(cat, f):
+            return (
+                f"P'(f) {'=' if same else '≠'} P(f*) but f is "
+                f"{'mono' if is_mono(cat, f) else 'not mono'} for f = {render_morphism(f)}"
+            )
+        return None
+
+    def epi_match(f):
+        same = table(P, f)[0] == table(P1, cat.involve(f))[0]
+        if same != is_epi(cat, f):
+            return (
+                f"P(f) {'=' if same else '≠'} P'(f*) but f is "
+                f"{'epi' if is_epi(cat, f) else 'not epi'} for f = {render_morphism(f)}"
+            )
+        return None
+
+    def triple_identities(f):
+        for i in lattice(f.dom):
+            fi = fn(P, f, i)
+            if fn(P, f, fn(P1, f, fi)) != fi:
+                return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i.morphism)} for f = {render_morphism(f)}"
+        for j in lattice(f.cod):
+            fj = fn(P1, f, j)
+            if fn(P1, f, fn(P, f, fj)) != fj:
+                return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j.morphism)} for f = {render_morphism(f)}"
+        return None
+
+    def complement_identity(f):
+        for j in lattice(f.cod):
+            moved = fn(P1, f, annihilator(cat, j.morphism, enum))
+            if fn(P2, f, j) != annihilator(cat, moved.morphism, enum):
+                return f"P''(f)(j) ≠ (P'(f)(j′))′ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
+        return None
+
+    def equivalence_mono_epi(f):
+        if injective(P1, f) != injective(P2, f):
+            return f"P'(f) and P''(f) disagree on injectivity for f = {render_morphism(f)}"
+        if surjective(P1, f) != surjective(P2, f):
+            return f"P'(f) and P''(f) disagree on surjectivity for f = {render_morphism(f)}"
+        return None
+
+    # the bound and saturation laws of 2.3, 3.4 and 4.2
+    def bounded(f):
+        ff = cat.compose(f, cat.involve(f))
+        for i in lattice(f.dom):
+            moved = fn(P, f, i).morphism
+            if cat.compose(moved, ff) != moved:
+                return f"P(f)(i) ≰ f∘f* for f = {render_morphism(f)}, i = {render_morphism(i.morphism)}"
+        return None
+
+    def saturation(f):
+        dom_proj, ff = cat.compose(cat.involve(f), f), cat.compose(f, cat.involve(f))
+        for i in lattice(f.dom):
+            if cat.compose(dom_proj, i.morphism) == dom_proj and fn(P, f, i).morphism != ff:
+                return f"i ≥ f*∘f but P(f)(i) ≠ f∘f* for f = {render_morphism(f)}, i = {render_morphism(i.morphism)}"
+        return None
+
+    def bounded_below(f):
+        ann = annihilator(cat, f, enum).morphism
+        for j in lattice(f.cod):
+            moved = fn(P1, f, j).morphism
+            if cat.compose(ann, moved) != ann:
+                return f"P'(f)(j) ≱ f′ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
+        return None
+
+    def saturation_to_top(f):
+        ff, one = cat.compose(f, cat.involve(f)), top(cat, f.dom)
+        for j in lattice(f.cod):
+            if cat.compose(ff, j.morphism) == ff and fn(P1, f, j) != one:
+                return f"j ≥ f∘f* but P'(f)(j) ≠ 1 for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
+        return None
+
+    def bounded_above(f):
+        double = annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism
+        for j in lattice(f.cod):
+            moved = fn(P2, f, j).morphism
+            if cat.compose(moved, double) != moved:
+                return f"P''(f)(j) ≰ f″ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
+        return None
+
+    def annihilated_below(f):
+        co, zero = annihilator(cat, cat.involve(f), enum).morphism, bottom(cat, f.dom)
+        for j in lattice(f.cod):
+            if cat.compose(j.morphism, co) == j.morphism and fn(P2, f, j) != zero:
+                return f"j ≤ (f*)′ but P''(f)(j) ≠ 0 for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
+        return None
 
     def smallest(case):
         f, u = case
@@ -329,6 +493,22 @@ def _reference_law_clauses(cat, budget):
             return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
         return None
 
+    per_morphism = {
+        "image.preserves-mono": preserves_mono,
+        "image.preserves-epi": preserves_epi,
+        "connection.mono-match": mono_match,
+        "connection.epi-match": epi_match,
+        "connection.triple-identities": triple_identities,
+        "connection.complement-identity": complement_identity,
+        "connection.equivalence-mono-epi": equivalence_mono_epi,
+        "image.bounded-by-image": bounded,
+        "image.saturation": saturation,
+        "inverse-image.bounded-below": bounded_below,
+        "inverse-image.saturation-to-top": saturation_to_top,
+        "preimage.bounded-above": bounded_above,
+        "preimage.annihilated-below": annihilated_below,
+    }
+    clauses += [run_clause(clause_id, "", enum.morphisms(), check) for clause_id, check in per_morphism.items()]
     clauses += [
         run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest),
         run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback),
@@ -352,7 +532,7 @@ def reference_smallest_subobject_witness(cat, f, u, p, enum):
 
 
 # the suites holding the clauses above, run in one pass as in suite "all"
-LAW_GROUPS = [g for suite in ("2.1", "2.3", "3.1", "3.4", "4.2", "functoriality") for g in SUITES[suite]]
+LAW_GROUPS = SUITES["all"]
 
 
 def _assert_laws_agree(cat, budget) -> int:
@@ -372,9 +552,15 @@ def _assert_laws_agree(cat, budget) -> int:
 
 
 def test_id_level_laws_agree_with_projection_level_definitions(budget):
-    for cat in (canonical_pbij_category((0, 1, 2)), canonical_pbij_category((1, 2))):
-        assert _assert_laws_agree(cat, budget) == 0
-    assert sum(_assert_laws_agree(_golden_clone(name), budget) > 0 for name in CLONES) >= 4
+    # every golden category under its own budget: the models, the monoid
+    # categories, the seeded defects, the README fixture and a non-Baer* spec
+    failing = {
+        name: _assert_laws_agree(build()[0], golden_budget or budget)
+        for name, (build, golden_budget, _) in GOLDEN_CATEGORIES.items()
+    }
+    assert failing["pbij012"] == failing["pbij12"] == 0
+    assert sum(failing[f"pbij12-{name}"] > 0 for name in CLONES) >= 4
+    assert failing["not-baer-star"] > 0 and failing["two-object-chain3"] > 0
     clones = list(endomorphism_clones(canonical_pbij_category((1, 2))))
     failing = sum(_assert_laws_agree(clone, budget) > 0 for clone in clones)
     assert len(clones) == 53 and failing > 40, failing
@@ -383,13 +569,13 @@ def test_id_level_laws_agree_with_projection_level_definitions(budget):
 def test_transfer_values_live_on_their_morphisms_domain(budget, monkeypatch):
     # a projection's id in a transfer row is its morphism's id, which needs p.obj = dom p
     values = []
-    real = transfer_module._transfer_value
+    for name in ("apply_P", "apply_Pprime", "apply_Pdoubleprime"):
 
-    def recording(cat, key, enum):
-        values.append(real(cat, key, enum))
-        return values[-1]
+        def recording(cat, f, p, *enum, real=getattr(transfer_module, name)):
+            values.append(real(cat, f, p, *enum))
+            return values[-1]
 
-    monkeypatch.setattr(transfer_module, "_transfer_value", recording)
+        monkeypatch.setattr(transfer_module, name, recording)
     cats = [canonical_pbij_category((0, 1, 2)), two_object_category(cyclic_group(3))]
     cats += [_golden_clone(name) for name in CLONES]
     for cat in cats:
