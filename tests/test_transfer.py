@@ -11,6 +11,7 @@ from invcat import (
     apply_Pprime,
     build_category,
     canonical_pbij_category,
+    chain_semilattice,
     check_closed_forms,
     check_functoriality,
     cyclic_group,
@@ -468,6 +469,71 @@ def _reference_law_clauses(cat, budget):
                 return f"j ≤ (f*)′ but P''(f)(j) ≠ 0 for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
         return None
 
+    # the point laws of 2.2, 3.3 and 4.1 and the equivalences of 4, each
+    # evaluated in the library's order, so a missing construction raises first
+    # where it does there
+    def ff(f):
+        return Projection(f.cod, cat.compose(f, cat.involve(f)))
+
+    def image_bottom_top(f):
+        if fn(P, f, bottom(cat, f.dom)) != bottom(cat, f.cod):
+            return f"P(f)(0) ≠ 0 for f = {render_morphism(f)}"
+        if fn(P, f, top(cat, f.dom)) != ff(f):
+            return f"P(f)(1) ≠ f∘f* for f = {render_morphism(f)}"
+        return None
+
+    def domain_projection(f):
+        if fn(P, f, Projection(f.dom, cat.compose(cat.involve(f), f))) != ff(f):
+            return f"P(f)(f*∘f) ≠ f∘f* for f = {render_morphism(f)}"
+        return None
+
+    def inverse_image_bottom_top(f):
+        ann = annihilator(cat, f, enum)
+        if fn(P1, f, bottom(cat, f.cod)) != ann:
+            return f"P'(f)(0) ≠ f′ for f = {render_morphism(f)}"
+        if fn(P1, f, top(cat, f.cod)) != top(cat, f.dom):
+            return f"P'(f)(1) ≠ 1 for f = {render_morphism(f)}"
+        return None
+
+    def image_to_top(f):
+        if fn(P1, f, ff(f)) != top(cat, f.dom):
+            return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
+        return None
+
+    def preimage_bottom_top(f):
+        if fn(P2, f, bottom(cat, f.cod)) != bottom(cat, f.dom):
+            return f"P''(f)(0) ≠ 0 for f = {render_morphism(f)}"
+        double = annihilator(cat, annihilator(cat, f, enum).morphism, enum)
+        if fn(P2, f, top(cat, f.cod)) != double:
+            return f"P''(f)(1) ≠ f″ for f = {render_morphism(f)}"
+        return None
+
+    def coannihilator_to_bottom(f):
+        if fn(P2, f, annihilator(cat, cat.involve(f), enum)) != bottom(cat, f.dom):
+            return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
+        return None
+
+    def equivalence_units(f):
+        prime_top = fn(P1, f, top(cat, f.cod)) == top(cat, f.dom)
+        double_bottom = fn(P2, f, bottom(cat, f.cod)) == bottom(cat, f.dom)
+        if prime_top != double_bottom:
+            return (
+                f"P'(f)(1) = 1 is {prime_top} but P''(f)(0) = 0 is {double_bottom} "
+                f"for f = {render_morphism(f)}"
+            )
+        return None
+
+    def equivalence_annihilators(f):
+        ann = annihilator(cat, f, enum)
+        prime_side = fn(P1, f, bottom(cat, f.cod)) == ann
+        double_side = fn(P2, f, top(cat, f.cod)) == annihilator(cat, ann.morphism, enum)
+        if prime_side != double_side:
+            return (
+                f"P'(f)(0) = f′ is {prime_side} but P''(f)(1) = f″ is {double_side} "
+                f"for f = {render_morphism(f)}"
+            )
+        return None
+
     def smallest(case):
         f, u = case
         try:
@@ -507,6 +573,14 @@ def _reference_law_clauses(cat, budget):
         "inverse-image.saturation-to-top": saturation_to_top,
         "preimage.bounded-above": bounded_above,
         "preimage.annihilated-below": annihilated_below,
+        "image.bottom-top": image_bottom_top,
+        "image.domain-projection": domain_projection,
+        "inverse-image.bottom-top": inverse_image_bottom_top,
+        "inverse-image.image-to-top": image_to_top,
+        "preimage.bottom-top": preimage_bottom_top,
+        "preimage.coannihilator-to-bottom": coannihilator_to_bottom,
+        "connection.equivalence-units": equivalence_units,
+        "connection.equivalence-annihilators": equivalence_annihilators,
     }
     clauses += [run_clause(clause_id, "", enum.morphisms(), check) for clause_id, check in per_morphism.items()]
     clauses += [
@@ -564,6 +638,22 @@ def test_id_level_laws_agree_with_projection_level_definitions(budget):
     clones = list(endomorphism_clones(canonical_pbij_category((1, 2))))
     failing = sum(_assert_laws_agree(clone, budget) > 0 for clone in clones)
     assert len(clones) == 53 and failing > 40, failing
+    # the complement identity fails by value, not through a missing
+    # annihilator, where X's non-closed projections meet wrongly
+    assert _assert_laws_agree(_chain3_clone(), budget) > 0
+    got = theorem_suite(_chain3_clone(), "connection", budget).clause("connection.complement-identity")
+    assert (got.status, got.checked, got.counterexample) == (
+        FAIL,
+        6,
+        "P''(f)(j) ≠ (P'(f)(j′))′ for f = X→X [e1], j = X→X [e2]",
+    )
+
+
+def _chain3_clone():
+    """The two-object category of the chain 1 > e1 > e2 with e1∘e2 made 0."""
+    cat = two_object_category(chain_semilattice(3))
+    e = {m.payload: m for m in cat.hom("X", "X")}
+    return cat.with_corrupted_composition(e["e1"], e["e2"], e["0"])
 
 
 def test_transfer_values_live_on_their_morphisms_domain(budget, monkeypatch):
