@@ -123,7 +123,8 @@ def _unique_factorization_witness(
     (h∘u) for exactly one h, or None, visiting w, then g, in pool order.
 
     Works on morphism ids: the killed g of each (f, w, side) and
-    the factorization counts of each (u, w, side) are built once per run."""
+    the factorization counts of each (u, w, side) are built once per run; a
+    failing g is rendered from its pool, by position."""
     enum = enum if enum is not None else Enumeration(cat)
     fi, ui = cat.intern(f), cat.intern(u)
     for w in cat.objects:
@@ -131,9 +132,12 @@ def _unique_factorization_witness(
         if not hits:
             continue
         ways = enum.cached(_factorization_counts, (ui, w, left))
-        for g, gi in hits:
-            if ways[gi] != 1:
-                return f"{render_morphism(g)} factors through {render_morphism(u)} in {ways[gi]} ways"
+        a, b = (w, f.dom) if left else (f.cod, w)
+        ids = enum.pool_ids(a, b)
+        for k in hits:
+            count = ways[ids[k]]
+            if count != 1:
+                return f"{render_morphism(enum.pool(a, b)[k])} factors through {render_morphism(u)} in {count} ways"
     return None
 
 

@@ -201,9 +201,9 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
 def killed(enum: Enumeration, f: int, w, left: bool) -> tuple[int, tuple]:
     """What the morphism with id f kills among the g in pool(w, dom f) when
     left (f∘g = 0), or in pool(cod f, w) otherwise (g∘f = 0): a mask with
-    bit k set when the k-th g is killed, and (g, id of g) for each killed g,
-    in pool order.  Built once per run; the annihilator search and the
-    kernel and cokernel witnesses share it."""
+    bit k set when the k-th g is killed, and the pool position of each
+    killed g, in pool order.  Built once per run; the annihilator search and
+    the kernel and cokernel witnesses share it."""
     return enum.cached(_killed, (f, w, left))
 
 
@@ -211,19 +211,17 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     f, w, left = key
     m = cat.morphisms_by_id[f]
     if left:
-        pool, ids = enum.pool(w, m.dom), enum.pool_ids(w, m.dom)
-        composites = cat.compose_ids(f, ids)
+        composites = cat.compose_ids(f, enum.pool_ids(w, m.dom))
     else:
-        pool, ids = enum.pool(m.cod, w), enum.pool_ids(m.cod, w)
-        composites = [cat.compose_id(g, f) for g in ids]
+        composites = [cat.compose_id(g, f) for g in enum.pool_ids(m.cod, w)]
     if not composites:
         return 0, ()
     zero = cat.zero_id(w, m.cod) if left else cat.zero_id(m.dom, w)
     mask, out = 0, []
-    for k, (g, gi, composite) in enumerate(zip(pool, ids, composites)):
+    for k, composite in enumerate(composites):
         if composite == zero:
             mask |= 1 << k
-            out.append((g, gi))
+            out.append(k)
     return mask, tuple(out)
 
 

@@ -9,6 +9,17 @@ For f: A → B three maps are realized as explicit finite tables:
 plus the suites checking the law catalog for them: smallest-subobject and
 pullback characterizations, lattice-map properties, the mono/epi
 biconditionals, the complement identity tying P'' to P', and functoriality.
+
+Most catalog laws take one of three shapes, each checked by one helper.  A
+point law says kind(f) sends one named projection to another, as
+P(f)(1) = f∘f*; a bound law, that every value of kind(f) lies below or above
+one, as P'(f)(j) ≥ f′; a saturation law, that kind(f) is constant on the
+up-set or down-set of one, as j ≥ f∘f* ⇒ P'(f)(j) = 1.  The names are 0, 1,
+f∘f*, f*∘f, f′, f″ and (f*)′; 0 and 1 are taken on the source lattice where
+kind(f) reads them and on the target where a value is compared with them.
+A counterexample prints the same name that picks the projection.  The
+mono/epi dual pairs are likewise one helper each, the test on f and on the
+map picked by the word the clause prints.
 """
 
 from __future__ import annotations
@@ -53,9 +64,7 @@ from .projections import (
     ProjectionLattice,
     annihilator,
     annihilator_by_search,
-    bottom,
     lattice_on,
-    top,
 )
 from .report import Clause, VerificationReport, run_clause
 
@@ -92,29 +101,28 @@ def transfer(cat: FiniteCategory, f: Morphism, h: Morphism) -> Morphism:
     return cat.compose(cat.compose(f, h), cat.involve(f))
 
 
+def _check_source(kind: TransferKind, f: Morphism, p: Projection) -> None:
+    """Raise unless p lives on the source lattice of kind(f)."""
+    a = _source(kind, f)
+    if p.obj != a:
+        side = "dom" if kind is TransferKind.IMAGE else "cod"
+        raise ObjectMismatchError(f"projection lives on {render_object(p.obj)}, not on {side}(f) = {render_object(a)}")
+
+
 def apply_P(cat: FiniteCategory, f: Morphism, i: Projection) -> Projection:
-    if i.obj != f.dom:
-        raise ObjectMismatchError(
-            f"projection lives on {render_object(i.obj)}, not on dom(f) = {render_object(f.dom)}"
-        )
+    _check_source(TransferKind.IMAGE, f, i)
     return Projection(f.cod, transfer(cat, f, i.morphism))
 
 
 def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: Enumeration | None = None) -> Projection:
-    if j.obj != f.cod:
-        raise ObjectMismatchError(
-            f"projection lives on {render_object(j.obj)}, not on cod(f) = {render_object(f.cod)}"
-        )
+    _check_source(TransferKind.INVERSE_IMAGE, f, j)
     enum = enum if enum is not None else Enumeration(cat)
     j_ann = annihilator(cat, j.morphism, enum)
     return annihilator(cat, cat.compose(j_ann.morphism, f), enum)
 
 
 def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: Enumeration | None = None) -> Projection:
-    if j.obj != f.cod:
-        raise ObjectMismatchError(
-            f"projection lives on {render_object(j.obj)}, not on cod(f) = {render_object(f.cod)}"
-        )
+    _check_source(TransferKind.STRICT_PREIMAGE, f, j)
     enum = enum if enum is not None else Enumeration(cat)
     once = annihilator(cat, cat.compose(j.morphism, f), enum)
     return annihilator(cat, once.morphism, enum)
@@ -175,6 +183,11 @@ def _source(kind: TransferKind, f: Morphism):
 
 def _target(kind: TransferKind, f: Morphism):
     return f.cod if kind is TransferKind.IMAGE else f.dom
+
+
+def _variable(kind: TransferKind) -> str:
+    """The name law texts give a projection of the source lattice of kind(f)."""
+    return "i" if kind is TransferKind.IMAGE else "j"
 
 
 def _row_and_source(enum: Enumeration, kind: TransferKind, f: Morphism) -> tuple:
@@ -306,6 +319,165 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
     return square
 
 
+# ---- law shapes: point, bound and saturation laws, mono/epi dual pairs -----
+
+# the named projections of f other than 0 and 1
+_NAMED = {
+    "f∘f*": lambda cat, f, enum: cat.compose(f, cat.involve(f)),
+    "f*∘f": lambda cat, f, enum: cat.compose(cat.involve(f), f),
+    "f′": lambda cat, f, enum: annihilator(cat, f, enum).morphism,
+    "f″": lambda cat, f, enum: annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism,
+    "(f*)′": lambda cat, f, enum: annihilator(cat, cat.involve(f), enum).morphism,
+}
+
+
+def _named(enum: Enumeration, name: str, f: Morphism, a) -> int:
+    """The id of the projection called `name` for f; 0 and 1 are those on a."""
+    cat = enum.cat
+    if name == "0":
+        return cat.zero_id(a, a)
+    if name == "1":
+        return cat.intern(cat.identity(a))
+    return cat.intern(_NAMED[name](cat, f, enum))
+
+
+def _holds(compose_id, x: int, relation: str, y: int) -> bool:
+    """x ≤ y or x ≥ y between projection ids, p ≤ q meaning p∘q = p."""
+    low, high = (x, y) if relation == "≤" else (y, x)
+    return compose_id(low, high) == low
+
+
+def _sends(enum: Enumeration, kind: TransferKind, f: Morphism, at: str, want: str) -> bool:
+    """Whether kind(f) sends the projection named `at` to the one named `want`."""
+    at_id = _named(enum, at, f, _source(kind, f))
+    want_id = _named(enum, want, f, _target(kind, f))
+    return _row(enum, kind, enum.cat.intern(f))[at_id] == want_id
+
+
+def _point_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: str, *laws) -> Clause:
+    """kind(f)(at) = want for each (at, want) pair of names, in turn."""
+
+    def point(f: Morphism):
+        for at, want in laws:
+            if not _sends(enum, kind, f, at, want):
+                return f"{kind.value}(f)({at}) ≠ {want} for f = {render_morphism(f)}"
+        return None
+
+    return run_clause(f"{_KIND_NAMES[kind][0]}.{name}", anchor, enum.morphisms(), point)
+
+
+def _equivalence_clause(enum: Enumeration, clause_id: str, anchor: str, prime: tuple, double: tuple) -> Clause:
+    """P′(f) satisfies the point law `prime` exactly when P″(f) satisfies `double`."""
+
+    def equivalent(f: Morphism):
+        prime_holds = _sends(enum, TransferKind.INVERSE_IMAGE, f, *prime)
+        double_holds = _sends(enum, TransferKind.STRICT_PREIMAGE, f, *double)
+        if prime_holds != double_holds:
+            return (
+                f"P'(f)({prime[0]}) = {prime[1]} is {prime_holds} but "
+                f"P''(f)({double[0]}) = {double[1]} is {double_holds} for f = {render_morphism(f)}"
+            )
+        return None
+
+    return run_clause(clause_id, anchor, enum.morphisms(), equivalent)
+
+
+def _bound_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: str, relation: str, bound: str) -> Clause:
+    """kind(f)(p) ≤ bound, or ≥ bound, for every p in the source lattice."""
+    compose_id, v = enum.cat.compose_id, _variable(kind)
+
+    def bounded(f: Morphism):
+        b = _named(enum, bound, f, _target(kind, f))
+        row, source = _row_and_source(enum, kind, f)
+        for p, pi in source:
+            if not _holds(compose_id, row[pi], relation, b):
+                return (
+                    f"{kind.value}(f)({v}) {'≰' if relation == '≤' else '≱'} {bound} for "
+                    f"f = {render_morphism(f)}, {v} = {render_morphism(p.morphism)}"
+                )
+        return None
+
+    return run_clause(f"{_KIND_NAMES[kind][0]}.{name}", anchor, enum.morphisms(), bounded)
+
+
+def _saturation_clause(
+    enum: Enumeration, kind: TransferKind, name: str, anchor: str, relation: str, guard: str, value: str
+) -> Clause:
+    """kind(f)(p) = value for every p ≥ guard, or every p ≤ guard."""
+    compose_id, v = enum.cat.compose_id, _variable(kind)
+
+    def saturated(f: Morphism):
+        g = _named(enum, guard, f, _source(kind, f))
+        want = _named(enum, value, f, _target(kind, f))
+        row, source = _row_and_source(enum, kind, f)
+        for p, pi in source:
+            if _holds(compose_id, pi, relation, g) and row[pi] != want:
+                return (
+                    f"{v} {relation} {guard} but {kind.value}(f)({v}) ≠ {value} for "
+                    f"f = {render_morphism(f)}, {v} = {render_morphism(p.morphism)}"
+                )
+        return None
+
+    return run_clause(f"{_KIND_NAMES[kind][0]}.{name}", anchor, enum.morphisms(), saturated)
+
+
+# the tests of the mono/epi dual pairs, by the word the clause id and text print
+_MORPHISM_TESTS = {"mono": is_mono, "epi": is_epi}
+_MAP_TESTS = {"injective": TransferMap.is_injective, "surjective": TransferMap.is_surjective}
+
+
+def _maybe(holds: bool, word: str) -> str:
+    return word if holds else f"not {word}"
+
+
+def _preserves_clause(enum: Enumeration, side: str, property: str) -> Clause:
+    """P(f) is `property` whenever f is `side`."""
+    cat, is_side, has = enum.cat, _MORPHISM_TESTS[side], _MAP_TESTS[property]
+
+    def preserves(f: Morphism):
+        if is_side(cat, f) and not has(transfer_table(cat, TransferKind.IMAGE, f, enum)):
+            return f"f = {render_morphism(f)} is {side} but its image map is not {property}"
+        return None
+
+    return run_clause(f"image.preserves-{side}", "2.2.i", enum.morphisms(), preserves)
+
+
+def _iff_clause(enum: Enumeration, kind: TransferKind, anchor: str, property: str, side: str) -> Clause:
+    """kind(f) is `property` exactly when f is `side`."""
+    cat = enum.cat
+    prefix, _, noun = _KIND_NAMES[kind]
+
+    def iff(f: Morphism):
+        holds, f_is = _MAP_TESTS[property](transfer_table(cat, kind, f, enum)), _MORPHISM_TESTS[side](cat, f)
+        if holds != f_is:
+            return (
+                f"{noun} map of f = {render_morphism(f)} is {_maybe(holds, property)} "
+                f"but f is {_maybe(f_is, side)}"
+            )
+        return None
+
+    return run_clause(f"{prefix}.{property}-iff-{side}", anchor, enum.morphisms(), iff)
+
+
+def _match_clause(enum: Enumeration, kind: TransferKind, anchor: str, side: str) -> Clause:
+    """kind(f) = K(f*), K the other of P and P′, exactly when f is `side`."""
+    cat = enum.cat
+    other = TransferKind.IMAGE if kind is TransferKind.INVERSE_IMAGE else TransferKind.INVERSE_IMAGE
+
+    def match(f: Morphism):
+        values = transfer_table(cat, kind, f, enum).values
+        same = values == transfer_table(cat, other, cat.involve(f), enum).values
+        f_is = _MORPHISM_TESTS[side](cat, f)
+        if same != f_is:
+            return (
+                f"{kind.value}(f) {'=' if same else '≠'} {other.value}(f*) but f is "
+                f"{_maybe(f_is, side)} for f = {render_morphism(f)}"
+            )
+        return None
+
+    return run_clause(f"connection.{side}-match", anchor, enum.morphisms(), match)
+
+
 # ---- law suites ------------------------------------------------------------
 
 
@@ -331,38 +503,11 @@ def image_smallest_subobject_clauses(enum: Enumeration) -> list[Clause]:
 
 
 def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-
-    def preserves_mono(f: Morphism):
-        if is_mono(cat, f) and not transfer_table(cat, TransferKind.IMAGE, f, enum).is_injective():
-            return f"f = {render_morphism(f)} is mono but its image map is not injective"
-        return None
-
-    def preserves_epi(f: Morphism):
-        if is_epi(cat, f) and not transfer_table(cat, TransferKind.IMAGE, f, enum).is_surjective():
-            return f"f = {render_morphism(f)} is epi but its image map is not surjective"
-        return None
-
-    def bottom_top(f: Morphism):
-        if _apply(cat, TransferKind.IMAGE, f, bottom(cat, f.dom), enum) != bottom(cat, f.cod):
-            return f"P(f)(0) ≠ 0 for f = {render_morphism(f)}"
-        ff = cat.compose(f, cat.involve(f))
-        if _apply(cat, TransferKind.IMAGE, f, top(cat, f.dom), enum) != Projection(f.cod, ff):
-            return f"P(f)(1) ≠ f∘f* for f = {render_morphism(f)}"
-        return None
-
-    def domain_projection(f: Morphism):
-        dom_proj = Projection(f.dom, cat.compose(cat.involve(f), f))
-        moved = _apply(cat, TransferKind.IMAGE, f, dom_proj, enum)
-        if moved != Projection(f.cod, cat.compose(f, cat.involve(f))):
-            return f"P(f)(f*∘f) ≠ f∘f* for f = {render_morphism(f)}"
-        return None
-
     return [
-        run_clause("image.preserves-mono", "2.2.i", enum.morphisms(), preserves_mono),
-        run_clause("image.preserves-epi", "2.2.i", enum.morphisms(), preserves_epi),
-        run_clause("image.bottom-top", "2.2.ii", enum.morphisms(), bottom_top),
-        run_clause("image.domain-projection", "2.2.iii", enum.morphisms(), domain_projection),
+        _preserves_clause(enum, "mono", "injective"),
+        _preserves_clause(enum, "epi", "surjective"),
+        _point_clause(enum, TransferKind.IMAGE, "bottom-top", "2.2.ii", ("0", "0"), ("1", "f∘f*")),
+        _point_clause(enum, TransferKind.IMAGE, "domain-projection", "2.2.iii", ("f*∘f", "f∘f*")),
     ]
 
 
@@ -407,36 +552,11 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
 
 
 def image_order_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-    compose_id = cat.compose_id
-    clauses = _semilattice_map_clauses(enum, TransferKind.IMAGE, ("2.3.i", "2.3.ii"))
-
-    def bounded(f: Morphism):
-        ff = cat.intern(cat.compose(f, cat.involve(f)))
-        row, source = _row_and_source(enum, TransferKind.IMAGE, f)
-        for i, ii in source:
-            moved = row[ii]
-            if compose_id(moved, ff) != moved:
-                return f"P(f)(i) ≰ f∘f* for f = {render_morphism(f)}, i = {render_morphism(i.morphism)}"
-        return None
-
-    def saturation(f: Morphism):
-        dom_proj = cat.intern(cat.compose(cat.involve(f), f))
-        ff = cat.intern(cat.compose(f, cat.involve(f)))
-        row, source = _row_and_source(enum, TransferKind.IMAGE, f)
-        for i, ii in source:
-            if compose_id(dom_proj, ii) != dom_proj:
-                continue
-            if row[ii] != ff:
-                return (
-                    f"i ≥ f*∘f but P(f)(i) ≠ f∘f* for f = {render_morphism(f)}, "
-                    f"i = {render_morphism(i.morphism)}"
-                )
-        return None
-
-    clauses.append(run_clause("image.bounded-by-image", "2.3.iii", enum.morphisms(), bounded))
-    clauses.append(run_clause("image.saturation", "2.3.iv", enum.morphisms(), saturation))
-    return clauses
+    return [
+        *_semilattice_map_clauses(enum, TransferKind.IMAGE, ("2.3.i", "2.3.ii")),
+        _bound_clause(enum, TransferKind.IMAGE, "bounded-by-image", "2.3.iii", "≤", "f∘f*"),
+        _saturation_clause(enum, TransferKind.IMAGE, "saturation", "2.3.iv", "≥", "f*∘f", "f∘f*"),
+    ]
 
 
 def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
@@ -453,120 +573,25 @@ def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
     return [run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
 
 
-def _contravariant_mono_epi_clauses(enum: Enumeration, kind: TransferKind, anchor: str) -> list[Clause]:
-    """The laws P′ and P″ share: kind(f) is injective iff f is epi, and
-    surjective iff f is mono."""
-    cat = enum.cat
-    prefix, _, noun = _KIND_NAMES[kind]
-
-    def injective_iff_epi(f: Morphism):
-        injective, epi = transfer_table(cat, kind, f, enum).is_injective(), is_epi(cat, f)
-        if injective != epi:
-            return (
-                f"{noun} map of f = {render_morphism(f)} is "
-                f"{'injective' if injective else 'not injective'} but f is "
-                f"{'epi' if epi else 'not epi'}"
-            )
-        return None
-
-    def surjective_iff_mono(f: Morphism):
-        surjective, mono = transfer_table(cat, kind, f, enum).is_surjective(), is_mono(cat, f)
-        if surjective != mono:
-            return (
-                f"{noun} map of f = {render_morphism(f)} is "
-                f"{'surjective' if surjective else 'not surjective'} but f is "
-                f"{'mono' if mono else 'not mono'}"
-            )
-        return None
-
+def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
     return [
-        run_clause(f"{prefix}.injective-iff-epi", anchor, enum.morphisms(), injective_iff_epi),
-        run_clause(f"{prefix}.surjective-iff-mono", anchor, enum.morphisms(), surjective_iff_mono),
+        _iff_clause(enum, TransferKind.INVERSE_IMAGE, "3.3.i", "injective", "epi"),
+        _iff_clause(enum, TransferKind.INVERSE_IMAGE, "3.3.i", "surjective", "mono"),
+        _point_clause(enum, TransferKind.INVERSE_IMAGE, "bottom-top", "3.3.ii", ("0", "f′"), ("1", "1")),
+        _point_clause(enum, TransferKind.INVERSE_IMAGE, "image-to-top", "3.3.iii", ("f∘f*", "1")),
     ]
 
 
-def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-    clauses = _contravariant_mono_epi_clauses(enum, TransferKind.INVERSE_IMAGE, "3.3.i")
-
-    def bottom_top(f: Morphism):
-        ann = annihilator(cat, f, enum)
-        if _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum) != ann:
-            return f"P'(f)(0) ≠ f′ for f = {render_morphism(f)}"
-        if _apply(cat, TransferKind.INVERSE_IMAGE, f, top(cat, f.cod), enum) != top(cat, f.dom):
-            return f"P'(f)(1) ≠ 1 for f = {render_morphism(f)}"
-        return None
-
-    def image_to_top(f: Morphism):
-        ff = Projection(f.cod, cat.compose(f, cat.involve(f)))
-        if _apply(cat, TransferKind.INVERSE_IMAGE, f, ff, enum) != top(cat, f.dom):
-            return f"P'(f)(f∘f*) ≠ 1 for f = {render_morphism(f)}"
-        return None
-
-    clauses.append(run_clause("inverse-image.bottom-top", "3.3.ii", enum.morphisms(), bottom_top))
-    clauses.append(run_clause("inverse-image.image-to-top", "3.3.iii", enum.morphisms(), image_to_top))
-    return clauses
-
-
 def inverse_image_order_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-    compose_id = cat.compose_id
-    clauses = _semilattice_map_clauses(enum, TransferKind.INVERSE_IMAGE, ("3.4.i", "3.4.ii"))
-
-    def bounded_below(f: Morphism):
-        ann = cat.intern(annihilator(cat, f, enum).morphism)
-        row, source = _row_and_source(enum, TransferKind.INVERSE_IMAGE, f)
-        for j, ji in source:
-            moved = row[ji]
-            if compose_id(ann, moved) != ann:
-                return f"P'(f)(j) ≱ f′ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
-        return None
-
-    def saturation_to_top(f: Morphism):
-        ff = cat.intern(cat.compose(f, cat.involve(f)))
-        one = cat.intern(cat.identity(f.dom))
-        row, source = _row_and_source(enum, TransferKind.INVERSE_IMAGE, f)
-        for j, ji in source:
-            if compose_id(ff, ji) != ff:
-                continue
-            if row[ji] != one:
-                return (
-                    f"j ≥ f∘f* but P'(f)(j) ≠ 1 for f = {render_morphism(f)}, "
-                    f"j = {render_morphism(j.morphism)}"
-                )
-        return None
-
-    clauses.append(run_clause("inverse-image.bounded-below", "3.4.iii", enum.morphisms(), bounded_below))
-    clauses.append(run_clause("inverse-image.saturation-to-top", "3.4.iv", enum.morphisms(), saturation_to_top))
-    return clauses
+    return [
+        *_semilattice_map_clauses(enum, TransferKind.INVERSE_IMAGE, ("3.4.i", "3.4.ii")),
+        _bound_clause(enum, TransferKind.INVERSE_IMAGE, "bounded-below", "3.4.iii", "≥", "f′"),
+        _saturation_clause(enum, TransferKind.INVERSE_IMAGE, "saturation-to-top", "3.4.iv", "≥", "f∘f*", "1"),
+    ]
 
 
 def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-
-    def mono_match(f: Morphism):
-        same = (
-            transfer_table(cat, TransferKind.INVERSE_IMAGE, f, enum).values
-            == transfer_table(cat, TransferKind.IMAGE, cat.involve(f), enum).values
-        )
-        if same != is_mono(cat, f):
-            return (
-                f"P'(f) {'=' if same else '≠'} P(f*) but f is "
-                f"{'mono' if is_mono(cat, f) else 'not mono'} for f = {render_morphism(f)}"
-            )
-        return None
-
-    def epi_match(f: Morphism):
-        same = (
-            transfer_table(cat, TransferKind.IMAGE, f, enum).values
-            == transfer_table(cat, TransferKind.INVERSE_IMAGE, cat.involve(f), enum).values
-        )
-        if same != is_epi(cat, f):
-            return (
-                f"P(f) {'=' if same else '≠'} P'(f*) but f is "
-                f"{'epi' if is_epi(cat, f) else 'not epi'} for f = {render_morphism(f)}"
-            )
-        return None
 
     def triple_identities(f: Morphism):
         fid = cat.intern(f)
@@ -582,69 +607,27 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     return [
-        run_clause("connection.mono-match", "3.5.i", enum.morphisms(), mono_match),
-        run_clause("connection.epi-match", "3.5.ii", enum.morphisms(), epi_match),
+        _match_clause(enum, TransferKind.INVERSE_IMAGE, "3.5.i", "mono"),
+        _match_clause(enum, TransferKind.IMAGE, "3.5.ii", "epi"),
         run_clause("connection.triple-identities", "3.5.iii", enum.morphisms(), triple_identities),
     ]
 
 
 def preimage_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-    clauses = _contravariant_mono_epi_clauses(enum, TransferKind.STRICT_PREIMAGE, "4.1.i")
-
-    def bottom_top(f: Morphism):
-        zero = _apply(cat, TransferKind.STRICT_PREIMAGE, f, bottom(cat, f.cod), enum)
-        if zero != bottom(cat, f.dom):
-            return f"P''(f)(0) ≠ 0 for f = {render_morphism(f)}"
-        double = annihilator(cat, annihilator(cat, f, enum).morphism, enum)
-        if _apply(cat, TransferKind.STRICT_PREIMAGE, f, top(cat, f.cod), enum) != double:
-            return f"P''(f)(1) ≠ f″ for f = {render_morphism(f)}"
-        return None
-
-    def coannihilator_to_bottom(f: Morphism):
-        co = annihilator(cat, cat.involve(f), enum)
-        if _apply(cat, TransferKind.STRICT_PREIMAGE, f, co, enum) != bottom(cat, f.dom):
-            return f"P''(f)((f*)′) ≠ 0 for f = {render_morphism(f)}"
-        return None
-
-    clauses.append(run_clause("preimage.bottom-top", "4.1.ii", enum.morphisms(), bottom_top))
-    clauses.append(
-        run_clause("preimage.coannihilator-to-bottom", "4.1.iii", enum.morphisms(), coannihilator_to_bottom)
-    )
-    return clauses
+    return [
+        _iff_clause(enum, TransferKind.STRICT_PREIMAGE, "4.1.i", "injective", "epi"),
+        _iff_clause(enum, TransferKind.STRICT_PREIMAGE, "4.1.i", "surjective", "mono"),
+        _point_clause(enum, TransferKind.STRICT_PREIMAGE, "bottom-top", "4.1.ii", ("0", "0"), ("1", "f″")),
+        _point_clause(enum, TransferKind.STRICT_PREIMAGE, "coannihilator-to-bottom", "4.1.iii", ("(f*)′", "0")),
+    ]
 
 
 def preimage_order_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-    compose_id = cat.compose_id
-    clauses = _semilattice_map_clauses(enum, TransferKind.STRICT_PREIMAGE, ("4.2.v", "4.2.vi"))
-
-    def bounded_above(f: Morphism):
-        double = cat.intern(annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism)
-        row, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
-        for j, ji in source:
-            moved = row[ji]
-            if compose_id(moved, double) != moved:
-                return f"P''(f)(j) ≰ f″ for f = {render_morphism(f)}, j = {render_morphism(j.morphism)}"
-        return None
-
-    def annihilated_below(f: Morphism):
-        co = cat.intern(annihilator(cat, cat.involve(f), enum).morphism)
-        zero = cat.zero_id(f.dom, f.dom)
-        row, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
-        for j, ji in source:
-            if compose_id(ji, co) != ji:
-                continue
-            if row[ji] != zero:
-                return (
-                    f"j ≤ (f*)′ but P''(f)(j) ≠ 0 for f = {render_morphism(f)}, "
-                    f"j = {render_morphism(j.morphism)}"
-                )
-        return None
-
-    clauses.append(run_clause("preimage.bounded-above", "4.2.vii", enum.morphisms(), bounded_above))
-    clauses.append(run_clause("preimage.annihilated-below", "4.2.viii", enum.morphisms(), annihilated_below))
-    return clauses
+    return [
+        *_semilattice_map_clauses(enum, TransferKind.STRICT_PREIMAGE, ("4.2.v", "4.2.vi")),
+        _bound_clause(enum, TransferKind.STRICT_PREIMAGE, "bounded-above", "4.2.vii", "≤", "f″"),
+        _saturation_clause(enum, TransferKind.STRICT_PREIMAGE, "annihilated-below", "4.2.viii", "≤", "(f*)′", "0"),
+    ]
 
 
 def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
@@ -672,39 +655,11 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
             return f"P'(f) and P''(f) disagree on surjectivity for f = {render_morphism(f)}"
         return None
 
-    def equivalence_units(f: Morphism):
-        prime_top = (
-            _apply(cat, TransferKind.INVERSE_IMAGE, f, top(cat, f.cod), enum) == top(cat, f.dom)
-        )
-        double_bottom = (
-            _apply(cat, TransferKind.STRICT_PREIMAGE, f, bottom(cat, f.cod), enum)
-            == bottom(cat, f.dom)
-        )
-        if prime_top != double_bottom:
-            return (
-                f"P'(f)(1) = 1 is {prime_top} but P''(f)(0) = 0 is {double_bottom} "
-                f"for f = {render_morphism(f)}"
-            )
-        return None
-
-    def equivalence_annihilators(f: Morphism):
-        ann = annihilator(cat, f, enum)
-        prime_side = _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum) == ann
-        double_side = _apply(cat, TransferKind.STRICT_PREIMAGE, f, top(cat, f.cod), enum) == (
-            annihilator(cat, ann.morphism, enum)
-        )
-        if prime_side != double_side:
-            return (
-                f"P'(f)(0) = f′ is {prime_side} but P''(f)(1) = f″ is {double_side} "
-                f"for f = {render_morphism(f)}"
-            )
-        return None
-
     return [
         run_clause("connection.complement-identity", "4", enum.morphisms(), complement_identity),
         run_clause("connection.equivalence-mono-epi", "4.i", enum.morphisms(), equivalence_mono_epi),
-        run_clause("connection.equivalence-units", "4.ii", enum.morphisms(), equivalence_units),
-        run_clause("connection.equivalence-annihilators", "4.iii", enum.morphisms(), equivalence_annihilators),
+        _equivalence_clause(enum, "connection.equivalence-units", "4.ii", ("1", "1"), ("0", "0")),
+        _equivalence_clause(enum, "connection.equivalence-annihilators", "4.iii", ("0", "f′"), ("1", "f″")),
     ]
 
 
@@ -715,10 +670,8 @@ def functoriality_clauses_for(kind: TransferKind):
     name, anchor, _ = _KIND_NAMES[kind]
     # P is covariant, P(f∘g) = P(f)∘P(g) on P(dom g); P′ and P″ are
     # contravariant, K(f∘g) = K(g)∘K(f) on P(cod f)
-    if kind is TransferKind.IMAGE:
-        law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
-    else:
-        law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
+    outer, inner = ("f", "g") if kind is TransferKind.IMAGE else ("g", "f")
+    law = f"{kind.value}(f∘g) ≠ {kind.value}({outer})∘{kind.value}({inner}) at {_variable(kind)}"
 
     def group(enum: Enumeration) -> list[Clause]:
         cat = enum.cat
@@ -822,7 +775,6 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
 
     def transfer_agree(kind: TransferKind):
         name, anchor, noun = _KIND_NAMES[kind]
-        at = "i" if kind is TransferKind.IMAGE else "j"
 
         def agree(f: Morphism):
             for p in lattice_on(enum, _source(kind, f)).elements:
@@ -830,7 +782,7 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
                 fast = subset_projection(_target(kind, f), labels)
                 if fast != definitional(kind, f, p):
                     return (
-                        f"{noun} transfer mismatch at {at} = {render_morphism(p.morphism)}, "
+                        f"{noun} transfer mismatch at {_variable(kind)} = {render_morphism(p.morphism)}, "
                         f"f = {render_morphism(f)}"
                     )
             return None

@@ -638,22 +638,32 @@ def test_id_level_laws_agree_with_projection_level_definitions(budget):
     clones = list(endomorphism_clones(canonical_pbij_category((1, 2))))
     failing = sum(_assert_laws_agree(clone, budget) > 0 for clone in clones)
     assert len(clones) == 53 and failing > 40, failing
-    # the complement identity fails by value, not through a missing
-    # annihilator, where X's non-closed projections meet wrongly
-    assert _assert_laws_agree(_chain3_clone(), budget) > 0
-    got = theorem_suite(_chain3_clone(), "connection", budget).clause("connection.complement-identity")
-    assert (got.status, got.checked, got.counterexample) == (
-        FAIL,
-        6,
-        "P''(f)(j) ≠ (P'(f)(j′))′ for f = X→X [e1], j = X→X [e2]",
-    )
+    # clones of the chain 1 > e1 > e2 where a connection law fails by value,
+    # not through a missing annihilator
+    by_value = {
+        ("e1", "e2", "0"): (
+            "connection.complement-identity",
+            6,
+            "P''(f)(j) ≠ (P'(f)(j′))′ for f = X→X [e1], j = X→X [e2]",
+        ),
+        ("0", "1", "e1"): (
+            "connection.equivalence-units",
+            4,
+            "P'(f)(1) = 1 is False but P''(f)(0) = 0 is True for f = X→X [0]",
+        ),
+    }
+    for (f, g, wrong), (clause_id, checked, counterexample) in by_value.items():
+        clone = _chain3_clone(f, g, wrong)
+        assert _assert_laws_agree(clone, budget) > 0
+        got = theorem_suite(clone, "connection", budget).clause(clause_id)
+        assert (got.status, got.checked, got.counterexample) == (FAIL, checked, counterexample)
 
 
-def _chain3_clone():
-    """The two-object category of the chain 1 > e1 > e2 with e1∘e2 made 0."""
+def _chain3_clone(f: str, g: str, wrong: str):
+    """The two-object category of the chain 1 > e1 > e2 with f∘g made `wrong`."""
     cat = two_object_category(chain_semilattice(3))
     e = {m.payload: m for m in cat.hom("X", "X")}
-    return cat.with_corrupted_composition(e["e1"], e["e2"], e["0"])
+    return cat.with_corrupted_composition(e[f], e[g], e[wrong])
 
 
 def test_transfer_values_live_on_their_morphisms_domain(budget, monkeypatch):
