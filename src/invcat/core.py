@@ -241,12 +241,11 @@ class FiniteCategory:
         picked = rng.sample(pool, min(count, len(pool)))
         return tuple(sorted(picked, key=morphism_sort_key))
 
-    # Closed forms of the constructions in projections.py and exactness.py,
-    # for models that know them; None means "find it by search".  They read
-    # the pure model, so a clone's seeded defects do not reach them.
-
-    def _annihilator(self, f: Morphism) -> Projection | None:
-        return None
+    # Closed forms of the kernel, cokernel and factorization in exactness.py,
+    # for models that know them; None means "find it by search".  They stay
+    # because search only finds morphisms between declared objects, and a
+    # kernel or image object need not be one.  They read the pure model, so
+    # a clone's seeded defects do not reach them.
 
     def _kernel(self, f: Morphism) -> Morphism | None:
         return None
@@ -256,12 +255,6 @@ class FiniteCategory:
 
     def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism, Any] | None:
         """(p, q, through) with f = p∘q, p mono and q epi."""
-        return None
-
-    def _same_subobject(self, u: Morphism, k: Morphism) -> bool | None:
-        return None
-
-    def _same_quotient(self, q1: Morphism, q2: Morphism) -> bool | None:
         return None
 
     # ---- public surface ----------------------------------------------

@@ -100,10 +100,6 @@ def mapping(f: Morphism) -> dict[str, str]:
     return dict(f.payload)
 
 
-def defined_labels(f: Morphism) -> tuple[str, ...]:
-    return tuple(sorted(x for x, _ in f.payload))
-
-
 def image_labels(f: Morphism) -> tuple[str, ...]:
     return tuple(sorted(y for _, y in f.payload))
 
@@ -301,9 +297,6 @@ class PBijCategory(FiniteCategory):
     def _zero(self, a: FinSet, b: FinSet) -> Morphism:
         return zero_pbij(a, b)
 
-    def _annihilator(self, f: Morphism) -> Projection:
-        return annihilator_pbij(f)
-
     def _kernel(self, f: Morphism) -> Morphism:
         # the inclusion of the subset where f is undefined
         return inclusion(f.dom, undefined_labels(f))
@@ -316,14 +309,6 @@ class PBijCategory(FiniteCategory):
         img = image_labels(f)
         through = subset_finset(img)
         return inclusion(f.cod, img), Morphism(f.dom, through, f.payload), through
-
-    def _same_subobject(self, u: Morphism, k: Morphism) -> bool:
-        # monos into one set present the same subobject iff their images agree
-        return image_labels(u) == image_labels(k)
-
-    def _same_quotient(self, q1: Morphism, q2: Morphism) -> bool:
-        # epis out of one set agree iff they are defined on the same subset
-        return defined_labels(q1) == defined_labels(q2)
 
     def finset(self, name: str) -> FinSet:
         for s in self.objects:

@@ -225,8 +225,9 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     return mask, tuple(out)
 
 
-def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
-    """The annihilator f′ found from its defining property, by enumeration."""
+def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
+    """The annihilator f′, found from its defining property on the table
+    under test.  With `enum`, the search runs once per run."""
     enum = enum if enum is not None else Enumeration(cat)
     candidates = enum.cached(annihilator_candidates, f)
     if not candidates:
@@ -234,21 +235,6 @@ def annihilator_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | 
     if len(candidates) > 1:
         raise AnnihilatorNotUniqueError(f, candidates)
     return candidates[0]
-
-
-def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
-    """f′: the model's closed form when it has one, search otherwise.  With
-    `enum`, it is computed once per run."""
-    if enum is None:
-        return _annihilator_of(cat, f, None)
-    return enum.cached(_annihilator_of, f)
-
-
-def _annihilator_of(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> Projection:
-    closed = cat._annihilator(f)
-    if closed is not None:
-        return closed
-    return annihilator_by_search(cat, f, enum)
 
 
 def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
@@ -286,7 +272,7 @@ def annihilator_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def projections_closed(i: Projection):
-        back = annihilator_by_search(cat, annihilator_by_search(cat, i.morphism, enum).morphism, enum)
+        back = double_annihilator(cat, i.morphism, enum)
         if back != i:
             return (
                 f"projection {render_morphism(i.morphism)} is not closed: "
@@ -313,10 +299,8 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def triple_annihilator(f: Morphism):
-        first = annihilator_by_search(cat, f, enum)
-        third = annihilator_by_search(
-            cat, annihilator_by_search(cat, first.morphism, enum).morphism, enum
-        )
+        first = annihilator(cat, f, enum)
+        third = double_annihilator(cat, first.morphism, enum)
         if first != third:
             return f"f′ ≠ f‴ for {render_morphism(f)}"
         return None

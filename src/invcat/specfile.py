@@ -88,7 +88,9 @@ def parse_spec(data) -> CategorySpec:
 
     objects: list[ObjectSpec] = []
     seen_objects: dict[str, ObjectSpec] = {}
-    for raw in data.get("objects", []) or []:
+    raw_objects = data.get("objects") or []
+    _require(isinstance(raw_objects, list), "objects must be a list")
+    for raw in raw_objects:
         _require(isinstance(raw, dict), "each object must be a mapping")
         name = raw.get("name")
         _require(isinstance(name, str) and name, "object name must be a non-empty string")
@@ -137,7 +139,9 @@ def parse_spec(data) -> CategorySpec:
     _require(bool(objects), "explicit specs need at least one object")
     morphisms: list[MorphismSpec] = []
     seen_names: set[str] = set()
-    for raw in data["morphisms"] or []:
+    raw_morphisms = data["morphisms"] or []
+    _require(isinstance(raw_morphisms, list), "morphisms must be a list")
+    for raw in raw_morphisms:
         _require(isinstance(raw, dict), "each morphism must be a mapping")
         name = raw.get("name")
         _require(isinstance(name, str) and name, "morphism name must be a non-empty string")

@@ -63,7 +63,6 @@ from .projections import (
     NotBaerStarError,
     ProjectionLattice,
     annihilator,
-    annihilator_by_search,
     lattice_on,
 )
 from .report import Clause, VerificationReport, run_clause
@@ -128,6 +127,16 @@ def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: En
     return annihilator(cat, once.morphism, enum)
 
 
+def _by_definition(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
+    """kind(f)(p) from its definition: the one dispatch over P, P′ and P″,
+    shared by the rows and the closed-form check."""
+    if kind is TransferKind.IMAGE:
+        return apply_P(cat, f, p)
+    if kind is TransferKind.INVERSE_IMAGE:
+        return apply_Pprime(cat, f, p, enum)
+    return apply_Pdoubleprime(cat, f, p, enum)
+
+
 class _TransferRow(dict):
     """kind(f) on morphism ids, the one store of transfer values: the id of
     a projection p maps to the id of kind(f)(p).  A projection's id is its
@@ -144,13 +153,7 @@ class _TransferRow(dict):
     def __missing__(self, p: int) -> int:
         cat = self.enum.cat
         m = cat.morphisms_by_id[p]
-        j = Projection(m.dom, m)
-        if self.kind is TransferKind.IMAGE:
-            moved = apply_P(cat, self.f, j)
-        elif self.kind is TransferKind.INVERSE_IMAGE:
-            moved = apply_Pprime(cat, self.f, j, self.enum)
-        else:
-            moved = apply_Pdoubleprime(cat, self.f, j, self.enum)
+        moved = _by_definition(cat, self.kind, self.f, Projection(m.dom, m), self.enum)
         q = self[p] = cat.intern(moved.morphism)
         return q
 
@@ -747,31 +750,20 @@ def theorem_suite(cat: FiniteCategory, suite_id: str, budget: Budget | None = No
 def closed_form_clauses(enum: Enumeration) -> list[Clause]:
     """The subset-arithmetic fast paths for partial bijections, re-derived the
     slow way: annihilators from their defining property by enumeration,
-    transfers from raw composition and search-based annihilators."""
+    transfers from their definitions, never from a row."""
     cat = enum.cat
     if not isinstance(cat, PBijCategory):
         raise InvcatError("closed-form agreement checks only make sense for partial bijections")
 
     def ann_agree(f: Morphism):
         fast = annihilator_pbij(f)
-        slow = annihilator_by_search(cat, f, enum)
+        slow = annihilator(cat, f, enum)
         if fast != slow:
             return (
                 f"closed-form annihilator {render_morphism(fast.morphism)} differs from "
                 f"searched {render_morphism(slow.morphism)} for f = {render_morphism(f)}"
             )
         return None
-
-    def definitional(kind: TransferKind, f: Morphism, p: Projection) -> Projection:
-        # the definitions, by composition and search, never through the transfer
-        # rows or the _annihilator hook, so that agreement with the fast path means something
-        if kind is TransferKind.IMAGE:
-            return Projection(f.cod, cat.compose(cat.compose(f, p.morphism), cat.involve(f)))
-        if kind is TransferKind.INVERSE_IMAGE:
-            p_ann = annihilator_by_search(cat, p.morphism, enum)
-            return annihilator_by_search(cat, cat.compose(p_ann.morphism, f), enum)
-        once = annihilator_by_search(cat, cat.compose(p.morphism, f), enum)
-        return annihilator_by_search(cat, once.morphism, enum)
 
     def transfer_agree(kind: TransferKind):
         name, anchor, noun = _KIND_NAMES[kind]
@@ -780,7 +772,8 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
             for p in lattice_on(enum, _source(kind, f)).elements:
                 labels = SUBSET_FORMS[kind](f, projection_labels(p))
                 fast = subset_projection(_target(kind, f), labels)
-                if fast != definitional(kind, f, p):
+                # the definition, not the row, so that agreement means something
+                if fast != _by_definition(cat, kind, f, p, enum):
                     return (
                         f"{noun} transfer mismatch at {_variable(kind)} = {render_morphism(p.morphism)}, "
                         f"f = {render_morphism(f)}"

@@ -5,6 +5,7 @@ import pytest
 
 import invcat.projections
 from invcat import (
+    Budget,
     CommutingSquare,
     Enumeration,
     FiniteCategory,
@@ -276,6 +277,19 @@ def test_mono_collision_fails_the_criterion(pbij2, budget):
     assert not is_mono_by_cancellation(clone, u)
     clause = check_exactness(clone, budget).clause("exact.mono-epi-criterion")
     assert clause.status == FAIL
+    assert clause.counterexample == f"mono criterion and cancellation disagree on {render_morphism(u)}"
+
+
+def test_sampled_criterion_fails_only_a_map_that_does_not_cancel(pbij2):
+    # on a sample, a map that is not epi can still cancel every sampled
+    # morphism, so only a mono or an epi that does not cancel is blamed
+    report = check_exactness(canonical_pbij_category((0, 1, 2)), Budget(max_size=0, sample=1))
+    clause = report.clause("exact.mono-epi-criterion")
+    assert (clause.status, clause.checked, clause.sampled) == (PASS, 9, True)
+    # hom(S2, S2) is sampled; the collision in hom(S1, S1) is not
+    clone, u = _mono_collision(pbij2)
+    clause = check_exactness(clone, Budget(max_size=1, sample=3)).clause("exact.mono-epi-criterion")
+    assert (clause.status, clause.sampled) == (FAIL, True)
     assert clause.counterexample == f"mono criterion and cancellation disagree on {render_morphism(u)}"
 
 
@@ -597,12 +611,9 @@ class SearchRoutePBij(PBijCategory):
     """Partial bijections with the closed-form hooks switched back to
     FiniteCategory's, so every construction is found by search."""
 
-    _annihilator = FiniteCategory._annihilator
     _kernel = FiniteCategory._kernel
     _cokernel = FiniteCategory._cokernel
     _factorization = FiniteCategory._factorization
-    _same_subobject = FiniteCategory._same_subobject
-    _same_quotient = FiniteCategory._same_quotient
 
 
 def test_closed_forms_agree_with_search_route(budget):

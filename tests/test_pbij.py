@@ -41,7 +41,6 @@ from invcat.pbij import (
     DuplicateDomainElementError,
     UnknownElementError,
     corestriction,
-    defined_labels,
     image_labels,
     image_subset,
     inverse_image_subset,
@@ -114,7 +113,6 @@ def test_make_pbij_validation(A, B):
 
 
 def test_label_views(f):
-    assert defined_labels(f) == ("1", "2")
     assert image_labels(f) == ("a", "b")
     assert undefined_labels(f) == ("3",)
     assert unhit_labels(f) == ("c",)

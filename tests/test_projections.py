@@ -11,6 +11,7 @@ from invcat import (
     TableCategory,
     apply_Pdoubleprime,
     apply_Pprime,
+    canonical_pbij_category,
     check_baer_star,
     check_exactness,
     make_pbij,
@@ -24,9 +25,9 @@ from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_objec
 from invcat.pbij import annihilator_pbij, projection_labels
 from invcat.projections import (
     AnnihilatorNotFoundError,
+    AnnihilatorNotUniqueError,
     NotBaerStarError,
     annihilator,
-    annihilator_by_search,
     annihilator_candidates,
     bottom,
     double_annihilator,
@@ -39,7 +40,8 @@ from invcat.projections import (
     top,
 )
 from invcat.report import FAIL, PASS
-from test_golden import NOT_BAER_STAR
+from test_exactness import endomorphism_clones, involution_clones
+from test_golden import NOT_BAER_STAR, _clone
 
 
 def test_projections_are_the_powerset(fixture_cat, A):
@@ -94,7 +96,35 @@ def test_annihilator_fixture_values(fixture_cat, A, B, f):
 def test_search_agrees_with_closed_form(fixture_cat, A, B, budget):
     enum = Enumeration(fixture_cat, budget)
     for m in list(enum.morphisms()):
-        assert annihilator_by_search(fixture_cat, m, enum) == annihilator_pbij(m)
+        assert annihilator(fixture_cat, m, enum) == annihilator_pbij(m)
+
+
+def test_annihilator_is_the_one_candidate_on_every_clone(budget):
+    # f′ is read from the table under test: on a seeded defect it is the one
+    # projection with f′'s defining property, or it is missing loudly
+    base = canonical_pbij_category((1, 2))
+    clones = [*endomorphism_clones(base), *involution_clones(base)]
+    assert len(clones) == 53 + 9
+    for cat in clones:
+        enum = Enumeration(cat, budget)
+        for f in list(enum.morphisms()):
+            candidates = annihilator_candidates(cat, f, enum)
+            if len(candidates) == 1:
+                assert annihilator(cat, f, enum) == candidates[0], render_morphism(f)
+                continue
+            error = AnnihilatorNotUniqueError if candidates else AnnihilatorNotFoundError
+            with pytest.raises(error):
+                annihilator(cat, f, enum)
+    # so the P′ laws and the Baer* laws fail at the same missing f′
+    cat = _clone("p1p1-to-0")
+    by_id = {c.clause_id: c for c in theorem_suite(cat, "3.3").clauses}
+    assert by_id["inverse-image.bottom-top"].status == FAIL
+    assert by_id["inverse-image.bottom-top"].counterexample == (
+        "no projection annihilates exactly what S2→S1 {e2↦e1} kills"
+    )
+    by_id = {c.clause_id: c for c in check_baer_star(cat).clauses}
+    assert by_id["baer.annihilator-exists"].status == FAIL
+    assert by_id["baer.annihilator-exists"].counterexample == "no annihilator for S2→S1 {e2↦e1}"
 
 
 def test_double_annihilator_and_closedness(fixture_cat, f, A):
@@ -139,30 +169,28 @@ def test_annihilator_not_found_is_loud(fixture_cat, A, B, f):
     wrong = make_pbij(A, B, (("3", "c"),))
     twisted = fixture_cat.with_corrupted_composition(f, i3, wrong)
     with pytest.raises(AnnihilatorNotFoundError):
-        annihilator_by_search(twisted, f)
+        annihilator(twisted, f)
     # a failed search is cached per run and raises again from the cache
     enum = Enumeration(twisted)
     for _ in range(2):
         with pytest.raises(AnnihilatorNotFoundError):
-            annihilator_by_search(twisted, f, enum)
+            annihilator(twisted, f, enum)
 
 
-def test_annihilator_is_found_once_per_run_and_a_missing_one_every_time(fixture_cat, f, budget):
-    # the closed form is taken once per run
-    asked = []
-    cat = fixture_cat._clone()
-    cat._annihilator = lambda g: asked.append(g) or fixture_cat._annihilator(g)
-    enum = Enumeration(cat, budget)
-    first = annihilator(cat, f, enum)
-    assert annihilator(cat, f, enum) is first and asked == [f]
-    assert annihilator(cat, f) == first and asked == [f, f]
-    # a search that finds nothing raises again, with the same text, every time
+def test_annihilator_is_found_once_per_run_and_a_missing_one_every_time(budget, monkeypatch):
+    # a search that finds nothing is made once per run, and raises again,
+    # with the same text, every time
+    searched = []
+    search = invcat.projections.annihilator_candidates
+
+    def counting(cat, f, enum=None):
+        searched.append(f)
+        return search(cat, f, enum)
+
+    monkeypatch.setattr(invcat.projections, "annihilator_candidates", counting)
     missing = build_category(parse_spec(NOT_BAER_STAR))[0]
     a, b = (o for o in missing.objects if o.name in ("A", "B"))
     g = next(m for m in missing.hom(b, a) if m.payload == frozenset({("b1", "a1")}))
-    searched = []
-    search = missing._annihilator
-    missing._annihilator = lambda h: searched.append(h) or search(h)
     enum = Enumeration(missing, budget)
     texts = set()
     for _ in range(3):
@@ -170,7 +198,7 @@ def test_annihilator_is_found_once_per_run_and_a_missing_one_every_time(fixture_
             annihilator(missing, g, enum)
         texts.add(str(raised.value))
     assert len(texts) == 1 and render_morphism(g) in texts.pop()
-    assert len(searched) == 3
+    assert searched == [g]
 
 
 def test_annihilator_searched_once_per_morphism(pbij2, budget, monkeypatch):

@@ -82,6 +82,9 @@ def test_pairs_are_normalized_sorted():
          "pair reuses a codomain element"),
         (lambda d: d["morphisms"][0]["pairs"].append(["9", "c"]),
          "pair uses unknown label"),
+        (lambda d: d.update({"objects": 5}), "objects not a list"),
+        (lambda d: d.update({"objects": True}), "objects a boolean"),
+        (lambda d: d.update({"morphisms": 7}), "morphisms not a list"),
     ],
 )
 def test_invalid_docs_rejected(mutate, why):
@@ -89,6 +92,12 @@ def test_invalid_docs_rejected(mutate, why):
     mutate(doc)
     with pytest.raises(SpecFormatError):
         parse_spec(doc)
+
+
+def test_null_or_missing_lists_are_empty():
+    generated = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [1]}}
+    assert parse_spec({**generated, "objects": None}) == parse_spec(generated)
+    assert parse_spec({**FIXTURE_DOC, "morphisms": None}).morphisms == ()
 
 
 def test_generator_docs():
