@@ -248,14 +248,11 @@ def quotient_iso(cat: FiniteCategory, q1: Morphism, q2: Morphism) -> Morphism | 
     return None
 
 
-def _same_subobject(cat: FiniteCategory, u: Morphism, k: Morphism) -> bool:
-    # monos into one object present the same subobject when they differ by an iso
-    return u == k or subobject_iso(cat, u, k) is not None
-
-
-def _same_quotient(cat: FiniteCategory, q1: Morphism, q2: Morphism) -> bool:
-    # dually, epis out of one object present the same quotient when they differ by an iso
-    return q1 == q2 or quotient_iso(cat, q1, q2) is not None
+def _same(cat: FiniteCategory, x: Morphism, y: Morphism, left: bool) -> bool:
+    """Whether monos x and y into one object present the same subobject
+    (left), or epis x and y out of one object the same quotient: they are
+    equal or differ by an iso."""
+    return x == y or (subobject_iso(cat, x, y) if left else quotient_iso(cat, x, y)) is not None
 
 
 # ---- pullback squares -----------------------------------------------------
@@ -366,54 +363,41 @@ BAER_SIDE_CLAUSE_IDS = (
 )
 
 
+def _sided(enum: Enumeration, left: bool):
+    """The enumerated monos (left) or epis, in enumeration order."""
+    is_side = is_mono if left else is_epi
+    return (f for f in enum.morphisms() if is_side(enum.cat, f))
+
+
+# what each direction prints: the morphism, its construction, the annihilator
+# it is the construction of, and what two of them present
+_WORDS = {True: ("mono", "kernel", "(u*)′", "subobjects"), False: ("epi", "cokernel", "v′", "quotients")}
+
+
 def exactness_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
-    def has_kernel(f: Morphism):
-        kernel(cat, f, certify=True, enum=enum)
+    def exists(construct, f: Morphism):
+        # the construction is found and certified, or it raises
+        construct(cat, f, enum=enum)
         return None
 
-    def has_cokernel(f: Morphism):
-        cokernel(cat, f, certify=True, enum=enum)
-        return None
-
-    def monos(it):
-        return (f for f in it if is_mono(cat, f))
-
-    def epis(it):
-        return (f for f in it if is_epi(cat, f))
-
-    def normal(u: Morphism):
-        # the annihilator of u* is the natural candidate; scan everything else
-        # only if it fails, so the clause still decides "is u a kernel at all"
+    def normal(v: Morphism, left: bool):
+        # the annihilator of u* (of v) is the natural candidate; scan everything
+        # else only if it fails, so the clause still decides "is u a kernel at all"
+        witness_of = kernel_witness if left else cokernel_witness
         try:
-            h = annihilator(cat, cat.involve(u), enum).morphism
-            if kernel_witness(cat, h, u, enum) is None:
+            h = annihilator(cat, cat.involve(v) if left else v, enum).morphism
+            if witness_of(cat, h, v, enum) is None:
                 return None
         except NotBaerStarError:
             pass
-        for b in cat.objects:
-            for h in enum.pool(u.cod, b):
-                if kernel_witness(cat, h, u, enum) is None:
+        for w in cat.objects:
+            for h in enum.pool(v.cod, w) if left else enum.pool(w, v.dom):
+                if witness_of(cat, h, v, enum) is None:
                     return None
-        return f"mono {render_morphism(u)} is not the kernel of any enumerated morphism"
-
-    def conormal(v: Morphism):
-        try:
-            h = annihilator(cat, v, enum).morphism
-            if cokernel_witness(cat, h, v, enum) is None:
-                return None
-        except NotBaerStarError:
-            pass
-        for a in cat.objects:
-            for h in enum.pool(a, v.dom):
-                if cokernel_witness(cat, h, v, enum) is None:
-                    return None
-        return f"epi {render_morphism(v)} is not the cokernel of any enumerated morphism"
-
-    def factors(f: Morphism):
-        mono_epi_factorize(cat, f, enum)
-        return None
+        side, construction = _WORDS[left][:2]
+        return f"{side} {render_morphism(v)} is not the {construction} of any enumerated morphism"
 
     def disagree(criterion: bool, cancellable: bool) -> bool:
         # a sampled pool can miss the pair that f fails to cancel, but a
@@ -428,17 +412,19 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     clauses = [
-        run_clause("exact.kernels", "1.1", enum.morphisms(), has_kernel),
-        run_clause("exact.cokernels", "1.1", enum.morphisms(), has_cokernel),
-        run_clause("exact.normal", "1.1", monos(enum.morphisms()), normal),
-        run_clause("exact.conormal", "1.1", epis(enum.morphisms()), conormal),
-        run_clause("exact.factorization", "1", enum.morphisms(), factors),
+        run_clause("exact.kernels", "1.1", enum.morphisms(), lambda f: exists(kernel, f)),
+        run_clause("exact.cokernels", "1.1", enum.morphisms(), lambda f: exists(cokernel, f)),
+        run_clause("exact.normal", "1.1", _sided(enum, True), lambda u: normal(u, True)),
+        run_clause("exact.conormal", "1.1", _sided(enum, False), lambda v: normal(v, False)),
+        run_clause("exact.factorization", "1", enum.morphisms(), lambda f: exists(mono_epi_factorize, f)),
         run_clause("exact.mono-epi-criterion", "1", enum.morphisms(), mono_epi_criterion),
     ]
 
     clauses.extend(annihilator_clauses(enum))
     projections = (i.morphism for i in projection_cases(enum))
-    clauses.append(run_clause("baer.projection-factorization", "1.1", projections, factors))
+    clauses.append(
+        run_clause("baer.projection-factorization", "1.1", projections, lambda f: exists(mono_epi_factorize, f))
+    )
 
     a_ok = all(c.status == PASS for c in clauses if c.clause_id in EXACTNESS_CLAUSE_IDS)
     b_ok = all(c.status == PASS for c in clauses if c.clause_id in BAER_SIDE_CLAUSE_IDS)
@@ -473,37 +459,26 @@ def check_exactness(cat: FiniteCategory, budget: Budget | None = None) -> Verifi
 def normal_conormal_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
-    def mono_is_kernel(u: Morphism):
-        h = annihilator(cat, cat.involve(u), enum).morphism
-        witness = kernel_witness(cat, h, u, enum)
+    def canonical(v: Morphism, left: bool):
+        # u is the kernel of (u*)′ (v the cokernel of v′) and presents the same
+        # subobject (quotient) as the canonical one
+        witness_of, construct = (kernel_witness, kernel) if left else (cokernel_witness, cokernel)
+        side, construction, of, presents = _WORDS[left]
+        h = annihilator(cat, cat.involve(v) if left else v, enum).morphism
+        witness = witness_of(cat, h, v, enum)
         if witness is not None:
-            return f"mono {render_morphism(u)} is not the kernel of (u*)′: {witness}"
-        k = kernel(cat, h, certify=False, enum=enum)
-        if not _same_subobject(cat, u, k):
+            return f"{side} {render_morphism(v)} is not the {construction} of {of}: {witness}"
+        k = construct(cat, h, certify=False, enum=enum)
+        if not _same(cat, v, k, left):
             return (
-                f"mono {render_morphism(u)} and canonical kernel {render_morphism(k)} "
-                "present different subobjects"
+                f"{side} {render_morphism(v)} and canonical {construction} {render_morphism(k)} "
+                f"present different {presents}"
             )
         return None
 
-    def epi_is_cokernel(v: Morphism):
-        h = annihilator(cat, v, enum).morphism
-        witness = cokernel_witness(cat, h, v, enum)
-        if witness is not None:
-            return f"epi {render_morphism(v)} is not the cokernel of v′: {witness}"
-        q = cokernel(cat, h, certify=False, enum=enum)
-        if not _same_quotient(cat, v, q):
-            return (
-                f"epi {render_morphism(v)} and canonical cokernel {render_morphism(q)} "
-                "present different quotients"
-            )
-        return None
-
-    monos = (f for f in enum.morphisms() if is_mono(cat, f))
-    epis = (f for f in enum.morphisms() if is_epi(cat, f))
     return [
-        run_clause("coherence.mono-is-kernel", "1.1", monos, mono_is_kernel),
-        run_clause("coherence.epi-is-cokernel", "1.1", epis, epi_is_cokernel),
+        run_clause("coherence.mono-is-kernel", "1.1", _sided(enum, True), lambda u: canonical(u, True)),
+        run_clause("coherence.epi-is-cokernel", "1.1", _sided(enum, False), lambda v: canonical(v, False)),
     ]
 
 
@@ -524,32 +499,24 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
             return f"ker(f)∘ker(f)* ≠ f′ for {render_morphism(f)}"
         return None
 
-    def annihilator_mono_part(f: Morphism):
-        i = annihilator(cat, f, enum).morphism
-        p = mono_epi_factorize(cat, i, enum).p
-        k = kernel(cat, f, certify=False, enum=enum)
-        if not _same_subobject(cat, p, k):
+    def annihilator_part(f: Morphism, left: bool):
+        # the mono part of f′ presents ker f, the epi part of (f*)′ coker f
+        i = annihilator(cat, f if left else cat.involve(f), enum).morphism
+        factors = mono_epi_factorize(cat, i, enum)
+        part = factors.p if left else factors.q
+        k = (kernel if left else cokernel)(cat, f, certify=False, enum=enum)
+        if not _same(cat, part, k, left):
+            side, name, of = ("mono", "f′", "ker") if left else ("epi", "(f*)′", "coker")
             return (
-                f"mono part of f′ is {render_morphism(p)} but ker f is "
+                f"{side} part of {name} is {render_morphism(part)} but {of} f is "
                 f"{render_morphism(k)} for {render_morphism(f)}"
-            )
-        return None
-
-    def coannihilator_epi_part(f: Morphism):
-        j = annihilator(cat, cat.involve(f), enum).morphism
-        q = mono_epi_factorize(cat, j, enum).q
-        c = cokernel(cat, f, certify=False, enum=enum)
-        if not _same_quotient(cat, q, c):
-            return (
-                f"epi part of (f*)′ is {render_morphism(q)} but coker f is "
-                f"{render_morphism(c)} for {render_morphism(f)}"
             )
         return None
 
     def kernel_cokernel_duality(f: Morphism):
         left = cokernel(cat, f, certify=False, enum=enum)
         right = cat.involve(kernel(cat, cat.involve(f), certify=False, enum=enum))
-        if not _same_quotient(cat, left, right):
+        if not _same(cat, left, right, False):
             return f"coker f ≠ (ker f*)* for {render_morphism(f)}"
         return None
 
@@ -557,7 +524,7 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
         ff_star = cat.compose(f, cat.involve(f))
         p_proj = mono_epi_factorize(cat, ff_star, enum).p
         p_f = mono_epi_factorize(cat, f, enum).p
-        if not _same_subobject(cat, p_proj, p_f):
+        if not _same(cat, p_proj, p_f, True):
             return (
                 f"mono part of f∘f* is {render_morphism(p_proj)} but image of f is "
                 f"{render_morphism(p_f)} for {render_morphism(f)}"
@@ -566,8 +533,8 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
 
     return [
         run_clause("coherence.kernel-annihilator", "1.1", enum.morphisms(), kernel_annihilator),
-        run_clause("coherence.annihilator-mono", "1.1", enum.morphisms(), annihilator_mono_part),
-        run_clause("coherence.coannihilator-epi", "1.1", enum.morphisms(), coannihilator_epi_part),
+        run_clause("coherence.annihilator-mono", "1.1", enum.morphisms(), lambda f: annihilator_part(f, True)),
+        run_clause("coherence.coannihilator-epi", "1.1", enum.morphisms(), lambda f: annihilator_part(f, False)),
         run_clause("coherence.kernel-cokernel-duality", "1.1", enum.morphisms(), kernel_cokernel_duality),
         run_clause("coherence.image-via-projection", "1.1", enum.morphisms(), image_via_projection),
     ]

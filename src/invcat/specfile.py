@@ -209,17 +209,24 @@ def dumps_spec(spec: CategorySpec) -> str:
     return json.dumps(serialize_spec(spec), indent=2, ensure_ascii=False)
 
 
-def loads_spec(text: str) -> CategorySpec:
+def _json(text: str | bytes):
+    """The JSON document in text, bytes read as UTF-8.  Input that is not
+    UTF-8, not JSON, or nested too deeply to parse is a SpecFormatError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SpecFormatError(f"not valid JSON: {err}") from err
-    return parse_spec(data)
+    except RecursionError as err:
+        raise SpecFormatError("not valid JSON: nested too deeply") from err
+
+
+def loads_spec(text: str) -> CategorySpec:
+    return parse_spec(_json(text))
 
 
 def load_spec(path) -> CategorySpec:
-    with open(path, encoding="utf-8") as handle:
-        return loads_spec(handle.read())
+    with open(path, "rb") as handle:
+        return parse_spec(_json(handle.read()))
 
 
 # ---- turning specs into categories ----------------------------------------
@@ -267,12 +274,8 @@ def parse_monoid_table(data) -> tuple[tuple[str, ...], dict, str]:
 
 
 def load_monoid_table(path) -> tuple[tuple[str, ...], dict, str]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise SpecFormatError(f"not valid JSON: {err}") from err
-    return parse_monoid_table(data)
+    with open(path, "rb") as handle:
+        return parse_monoid_table(_json(handle.read()))
 
 
 def _saturate(

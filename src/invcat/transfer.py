@@ -247,6 +247,18 @@ def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple[int, .
     )
 
 
+def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
+    """The mono part p of the factorization of kind(f)(s∘s*) = p∘p*, for a
+    mono s into the source of kind(f)."""
+    if s.cod != _source(kind, f):
+        side = "dom" if kind is TransferKind.IMAGE else "cod"
+        raise ShapeMismatchError(f"{render_morphism(s)} does not land in {side}(f)")
+    if not is_mono(cat, s):
+        raise NotMonoError(f"{render_morphism(s)} is not a monomorphism")
+    moved = _apply(cat, kind, f, Projection(s.cod, cat.compose(s, cat.involve(s))), enum)
+    return mono_epi_factorize(cat, moved.morphism, enum).p
+
+
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
     """The image of f∘u: the mono part p of the factorization of the
     transferred projection P(f)(u∘u*) = p∘p*.
@@ -255,13 +267,7 @@ def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True
     through which f∘u factors, by scanning every enumerated mono.
     """
     enum = enum if enum is not None else Enumeration(cat)
-    if u.cod != f.dom:
-        raise ShapeMismatchError(f"{render_morphism(u)} does not land in dom(f)")
-    if not is_mono(cat, u):
-        raise NotMonoError(f"{render_morphism(u)} is not a monomorphism")
-    uu = Projection(f.dom, cat.compose(u, cat.involve(u)))
-    moved = _apply(cat, TransferKind.IMAGE, f, uu, enum)
-    p = mono_epi_factorize(cat, moved.morphism, enum).p
+    p = _moved_mono(cat, TransferKind.IMAGE, f, u, enum)
     if certify:
         witness = smallest_subobject_witness(cat, f, u, p, enum)
         if witness is not None:
@@ -291,13 +297,7 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, certify: boo
     """The mono u with u∘u* = P'(f)(v∘v*), certified (when asked) by the
     pullback property of the square assembled in square_for_inverse_image."""
     enum = enum if enum is not None else Enumeration(cat)
-    if v.cod != f.cod:
-        raise ShapeMismatchError(f"{render_morphism(v)} does not land in cod(f)")
-    if not is_mono(cat, v):
-        raise NotMonoError(f"{render_morphism(v)} is not a monomorphism")
-    vv = Projection(f.cod, cat.compose(v, cat.involve(v)))
-    moved = _apply(cat, TransferKind.INVERSE_IMAGE, f, vv, enum)
-    u = mono_epi_factorize(cat, moved.morphism, enum).p
+    u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
     if certify:
         try:
             witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u), enum)
@@ -484,25 +484,26 @@ def _match_clause(enum: Enumeration, kind: TransferKind, anchor: str, side: str)
 # ---- law suites ------------------------------------------------------------
 
 
-def _mono_pairs(enum: Enumeration, into_dom: bool):
-    """(f, mono) pairs: monos into dom(f) when into_dom, else into cod(f)."""
-    for f in enum.morphisms():
-        for s in enum.cached(_monos_into, f.dom if into_dom else f.cod):
-            yield f, s
+def _certified_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: str) -> Clause:
+    """Each (f, s), s a mono into the source of kind(f), visiting f outermost,
+    has the certified image (kind P) or inverse image (kind P′) of s."""
+    cat = enum.cat
+    construct, variable = (image_of, "u") if kind is TransferKind.IMAGE else (inverse_image_of, "v")
+
+    def certified(case):
+        f, s = case
+        try:
+            construct(cat, f, s, certify=True, enum=enum)
+        except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
+            return f"f = {render_morphism(f)}, {variable} = {render_morphism(s)}: {err}"
+        return None
+
+    cases = ((f, s) for f in enum.morphisms() for s in enum.cached(_monos_into, _source(kind, f)))
+    return run_clause(f"{_KIND_NAMES[kind][0]}.{name}", anchor, cases, certified)
 
 
 def image_smallest_subobject_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-
-    def smallest(case):
-        f, u = case
-        try:
-            image_of(cat, f, u, certify=True, enum=enum)
-        except (TransferCertificationError, NoFactorizationError) as err:
-            return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
-        return None
-
-    return [run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest)]
+    return [_certified_clause(enum, TransferKind.IMAGE, "smallest-subobject", "2.1")]
 
 
 def image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:
@@ -563,17 +564,7 @@ def image_order_clauses(enum: Enumeration) -> list[Clause]:
 
 
 def inverse_image_pullback_clauses(enum: Enumeration) -> list[Clause]:
-    cat = enum.cat
-
-    def pullback(case):
-        f, v = case
-        try:
-            inverse_image_of(cat, f, v, certify=True, enum=enum)
-        except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
-            return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
-        return None
-
-    return [run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback)]
+    return [_certified_clause(enum, TransferKind.INVERSE_IMAGE, "pullback", "3.1")]
 
 
 def inverse_image_lattice_map_clauses(enum: Enumeration) -> list[Clause]:

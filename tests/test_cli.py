@@ -22,7 +22,7 @@ from invcat.cli import main
 from invcat.report import PASS, merge_reports
 from test_golden import NOT_BAER_STAR
 from test_monoid import CLASSIFICATION_CORPUS
-from test_specfile import I5_DOC
+from test_specfile import I5_DOC, UNREADABLE
 
 FIXTURE_DOC = {
     "format-version": 1,
@@ -272,6 +272,15 @@ def test_classify_command(runner, tmp_path):
     missing = runner.invoke(main, ["classify", "--monoid",
                                    str(tmp_path / "absent.json")])
     assert missing.exit_code == 2
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize("command, option", [("axioms", "--spec"), ("classify", "--monoid")])
+def test_unreadable_input_exits_two(runner, tmp_path, command, option, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[name])
+    result = runner.invoke(main, [command, option, str(path)])
+    assert result.exit_code == 2, result.output
 
 
 def test_out_flag_writes_file(runner, tmp_path):

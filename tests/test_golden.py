@@ -85,6 +85,7 @@ def _clone(name: str):
     p1, p2 = pb(s2, s2, ("e1", "e1")), pb(s2, s2, ("e2", "e2"))
     s, t = pb(s2, s2, ("e1", "e2")), pb(s2, s2, ("e1", "e2"), ("e2", "e1"))
     down, up = pb(s2, s1, ("e1", "e1")), pb(s1, s2, ("e1", "e1"))
+    zero = size_finset(0)
     if name == "p1p1-to-0":
         return cat.with_corrupted_composition(p1, p1, pb(s2, s2))
     if name == "p1p2-to-s":
@@ -93,12 +94,14 @@ def _clone(name: str):
         return cat.with_corrupted_composition(t, t, t)
     if name == "down-up-to-0":
         return cat.with_corrupted_composition(down, up, pb(s1, s1))
+    if name == "zero-to-up":
+        return cat.with_corrupted_composition(pb(zero, s2), pb(s1, zero), up)
     if name == "s-star-to-s":
         return cat.with_corrupted_involution(s, s)
     return cat.with_corrupted_involution(p1, cat.identity(s2))
 
 
-CLONES = ("p1p1-to-0", "p1p2-to-s", "tt-to-t", "down-up-to-0", "s-star-to-s", "p1-star-to-id")
+CLONES = ("p1p1-to-0", "p1p2-to-s", "tt-to-t", "down-up-to-0", "s-star-to-s", "p1-star-to-id", "zero-to-up")
 
 # name -> (builds (category, monoid or None), budget, whether it is a partial-bijection model)
 CATEGORIES = {

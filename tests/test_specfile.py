@@ -226,6 +226,25 @@ def test_file_loading(tmp_path):
         load_monoid_table(bad)
 
 
+# files that are not UTF-8 JSON at all: undecodable bytes, and nesting deeper
+# than the parser recurses
+UNREADABLE = {"non-utf8": b'\xff\xfe{"objects": []}', "deeply-nested": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_files_rejected(tmp_path, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[name])
+    for load in (load_spec, load_monoid_table):
+        with pytest.raises(SpecFormatError):
+            load(path)
+
+
+def test_deeply_nested_text_rejected():
+    with pytest.raises(SpecFormatError, match="nested too deeply"):
+        loads_spec("[" * 100_000)
+
+
 def test_spec_from_category_fixture(A, B, f):
     spec = spec_from_category_fixture((A, B), {"f": f})
     assert parse_spec(serialize_spec(spec)) == spec

@@ -38,7 +38,6 @@ from invcat.transfer import (
     TransferCertificationError,
     TransferKind,
     _apply,
-    _mono_pairs,
     _monos_into,
     _row,
     _source,
@@ -584,10 +583,17 @@ def _reference_law_clauses(cat, budget):
     }
     clauses += [run_clause(clause_id, "", enum.morphisms(), check) for clause_id, check in per_morphism.items()]
     clauses += [
-        run_clause("image.smallest-subobject", "2.1", _mono_pairs(enum, into_dom=True), smallest),
-        run_clause("inverse-image.pullback", "3.1", _mono_pairs(enum, into_dom=False), pullback),
+        run_clause("image.smallest-subobject", "2.1", mono_pairs(enum, into_dom=True), smallest),
+        run_clause("inverse-image.pullback", "3.1", mono_pairs(enum, into_dom=False), pullback),
     ]
     return {c.clause_id: c for c in clauses}
+
+
+def mono_pairs(enum, into_dom):
+    """(f, mono) pairs, f outermost: monos into dom(f) when into_dom, else into cod(f)."""
+    for f in enum.morphisms():
+        for s in enum.cached(_monos_into, f.dom if into_dom else f.cod):
+            yield f, s
 
 
 def reference_smallest_subobject_witness(cat, f, u, p, enum):
