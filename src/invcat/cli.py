@@ -36,7 +36,7 @@ from .specfile import (
     load_monoid_table,
     load_spec,
 )
-from .transfer import SUBSET_FORMS, SUITES, TransferKind, _source, theorem_suite
+from .transfer import SUBSET_FORMS, SUITES, TransferKind, _source, _source_side, theorem_suite
 
 
 def _emit(report: VerificationReport, out: str | None) -> None:
@@ -185,10 +185,9 @@ def eval_(functor, morphism_name, projection_csv, spec_path):
     base = _source(kind, f)
     unknown = [x for x in labels if x not in base.elements]
     if unknown:
-        side = "dom" if kind is TransferKind.IMAGE else "cod"
         raise SpecFormatError(
             f"labels {unknown} are not elements of {base.name} "
-            f"(the projection must live on {side}(f))"
+            f"(the projection must live on {_source_side(kind)}(f))"
         )
     repeated = sorted({x for x in labels if labels.count(x) > 1})
     if repeated:

@@ -228,7 +228,8 @@ class FiniteCategory:
 
     def _projection_pool(self, a) -> tuple | None:
         # models that can list every projection cheaply override this, so
-        # projection searches stay complete even when hom-sets are sampled
+        # projection searches stay complete even when hom-sets are sampled;
+        # a member counts only where it is a projection on the table under test
         return None
 
     def _zero(self, a, b) -> Morphism | None:
@@ -606,100 +607,65 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     # Associativity and the antihomomorphism law work on the category's
-    # morphism ids, a hom block at a time.  A block whose table entries are
-    # all filled is one list comparison, handed to run_clause as Passed(n)
-    # when it holds.  Any other block is walked case by case, in the order
-    # of the per-case check, so a missing entry is filled, and an entry
-    # whose computation raises raises, exactly where it would there: the
-    # block comparisons only read the table.  A filled entry never changes,
-    # so the lists read from filled entries are kept for the whole scan.
-    compose_id, rows, pool_ids = cat.compose_id, cat.rows, enum.pool_ids
+    # morphism ids, a hom block at a time.  Associativity fills every entry
+    # a block needs, then compares.  The antihomomorphism law compares a
+    # block only when its entries and involutions are all filled, and walks
+    # any other block pair by pair, so an entry or involution that raises
+    # raises where the per-case check would.
+    compose_ids, rows, pool_ids = cat.compose_ids, cat.rows, enum.pool_ids
 
     def filled(row, js):
         """[row[j] for j in js], or None when an entry is missing."""
         out = list(map(row.get, js))
         return None if None in out else out
 
-    def filled_row(cache, i, js):
-        out = cache.get(i)
-        if out is None:
-            out = filled(rows[i], js)
-            if out is not None:
-                cache[i] = out
-        return out
+    def composites(i, js):
+        """The ids of i∘j for j in js, read in place when all are filled."""
+        out = list(map(rows[i].get, js))
+        return compose_ids(i, js) if None in out else out
 
-    def filled_rows(cache, ids, js):
-        """filled_row(cache, i, js) for each i in ids, concatenated, or None."""
-        parts = list(map(cache.get, ids))
-        if None in parts:
-            for k, i in enumerate(ids):
-                if parts[k] is None:
-                    parts[k] = filled_row(cache, i, js)
-                    if parts[k] is None:
-                        return None
-        return list(chain.from_iterable(parts))
+    def concatenated(cache, ids, js):
+        """composites(i, js) for each i in ids, concatenated; a filled entry
+        never changes, so each row is kept in cache."""
+        for i in ids:
+            if i not in cache:
+                cache[i] = composites(i, js)
+        return list(chain.from_iterable(map(cache.__getitem__, ids)))
 
     def associativity_cases():
-        """(id of (f∘g)∘h, id of f∘(g∘h), f, g, h) for every composable
-        triple: objects a, b, c, d, then f ∈ pool(c, d), g ∈ pool(b, c),
-        h ∈ pool(a, b).  Each triple asks for (f, g), (fg, h), (g, h),
-        (f, gh), in that order.  The triples of one f, or of one (f, g),
-        whose entries are all filled and agree come as one Passed case."""
+        """Per f ∈ pool(c, d) and blocks g ∈ pool(b, c), h ∈ pool(a, b) over
+        objects a, b, c, d: (f∘g)∘h and f∘(g∘h) as two lists in triple order,
+        every entry filled first.  A block that holds is Passed(n); any other
+        is Passed(k) for the k triples before its first failing one, then
+        that triple as (id of (f∘g)∘h, id of f∘(g∘h), f, g, h)."""
         objs = cat.objects
         for a in objs:
             for b in objs:
                 hids = pool_ids(a, b)
                 if not hids:
                     continue
-                hs, n = enum.pool(a, b), len(hids)
                 for c in objs:
                     gids = pool_ids(b, c)
                     if not gids:
                         continue
-                    gs = enum.pool(b, c)
                     # id i → ids of i∘h over hids: g∘h for a g, (fg)∘h for an fg
                     over_h = {}
-                    gh_all = None
+                    gh_all = concatenated(over_h, gids, hids)
                     for d in objs:
                         for fi, f in zip(pool_ids(c, d), enum.pool(c, d)):
-                            frow = rows[fi]
-                            fgs = filled(frow, gids)
-                            if fgs is not None:
-                                if gh_all is None:
-                                    gh_all = filled_rows(over_h, gids, hids)
-                                if gh_all is not None:
-                                    fgh_all = filled_rows(over_h, fgs, hids)
-                                    if fgh_all is not None and list(map(frow.get, gh_all)) == fgh_all:
-                                        yield Passed(len(fgh_all))
-                                        continue
-                            for gi, g in zip(gids, gs):
-                                fgi = frow.get(gi)
-                                start = 0
-                                if fgi is not None:
-                                    ghs = filled_row(over_h, gi, hids)
-                                    lefts = filled_row(over_h, fgi, hids)
-                                    if ghs is not None and lefts is not None:
-                                        rights = list(map(frow.get, ghs))
-                                        if rights == lefts:
-                                            yield Passed(n)
-                                            continue
-                                        start = next(k for k in range(n) if rights[k] != lefts[k])
-                                        if start:
-                                            yield Passed(start)
-                                else:
-                                    fgi = compose_id(fi, gi)
-                                grow, fgrow = rows[gi], rows[fgi]
-                                for hi, h in zip(hids[start:], hs[start:]):
-                                    left = fgrow.get(hi)
-                                    if left is None:
-                                        left = compose_id(fgi, hi)
-                                    ghi = grow.get(hi)
-                                    if ghi is None:
-                                        ghi = compose_id(gi, hi)
-                                    right = frow.get(ghi)
-                                    if right is None:
-                                        right = compose_id(fi, ghi)
-                                    yield left, right, f, g, h
+                            lefts = concatenated(over_h, composites(fi, gids), hids)
+                            # a missing entry reads None and never matches
+                            rights = list(map(rows[fi].get, gh_all))
+                            if rights != lefts:
+                                rights = compose_ids(fi, gh_all)
+                            if rights == lefts:
+                                yield Passed(len(lefts))
+                                continue
+                            k = next(k for k, left in enumerate(lefts) if left != rights[k])
+                            if k:
+                                yield Passed(k)
+                            g, h = divmod(k, len(hids))
+                            yield lefts[k], rights[k], f, enum.pool(b, c)[g], enum.pool(a, b)[h]
 
     def associativity(case):
         left, right, f, g, h = case

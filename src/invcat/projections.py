@@ -71,11 +71,13 @@ def bottom(cat: FiniteCategory, a) -> Projection:
 
 
 def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> tuple[Projection, ...]:
-    """All projections on `a` found in the enumerated endomorphisms, closed
-    under meet and always containing top and bottom."""
+    """All projections on `a`: the members of the model's pool that are
+    projections on the table under test, or else those found in the
+    enumerated endomorphisms, closed under meet, with top and bottom."""
     pool = cat._projection_pool(a)
     if pool is not None:
-        return tuple(sorted(pool, key=lambda p: morphism_sort_key(p.morphism)))
+        kept = [p for p in pool if is_projection(cat, p.morphism)]
+        return tuple(sorted(kept, key=lambda p: morphism_sort_key(p.morphism)))
     enum = enum if enum is not None else Enumeration(cat)
     found = set()
     for m in enum.endos(a):

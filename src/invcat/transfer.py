@@ -104,8 +104,7 @@ def _check_source(kind: TransferKind, f: Morphism, p: Projection) -> None:
     """Raise unless p lives on the source lattice of kind(f)."""
     a = _source(kind, f)
     if p.obj != a:
-        side = "dom" if kind is TransferKind.IMAGE else "cod"
-        raise ObjectMismatchError(f"projection lives on {render_object(p.obj)}, not on {side}(f) = {render_object(a)}")
+        raise ObjectMismatchError(f"projection lives on {render_object(p.obj)}, not on {_source_side(kind)}(f) = {render_object(a)}")
 
 
 def apply_P(cat: FiniteCategory, f: Morphism, i: Projection) -> Projection:
@@ -184,6 +183,11 @@ def _source(kind: TransferKind, f: Morphism):
     return f.dom if kind is TransferKind.IMAGE else f.cod
 
 
+def _source_side(kind: TransferKind) -> str:
+    """The name error texts give _source(kind, f)."""
+    return "dom" if kind is TransferKind.IMAGE else "cod"
+
+
 def _target(kind: TransferKind, f: Morphism):
     return f.cod if kind is TransferKind.IMAGE else f.dom
 
@@ -251,8 +255,7 @@ def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphis
     """The mono part p of the factorization of kind(f)(s∘s*) = p∘p*, for a
     mono s into the source of kind(f)."""
     if s.cod != _source(kind, f):
-        side = "dom" if kind is TransferKind.IMAGE else "cod"
-        raise ShapeMismatchError(f"{render_morphism(s)} does not land in {side}(f)")
+        raise ShapeMismatchError(f"{render_morphism(s)} does not land in {_source_side(kind)}(f)")
     if not is_mono(cat, s):
         raise NotMonoError(f"{render_morphism(s)} is not a monomorphism")
     moved = _apply(cat, kind, f, Projection(s.cod, cat.compose(s, cat.involve(s))), enum)

@@ -19,6 +19,7 @@ from invcat import (
     build_category,
     canonical_pbij_category,
     check_inverse_category,
+    cyclic_group,
     is_generalized_inverse,
     is_projection,
     make_pbij,
@@ -344,6 +345,16 @@ def _verdict(clause):
     return clause.status, clause.checked, clause.counterexample
 
 
+def _non_associative():
+    """A one-object Cayley table on 1, a, b that is not associative:
+    (a·a)·a = b·a = b but a·(a·a) = a·b = a.  The triple (a, a, a) has four
+    passing triples before it in the block of f = a."""
+    ms = {label: Morphism("X", "X", label) for label in "1ab"}
+    rows = {"1": "1ab", "a": "aba", "b": "bbb"}
+    table = {(ms[x], ms[y]): ms[rows[x]["1ab".index(y)]] for x in ms for y in ms}
+    return TableCategory(("X",), {("X", "X"): tuple(ms.values())}, table, {"X": ms["1"]})
+
+
 def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
     # each category is checked twice: the first run starts from an empty
     # table, the second reads what the first filled, so the block compares
@@ -351,8 +362,15 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
     base = canonical_pbij_category((1, 2))
     composition, involution = list(endomorphism_clones(base)), list(involution_clones(base))
     assert (len(composition), len(involution)) == (53, 9)
+    clones = composition + involution
+    # the dict-table model, as specs and Cayley tables build it
+    tables = [
+        two_object_category(cyclic_group(4)),
+        two_object_category(symmetric_inverse_monoid(2)),
+        _non_associative(),
+    ]
     cases = [(canonical_pbij_category(sizes), budget) for sizes in ((0, 1, 2), (1, 2))]
-    cases += [(cat, budget) for cat in composition + involution]
+    cases += [(cat, budget) for cat in clones + tables]
     cases.append((canonical_pbij_category((0, 5)), Budget(max_size=4, sample=6, seed=3)))
     failing = Counter()
     for cat, run_budget in cases:
@@ -364,7 +382,10 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
         for clause_id, clause in want.items():
             for report in runs:
                 assert _verdict(report.clause(clause_id)) == _verdict(clause), (clause_id, cat)
-            failing[clause_id] += clause.status == FAIL
+            if any(cat is clone for clone in clones):
+                failing[clause_id] += clause.status == FAIL
+        if cat is tables[-1]:
+            assert want["category.associativity"].checked == 9 + 4 + 1
     # the last category's pools were sampled
     assert all(c.sampled for c in runs[0].clauses if c.status != SKIPPED)
     # every composition clone breaks associativity and 44 of them the
@@ -415,10 +436,50 @@ def test_block_compares_hand_a_warm_passing_category_over_as_passed_cases(monkey
         assert sum(cases) == report.clause(clause_id).checked == total
 
 
+def test_associativity_hands_over_passed_cases_and_one_failing_triple_per_block(monkeypatch, budget):
+    # a cold run: each block of one f and hom blocks of g and h comes as
+    # Passed cases, followed by its first failing triple when it has one
+    handed = []
+    real = core.run_clause
+
+    def spy(clause_id, anchor, cases, check):
+        if clause_id == "category.associativity":
+            cases = list(cases)
+            handed.append(cases)
+        return real(clause_id, anchor, cases, check)
+
+    def first_failures(cat):
+        enum, objs, out = Enumeration(cat, budget), cat.objects, []
+        for a in objs:
+            for b in objs:
+                for c in objs:
+                    for d in objs:
+                        for f in enum.pool(c, d):
+                            out += [
+                                (f, g, h)
+                                for g in enum.pool(b, c)
+                                for h in enum.pool(a, b)
+                                if cat.compose(cat.compose(f, g), h) != cat.compose(f, cat.compose(g, h))
+                            ][:1]
+        return out
+
+    monkeypatch.setattr(core, "run_clause", spy)
+    base = canonical_pbij_category((1, 2))
+    report = check_inverse_category(base, budget)
+    assert all(type(case) is Passed for case in handed[-1])
+    assert sum(handed[-1]) == report.clause("category.associativity").checked > 0
+    for cat in endomorphism_clones(base):
+        check_inverse_category(cat, budget)
+        triples = [case for case in handed[-1] if type(case) is not Passed]
+        assert all(left != right for left, right, *_ in triples)
+        assert [tuple(case[2:]) for case in triples] == first_failures(cat) != []
+
+
 def _cyclic3():
     """Z/3 on one object X, labelled so that the pools list the generator
-    "a", the unit "b", then "c": on this order, asking for (g, h) before
-    (fg, h) changes which composite is needed first."""
+    "a", the unit "b", then "c": the per-triple check asks for (g, h)
+    before (fg, h), and on this order that changes which composite is
+    needed first, so a block filled in another order asks in another order."""
     ms = {label: Morphism("X", "X", label) for label in "abc"}
     power = {"b": 0, "a": 1, "c": 2}
     label = {k: x for x, k in power.items()}
@@ -429,7 +490,7 @@ def _cyclic3():
 
 
 @pytest.mark.parametrize("make", [_cyclic3, lambda: canonical_pbij_category((0, 1, 2))])
-def test_associativity_computes_each_composite_once_in_triple_order(make, monkeypatch, budget):
+def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
     # the per-pair hook runs once per table entry, whichever route the model
     # takes to the id (the partial-bijection rule composes only new codes)
     def record(cat, calls):
@@ -460,9 +521,11 @@ def test_associativity_computes_each_composite_once_in_triple_order(make, monkey
 
     monkeypatch.setattr(core, "run_clause", measure)
     check_inverse_category(cat, budget)
-    # the identity laws run first and leave their composites in the table
+    # the identity laws run first and leave their composites in the table;
+    # associativity fills the rest a block at a time, so in its own order
     earlier, during = by_clause["category.associativity"]
-    assert earlier and during == [pair for pair in first_calls if pair not in earlier]
+    assert earlier and len(set(during)) == len(during)
+    assert set(during) == set(first_calls) - earlier != set()
 
 
 def test_associativity_fills_the_table_every_clause_and_run_shares(budget):

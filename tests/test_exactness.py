@@ -31,6 +31,7 @@ from invcat import (
     mono_epi_factorize,
     pullback_witness,
     render_morphism,
+    size_finset,
     subset_projection,
     theorem_suite,
 )
@@ -359,6 +360,22 @@ def test_subobject_and_quotient_isos(fixture_cat, A):
     q2 = fixture_cat.involve(flip)
     assert quotient_iso(fixture_cat, q1, q2) is not None
     assert quotient_iso(fixture_cat, q1, fixture_cat.involve(other)) is None
+
+
+def test_same_passes_the_morphism_under_test_first():
+    # on this clone the iso test is not symmetric: (0→S1 ∅)∘(S1→0 ∅) made
+    # the identity of S1 makes 0→S1 ∅ an iso one way round only
+    s0, s1, s2 = (size_finset(n) for n in range(3))
+    cat = canonical_pbij_category((1, 2)).with_corrupted_composition(
+        make_pbij(s0, s1, ()), make_pbij(s1, s0, ()), make_pbij(s1, s1, (("e1", "e1"),))
+    )
+    for left, iso, x, y in (
+        (True, subobject_iso, make_pbij(s0, s2, ()), make_pbij(s1, s2, (("e1", "e1"),))),
+        (False, quotient_iso, make_pbij(s2, s0, ()), make_pbij(s2, s1, (("e1", "e1"),))),
+    ):
+        forward = iso(cat, x, y) is not None
+        assert forward != (iso(cat, y, x) is not None)
+        assert _same(cat, x, y, left) == forward, left
 
 
 def test_exactness_suite_green_on_pbij3(pbij3, budget):
