@@ -319,20 +319,24 @@ class FiniteCategory:
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
         return self.morphisms_by_id[self.compose_id(self.intern(f), self.intern(g))]
 
-    def involve(self, f: Morphism) -> Morphism:
-        """The canonical involution f*, computed once per category: from a
-        clone's override, the model rule, or else the unique quasi-inverse
-        found by search (raising when it is not unique)."""
-        i = self.intern(f)
+    def involve_id(self, i: int) -> int:
+        """The id of morphisms_by_id[i]*, the canonical involution, computed
+        once per category: from a clone's override, the model rule, or else
+        the unique quasi-inverse found by search (raising when it is not
+        unique)."""
         k = self._involution_ids.get(i)
         if k is None:
+            f = self.morphisms_by_id[i]
             g = self._involve_overrides.get(f)
             if g is None:
                 g = self._involve(f)
             if g is None:
                 g = self.unique_quasi_inverse(f)
             k = self._involution_ids[i] = self.intern(g)
-        return self.morphisms_by_id[k]
+        return k
+
+    def involve(self, f: Morphism) -> Morphism:
+        return self.morphisms_by_id[self.involve_id(self.intern(f))]
 
     def quasi_inverses_of(self, f: Morphism) -> tuple[Morphism, ...]:
         """Every g in hom(cod f, dom f), in hom order, with fgf = f and
@@ -607,17 +611,9 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     # Associativity and the antihomomorphism law work on the category's
-    # morphism ids, a hom block at a time.  Associativity fills every entry
-    # a block needs, then compares.  The antihomomorphism law compares a
-    # block only when its entries and involutions are all filled, and walks
-    # any other block pair by pair, so an entry or involution that raises
-    # raises where the per-case check would.
+    # morphism ids, a hom block at a time: each fills every entry a block
+    # needs, then compares two lists.
     compose_ids, rows, pool_ids = cat.compose_ids, cat.rows, enum.pool_ids
-
-    def filled(row, js):
-        """[row[j] for j in js], or None when an entry is missing."""
-        out = list(map(row.get, js))
-        return None if None in out else out
 
     def composites(i, js):
         """The ids of i∘j for j in js, read in place when all are filled."""
@@ -696,33 +692,41 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             return f"(f*)* = {render_morphism(gg)} ≠ f = {render_morphism(f)}"
         return None
 
-    involution_ids = cat._involution_ids
-
     def antihomomorphism_cases():
-        """(f, g) for every composable pair, in composable_pairs order; the
-        pairs of one f and a hom block of g whose composites and involutions
-        are all filled and agree come as one Passed case."""
-        objs = cat.objects
+        """Per f ∈ pool(b, c) and block g ∈ pool(a, b) over objects a, b, c:
+        (f∘g)* and g*∘f* as two lists in pair order, every entry and
+        involution filled first.  A block that holds is Passed(n); any
+        other is Passed(k) for the k pairs before its first failing one,
+        then that pair (f, g).  A block whose filling finds an involution
+        missing (a morphism with no unique quasi-inverse) is walked pair by
+        pair, so it fails where the per-pair check would; any other error
+        raises, as in associativity."""
+        involve_id, compose_id, objs = cat.involve_id, cat.compose_id, cat.objects
         for a in objs:
             for b in objs:
-                gids = pool_ids(a, b)
+                gids, gs = pool_ids(a, b), enum.pool(a, b)
                 if not gids:
                     continue
-                gs = enum.pool(a, b)
                 gstars = None
                 for c in objs:
                     for fi, f in zip(pool_ids(b, c), enum.pool(b, c)):
-                        fstar = involution_ids.get(fi)
-                        if fstar is not None:
+                        try:
+                            fstar = involve_id(fi)
+                            lefts = list(map(involve_id, compose_ids(fi, gids)))
                             if gstars is None:
-                                gstars = filled(involution_ids, gids)
-                            if gstars is not None:
-                                left = list(map(involution_ids.get, map(rows[fi].get, gids)))
-                                if None not in left and left == [rows[s].get(fstar) for s in gstars]:
-                                    yield Passed(len(left))
-                                    continue
-                        for g in gs:
-                            yield f, g
+                                gstars = list(map(involve_id, gids))
+                            rights = [compose_id(s, fstar) for s in gstars]
+                        except MissingConstructionError:
+                            lefts = None
+                        if lefts is None:
+                            yield from ((f, g) for g in gs)
+                        elif lefts == rights:
+                            yield Passed(len(lefts))
+                        else:
+                            k = next(k for k, left in enumerate(lefts) if left != rights[k])
+                            if k:
+                                yield Passed(k)
+                            yield f, gs[k]
 
     def antihomomorphism(pair):
         f, g = pair

@@ -88,7 +88,8 @@ def parse_spec(data) -> CategorySpec:
 
     objects: list[ObjectSpec] = []
     seen_objects: dict[str, ObjectSpec] = {}
-    raw_objects = data.get("objects") or []
+    # only null (or a missing field) stands for the empty list
+    raw_objects = [] if data.get("objects") is None else data["objects"]
     _require(isinstance(raw_objects, list), "objects must be a list")
     for raw in raw_objects:
         _require(isinstance(raw, dict), "each object must be a mapping")
@@ -139,7 +140,7 @@ def parse_spec(data) -> CategorySpec:
     _require(bool(objects), "explicit specs need at least one object")
     morphisms: list[MorphismSpec] = []
     seen_names: set[str] = set()
-    raw_morphisms = data["morphisms"] or []
+    raw_morphisms = [] if data["morphisms"] is None else data["morphisms"]
     _require(isinstance(raw_morphisms, list), "morphisms must be a list")
     for raw in raw_morphisms:
         _require(isinstance(raw, dict), "each morphism must be a mapping")

@@ -167,12 +167,6 @@ def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
     return enum.cached(_transfer_row, (kind, f))
 
 
-def _apply(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
-    """kind(f)(p) as a Projection, read from the row of kind(f)."""
-    m = cat.morphisms_by_id[_row(enum, kind, cat.intern(f))[cat.intern(p.morphism)]]
-    return Projection(m.dom, m)
-
-
 def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
     """(p, id of p) for every p in P(a), in lattice order."""
     return tuple((p, cat.intern(p.morphism)) for p in lattice_on(enum, a).elements)
@@ -246,9 +240,8 @@ def _monos_into(cat: FiniteCategory, b, enum: Enumeration) -> tuple[Morphism, ..
 
 def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple[int, ...]:
     """The id of s∘s* for every enumerated mono s into b, in _monos_into order."""
-    return tuple(
-        cat.compose_id(cat.intern(s), cat.intern(cat.involve(s))) for s in enum.cached(_monos_into, b)
-    )
+    ids = map(cat.intern, enum.cached(_monos_into, b))
+    return tuple(cat.compose_id(si, cat.involve_id(si)) for si in ids)
 
 
 def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
@@ -258,8 +251,9 @@ def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphis
         raise ShapeMismatchError(f"{render_morphism(s)} does not land in {_source_side(kind)}(f)")
     if not is_mono(cat, s):
         raise NotMonoError(f"{render_morphism(s)} is not a monomorphism")
-    moved = _apply(cat, kind, f, Projection(s.cod, cat.compose(s, cat.involve(s))), enum)
-    return mono_epi_factorize(cat, moved.morphism, enum).p
+    si = cat.intern(s)
+    moved = _row(enum, kind, cat.intern(f))[cat.compose_id(si, cat.involve_id(si))]
+    return mono_epi_factorize(cat, cat.morphisms_by_id[moved], enum).p
 
 
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:

@@ -355,7 +355,7 @@ def _non_associative():
     return TableCategory(("X",), {("X", "X"): tuple(ms.values())}, table, {"X": ms["1"]})
 
 
-def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
+def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(fn2_cat, budget):
     # each category is checked twice: the first run starts from an empty
     # table, the second reads what the first filled, so the block compares
     # meet filled blocks that pass and filled blocks that fail
@@ -363,10 +363,12 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
     composition, involution = list(endomorphism_clones(base)), list(involution_clones(base))
     assert (len(composition), len(involution)) == (53, 9)
     clones = composition + involution
-    # the dict-table model, as specs and Cayley tables build it
+    # the dict-table model, as specs and Cayley tables build it; on the
+    # total functions of a 2-set, an involution raises inside a block
     tables = [
         two_object_category(cyclic_group(4)),
         two_object_category(symmetric_inverse_monoid(2)),
+        fn2_cat,
         _non_associative(),
     ]
     cases = [(canonical_pbij_category(sizes), budget) for sizes in ((0, 1, 2), (1, 2))]
@@ -386,6 +388,9 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(budget):
                 failing[clause_id] += clause.status == FAIL
         if cat is tables[-1]:
             assert want["category.associativity"].checked == 9 + 4 + 1
+        if cat is fn2_cat:
+            want_antihomomorphism = ("fail", 2, "X→X [ka] has 2 quasi-inverses")
+            assert _verdict(want["involution.antihomomorphism"]) == want_antihomomorphism
     # the last category's pools were sampled
     assert all(c.sampled for c in runs[0].clauses if c.status != SKIPPED)
     # every composition clone breaks associativity and 44 of them the
@@ -473,6 +478,45 @@ def test_associativity_hands_over_passed_cases_and_one_failing_triple_per_block(
         triples = [case for case in handed[-1] if type(case) is not Passed]
         assert all(left != right for left, right, *_ in triples)
         assert [tuple(case[2:]) for case in triples] == first_failures(cat) != []
+
+
+def test_antihomomorphism_hands_over_passed_cases_and_one_failing_pair_per_block(monkeypatch, budget):
+    # a cold run: each block of one f and a hom block of g comes as Passed
+    # cases, followed by its first failing pair when it has one
+    handed = []
+    real = core.run_clause
+
+    def spy(clause_id, anchor, cases, check):
+        if clause_id == "involution.antihomomorphism":
+            cases = list(cases)
+            handed.append(cases)
+        return real(clause_id, anchor, cases, check)
+
+    def first_failures(cat):
+        enum, objs, out = Enumeration(cat, budget), cat.objects, []
+        for a in objs:
+            for b in objs:
+                for c in objs:
+                    for f in enum.pool(b, c):
+                        out += [
+                            (f, g)
+                            for g in enum.pool(a, b)
+                            if cat.involve(cat.compose(f, g)) != cat.compose(cat.involve(g), cat.involve(f))
+                        ][:1]
+        return out
+
+    monkeypatch.setattr(core, "run_clause", spy)
+    clones = list(involution_clones(canonical_pbij_category((1, 2))))
+    assert len(clones) == 9
+    for cat in clones:
+        clause = check_inverse_category(cat, budget).clause("involution.antihomomorphism")
+        cases = handed[-1]
+        pairs = [case for case in cases if type(case) is not Passed]
+        assert pairs == first_failures(cat) != []
+        # run_clause stops at the first pair, after the Passed cases before it
+        first = cases.index(pairs[0])
+        assert all(type(case) is Passed for case in cases[:first])
+        assert (clause.status, clause.checked) == (FAIL, sum(cases[:first]) + 1)
 
 
 def _cyclic3():

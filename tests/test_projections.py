@@ -8,6 +8,7 @@ from invcat import (
     InvcatError,
     LatticeError,
     Morphism,
+    Projection,
     TableCategory,
     apply_Pdoubleprime,
     apply_Pprime,
@@ -83,6 +84,31 @@ def test_lattice_detects_broken_meet(fixture_cat, A):
     twisted = fixture_cat.with_corrupted_composition(i1, i13, i3)
     with pytest.raises(LatticeError):
         projection_lattice(twisted, A)
+
+
+def test_a_projection_outside_the_model_pool_is_in_P(budget):
+    # with t∘t made t, the swap t is a projection on the table under test,
+    # though no partial identity
+    cat = _clone("tt-to-t")
+    s2 = cat.finset("S2")
+    t = make_pbij(s2, s2, (("e1", "e2"), ("e2", "e1")))
+    assert Projection(s2, t) in projections_on(cat, s2)
+    clause = check_baer_star(cat, budget).clause("baer.projections-closed")
+    assert clause.status == FAIL
+    assert clause.counterexample == (
+        "projection S2→S2 {e1↦e2, e2↦e1} is not closed: (i′)′ = S2→S2 {e1↦e1, e2↦e2}"
+    )
+
+
+def test_a_zero_that_is_not_self_adjoint_is_not_in_P(budget):
+    # with 0* made [e1>e1], the zero endomorphism of X is no projection
+    base = two_object_category(symmetric_inverse_monoid(2))
+    zero = base.zero("X", "X")
+    cat = base.with_corrupted_involution(zero, Morphism("X", "X", "e1>e1"))
+    elements = {p.morphism for p in projections_on(cat, "X")}
+    assert zero in {p.morphism for p in projections_on(base, "X")}
+    assert zero not in elements and Morphism("X", "X", "e1>e1") in elements
+    assert check_baer_star(cat, budget).clause("baer.annihilator-exists").status == FAIL
 
 
 def test_annihilator_fixture_values(fixture_cat, A, B, f):
@@ -215,7 +241,7 @@ def test_annihilator_searched_once_per_morphism(pbij2, budget, monkeypatch):
 
 
 def test_projections_searched_once_per_object(budget, monkeypatch):
-    # a table model lists no projection pool, so each P(A) is a search
+    # each P(A) is one search per run
     cat = two_object_category(symmetric_inverse_monoid(2))
     searched = []
     search = invcat.projections.projections_on

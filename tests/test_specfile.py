@@ -58,6 +58,10 @@ def test_pairs_are_normalized_sorted():
     assert parse_spec(doc) == parse_spec(FIXTURE_DOC)
 
 
+FALSY_NON_LISTS = (False, 0, "", {})
+ALL_PBIJ_1 = {"kind": "all-pbij", "sizes": [1]}
+
+
 @pytest.mark.parametrize(
     "mutate,why",
     [
@@ -85,6 +89,16 @@ def test_pairs_are_normalized_sorted():
         (lambda d: d.update({"objects": 5}), "objects not a list"),
         (lambda d: d.update({"objects": True}), "objects a boolean"),
         (lambda d: d.update({"morphisms": 7}), "morphisms not a list"),
+        # only null or a missing field stands for an empty list
+        *(
+            (lambda d, v=v: d.update({"morphisms": v}), f"morphisms {v!r}")
+            for v in FALSY_NON_LISTS
+        ),
+        *(
+            (lambda d, v=v: (d.pop("morphisms"), d.update({"objects": v, "generators": ALL_PBIJ_1})),
+             f"objects {v!r} in a generator doc")
+            for v in FALSY_NON_LISTS
+        ),
     ],
 )
 def test_invalid_docs_rejected(mutate, why):

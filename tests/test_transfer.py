@@ -37,7 +37,6 @@ from invcat.transfer import (
     SUITES,
     TransferCertificationError,
     TransferKind,
-    _apply,
     _monos_into,
     _row,
     _source,
@@ -226,10 +225,11 @@ def test_transfer_errors_are_not_cached(budget, monkeypatch):
     enum = Enumeration(cat, budget)
     f = next(m for m in enum.morphisms() if render_morphism(m) == "B→A {b1↦a1}")
     computed = _count_transfer_values(monkeypatch)
+    row, zero = _row(enum, TransferKind.INVERSE_IMAGE, cat.intern(f)), cat.zero_id(f.cod, f.cod)
     texts = []
     for _ in range(2):
         with pytest.raises(AnnihilatorNotFoundError) as raised:
-            _apply(cat, TransferKind.INVERSE_IMAGE, f, bottom(cat, f.cod), enum)
+            row[zero]
         texts.append(str(raised.value))
     assert texts == ["no projection annihilates exactly what B→A {b1↦a1} kills"] * 2
     assert sum(computed.values()) == 2
