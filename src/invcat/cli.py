@@ -41,10 +41,14 @@ from .transfer import SUBSET_FORMS, SUITES, TransferKind, _source, _source_side,
 
 def _emit(report: VerificationReport, out: str | None) -> None:
     text = report.to_json()
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
+    if not out:
         click.echo(text)
+        return
+    try:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+    except OSError as err:
+        click.echo(f"error: cannot write {out}: {err.strerror or err}", err=True)
+        sys.exit(EXIT_INVALID_INPUT)
 
 
 def _finish(report: VerificationReport, out: str | None) -> None:

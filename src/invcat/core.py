@@ -40,8 +40,8 @@ class ShapeMismatchError(InvcatError):
     pass
 
 
-class ZeroUnavailableError(InvcatError):
-    pass
+class ZeroUnavailableError(InvcatError, MissingConstructionError):
+    """The designated zero object is not initial and terminal at some object."""
 
 
 class LatticeError(InvcatError):
@@ -232,11 +232,6 @@ class FiniteCategory:
         # a member counts only where it is a projection on the table under test
         return None
 
-    def _zero(self, a, b) -> Morphism | None:
-        # models that know their zero morphisms override this; None means
-        # "compose through the designated zero object"
-        return None
-
     def _hom_sample(self, a, b, count: int, rng: random.Random) -> tuple[Morphism, ...]:
         pool = list(self.hom(a, b))
         picked = rng.sample(pool, min(count, len(pool)))
@@ -355,21 +350,22 @@ class FiniteCategory:
         return candidates[0]
 
     def zero_id(self, a, b) -> int:
-        """The id of the zero morphism a → b, computed once per category: a
-        composite is zero exactly when its id is this one."""
+        """The id of the zero morphism a → b, computed once per category: the
+        one morphism 0 → b after the one a → 0, composed on the table under
+        test.  A composite is zero exactly when its id is this one."""
         key = (a, b)
         i = self._zero_ids.get(key)
         if i is None:
-            z = self._zero(a, b)
-            if z is None:
-                o = self._zero_object
-                if o is None:
-                    raise ZeroUnavailableError("no zero object designated")
-                into, outof = self.hom(a, o), self.hom(o, b)
-                if len(into) != 1 or len(outof) != 1:
-                    raise ZeroUnavailableError(f"{render_object(o)} is not a zero object")
-                z = self.compose(outof[0], into[0])
-            i = self._zero_ids[key] = self.intern(z)
+            o = self._zero_object
+            if o is None:
+                raise InvcatError("no zero object designated")
+            into, outof = self.hom_ids(a, o), self.hom_ids(o, b)
+            if len(into) != 1 or len(outof) != 1:
+                at = a if len(into) != 1 else b
+                raise ZeroUnavailableError(
+                    f"{render_object(o)} is not initial and terminal at {render_object(at)}"
+                )
+            i = self._zero_ids[key] = self.compose_id(outof[0], into[0])
         return i
 
     def zero(self, a, b) -> Morphism:

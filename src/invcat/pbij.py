@@ -294,9 +294,6 @@ class PBijCategory(FiniteCategory):
         )
         return tuple(subset_projection(a, labels) for labels in subsets)
 
-    def _zero(self, a: FinSet, b: FinSet) -> Morphism:
-        return zero_pbij(a, b)
-
     def _kernel(self, f: Morphism) -> Morphism:
         # the inclusion of the subset where f is undefined
         return inclusion(f.dom, undefined_labels(f))

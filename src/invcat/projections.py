@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterator
 
 from .core import (
     Budget,
@@ -119,9 +120,12 @@ def _lattice(cat: FiniteCategory, a, enum: Enumeration) -> ProjectionLattice:
     return ProjectionLattice(a, projections_on(cat, a, enum), top(cat, a), bottom(cat, a))
 
 
-def projection_cases(enum: Enumeration) -> list[Projection]:
-    """Every projection on every object, for the clauses quantifying over them."""
-    return [i for a in enum.cat.objects for i in lattice_on(enum, a).elements]
+def projection_cases(enum: Enumeration) -> Iterator[Projection]:
+    """Every projection on every object, for the clauses quantifying over
+    them.  Each P(a) is found when first reached, so a missing zero fails
+    the clause that iterates, not the suite."""
+    for a in enum.cat.objects:
+        yield from lattice_on(enum, a).elements
 
 
 def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) -> ProjectionLattice:
@@ -280,11 +284,10 @@ def annihilator_clauses(enum: Enumeration) -> list[Clause]:
             )
         return None
 
-    cases = projection_cases(enum)
     return [
         run_clause("baer.annihilator-exists", "1", enum.morphisms(), annihilator_exists),
         run_clause("baer.annihilator-unique", "1", enum.morphisms(), annihilator_unique),
-        run_clause("baer.projections-closed", "1.1", cases, projections_closed),
+        run_clause("baer.projections-closed", "1.1", projection_cases(enum), projections_closed),
     ]
 
 
@@ -293,9 +296,7 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
     shared = annihilator_clauses(enum)  # raises first when no zero object is designated
 
     def zero_object_ok(a):
-        into, outof = cat.hom(a, cat.zero_object), cat.hom(cat.zero_object, a)
-        if len(into) != 1 or len(outof) != 1:
-            return f"{render_object(cat.zero_object)} is not initial and terminal at {render_object(a)}"
+        cat.zero_id(a, a)  # raises when the zero object is not one at a
         return None
 
     def triple_annihilator(f: Morphism):

@@ -52,6 +52,8 @@ SL2_TABLE = {"elements": ["1", "e"], "identity": "1",
              "table": [["1", "e"], ["e", "e"]]}
 LEFT_ZERO_TABLE = {"elements": ["1", "x", "y"], "identity": "1",
                    "table": [["1", "x", "y"], ["x", "x", "x"], ["y", "y", "y"]]}
+NON_ASSOCIATIVE_TABLE = {"elements": ["1", "a", "b"], "identity": "1",
+                         "table": [["1", "a", "b"], ["a", "b", "a"], ["b", "b", "b"]]}
 
 
 @pytest.fixture()
@@ -291,6 +293,19 @@ def test_out_flag_writes_file(runner, tmp_path):
     assert result.output == ""
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["suite"] == "axioms"
+
+
+# classify writes its monoid-axioms failure report through the same path
+@pytest.mark.parametrize("command, option, doc", [
+    ("axioms", "--spec", PBIJ23_DOC),
+    ("classify", "--monoid", NON_ASSOCIATIVE_TABLE),
+])
+def test_unwritable_out_exits_two(runner, tmp_path, command, option, doc):
+    out = tmp_path / "missing" / "r.json"
+    result = runner.invoke(main, [command, option, write(tmp_path, "in.json", doc), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: cannot write {out}: " in result.output
+    assert not out.exists()
 
 
 def test_reports_deterministic_modulo_wall_time(runner, tmp_path):

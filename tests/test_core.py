@@ -33,7 +33,7 @@ import invcat.core as core
 from invcat.core import ShapeMismatchError, morphism_sort_key
 from invcat.report import FAIL, PASS, SKIPPED, Clause, Passed, run_clause
 from test_exactness import endomorphism_clones, involution_clones
-from test_golden import README_FIXTURE
+from test_golden import README_FIXTURE, _clone
 
 
 def test_morphism_name_does_not_affect_identity(A, B):
@@ -103,17 +103,20 @@ def test_zero_routing(fixture_cat, A, B):
     assert not fixture_cat.is_zero(fixture_cat.identity(A))
 
 
-def test_pbij_zero_comes_from_the_model_once_per_category(monkeypatch):
+def test_pbij_zero_is_composed_through_the_zero_object_once_per_category(monkeypatch):
     cat = canonical_pbij_category((1, 2))
-    s1, s2 = size_finset(1), size_finset(2)
+    s0, s1, s2 = size_finset(0), size_finset(1), size_finset(2)
+    calls, model = [], cat._compose
 
     def composed(f, g):
-        raise AssertionError("the zero was composed through the zero object")
+        calls.append((f, g))
+        return model(f, g)
 
     monkeypatch.setattr(cat, "_compose", composed)
     z = cat.zero(s1, s2)
     assert z == Morphism(s1, s2, frozenset())
     assert cat.zero(s1, s2) is z
+    assert calls == [(Morphism(s0, s2, frozenset()), Morphism(s1, s0, frozenset()))]
     assert cat.is_zero(z) and not cat.is_zero(cat.identity(s2))
     p1 = make_pbij(s2, s2, (("e1", "e1"),))
     twin = cat.with_corrupted_involution(p1, p1)
@@ -130,6 +133,13 @@ def test_pbij_zero_is_the_object_an_equal_composite_returns():
     assert cat.compose(make_pbij(s1, s2, (("e1", "e1"),)), cat.zero(s1, s1)) is z
     assert cat.is_zero(Morphism(s1, s2, frozenset()))
     assert not cat.is_zero(make_pbij(s1, s2, (("e1", "e2"),)))
+
+
+def test_zero_is_composed_on_the_table_under_test():
+    # the clone with (0→S2 ∅)∘(S1→0 ∅) made S1→S2 {e1↦e1}
+    cat = _clone("zero-to-up")
+    s1, s2 = size_finset(1), size_finset(2)
+    assert cat.zero(s1, s2) == make_pbij(s1, s2, (("e1", "e1"),))
 
 
 def test_axiom_suite_green_on_pbij2(pbij2, budget):

@@ -96,12 +96,23 @@ def _clone(name: str):
         return cat.with_corrupted_composition(down, up, pb(s1, s1))
     if name == "zero-to-up":
         return cat.with_corrupted_composition(pb(zero, s2), pb(s1, zero), up)
+    if name == "up-id-to-0":
+        return cat.with_corrupted_composition(up, cat.identity(s1), pb(s1, s2))
     if name == "s-star-to-s":
         return cat.with_corrupted_involution(s, s)
     return cat.with_corrupted_involution(p1, cat.identity(s2))
 
 
-CLONES = ("p1p1-to-0", "p1p2-to-s", "tt-to-t", "down-up-to-0", "s-star-to-s", "p1-star-to-id", "zero-to-up")
+CLONES = (
+    "p1p1-to-0",
+    "p1p2-to-s",
+    "tt-to-t",
+    "down-up-to-0",
+    "s-star-to-s",
+    "p1-star-to-id",
+    "zero-to-up",
+    "up-id-to-0",
+)
 
 # name -> (builds (category, monoid or None), budget, whether it is a partial-bijection model)
 CATEGORIES = {

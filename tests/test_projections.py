@@ -10,6 +10,7 @@ from invcat import (
     Morphism,
     Projection,
     TableCategory,
+    ZeroUnavailableError,
     apply_Pdoubleprime,
     apply_Pprime,
     canonical_pbij_category,
@@ -22,7 +23,7 @@ from invcat import (
     theorem_suite,
 )
 from invcat.specfile import build_category, parse_spec
-from invcat.monoid import chain_semilattice, symmetric_inverse_monoid, two_object_category
+from invcat.monoid import chain_semilattice, cyclic_group, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import annihilator_pbij, projection_labels
 from invcat.projections import (
     AnnihilatorNotFoundError,
@@ -40,7 +41,7 @@ from invcat.projections import (
     projections_on,
     top,
 )
-from invcat.report import FAIL, PASS
+from invcat.report import FAIL, PASS, Clause
 from test_exactness import endomorphism_clones, involution_clones
 from test_golden import NOT_BAER_STAR, _clone
 
@@ -288,3 +289,21 @@ def test_missing_zero_object_is_loud():
         check_baer_star(cat)
     with pytest.raises(InvcatError, match="no zero object designated"):
         check_exactness(cat)
+
+
+def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():
+    # the two-object C2 table with X, which has three endomorphisms, declared zero
+    base = two_object_category(cyclic_group(2))
+    cat = TableCategory(
+        base.objects, base._homs, base._table, base._identities, base._involution_table, zero_object="X"
+    )
+    report = check_baer_star(cat)
+    assert report.exit_code() == 1
+    want = "X is not initial and terminal at X"
+    assert report.clause("baer.zero-object") == Clause("baer.zero-object", "1", FAIL, 2, want)
+    exists = report.clause("baer.annihilator-exists")
+    assert exists.status == FAIL and exists.counterexample == want
+    assert check_exactness(cat).details["exact"] is False
+    # one Z → X but three X → X: X is not initial at X, whatever Z is
+    with pytest.raises(ZeroUnavailableError, match=f"^{want}$"):
+        cat.zero("Z", "X")
