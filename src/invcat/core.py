@@ -126,22 +126,6 @@ def morphism_sort_key(f: Morphism):
     return (render_object(f.dom), render_object(f.cod), payload_sort_key(f.payload))
 
 
-@dataclass(frozen=True, slots=True)
-class Projection:
-    """An idempotent, self-adjoint endomorphism, tagged with its object.
-    The hash is computed once, at construction, as hash((obj, morphism))."""
-
-    obj: Any
-    morphism: Morphism
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.obj, self.morphism)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 @dataclass(frozen=True)
 class Budget:
     """Enumeration budget.  Hom-sets larger than hom(max_size, max_size)

@@ -202,13 +202,12 @@ class Factorization:
 
 def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
     """The model's closed form when it has one, search otherwise; checked
-    either way.  With `enum`, the checked result is computed once per run."""
-    if enum is None:
-        return _checked_factorization(cat, f, None)
+    either way, and computed once per run."""
+    enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_checked_factorization, f)
 
 
-def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> Factorization:
+def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Factorization:
     found = cat._factorization(f)
     p, q, through = found if found is not None else _factorization_by_search(cat, f, enum)
     if cat.compose(p, q) != f or not is_mono(cat, p) or not is_epi(cat, q):
@@ -216,8 +215,7 @@ def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     return Factorization(p, q, through)
 
 
-def _factorization_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration | None) -> tuple:
-    enum = enum if enum is not None else Enumeration(cat)
+def _factorization_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple:
     for mid in cat.objects:
         for q in enum.pool(f.dom, mid):
             if not is_epi(cat, q):
@@ -387,7 +385,7 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         # else only if it fails, so the clause still decides "is u a kernel at all"
         witness_of = kernel_witness if left else cokernel_witness
         try:
-            h = annihilator(cat, cat.involve(v) if left else v, enum).morphism
+            h = annihilator(cat, cat.involve(v) if left else v, enum)
             if witness_of(cat, h, v, enum) is None:
                 return None
         except NotBaerStarError:
@@ -421,9 +419,8 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
     ]
 
     clauses.extend(annihilator_clauses(enum))
-    projections = (i.morphism for i in projection_cases(enum))
     clauses.append(
-        run_clause("baer.projection-factorization", "1.1", projections, lambda f: exists(mono_epi_factorize, f))
+        run_clause("baer.projection-factorization", "1.1", projection_cases(enum), lambda f: exists(mono_epi_factorize, f))
     )
 
     a_ok = all(c.status == PASS for c in clauses if c.clause_id in EXACTNESS_CLAUSE_IDS)
@@ -464,7 +461,7 @@ def normal_conormal_clauses(enum: Enumeration) -> list[Clause]:
         # subobject (quotient) as the canonical one
         witness_of, construct = (kernel_witness, kernel) if left else (cokernel_witness, cokernel)
         side, construction, of, presents = _WORDS[left]
-        h = annihilator(cat, cat.involve(v) if left else v, enum).morphism
+        h = annihilator(cat, cat.involve(v) if left else v, enum)
         witness = witness_of(cat, h, v, enum)
         if witness is not None:
             return f"{side} {render_morphism(v)} is not the {construction} of {of}: {witness}"
@@ -494,14 +491,14 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
     def kernel_annihilator(f: Morphism):
         u = kernel(cat, f, certify=False, enum=enum)
         left = cat.compose(u, cat.involve(u))
-        right = annihilator(cat, f, enum).morphism
+        right = annihilator(cat, f, enum)
         if left != right:
             return f"ker(f)∘ker(f)* ≠ f′ for {render_morphism(f)}"
         return None
 
     def annihilator_part(f: Morphism, left: bool):
         # the mono part of f′ presents ker f, the epi part of (f*)′ coker f
-        i = annihilator(cat, f if left else cat.involve(f), enum).morphism
+        i = annihilator(cat, f if left else cat.involve(f), enum)
         factors = mono_epi_factorize(cat, i, enum)
         part = factors.p if left else factors.q
         k = (kernel if left else cokernel)(cat, f, certify=False, enum=enum)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import FiniteCategory, InvcatError, Morphism, Projection, pbij_counts_by_rank
+from .core import FiniteCategory, InvcatError, Morphism, pbij_counts_by_rank
 
 
 class PBijValidationError(InvcatError):
@@ -141,12 +141,8 @@ def partial_identity(a: FinSet, labels: Iterable[str]) -> Morphism:
     return Morphism(a, a, frozenset((x, x) for x in labels))
 
 
-def subset_projection(a: FinSet, labels: Iterable[str]) -> Projection:
-    return Projection(a, partial_identity(a, labels))
-
-
-def projection_labels(p: Projection) -> tuple[str, ...]:
-    return tuple(sorted(x for x, _ in p.morphism.payload))
+def projection_labels(p: Morphism) -> tuple[str, ...]:
+    return tuple(sorted(x for x, _ in p.payload))
 
 
 def inclusion(a: FinSet, labels: Iterable[str]) -> Morphism:
@@ -201,8 +197,8 @@ def inverse_image_subset(f: Morphism, labels: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(preimage_subset(f, labels)) | set(undefined_labels(f))))
 
 
-def annihilator_pbij(f: Morphism) -> Projection:
-    return subset_projection(f.dom, undefined_labels(f))
+def annihilator_pbij(f: Morphism) -> Morphism:
+    return partial_identity(f.dom, undefined_labels(f))
 
 
 # ---- the category ------------------------------------------------------
@@ -292,7 +288,7 @@ class PBijCategory(FiniteCategory):
         subsets = itertools.chain.from_iterable(
             itertools.combinations(a.elements, k) for k in range(len(a.elements) + 1)
         )
-        return tuple(subset_projection(a, labels) for labels in subsets)
+        return tuple(partial_identity(a, labels) for labels in subsets)
 
     def _kernel(self, f: Morphism) -> Morphism:
         # the inclusion of the subset where f is undefined

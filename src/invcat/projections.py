@@ -17,7 +17,6 @@ from .core import (
     Morphism,
     NotInverseCategoryError,
     ObjectMismatchError,
-    Projection,
     build_report,
     is_projection,
     morphism_sort_key,
@@ -46,40 +45,25 @@ class AnnihilatorNotUniqueError(NotBaerStarError):
         )
 
 
-def projection(cat: FiniteCategory, morphism: Morphism) -> Projection:
-    if not is_projection(cat, morphism):
-        raise InvcatError(f"{render_morphism(morphism)} is not a projection")
-    return Projection(morphism.dom, morphism)
-
-
-def meet(cat: FiniteCategory, i: Projection, j: Projection) -> Projection:
-    if i.obj != j.obj:
+def meet(cat: FiniteCategory, i: Morphism, j: Morphism) -> Morphism:
+    if i.dom != j.dom:
         raise ObjectMismatchError(
-            f"projections live on different objects: {render_object(i.obj)} and {render_object(j.obj)}"
+            f"projections live on different objects: {render_object(i.dom)} and {render_object(j.dom)}"
         )
-    return Projection(i.obj, cat.compose(i.morphism, j.morphism))
+    return cat.compose(i, j)
 
 
-def leq(cat: FiniteCategory, i: Projection, j: Projection) -> bool:
+def leq(cat: FiniteCategory, i: Morphism, j: Morphism) -> bool:
     return meet(cat, i, j) == i
 
 
-def top(cat: FiniteCategory, a) -> Projection:
-    return Projection(a, cat.identity(a))
-
-
-def bottom(cat: FiniteCategory, a) -> Projection:
-    return Projection(a, cat.zero(a, a))
-
-
-def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> tuple[Projection, ...]:
+def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> tuple[Morphism, ...]:
     """All projections on `a`: every candidate that is a projection on the
     table under test, closed under meet.  The candidates are the model's
     projection pool (which keeps the search complete when hom-sets are
     sampled), the enumerated endomorphisms, and 1 and 0 on `a`."""
     enum = enum if enum is not None else Enumeration(cat)
-    pool = cat._projection_pool(a) or ()
-    candidates = chain((p.morphism for p in pool), enum.endos(a), (cat.identity(a), cat.zero(a, a)))
+    candidates = chain(cat._projection_pool(a) or (), enum.endos(a), (cat.identity(a), cat.zero(a, a)))
     found = set()
     for m in candidates:
         try:
@@ -96,15 +80,15 @@ def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> t
             if composite not in found and is_projection(cat, composite):
                 found.add(composite)
                 frontier.append(composite)
-    return tuple(Projection(a, m) for m in sorted(found, key=morphism_sort_key))
+    return tuple(sorted(found, key=morphism_sort_key))
 
 
 @dataclass(frozen=True)
 class ProjectionLattice:
     obj: object
-    elements: tuple[Projection, ...]
-    top: Projection
-    bottom: Projection
+    elements: tuple[Morphism, ...]
+    top: Morphism
+    bottom: Morphism
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -117,10 +101,10 @@ def lattice_on(enum: Enumeration, a) -> ProjectionLattice:
 
 
 def _lattice(cat: FiniteCategory, a, enum: Enumeration) -> ProjectionLattice:
-    return ProjectionLattice(a, projections_on(cat, a, enum), top(cat, a), bottom(cat, a))
+    return ProjectionLattice(a, projections_on(cat, a, enum), cat.identity(a), cat.zero(a, a))
 
 
-def projection_cases(enum: Enumeration) -> Iterator[Projection]:
+def projection_cases(enum: Enumeration) -> Iterator[Morphism]:
     """Every projection on every object, for the clauses quantifying over
     them.  Each P(a) is found when first reached, so a missing zero fails
     the clause that iterates, not the suite."""
@@ -137,20 +121,19 @@ def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) 
         raise LatticeError(f"P({render_object(a)}) is missing top or bottom")
     for i in elements:
         if meet(cat, i, i) != i:
-            raise LatticeError(f"meet is not idempotent at {render_morphism(i.morphism)}")
+            raise LatticeError(f"meet is not idempotent at {render_morphism(i)}")
         if meet(cat, i, one) != i or meet(cat, one, i) != i:
-            raise LatticeError(f"top is not neutral at {render_morphism(i.morphism)}")
+            raise LatticeError(f"top is not neutral at {render_morphism(i)}")
         for j in elements:
             m = meet(cat, i, j)
             if m not in pool:
                 raise LatticeError(
-                    f"meet of {render_morphism(i.morphism)} and {render_morphism(j.morphism)} "
+                    f"meet of {render_morphism(i)} and {render_morphism(j)} "
                     "leaves the projection set"
                 )
             if m != meet(cat, j, i):
                 raise LatticeError(
-                    f"meet is not commutative at {render_morphism(i.morphism)}, "
-                    f"{render_morphism(j.morphism)}"
+                    f"meet is not commutative at {render_morphism(i)}, {render_morphism(j)}"
                 )
             for k in elements:
                 if meet(cat, m, k) != meet(cat, i, meet(cat, j, k)):
@@ -161,7 +144,7 @@ def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) 
 # ---- annihilators -------------------------------------------------------
 
 
-def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> tuple[Projection, ...]:
+def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> tuple[Morphism, ...]:
     """All projections p on dom(f) with: f∘g = 0  ⇔  p∘g = g, for every
     enumerated g into dom(f).  In a Baer*-category there is exactly one.
 
@@ -176,7 +159,7 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
         killed_mask |= killed(enum, fi, w, left=True)[0] << offset
         offset += len(enum.pool(w, a))
     zero = cat.zero_id(a, f.cod)
-    composites = cat.compose_ids(fi, [cat.intern(p.morphism) for p in elements])
+    composites = cat.compose_ids(fi, list(map(cat.intern, elements)))
     for k, composite in enumerate(composites, offset):
         if composite == zero:
             killed_mask |= 1 << k
@@ -190,7 +173,7 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     enumerated g into a, then the projections on a themselves, which tell
     projections apart even when a sampled pool happens to miss them."""
     probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
-    elements = [cat.intern(p.morphism) for p in lattice_on(enum, a).elements]
+    elements = list(map(cat.intern, lattice_on(enum, a).elements))
     probes += elements
     masks = []
     for p in elements:
@@ -229,7 +212,7 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     return mask, tuple(out)
 
 
-def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
+def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
     """The annihilator f′, found from its defining property on the table
     under test.  With `enum`, the search runs once per run."""
     enum = enum if enum is not None else Enumeration(cat)
@@ -241,14 +224,14 @@ def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = Non
     return candidates[0]
 
 
-def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Projection:
+def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
     enum = enum if enum is not None else Enumeration(cat)
-    return annihilator(cat, annihilator(cat, f, enum).morphism, enum)
+    return annihilator(cat, annihilator(cat, f, enum), enum)
 
 
-def is_closed(cat: FiniteCategory, i: Projection, enum: Enumeration | None = None) -> bool:
+def is_closed(cat: FiniteCategory, i: Morphism, enum: Enumeration | None = None) -> bool:
     """A projection is closed when it is its own double annihilator."""
-    return double_annihilator(cat, i.morphism, enum) == i
+    return double_annihilator(cat, i, enum) == i
 
 
 # ---- the Baer* suite ----------------------------------------------------
@@ -257,8 +240,6 @@ def is_closed(cat: FiniteCategory, i: Projection, enum: Enumeration | None = Non
 def annihilator_clauses(enum: Enumeration) -> list[Clause]:
     """The annihilator laws shared with check_exactness: existence, uniqueness, closure."""
     cat = enum.cat
-    if cat.zero_object is None:
-        raise InvcatError("Baer* checks need a designated zero object")
 
     def annihilator_exists(f: Morphism):
         if not enum.cached(annihilator_candidates, f):
@@ -270,18 +251,15 @@ def annihilator_clauses(enum: Enumeration) -> list[Clause]:
         if len(candidates) > 1:
             return (
                 f"{len(candidates)} annihilators for {render_morphism(f)}: "
-                + ", ".join(render_morphism(p.morphism) for p in candidates[:2])
+                + ", ".join(map(render_morphism, candidates[:2]))
                 + ", ..."
             )
         return None
 
-    def projections_closed(i: Projection):
-        back = double_annihilator(cat, i.morphism, enum)
+    def projections_closed(i: Morphism):
+        back = double_annihilator(cat, i, enum)
         if back != i:
-            return (
-                f"projection {render_morphism(i.morphism)} is not closed: "
-                f"(i′)′ = {render_morphism(back.morphism)}"
-            )
+            return f"projection {render_morphism(i)} is not closed: (i′)′ = {render_morphism(back)}"
         return None
 
     return [
@@ -293,7 +271,6 @@ def annihilator_clauses(enum: Enumeration) -> list[Clause]:
 
 def baer_star_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
-    shared = annihilator_clauses(enum)  # raises first when no zero object is designated
 
     def zero_object_ok(a):
         cat.zero_id(a, a)  # raises when the zero object is not one at a
@@ -301,7 +278,7 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
 
     def triple_annihilator(f: Morphism):
         first = annihilator(cat, f, enum)
-        third = double_annihilator(cat, first.morphism, enum)
+        third = double_annihilator(cat, first, enum)
         if first != third:
             return f"f′ ≠ f‴ for {render_morphism(f)}"
         return None
@@ -315,7 +292,7 @@ def baer_star_clauses(enum: Enumeration) -> list[Clause]:
 
     return [
         run_clause("baer.zero-object", "1", cat.objects, zero_object_ok),
-        *shared,
+        *annihilator_clauses(enum),
         run_clause("baer.triple-annihilator", "1.1", enum.morphisms(), triple_annihilator),
         run_clause("projections.meet-semilattice", "2", cat.objects, semilattice_ok),
     ]

@@ -34,7 +34,6 @@ from .core import (
     InvcatError,
     Morphism,
     ObjectMismatchError,
-    Projection,
     ShapeMismatchError,
     build_report,
     render_morphism,
@@ -55,9 +54,9 @@ from .pbij import (
     annihilator_pbij,
     image_subset,
     inverse_image_subset,
+    partial_identity,
     preimage_subset,
     projection_labels,
-    subset_projection,
 )
 from .projections import (
     NotBaerStarError,
@@ -100,33 +99,31 @@ def transfer(cat: FiniteCategory, f: Morphism, h: Morphism) -> Morphism:
     return cat.compose(cat.compose(f, h), cat.involve(f))
 
 
-def _check_source(kind: TransferKind, f: Morphism, p: Projection) -> None:
+def _check_source(kind: TransferKind, f: Morphism, p: Morphism) -> None:
     """Raise unless p lives on the source lattice of kind(f)."""
     a = _source(kind, f)
-    if p.obj != a:
-        raise ObjectMismatchError(f"projection lives on {render_object(p.obj)}, not on {_source_side(kind)}(f) = {render_object(a)}")
+    if p.dom != a:
+        raise ObjectMismatchError(f"projection lives on {render_object(p.dom)}, not on {_source_side(kind)}(f) = {render_object(a)}")
 
 
-def apply_P(cat: FiniteCategory, f: Morphism, i: Projection) -> Projection:
+def apply_P(cat: FiniteCategory, f: Morphism, i: Morphism) -> Morphism:
     _check_source(TransferKind.IMAGE, f, i)
-    return Projection(f.cod, transfer(cat, f, i.morphism))
+    return transfer(cat, f, i)
 
 
-def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: Enumeration | None = None) -> Projection:
+def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration | None = None) -> Morphism:
     _check_source(TransferKind.INVERSE_IMAGE, f, j)
     enum = enum if enum is not None else Enumeration(cat)
-    j_ann = annihilator(cat, j.morphism, enum)
-    return annihilator(cat, cat.compose(j_ann.morphism, f), enum)
+    return annihilator(cat, cat.compose(annihilator(cat, j, enum), f), enum)
 
 
-def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Projection, enum: Enumeration | None = None) -> Projection:
+def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration | None = None) -> Morphism:
     _check_source(TransferKind.STRICT_PREIMAGE, f, j)
     enum = enum if enum is not None else Enumeration(cat)
-    once = annihilator(cat, cat.compose(j.morphism, f), enum)
-    return annihilator(cat, once.morphism, enum)
+    return annihilator(cat, annihilator(cat, cat.compose(j, f), enum), enum)
 
 
-def _by_definition(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Projection, enum: Enumeration) -> Projection:
+def _by_definition(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Morphism, enum: Enumeration) -> Morphism:
     """kind(f)(p) from its definition: the one dispatch over P, P′ and P″,
     shared by the rows and the closed-form check."""
     if kind is TransferKind.IMAGE:
@@ -138,10 +135,9 @@ def _by_definition(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Proj
 
 class _TransferRow(dict):
     """kind(f) on morphism ids, the one store of transfer values: the id of
-    a projection p maps to the id of kind(f)(p).  A projection's id is its
-    morphism's id, since p.obj is dom(p.morphism).  A missing entry is
-    filled once, by the one dispatch over P, P′ and P″; an entry whose
-    computation raises is not stored."""
+    a projection p maps to the id of kind(f)(p).  A missing entry is filled
+    once, by the one dispatch over P, P′ and P″; an entry whose computation
+    raises is not stored."""
 
     __slots__ = ("kind", "f", "enum")
 
@@ -151,9 +147,7 @@ class _TransferRow(dict):
 
     def __missing__(self, p: int) -> int:
         cat = self.enum.cat
-        m = cat.morphisms_by_id[p]
-        moved = _by_definition(cat, self.kind, self.f, Projection(m.dom, m), self.enum)
-        q = self[p] = cat.intern(moved.morphism)
+        q = self[p] = cat.intern(_by_definition(cat, self.kind, self.f, cat.morphisms_by_id[p], self.enum))
         return q
 
 
@@ -169,7 +163,7 @@ def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
 
 def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
     """(p, id of p) for every p in P(a), in lattice order."""
-    return tuple((p, cat.intern(p.morphism)) for p in lattice_on(enum, a).elements)
+    return tuple((p, cat.intern(p)) for p in lattice_on(enum, a).elements)
 
 
 def _source(kind: TransferKind, f: Morphism):
@@ -212,15 +206,14 @@ class TransferMap:
     values: tuple[int, ...]
     cat: FiniteCategory = field(compare=False, repr=False)
 
-    def apply(self, p: Projection) -> Projection:
-        m = self.cat.morphisms_by_id[self.values[self.source.elements.index(p)]]
-        return Projection(m.dom, m)
+    def apply(self, p: Morphism) -> Morphism:
+        return self.cat.morphisms_by_id[self.values[self.source.elements.index(p)]]
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
-        return set(self.values) >= {self.cat.intern(p.morphism) for p in self.target.elements}
+        return set(self.values) >= set(map(self.cat.intern, self.target.elements))
 
 
 def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
@@ -325,9 +318,9 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
 _NAMED = {
     "f∘f*": lambda cat, f, enum: cat.compose(f, cat.involve(f)),
     "f*∘f": lambda cat, f, enum: cat.compose(cat.involve(f), f),
-    "f′": lambda cat, f, enum: annihilator(cat, f, enum).morphism,
-    "f″": lambda cat, f, enum: annihilator(cat, annihilator(cat, f, enum).morphism, enum).morphism,
-    "(f*)′": lambda cat, f, enum: annihilator(cat, cat.involve(f), enum).morphism,
+    "f′": lambda cat, f, enum: annihilator(cat, f, enum),
+    "f″": lambda cat, f, enum: annihilator(cat, annihilator(cat, f, enum), enum),
+    "(f*)′": lambda cat, f, enum: annihilator(cat, cat.involve(f), enum),
 }
 
 
@@ -393,7 +386,7 @@ def _bound_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: str,
             if not _holds(compose_id, row[pi], relation, b):
                 return (
                     f"{kind.value}(f)({v}) {'≰' if relation == '≤' else '≱'} {bound} for "
-                    f"f = {render_morphism(f)}, {v} = {render_morphism(p.morphism)}"
+                    f"f = {render_morphism(f)}, {v} = {render_morphism(p)}"
                 )
         return None
 
@@ -414,7 +407,7 @@ def _saturation_clause(
             if _holds(compose_id, pi, relation, g) and row[pi] != want:
                 return (
                     f"{v} {relation} {guard} but {kind.value}(f)({v}) ≠ {value} for "
-                    f"f = {render_morphism(f)}, {v} = {render_morphism(p.morphism)}"
+                    f"f = {render_morphism(f)}, {v} = {render_morphism(p)}"
                 )
         return None
 
@@ -527,7 +520,7 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
                 if row[compose_id(ii, ji)] != compose_id(fi, row[ji]):
                     return (
                         f"meet not preserved by {kind.value}(f) for f = {render_morphism(f)}, "
-                        f"i = {render_morphism(i.morphism)}, j = {render_morphism(j.morphism)}"
+                        f"i = {render_morphism(i)}, j = {render_morphism(j)}"
                     )
         return None
 
@@ -541,8 +534,7 @@ def _semilattice_map_clauses(enum: Enumeration, kind: TransferKind, anchors: tup
                 if compose_id(fi, fj) != fi:
                     return (
                         f"i ≤ j but {kind.value}(f)(i) ≰ {kind.value}(f)(j) for "
-                        f"f = {render_morphism(f)}, i = {render_morphism(i.morphism)}, "
-                        f"j = {render_morphism(j.morphism)}"
+                        f"f = {render_morphism(f)}, i = {render_morphism(i)}, j = {render_morphism(j)}"
                     )
         return None
 
@@ -590,11 +582,11 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
         for i, ii in enum.cached(_projection_ids, f.dom):
             fi = image[ii]
             if image[prime[fi]] != fi:
-                return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i.morphism)} for f = {render_morphism(f)}"
+                return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i)} for f = {render_morphism(f)}"
         for j, ji in enum.cached(_projection_ids, f.cod):
             fj = prime[ji]
             if prime[image[fj]] != fj:
-                return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j.morphism)} for f = {render_morphism(f)}"
+                return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j)} for f = {render_morphism(f)}"
         return None
 
     return [
@@ -628,12 +620,12 @@ def connection_complement_clauses(enum: Enumeration) -> list[Clause]:
         prime = _row(enum, TransferKind.INVERSE_IMAGE, cat.intern(f))
         double, source = _row_and_source(enum, TransferKind.STRICT_PREIMAGE, f)
         for j, ji in source:
-            j_ann = annihilator(cat, j.morphism, enum).morphism
-            via = annihilator(cat, cat.morphisms_by_id[prime[cat.intern(j_ann)]], enum).morphism
+            j_ann = annihilator(cat, j, enum)
+            via = annihilator(cat, cat.morphisms_by_id[prime[cat.intern(j_ann)]], enum)
             if double[ji] != cat.intern(via):
                 return (
                     f"P''(f)(j) ≠ (P'(f)(j′))′ for f = {render_morphism(f)}, "
-                    f"j = {render_morphism(j.morphism)}"
+                    f"j = {render_morphism(j)}"
                 )
         return None
 
@@ -671,10 +663,7 @@ def functoriality_clauses_for(kind: TransferKind):
             row = _row(enum, kind, cat.intern(cat.identity(a)))
             for p, pi in enum.cached(_projection_ids, a):
                 if row[pi] != pi:
-                    return (
-                        f"{kind.value}(id) moves {render_morphism(p.morphism)} "
-                        f"on {render_object(a)}"
-                    )
+                    return f"{kind.value}(id) moves {render_morphism(p)} on {render_object(a)}"
             return None
 
         def composition_law(pair):
@@ -687,7 +676,7 @@ def functoriality_clauses_for(kind: TransferKind):
             for p, pi in enum.cached(_projection_ids, source):
                 if at_fg[pi] != at_then[at_first[pi]]:
                     return (
-                        f"{law} = {render_morphism(p.morphism)} for f = {render_morphism(f)}, "
+                        f"{law} = {render_morphism(p)} for f = {render_morphism(f)}, "
                         f"g = {render_morphism(g)}"
                     )
             return None
@@ -748,8 +737,8 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
         slow = annihilator(cat, f, enum)
         if fast != slow:
             return (
-                f"closed-form annihilator {render_morphism(fast.morphism)} differs from "
-                f"searched {render_morphism(slow.morphism)} for f = {render_morphism(f)}"
+                f"closed-form annihilator {render_morphism(fast)} differs from "
+                f"searched {render_morphism(slow)} for f = {render_morphism(f)}"
             )
         return None
 
@@ -759,11 +748,11 @@ def closed_form_clauses(enum: Enumeration) -> list[Clause]:
         def agree(f: Morphism):
             for p in lattice_on(enum, _source(kind, f)).elements:
                 labels = SUBSET_FORMS[kind](f, projection_labels(p))
-                fast = subset_projection(_target(kind, f), labels)
+                fast = partial_identity(_target(kind, f), labels)
                 # the definition, not the row, so that agreement means something
                 if fast != _by_definition(cat, kind, f, p, enum):
                     return (
-                        f"{noun} transfer mismatch at {_variable(kind)} = {render_morphism(p.morphism)}, "
+                        f"{noun} transfer mismatch at {_variable(kind)} = {render_morphism(p)}, "
                         f"f = {render_morphism(f)}"
                     )
             return None

@@ -32,7 +32,6 @@ from invcat import (
     parse_spec,
     partial_identity,
     size_finset,
-    subset_projection,
     theorem_suite,
 )
 from invcat.pbij import (
@@ -134,9 +133,8 @@ def test_compose_and_invert_oracle(A, B, f):
 def test_partial_identities_and_projections(A):
     i = partial_identity(A, ("1", "3"))
     assert i.payload == frozenset({("1", "1"), ("3", "3")})
-    p = subset_projection(A, ("3", "1"))
-    assert p.obj == A and p.morphism == i
-    assert projection_labels(p) == ("1", "3")
+    assert partial_identity(A, ("3", "1")) == i
+    assert projection_labels(i) == ("1", "3")
     with pytest.raises(UnknownElementError):
         partial_identity(A, ("9",))
 
