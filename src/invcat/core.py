@@ -184,6 +184,7 @@ class FiniteCategory:
         self.morphisms_by_id: list[Morphism] = []
         self.rows: list[dict] = []
         self._involution_ids: dict = {}
+        self._identity_ids: dict = {}
         self._zero_ids: dict = {}
         self._hom_ids: dict = {}
 
@@ -333,6 +334,19 @@ class FiniteCategory:
             raise NotInverseCategoryError(f, candidates)
         return candidates[0]
 
+    def identity_id(self, a) -> int:
+        """The id of identity(a), looked up once per category."""
+        i = self._identity_ids.get(a)
+        if i is None:
+            i = self._identity_ids[a] = self.intern(self.identity(a))
+        return i
+
+    def designated_zero(self):
+        """The zero object; the one place that decides a missing one."""
+        if self._zero_object is None:
+            raise InvcatError("no zero object designated")
+        return self._zero_object
+
     def zero_id(self, a, b) -> int:
         """The id of the zero morphism a → b, computed once per category: the
         one morphism 0 → b after the one a → 0, composed on the table under
@@ -340,9 +354,7 @@ class FiniteCategory:
         key = (a, b)
         i = self._zero_ids.get(key)
         if i is None:
-            o = self._zero_object
-            if o is None:
-                raise InvcatError("no zero object designated")
+            o = self.designated_zero()
             into, outof = self.hom_ids(a, o), self.hom_ids(o, b)
             if len(into) != 1 or len(outof) != 1:
                 at = a if len(into) != 1 else b

@@ -60,11 +60,11 @@ class NotMonoError(InvcatError):
 
 def is_mono(cat: FiniteCategory, f: Morphism) -> bool:
     """f*∘f = id; equivalent to left cancellability (cross-checked in tests)."""
-    return cat.compose(cat.involve(f), f) == cat.identity(f.dom)
+    return cat.compose_id(cat.involve_id(i := cat.intern(f)), i) == cat.identity_id(f.dom)
 
 
 def is_epi(cat: FiniteCategory, f: Morphism) -> bool:
-    return cat.compose(f, cat.involve(f)) == cat.identity(f.cod)
+    return cat.compose_id(i := cat.intern(f), cat.involve_id(i)) == cat.identity_id(f.cod)
 
 
 def is_iso(cat: FiniteCategory, f: Morphism) -> bool:

@@ -121,6 +121,15 @@ def compose_pbij(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.dom, f.cod, pairs)
 
 
+def pbij_code(f: Morphism) -> tuple[int, ...]:
+    """The position in cod of the image of each element of dom, in order,
+    -1 where f is undefined, then a trailing -1.  Within one hom-set the
+    code determines f, and the code of f∘g is code f read at code g."""
+    position = {y: n for n, y in enumerate(f.cod.elements)}
+    image = dict(f.payload)
+    return tuple(position[image[x]] if x in image else -1 for x in f.dom.elements) + (-1,)
+
+
 def invert_pbij(f: Morphism) -> Morphism:
     return Morphism(f.cod, f.dom, frozenset((y, x) for x, y in f.payload))
 
@@ -241,32 +250,21 @@ class PBijCategory(FiniteCategory):
 
     def _empty_table(self) -> None:
         super()._empty_table()
-        # _codes[i] is the code of morphisms_by_id[i]: the position in cod of
-        # the image of each element of dom, in order, -1 where undefined,
-        # then a trailing -1.  The code of f∘g is code f read at code g.
-        # _code_ids[(a, b)] maps the code of a model composite a → b to its
-        # id; a clone's override never enters it.
+        # _codes[i] is pbij_code(morphisms_by_id[i]).  _code_ids[(a, b)] maps
+        # the code of a model composite a → b to its id; a clone's override
+        # never enters it.
         self._codes: dict = {}
         self._code_ids: dict = {}
-
-    def _code(self, i: int) -> tuple[int, ...]:
-        f = self.morphisms_by_id[i]
-        position = {y: n for n, y in enumerate(f.cod.elements)}
-        image = dict(f.payload)
-        code = self._codes[i] = tuple(
-            position[image[x]] if x in image else -1 for x in f.dom.elements
-        ) + (-1,)
-        return code
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         return compose_pbij(f, g)
 
     def _compose_rule_id(self, i: int, j: int) -> int:
         # the model composes each distinct composite once per category
-        code_f = self._codes.get(i) or self._code(i)
-        code_g = self._codes.get(j) or self._code(j)
+        f, g, codes = self.morphisms_by_id[i], self.morphisms_by_id[j], self._codes
+        code_f = codes.get(i) or codes.setdefault(i, pbij_code(f))
+        code_g = codes.get(j) or codes.setdefault(j, pbij_code(g))
         code = tuple(map(code_f.__getitem__, code_g))
-        f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
         key = (g.dom, f.cod)
         ids = self._code_ids.get(key)
         if ids is None:

@@ -240,6 +240,7 @@ def is_closed(cat: FiniteCategory, i: Morphism, enum: Enumeration | None = None)
 def annihilator_clauses(enum: Enumeration) -> list[Clause]:
     """The annihilator laws shared with check_exactness: existence, uniqueness, closure."""
     cat = enum.cat
+    cat.designated_zero()  # so that a category with no objects cannot pass vacuously
 
     def annihilator_exists(f: Morphism):
         if not enum.cached(annihilator_candidates, f):

@@ -20,6 +20,7 @@ from .pbij import (
     identity_pbij,
     invert_pbij,
     make_pbij,
+    pbij_code,
     pbij_pairs,
     zero_pbij,
 )
@@ -285,26 +286,31 @@ def _saturate(
     """Close the given partial bijections under identities, zero morphisms,
     involution and composition, and present the result as an explicit table.
 
-    Each composable pair is composed once, when the later of its two members
-    leaves the frontier.  With a budget, a hom-set that grows past
-    budget.homset_limit raises BudgetExceededError at once: a closure cannot
-    be sampled."""
+    Each composable pair is composed once, on the integer codes of its
+    members (pbij_code), when the later of the two leaves the frontier.  A
+    code names one member of its hom-set, so a Morphism is built only for a
+    new member, and the tables hold the members themselves.  With a budget,
+    a hom-set that grows past budget.homset_limit raises BudgetExceededError
+    at once: a closure cannot be sampled."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
     limit = budget.homset_limit if budget is not None else math.inf
-    homs: dict = {(a, b): [] for a in objs for b in objs}
-    pool: set[Morphism] = set()
-    frontier: list[Morphism] = []
+    # by_code[a][b] maps the code of each member a → b to it, in order found
+    by_code: dict = {a: {b: {} for b in objs} for a in objs}
+    frontier: list[tuple[Morphism, tuple[int, ...]]] = []
 
-    def add(m: Morphism) -> None:
-        if m not in pool:
-            pool.add(m)
-            frontier.append(m)
-            hom = homs[(m.dom, m.cod)]
-            hom.append(m)
-            if len(hom) > limit:
-                raise BudgetExceededError(len(hom), m.dom, m.cod, at_least=True)
+    def add(m: Morphism, code: tuple[int, ...] | None = None) -> Morphism:
+        """The member equal to m, which is m itself when it is new."""
+        code = pbij_code(m) if code is None else code
+        members = by_code[m.dom][m.cod]
+        member = members.get(code)
+        if member is None:
+            member = members[code] = m
+            frontier.append((m, code))
+            if len(members) > limit:
+                raise BudgetExceededError(len(members), m.dom, m.cod, at_least=True)
+        return member
 
     for a in objs:
         add(identity_pbij(a))
@@ -313,29 +319,34 @@ def _saturate(
     for m in seeds:
         add(m)
 
-    # the members that have left the frontier, by domain and by codomain
+    # the members, with their codes, that have left the frontier, by dom and by cod
     done_from: dict = {a: [] for a in objs}
     done_into: dict = {a: [] for a in objs}
     compose_table: dict = {}
+    involution_table: dict = {}
     while frontier:
-        m = frontier.pop()
-        done_from[m.dom].append(m)
-        done_into[m.cod].append(m)
-        add(invert_pbij(m))
-        for n in done_from[m.cod]:
-            nm = compose_table[(n, m)] = compose_pbij(n, m)
-            add(nm)
-        for n in done_into[m.dom]:
+        m, code_m = frontier.pop()
+        done_from[m.dom].append((m, code_m))
+        done_into[m.cod].append((m, code_m))
+        involution_table[m] = add(invert_pbij(m))
+        out_of_m = by_code[m.dom]
+        for n, code_n in done_from[m.cod]:
+            code = tuple(map(code_n.__getitem__, code_m))
+            nm = out_of_m[n.cod].get(code)
+            compose_table[(n, m)] = nm if nm is not None else add(compose_pbij(n, m), code)
+        read_m = code_m.__getitem__
+        for n, code_n in done_into[m.dom]:
             if n is not m:  # m∘m, for an endomorphism m, was made just above
-                mn = compose_table[(m, n)] = compose_pbij(m, n)
-                add(mn)
+                code = tuple(map(read_m, code_n))
+                mn = by_code[n.dom][m.cod].get(code)
+                compose_table[(m, n)] = mn if mn is not None else add(compose_pbij(m, n), code)
 
     return TableCategory(
         objects=tuple(objs),
-        homs=homs,
+        homs={(a, b): list(members.values()) for a in objs for b, members in by_code[a].items()},
         compose_table=compose_table,
         identities={a: identity_pbij(a) for a in objs},
-        involution_table={m: invert_pbij(m) for m in pool},
+        involution_table=involution_table,
         zero_object=ZERO_FINSET,
     )
 

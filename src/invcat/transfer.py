@@ -330,7 +330,7 @@ def _named(enum: Enumeration, name: str, f: Morphism, a) -> int:
     if name == "0":
         return cat.zero_id(a, a)
     if name == "1":
-        return cat.intern(cat.identity(a))
+        return cat.identity_id(a)
     return cat.intern(_NAMED[name](cat, f, enum))
 
 
@@ -660,7 +660,7 @@ def functoriality_clauses_for(kind: TransferKind):
         cat = enum.cat
 
         def identity_law(a):
-            row = _row(enum, kind, cat.intern(cat.identity(a)))
+            row = _row(enum, kind, cat.identity_id(a))
             for p, pi in enum.cached(_projection_ids, a):
                 if row[pi] != pi:
                     return f"{kind.value}(id) moves {render_morphism(p)} on {render_object(a)}"

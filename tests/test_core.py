@@ -126,6 +126,18 @@ def test_pbij_zero_is_composed_through_the_zero_object_once_per_category(monkeyp
     assert cat.morphisms_by_id and twin.morphisms_by_id == [] and twin.rows == []
 
 
+def test_identity_id_is_looked_up_once_per_category(monkeypatch):
+    cat = canonical_pbij_category((1, 2))
+    s2 = size_finset(2)
+    calls, model = [], cat.identity
+    monkeypatch.setattr(cat, "identity", lambda a: calls.append(a) or model(a))
+    i = cat.identity_id(s2)
+    assert cat.morphisms_by_id[i] == model(s2)
+    assert cat.identity_id(s2) == i and calls == [s2]
+    twin = cat.with_corrupted_involution(cat.morphisms_by_id[i], cat.morphisms_by_id[i])
+    assert twin.morphisms_by_id == [] and twin.identity_id(s2) == 0 and calls == [s2, s2]
+
+
 def test_pbij_zero_is_the_object_an_equal_composite_returns():
     cat = canonical_pbij_category((1, 2))
     s1, s2 = size_finset(1), size_finset(2)

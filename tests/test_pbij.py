@@ -43,6 +43,7 @@ from invcat.pbij import (
     image_labels,
     image_subset,
     inverse_image_subset,
+    pbij_code,
     pbij_pairs,
     preimage_subset,
     projection_labels,
@@ -239,6 +240,18 @@ def test_interning_leaves_corrupted_composites_alone():
 
 
 # ---- composite ids from codes --------------------------------------------
+
+
+def test_pbij_code_names_each_member_of_a_hom_set_and_composes_by_lookup():
+    s2, s3 = size_finset(2), size_finset(3)
+    assert pbij_code(make_pbij(s2, s3, (("e1", "e3"),))) == (2, -1, -1)
+    assert pbij_code(identity_pbij(ZERO_FINSET)) == (-1,)
+    for dom, mid, cod in ((s2, s3, s2), (s3, s2, s3), (s3, s3, s2)):
+        assert len({pbij_code(h) for h in enumerate_pbij(dom, cod)}) == hom_count(len(dom), len(cod))
+        for f in enumerate_pbij(mid, cod):
+            read_f = pbij_code(f).__getitem__
+            for g in enumerate_pbij(dom, mid):
+                assert tuple(map(read_f, pbij_code(g))) == pbij_code(compose_pbij(f, g))
 
 
 class PairRulePBij(PBijCategory):

@@ -282,10 +282,13 @@ def test_one_off_calls_search_each_object_once(monkeypatch):
 def test_missing_zero_object_is_loud():
     e = Morphism("X", "X", "e")
     cat = TableCategory(["X"], {("X", "X"): [e]}, {(e, e): e}, {"X": e})
-    with pytest.raises(InvcatError, match="^no zero object designated$"):
-        check_baer_star(cat)
-    with pytest.raises(InvcatError, match="^no zero object designated$"):
-        check_exactness(cat)
+    # with no objects, no clause asks for a zero morphism: it must not pass vacuously
+    empty = TableCategory([], {}, {}, {})
+    for c in (cat, empty):
+        with pytest.raises(InvcatError, match="^no zero object designated$"):
+            check_baer_star(c)
+        with pytest.raises(InvcatError, match="^no zero object designated$"):
+            check_exactness(c)
 
 
 def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():

@@ -319,29 +319,33 @@ def _reference_closure(objects, seeds) -> set:
         pool = grown
 
 
-def _assert_saturation_composes_each_pair_once(spec) -> None:
+def _assert_saturation_builds_each_member_once(spec) -> None:
     made = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            invcat.specfile, "compose_pbij", lambda f, g: made.append((f, g)) or compose_pbij(f, g)
+            invcat.specfile, "compose_pbij", lambda f, g: made.append(compose_pbij(f, g)) or made[-1]
         )
         cat, named = build_category(spec)
+    # a composite is built only when its code is new: once per member at most
     assert len(set(made)) == len(made)
     pool = {m for hom in cat._homs.values() for m in hom}
+    assert set(made) <= pool
     assert pool == _reference_closure(cat.objects, named.values())
     # the table the saturation used to build in a pass over every pair
     assert cat._table == {(f, g): compose_pbij(f, g) for f in pool for g in pool if g.cod == f.dom}
-    assert set(made) == set(cat._table)
+    # and its values are the members themselves, not equal copies
+    for value in cat._table.values():
+        assert any(value is m for m in cat._homs[(value.dom, value.cod)])
 
 
-def test_saturation_composes_each_pair_once_on_the_readme_fixture():
-    _assert_saturation_composes_each_pair_once(parse_spec(README_FIXTURE))
+def test_saturation_builds_each_member_once_on_the_readme_fixture():
+    _assert_saturation_builds_each_member_once(parse_spec(README_FIXTURE))
 
 
 @settings(max_examples=40, deadline=None)
 @given(explicit_specs())
-def test_saturation_composes_each_pair_once(spec):
-    _assert_saturation_composes_each_pair_once(spec)
+def test_saturation_builds_each_member_once(spec):
+    _assert_saturation_builds_each_member_once(spec)
 
 
 def test_saturation_budget_stops_at_the_first_hom_set_over_it():
