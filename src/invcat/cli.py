@@ -215,9 +215,13 @@ def enumerate(sizes, max_size, sample, no_sample, seed):
         raise SpecFormatError(f"--sizes wants integers, got {sizes!r}") from None
     if m < 0 or n < 0:
         raise SpecFormatError("sizes must be non-negative")
+    names = [f"S{k}" if k else "0" for k in (m, n)]  # size_finset's names, without the sets
+    # hom(m, n) holds hom(k, k), k = min(m, n): no need to sum k + 1 terms
+    if min(m, n) > budget.max_size:
+        raise BudgetExceededError(budget.homset_limit + 1, *names, at_least=True)
     expected = hom_count(m, n)
     if expected > budget.homset_limit:
-        raise BudgetExceededError(expected, size_finset(m), size_finset(n))
+        raise BudgetExceededError(expected, *names)
     found = len(enumerate_pbij(size_finset(m), size_finset(n)))
     click.echo(str(found))
     if found != expected:

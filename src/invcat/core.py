@@ -222,11 +222,10 @@ class FiniteCategory:
         picked = rng.sample(pool, min(count, len(pool)))
         return tuple(sorted(picked, key=morphism_sort_key))
 
-    # Closed forms of the kernel, cokernel and factorization in exactness.py,
-    # for models that know them; None means "find it by search".  They stay
-    # because search only finds morphisms between declared objects, and a
-    # kernel or image object need not be one.  They read the pure model, so
-    # a clone's seeded defects do not reach them.
+    # Closed forms of the kernel, cokernel and factorization in exactness.py;
+    # None means "search", which finds only morphisms between declared objects,
+    # and a kernel or image object need not be one.  exactness.py checks what
+    # they return on the table under test, once per run.
 
     def _kernel(self, f: Morphism) -> Morphism | None:
         return None
@@ -234,8 +233,8 @@ class FiniteCategory:
     def _cokernel(self, f: Morphism) -> Morphism | None:
         return None
 
-    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism, Any] | None:
-        """(p, q, through) with f = p∘q, p mono and q epi."""
+    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism] | None:
+        """(p, q) with f = p∘q, p mono and q epi."""
         return None
 
     # ---- public surface ----------------------------------------------
@@ -295,6 +294,11 @@ class FiniteCategory:
         row i in place: a scan over a whole hom block mostly hits."""
         row, compose_id = self.rows[i], self.compose_id
         return [k if (k := row.get(j)) is not None else compose_id(i, j) for j in js]
+
+    def precompose_ids(self, i: int, js: Iterable[int]) -> list[int]:
+        """[compose_id(j, i) for j in js], reading filled entries in place."""
+        rows, compose_id = self.rows, self.compose_id
+        return [k if (k := rows[j].get(i)) is not None else compose_id(j, i) for j in js]
 
     def compose(self, f: Morphism, g: Morphism) -> Morphism:
         return self.morphisms_by_id[self.compose_id(self.intern(f), self.intern(g))]

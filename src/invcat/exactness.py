@@ -147,44 +147,38 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
     m = cat.morphisms_by_id[u]
     if left:
         return Counter(cat.compose_ids(u, cat.hom_ids(w, m.dom)))
-    return Counter(cat.compose_id(h, u) for h in cat.hom_ids(m.cod, w))
+    return Counter(cat.precompose_ids(u, cat.hom_ids(m.cod, w)))
 
 
-def kernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
+def kernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
     """The canonical kernel of f: the model's closed form when it has one,
-    otherwise the first enumerated mono with the universal property.  With
-    `certify` the universal property is verified by enumeration either way.
-    """
-    return _universal(cat, f, certify, enum, left=True)
-
-
-def cokernel(cat: FiniteCategory, f: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
-    """The canonical cokernel: the model's closed form when it has one,
-    otherwise the first enumerated epi with the universal property."""
-    return _universal(cat, f, certify, enum, left=False)
-
-
-def _universal(cat: FiniteCategory, f: Morphism, certify: bool, enum: Enumeration | None, left: bool) -> Morphism:
-    """The kernel of f (left) or its cokernel: the closed form, checked when
-    `certify`, else the first mono u: w → dom f with f∘u = 0 (epi q: cod f → w
-    with q∘f = 0) that passes the witness, visiting w, then pool order."""
+    else the first enumerated mono u with kernel_witness(f, u) None.  Found
+    once per run and checked on the table under test, or NoKernelError."""
     enum = enum if enum is not None else Enumeration(cat)
+    return enum.cached(_universal, (f, True))
+
+
+def cokernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
+    """The canonical cokernel of f, found and checked by cokernel_witness
+    as the kernel is, or NoCokernelError."""
+    enum = enum if enum is not None else Enumeration(cat)
+    return enum.cached(_universal, (f, False))
+
+
+def _universal(cat: FiniteCategory, key, enum: Enumeration) -> Morphism:
+    """The kernel of f (left) or its cokernel: the closed form if it passes
+    the witness, else the first mono (epi) that does, by w, then pool order."""
+    f, left = key
     witness_of, error = (kernel_witness, NoKernelError) if left else (cokernel_witness, NoCokernelError)
-    u = cat._kernel(f) if left else cat._cokernel(f)
-    if u is not None:
-        if certify:
-            witness = witness_of(cat, f, u, enum)
-            if witness is not None:
-                raise error(f, witness)
+    if (u := cat._kernel(f) if left else cat._cokernel(f)) is not None:
+        if (witness := witness_of(cat, f, u, enum)) is not None:
+            raise error(f, witness)
         return u
     for w in cat.objects:
         for u in enum.pool(w, f.dom) if left else enum.pool(f.cod, w):
-            if not (is_mono(cat, u) if left else is_epi(cat, u)):
-                continue
-            if not cat.is_zero(cat.compose(f, u) if left else cat.compose(u, f)):
-                continue
-            if witness_of(cat, f, u, enum) is None:
-                return u
+            if (is_mono(cat, u) if left else is_epi(cat, u)) and cat.is_zero(cat.compose(f, u) if left else cat.compose(u, f)):
+                if witness_of(cat, f, u, enum) is None:
+                    return u
     raise error(f, f"no enumerated {'mono' if left else 'epi'} has the universal property")
 
 
@@ -193,11 +187,10 @@ def _universal(cat: FiniteCategory, f: Morphism, certify: bool, enum: Enumeratio
 
 @dataclass(frozen=True)
 class Factorization:
-    """f = p∘q with p mono and q epi, through the object `through`."""
+    """f = p∘q with p mono and q epi, through p.dom = q.cod."""
 
     p: Morphism
     q: Morphism
-    through: object
 
 
 def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
@@ -209,20 +202,21 @@ def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | Non
 
 def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Factorization:
     found = cat._factorization(f)
-    p, q, through = found if found is not None else _factorization_by_search(cat, f, enum)
+    p, q = found if found is not None else _factorization_by_search(cat, f, enum)
     if cat.compose(p, q) != f or not is_mono(cat, p) or not is_epi(cat, q):
         raise NoFactorizationError(f)
-    return Factorization(p, q, through)
+    return Factorization(p, q)
 
 
 def _factorization_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple:
+    """The first epi q out of dom f, in pool order, with p = f∘q* mono and
+    p∘q = f: on an associative table p∘q = f gives p = p∘q∘q* = f∘q*."""
     for mid in cat.objects:
         for q in enum.pool(f.dom, mid):
-            if not is_epi(cat, q):
-                continue
-            for p in enum.pool(mid, f.cod):
+            if is_epi(cat, q):
+                p = cat.compose(f, cat.involve(q))
                 if is_mono(cat, p) and cat.compose(p, q) == f:
-                    return p, q, mid
+                    return p, q
     raise NoFactorizationError(f)
 
 
@@ -465,7 +459,7 @@ def normal_conormal_clauses(enum: Enumeration) -> list[Clause]:
         witness = witness_of(cat, h, v, enum)
         if witness is not None:
             return f"{side} {render_morphism(v)} is not the {construction} of {of}: {witness}"
-        k = construct(cat, h, certify=False, enum=enum)
+        k = construct(cat, h, enum=enum)
         if not _same(cat, v, k, left):
             return (
                 f"{side} {render_morphism(v)} and canonical {construction} {render_morphism(k)} "
@@ -489,7 +483,7 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
     def kernel_annihilator(f: Morphism):
-        u = kernel(cat, f, certify=False, enum=enum)
+        u = kernel(cat, f, enum=enum)
         left = cat.compose(u, cat.involve(u))
         right = annihilator(cat, f, enum)
         if left != right:
@@ -501,7 +495,7 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
         i = annihilator(cat, f if left else cat.involve(f), enum)
         factors = mono_epi_factorize(cat, i, enum)
         part = factors.p if left else factors.q
-        k = (kernel if left else cokernel)(cat, f, certify=False, enum=enum)
+        k = (kernel if left else cokernel)(cat, f, enum=enum)
         if not _same(cat, part, k, left):
             side, name, of = ("mono", "f′", "ker") if left else ("epi", "(f*)′", "coker")
             return (
@@ -511,8 +505,8 @@ def coherence_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def kernel_cokernel_duality(f: Morphism):
-        left = cokernel(cat, f, certify=False, enum=enum)
-        right = cat.involve(kernel(cat, cat.involve(f), certify=False, enum=enum))
+        left = cokernel(cat, f, enum=enum)
+        right = cat.involve(kernel(cat, cat.involve(f), enum=enum))
         if not _same(cat, left, right, False):
             return f"coker f ≠ (ker f*)* for {render_morphism(f)}"
         return None

@@ -296,10 +296,9 @@ class PBijCategory(FiniteCategory):
         # the corestriction of cod(f) onto the labels f does not hit
         return corestriction(f.cod, unhit_labels(f))
 
-    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism, FinSet]:
+    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism]:
         img = image_labels(f)
-        through = subset_finset(img)
-        return inclusion(f.cod, img), Morphism(f.dom, through, f.payload), through
+        return inclusion(f.cod, img), Morphism(f.dom, subset_finset(img), f.payload)
 
     def finset(self, name: str) -> FinSet:
         for s in self.objects:

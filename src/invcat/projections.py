@@ -200,7 +200,7 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     if left:
         composites = cat.compose_ids(f, enum.pool_ids(w, m.dom))
     else:
-        composites = [cat.compose_id(g, f) for g in enum.pool_ids(m.cod, w)]
+        composites = cat.precompose_ids(f, enum.pool_ids(m.cod, w))
     if not composites:
         return 0, ()
     zero = cat.zero_id(w, m.cod) if left else cat.zero_id(m.dom, w)

@@ -249,26 +249,42 @@ def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphis
     return mono_epi_factorize(cat, cat.morphisms_by_id[moved], enum).p
 
 
-def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
-    """The image of f∘u: the mono part p of the factorization of the
-    transferred projection P(f)(u∘u*) = p∘p*.
-
-    With `certify`, p is checked to be the smallest subobject of cod(f)
-    through which f∘u factors, by scanning every enumerated mono.
-    """
+def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> Morphism:
+    """The image of f∘u, for a mono u into dom(f): the mono part p of the
+    factorization of P(f)(u∘u*) = p∘p*.  Found once per run and checked by
+    smallest_subobject_witness, or TransferCertificationError."""
     enum = enum if enum is not None else Enumeration(cat)
-    p = _moved_mono(cat, TransferKind.IMAGE, f, u, enum)
-    if certify:
-        witness = smallest_subobject_witness(cat, f, u, p, enum)
-        if witness is not None:
-            raise TransferCertificationError(witness)
-    return p
+    return enum.cached(_certified, (TransferKind.IMAGE, f, u))
 
 
-def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p: Morphism, enum: Enumeration | None = None) -> str | None:
+def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumeration | None = None) -> Morphism:
+    """The mono u with u∘u* = P'(f)(v∘v*), for a mono v into cod(f).  Found
+    once per run and checked to make square_for_inverse_image(f, v, u) a
+    pullback, or TransferCertificationError."""
+    enum = enum if enum is not None else Enumeration(cat)
+    return enum.cached(_certified, (TransferKind.INVERSE_IMAGE, f, v))
+
+
+def _certified(cat: FiniteCategory, key, enum: Enumeration) -> Morphism:
+    """The image (kind P) or inverse image (kind P′) of s under f, checked
+    by its smallest-subobject or pullback property."""
+    kind, f, s = key
+    moved = _moved_mono(cat, kind, f, s, enum)
+    if kind is TransferKind.IMAGE:
+        witness = smallest_subobject_witness(cat, f, s, moved, enum)
+    else:
+        try:
+            witness = pullback_witness(cat, square_for_inverse_image(cat, f, s, moved), enum)
+        except NonCommutingSquareError as err:
+            witness = str(err)
+    if witness is not None:
+        raise TransferCertificationError(witness)
+    return moved
+
+
+def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p: Morphism, enum: Enumeration) -> str | None:
     """None when f∘u factors through p and p factors through every
     enumerated mono that f∘u factors through."""
-    enum = enum if enum is not None else Enumeration(cat)
     fu = cat.compose(f, u)
     pp = cat.compose(p, cat.involve(p))
     if cat.compose(pp, fu) != fu:
@@ -283,25 +299,8 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
     return None
 
 
-def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, certify: bool = True, enum: Enumeration | None = None) -> Morphism:
-    """The mono u with u∘u* = P'(f)(v∘v*), certified (when asked) by the
-    pullback property of the square assembled in square_for_inverse_image."""
-    enum = enum if enum is not None else Enumeration(cat)
-    u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
-    if certify:
-        try:
-            witness = pullback_witness(cat, square_for_inverse_image(cat, f, v, u), enum)
-        except NonCommutingSquareError as err:
-            witness = str(err)
-        if witness is not None:
-            raise TransferCertificationError(witness)
-    return u
-
-
-def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: Morphism | None = None, enum: Enumeration | None = None) -> CommutingSquare:
+def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: Morphism) -> CommutingSquare:
     """The square with left leg u, bottom f, right v, and top edge v*∘f∘u."""
-    if u is None:
-        u = inverse_image_of(cat, f, v, certify=False, enum=enum)
     top_edge = cat.compose(cat.involve(v), cat.compose(f, u))
     square = CommutingSquare(top=top_edge, left=u, right=v, bottom=f)
     if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
@@ -477,13 +476,12 @@ def _match_clause(enum: Enumeration, kind: TransferKind, anchor: str, side: str)
 def _certified_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: str) -> Clause:
     """Each (f, s), s a mono into the source of kind(f), visiting f outermost,
     has the certified image (kind P) or inverse image (kind P′) of s."""
-    cat = enum.cat
-    construct, variable = (image_of, "u") if kind is TransferKind.IMAGE else (inverse_image_of, "v")
+    variable = "u" if kind is TransferKind.IMAGE else "v"
 
     def certified(case):
         f, s = case
         try:
-            construct(cat, f, s, certify=True, enum=enum)
+            enum.cached(_certified, (kind, f, s))
         except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
             return f"f = {render_morphism(f)}, {variable} = {render_morphism(s)}: {err}"
         return None

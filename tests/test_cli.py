@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import invcat.cli
 import invcat.core
 from invcat import (
     Budget,
@@ -84,6 +85,24 @@ def test_enumerate_honors_budget(runner):
     grown = runner.invoke(main, ["enumerate", "--sizes", "5,5", "--max-size", "5"])
     assert grown.exit_code == 0
     assert grown.output.strip() == "1546"
+
+
+@pytest.mark.parametrize(
+    "sizes,count",
+    [("20000,20000", "at least 210"), ("3,10000000", "1000000000000020000001")],
+)
+def test_enumerate_decides_the_budget_before_building_anything(runner, monkeypatch, sizes, count):
+    # the closed-form count of hom(20000, 20000) sums 20,001 huge terms, and
+    # S10000000 holds ten million labels: neither may be made to reject them
+    real_count = invcat.cli.hom_count
+    monkeypatch.setattr(invcat.cli, "size_finset", lambda k: pytest.fail(f"built S{k}"))
+    monkeypatch.setattr(
+        invcat.cli, "hom_count", lambda m, n: real_count(m, n) if min(m, n) <= 4 else pytest.fail(f"counted {m},{n}")
+    )
+    result = runner.invoke(main, ["enumerate", "--sizes", sizes])
+    assert result.exit_code == 3, result.output
+    m, n = sizes.split(",")
+    assert f"hom(S{m}, S{n}) has {count} morphisms, over the enumeration budget" in result.output
 
 
 def test_enumerate_reads_env_budget(runner):

@@ -11,6 +11,7 @@ from invcat import (
     Enumeration,
     FiniteCategory,
     InvcatError,
+    NoCokernelError,
     NoFactorizationError,
     NoKernelError,
     NonCommutingSquareError,
@@ -21,7 +22,6 @@ from invcat import (
     check_normal_conormal,
     cokernel,
     inclusion,
-    inverse_image_of,
     is_epi,
     is_iso,
     is_mono,
@@ -37,6 +37,7 @@ from invcat import (
 )
 from invcat.exactness import (
     Factorization,
+    _factorization_by_search,
     _same,
     _unique_factorization_witness,
     cokernel_witness,
@@ -51,8 +52,9 @@ from invcat.pbij import ZERO_FINSET, corestriction, image_labels, zero_pbij
 from invcat.projections import annihilator_candidates, lattice_on
 from invcat.report import FAIL, PASS
 from invcat.specfile import build_category, parse_spec
-from invcat.transfer import square_for_inverse_image
+from invcat.transfer import TransferKind, _moved_mono, square_for_inverse_image
 from test_golden import README_FIXTURE
+from test_golden import _clone as _golden_clone
 
 
 def test_mono_epi_iso_closed_forms(fixture_cat, A, B, f):
@@ -341,9 +343,9 @@ def test_factorization_fixture(fixture_cat, A, B, f):
     assert fixture_cat.compose(fac.p, fac.q) == f
     assert is_mono(fixture_cat, fac.p) and is_epi(fixture_cat, fac.q)
     assert image_labels(fac.p) == ("a", "b")
-    assert fac.through.elements == ("a", "b")
+    assert fac.p.dom.elements == ("a", "b")
     zfac = mono_epi_factorize(fixture_cat, fixture_cat.zero(A, B))
-    assert zfac.through == ZERO_FINSET
+    assert zfac.p.dom == ZERO_FINSET
 
 
 def test_subobject_and_quotient_isos(fixture_cat, A):
@@ -546,7 +548,7 @@ def test_pullback_witness_agrees_on_every_inverse_image_square(budget):
         for v in list(enum.morphisms_into(f.cod)):
             if not is_mono(cat, v):
                 continue
-            u = inverse_image_of(cat, f, v, certify=False, enum=enum)
+            u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
             square = square_for_inverse_image(cat, f, v, u)
             assert pullback_witness(cat, square, enum) == reference_pullback_witness(cat, square)
             squares += 1
@@ -648,9 +650,75 @@ def test_exactness_then_coherence_compose_each_pair_once(make, budget):
 
 def test_coherence_spot_values(fixture_cat, A, f):
     # ker f composed with its involution is exactly the annihilator projection
-    k = kernel(fixture_cat, f, certify=False)
+    k = kernel(fixture_cat, f)
     kk = fixture_cat.compose(k, fixture_cat.involve(k))
     assert kk == partial_identity(A, ("3",))
+
+
+def test_a_closed_form_cokernel_is_checked_on_the_table_under_test():
+    # with p1∘p1 = 0 on S2, p1 kills itself but does not factor through the
+    # closed form S2→{e2} {e2↦e2}, so p1 has no cokernel in the clone
+    clone = _golden_clone("p1p1-to-0")
+    s2 = size_finset(2)
+    p1 = make_pbij(s2, s2, [("e1", "e1")])
+    with pytest.raises(NoCokernelError) as raised:
+        cokernel(clone, p1)
+    assert str(raised.value) == (
+        "no cokernel for S2→S2 {e1↦e1}: S2→S2 {e1↦e1} factors through S2→{e2} {e2↦e2} in 0 ways"
+    )
+
+
+@pytest.mark.parametrize("name", ["p1p1-to-0", "down-up-to-0", "zero-to-up", "up-id-to-0"])
+def test_kernel_cokernel_duality_fails_where_a_cokernel_is_missing(name):
+    clause = check_coherence(_golden_clone(name)).clause("coherence.kernel-cokernel-duality")
+    assert clause.status == FAIL
+    assert clause.counterexample.startswith("no cokernel for ")
+
+
+def test_coherence_asks_each_closed_form_once_per_run(budget):
+    cat = canonical_pbij_category((0, 1, 2))
+    asked = Counter()
+    for hook, left in (("_kernel", True), ("_cokernel", False)):
+        model = getattr(cat, hook)
+        setattr(cat, hook, lambda f, model=model, left=left: asked.update([(f, left)]) or model(f))
+    assert check_coherence(cat, budget).passed
+    assert asked and max(asked.values()) == 1
+    assert {left for _, left in asked} == {True, False}
+
+
+def reference_factorization(cat, f, enum):
+    """The pool × pool search: every epi q, then every mono p, with p∘q = f."""
+    for mid in cat.objects:
+        for q in enum.pool(f.dom, mid):
+            if is_epi(cat, q):
+                for p in enum.pool(mid, f.cod):
+                    if is_mono(cat, p) and cat.compose(p, q) == f:
+                        return p, q
+    return None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: two_object_category(symmetric_inverse_monoid(2)),
+        lambda: two_object_category(cyclic_group(3)),
+        lambda: two_object_category(chain_semilattice(3)),
+        lambda: build_category(parse_spec(README_FIXTURE))[0],
+    ],
+)
+def test_factorization_search_agrees_with_the_pool_by_pool_loop(make, budget):
+    cat = make()
+    enum = Enumeration(cat, budget)
+    found = 0
+    for f in list(enum.morphisms()):
+        expected = reference_factorization(cat, f, enum)
+        if expected is None:
+            with pytest.raises(NoFactorizationError):
+                _factorization_by_search(cat, f, enum)
+        else:
+            assert _factorization_by_search(cat, f, enum) == expected, render_morphism(f)
+            found += 1
+    assert found
 
 
 # ---- closed forms against the search route ----------------------------------

@@ -38,6 +38,7 @@ from invcat.transfer import (
     TransferCertificationError,
     TransferKind,
     _monos_into,
+    _moved_mono,
     _row,
     _source,
     _target,
@@ -114,7 +115,7 @@ def test_inverse_image_of_fixture(fixture_cat, A, B, f):
 
 def test_inverse_image_square_commutes(fixture_cat, B, f):
     v = inclusion(B, ("a", "c"))
-    square = square_for_inverse_image(fixture_cat, f, v)
+    square = square_for_inverse_image(fixture_cat, f, v, inverse_image_of(fixture_cat, f, v))
     lhs = fixture_cat.compose(square.bottom, square.left)
     rhs = fixture_cat.compose(square.right, square.top)
     assert lhs == rhs
@@ -536,7 +537,7 @@ def _reference_law_clauses(cat, budget):
     def smallest(case):
         f, u = case
         try:
-            p = image_of(cat, f, u, certify=False, enum=enum)
+            p = _moved_mono(cat, TransferKind.IMAGE, f, u, enum)
             witness = reference_smallest_subobject_witness(cat, f, u, p, enum)
             if witness is not None:
                 raise TransferCertificationError(witness)
@@ -547,7 +548,7 @@ def _reference_law_clauses(cat, budget):
     def pullback(case):
         f, v = case
         try:
-            u = inverse_image_of(cat, f, v, certify=False, enum=enum)
+            u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
             try:
                 witness = reference_pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
             except NonCommutingSquareError as err:
