@@ -222,19 +222,18 @@ class FiniteCategory:
         picked = rng.sample(pool, min(count, len(pool)))
         return tuple(sorted(picked, key=morphism_sort_key))
 
-    # Closed forms of the kernel, cokernel and factorization in exactness.py;
-    # None means "search", which finds only morphisms between declared objects,
-    # and a kernel or image object need not be one.  exactness.py checks what
-    # they return on the table under test, once per run.
+    # Proposals for the constructions of exactness.py, read from the pure
+    # model; None proposes nothing.  A proposal is only the first candidate
+    # of the search, which goes on through the run's pools and applies one
+    # test on the table under test to every candidate.  A proposal may lie
+    # outside the declared objects; a pool member never does.
 
-    def _kernel(self, f: Morphism) -> Morphism | None:
+    def _kernel(self, f: Morphism, left: bool) -> Morphism | None:
+        """A kernel of f (left) or a cokernel of f."""
         return None
 
-    def _cokernel(self, f: Morphism) -> Morphism | None:
-        return None
-
-    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism] | None:
-        """(p, q) with f = p∘q, p mono and q epi."""
+    def _factorization(self, f: Morphism) -> Morphism | None:
+        """The epi q of f = p∘q, p mono; p is then f∘q*."""
         return None
 
     # ---- public surface ----------------------------------------------

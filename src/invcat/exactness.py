@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .core import (
     Budget,
@@ -151,34 +153,37 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
 
 
 def kernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
-    """The canonical kernel of f: the model's closed form when it has one,
-    else the first enumerated mono u with kernel_witness(f, u) None.  Found
-    once per run and checked on the table under test, or NoKernelError."""
+    """The canonical kernel of f: the first mono u, among the model's
+    proposal and then the run's pools, with kernel_witness(f, u) None.
+    Found once per run, or NoKernelError."""
     enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_universal, (f, True))
 
 
 def cokernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
-    """The canonical cokernel of f, found and checked by cokernel_witness
-    as the kernel is, or NoCokernelError."""
+    """The canonical cokernel of f, found by cokernel_witness as the kernel
+    is, or NoCokernelError."""
     enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_universal, (f, False))
 
 
+def _candidates(proposal: Morphism | None, pools: Iterable) -> Iterator[Morphism]:
+    """The model's proposal, if there is one, then the members of each pool
+    in pool order; a pool is enumerated only when the search reaches it."""
+    return chain(() if proposal is None else (proposal,), chain.from_iterable(pools))
+
+
 def _universal(cat: FiniteCategory, key, enum: Enumeration) -> Morphism:
-    """The kernel of f (left) or its cokernel: the closed form if it passes
-    the witness, else the first mono (epi) that does, by w, then pool order."""
+    """The kernel of f (left) or its cokernel: the first candidate, the
+    model's proposal and then the pools by w, that is a mono (epi) with the
+    universal property on the table under test."""
     f, left = key
-    witness_of, error = (kernel_witness, NoKernelError) if left else (cokernel_witness, NoCokernelError)
-    if (u := cat._kernel(f) if left else cat._cokernel(f)) is not None:
-        if (witness := witness_of(cat, f, u, enum)) is not None:
-            raise error(f, witness)
-        return u
-    for w in cat.objects:
-        for u in enum.pool(w, f.dom) if left else enum.pool(f.cod, w):
-            if (is_mono(cat, u) if left else is_epi(cat, u)) and cat.is_zero(cat.compose(f, u) if left else cat.compose(u, f)):
-                if witness_of(cat, f, u, enum) is None:
-                    return u
+    is_side, witness_of = (is_mono, kernel_witness) if left else (is_epi, cokernel_witness)
+    pools = (enum.pool(w, f.dom) if left else enum.pool(f.cod, w) for w in cat.objects)
+    for u in _candidates(cat._kernel(f, left), pools):
+        if is_side(cat, u) and witness_of(cat, f, u, enum) is None:
+            return u
+    error = NoKernelError if left else NoCokernelError
     raise error(f, f"no enumerated {'mono' if left else 'epi'} has the universal property")
 
 
@@ -194,29 +199,20 @@ class Factorization:
 
 
 def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
-    """The model's closed form when it has one, search otherwise; checked
-    either way, and computed once per run."""
+    """Found and checked once per run, or NoFactorizationError."""
     enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_checked_factorization, f)
 
 
 def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Factorization:
-    found = cat._factorization(f)
-    p, q = found if found is not None else _factorization_by_search(cat, f, enum)
-    if cat.compose(p, q) != f or not is_mono(cat, p) or not is_epi(cat, q):
-        raise NoFactorizationError(f)
-    return Factorization(p, q)
-
-
-def _factorization_by_search(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple:
-    """The first epi q out of dom f, in pool order, with p = f∘q* mono and
-    p∘q = f: on an associative table p∘q = f gives p = p∘q∘q* = f∘q*."""
-    for mid in cat.objects:
-        for q in enum.pool(f.dom, mid):
-            if is_epi(cat, q):
-                p = cat.compose(f, cat.involve(q))
-                if is_mono(cat, p) and cat.compose(p, q) == f:
-                    return p, q
+    """The first candidate q out of dom f, the model's proposal and then the
+    pools in pool order, that is an epi with p = f∘q* mono and p∘q = f: on an
+    associative table p∘q = f gives p = p∘q∘q* = f∘q*."""
+    for q in _candidates(cat._factorization(f), (enum.pool(f.dom, mid) for mid in cat.objects)):
+        if is_epi(cat, q):
+            p = cat.compose(f, cat.involve(q))
+            if is_mono(cat, p) and cat.compose(p, q) == f:
+                return Factorization(p, q)
     raise NoFactorizationError(f)
 
 
@@ -375,19 +371,17 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     def normal(v: Morphism, left: bool):
-        # the annihilator of u* (of v) is the natural candidate; scan everything
-        # else only if it fails, so the clause still decides "is u a kernel at all"
+        # the annihilator of u* (of v) is the natural candidate, then every
+        # morphism out of cod u (into dom v), so the clause still decides
+        # "is u a kernel at all"
         witness_of = kernel_witness if left else cokernel_witness
         try:
-            h = annihilator(cat, cat.involve(v) if left else v, enum)
-            if witness_of(cat, h, v, enum) is None:
-                return None
+            natural = annihilator(cat, cat.involve(v) if left else v, enum)
         except NotBaerStarError:
-            pass
-        for w in cat.objects:
-            for h in enum.pool(v.cod, w) if left else enum.pool(w, v.dom):
-                if witness_of(cat, h, v, enum) is None:
-                    return None
+            natural = None
+        pools = (enum.pool(v.cod, w) if left else enum.pool(w, v.dom) for w in cat.objects)
+        if any(witness_of(cat, h, v, enum) is None for h in _candidates(natural, pools)):
+            return None
         side, construction = _WORDS[left][:2]
         return f"{side} {render_morphism(v)} is not the {construction} of any enumerated morphism"
 

@@ -288,17 +288,14 @@ class PBijCategory(FiniteCategory):
         )
         return tuple(partial_identity(a, labels) for labels in subsets)
 
-    def _kernel(self, f: Morphism) -> Morphism:
-        # the inclusion of the subset where f is undefined
-        return inclusion(f.dom, undefined_labels(f))
+    def _kernel(self, f: Morphism, left: bool) -> Morphism:
+        # the inclusion of the subset where f is undefined, or the
+        # corestriction of cod(f) onto the labels f does not hit
+        return inclusion(f.dom, undefined_labels(f)) if left else corestriction(f.cod, unhit_labels(f))
 
-    def _cokernel(self, f: Morphism) -> Morphism:
-        # the corestriction of cod(f) onto the labels f does not hit
-        return corestriction(f.cod, unhit_labels(f))
-
-    def _factorization(self, f: Morphism) -> tuple[Morphism, Morphism]:
-        img = image_labels(f)
-        return inclusion(f.cod, img), Morphism(f.dom, subset_finset(img), f.payload)
+    def _factorization(self, f: Morphism) -> Morphism:
+        # f corestricted onto its image; f∘q* is the inclusion of the image
+        return Morphism(f.dom, subset_finset(image_labels(f)), f.payload)
 
     def finset(self, name: str) -> FinSet:
         for s in self.objects:

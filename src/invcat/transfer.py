@@ -251,24 +251,23 @@ def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphis
 
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> Morphism:
     """The image of f∘u, for a mono u into dom(f): the mono part p of the
-    factorization of P(f)(u∘u*) = p∘p*.  Found once per run and checked by
+    factorization of P(f)(u∘u*) = p∘p*, checked by
     smallest_subobject_witness, or TransferCertificationError."""
     enum = enum if enum is not None else Enumeration(cat)
-    return enum.cached(_certified, (TransferKind.IMAGE, f, u))
+    return _certified(cat, TransferKind.IMAGE, f, u, enum)
 
 
 def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumeration | None = None) -> Morphism:
-    """The mono u with u∘u* = P'(f)(v∘v*), for a mono v into cod(f).  Found
-    once per run and checked to make square_for_inverse_image(f, v, u) a
-    pullback, or TransferCertificationError."""
+    """The mono u with u∘u* = P'(f)(v∘v*), for a mono v into cod(f),
+    checked to make square_for_inverse_image(f, v, u) a pullback, or
+    TransferCertificationError."""
     enum = enum if enum is not None else Enumeration(cat)
-    return enum.cached(_certified, (TransferKind.INVERSE_IMAGE, f, v))
+    return _certified(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
 
 
-def _certified(cat: FiniteCategory, key, enum: Enumeration) -> Morphism:
+def _certified(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
     """The image (kind P) or inverse image (kind P′) of s under f, checked
     by its smallest-subobject or pullback property."""
-    kind, f, s = key
     moved = _moved_mono(cat, kind, f, s, enum)
     if kind is TransferKind.IMAGE:
         witness = smallest_subobject_witness(cat, f, s, moved, enum)
@@ -481,7 +480,7 @@ def _certified_clause(enum: Enumeration, kind: TransferKind, name: str, anchor: 
     def certified(case):
         f, s = case
         try:
-            enum.cached(_certified, (kind, f, s))
+            _certified(enum.cat, kind, f, s, enum)
         except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
             return f"f = {render_morphism(f)}, {variable} = {render_morphism(s)}: {err}"
         return None

@@ -17,6 +17,9 @@ from invcat import (
     TableCategory,
     build_category,
     canonical_pbij_category,
+    check_baer_star,
+    check_coherence,
+    check_exactness,
     check_inverse_category,
     cyclic_group,
     is_generalized_inverse,
@@ -26,6 +29,7 @@ from invcat import (
     render_morphism,
     size_finset,
     symmetric_inverse_monoid,
+    theorem_suite,
     two_object_category,
 )
 import invcat
@@ -687,3 +691,23 @@ def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypat
             check_inverse_category(damaged[1], budget)
         assert started[-1] == "category.associativity"
         assert str(got.value) == str(want.value)
+
+
+def test_every_memo_is_answered_from_the_memo(monkeypatch):
+    # a memoised function whose value no caller asks for twice in one run
+    # only keeps its entries: it should be a plain call
+    asks, hits = Counter(), Counter()
+    cached = Enumeration.cached
+
+    def counted(enum, fn, key):
+        asks[fn.__name__] += 1
+        hits[fn.__name__] += (fn, key) in enum._memo
+        return cached(enum, fn, key)
+
+    monkeypatch.setattr(Enumeration, "cached", counted)
+    for cat in (canonical_pbij_category((0, 1, 2)), two_object_category(symmetric_inverse_monoid(2))):
+        for run in (check_inverse_category, check_baer_star, check_exactness, check_coherence):
+            run(cat)
+        theorem_suite(cat, "all")
+    assert asks
+    assert [name for name in asks if not hits[name]] == []

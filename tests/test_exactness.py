@@ -16,6 +16,7 @@ from invcat import (
     NoKernelError,
     NonCommutingSquareError,
     PBijCategory,
+    TableCategory,
     canonical_pbij_category,
     check_coherence,
     check_exactness,
@@ -37,7 +38,7 @@ from invcat import (
 )
 from invcat.exactness import (
     Factorization,
-    _factorization_by_search,
+    _checked_factorization,
     _same,
     _unique_factorization_witness,
     cokernel_witness,
@@ -198,6 +199,59 @@ def involution_clones(base):
             wrong = next((m for m in base.hom(a, a) if m != star), None)
             if wrong is not None:
                 yield base.with_corrupted_involution(f, wrong)
+
+
+def single_entry_clones(base):
+    """One clone of base per composable pair (f, g) and per other member of
+    the hom-set of f∘g, with that member as the composite; then one per
+    morphism f and per other member of the hom-set of f*, as its involution."""
+    objects = base.objects
+    for a, b, c in itertools.product(objects, repeat=3):
+        for f, g in itertools.product(base.hom(b, c), base.hom(a, b)):
+            fg = base.compose(f, g)
+            yield from (base.with_corrupted_composition(f, g, m) for m in base.hom(a, c) if m != fg)
+    for a, b in itertools.product(objects, repeat=2):
+        for f in base.hom(a, b):
+            star = base.involve(f)
+            yield from (base.with_corrupted_involution(f, m) for m in base.hom(b, a) if m != star)
+
+
+def to_table(cat) -> TableCategory:
+    """cat copied into a TableCategory, which has no model hooks: its
+    hom-sets, every composite through cat.compose (so a clone's overrides
+    carry over), the involution, the identities and the zero object."""
+    objects = cat.objects
+    homs = {(a, b): cat.hom(a, b) for a, b in itertools.product(objects, repeat=2)}
+    table = {
+        (f, g): cat.compose(f, g)
+        for a, b, c in itertools.product(objects, repeat=3)
+        for f, g in itertools.product(homs[b, c], homs[a, b])
+    }
+    involution = {f: cat.involve(f) for fs in homs.values() for f in fs}
+    identities = {a: cat.identity(a) for a in objects}
+    return TableCategory(objects, homs, table, identities, involution, cat.zero_object)
+
+
+def test_a_construction_on_the_table_copy_is_found_on_the_clone():
+    # a model's proposal only comes first in the search, so a clone finds
+    # every kernel, cokernel and factorization that its own table has
+    clones = list(single_entry_clones(canonical_pbij_category((1, 2))))
+    assert len(clones) == 480 + 56
+    missing = []
+    for cat in clones:
+        table = to_table(cat)
+        on_cat, on_table = Enumeration(cat), Enumeration(table)
+        for f in list(on_table.morphisms()):
+            for construct in (kernel, cokernel, mono_epi_factorize):
+                try:
+                    construct(table, f, enum=on_table)
+                except InvcatError:
+                    continue
+                try:
+                    construct(cat, f, enum=on_cat)
+                except InvcatError as err:
+                    missing.append(str(err))
+    assert missing == []
 
 
 def assert_searches_agree_with_reference(cat, budget) -> Counter:
@@ -657,30 +711,50 @@ def test_coherence_spot_values(fixture_cat, A, f):
 
 def test_a_closed_form_cokernel_is_checked_on_the_table_under_test():
     # with p1∘p1 = 0 on S2, p1 kills itself but does not factor through the
-    # closed form S2→{e2} {e2↦e2}, so p1 has no cokernel in the clone
+    # proposed S2→{e2} {e2↦e2}, and no epi out of S2 in the pools has the
+    # universal property either, so p1 has no cokernel in the clone
     clone = _golden_clone("p1p1-to-0")
     s2 = size_finset(2)
     p1 = make_pbij(s2, s2, [("e1", "e1")])
     with pytest.raises(NoCokernelError) as raised:
         cokernel(clone, p1)
-    assert str(raised.value) == (
-        "no cokernel for S2→S2 {e1↦e1}: S2→S2 {e1↦e1} factors through S2→{e2} {e2↦e2} in 0 ways"
-    )
+    assert str(raised.value) == "no cokernel for S2→S2 {e1↦e1}: no enumerated epi has the universal property"
 
 
-@pytest.mark.parametrize("name", ["p1p1-to-0", "down-up-to-0", "zero-to-up", "up-id-to-0"])
+def test_a_proposal_that_fails_its_witness_is_only_the_first_candidate():
+    # with up∘id_S1 = 0, the proposed kernel 0→S1 ∅ of up fails its witness;
+    # the search goes on through the pools and finds id_S1, which is a
+    # kernel of up on this table
+    clone = _golden_clone("up-id-to-0")
+    s1, s2 = size_finset(1), size_finset(2)
+    up = make_pbij(s1, s2, [("e1", "e1")])
+    proposal = clone._kernel(up, True)
+    assert proposal == make_pbij(size_finset(0), s1, [])
+    assert kernel_witness(clone, up, proposal) is not None
+    assert kernel(clone, up) == clone.identity(s1)
+    assert kernel_witness(clone, up, clone.identity(s1)) is None
+
+
+DUALITY_FAILURES = {
+    "p1p1-to-0": (15, "no cokernel for S2→S2 {e1↦e1}: no enumerated epi has the universal property"),
+    "down-up-to-0": (8, "no cokernel for S1→S2 {e1↦e1}: no enumerated epi has the universal property"),
+    # up is the zero S1→S2 of this table, so its cokernel is id_S2: found, and wrong by value
+    "zero-to-up": (8, "coker f ≠ (ker f*)* for S1→S2 {e1↦e1}"),
+    "up-id-to-0": (6, "no cokernel for S1→S1 {e1↦e1}: no enumerated epi has the universal property"),
+}
+
+
+@pytest.mark.parametrize("name", list(DUALITY_FAILURES))
 def test_kernel_cokernel_duality_fails_where_a_cokernel_is_missing(name):
     clause = check_coherence(_golden_clone(name)).clause("coherence.kernel-cokernel-duality")
-    assert clause.status == FAIL
-    assert clause.counterexample.startswith("no cokernel for ")
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, *DUALITY_FAILURES[name])
 
 
 def test_coherence_asks_each_closed_form_once_per_run(budget):
     cat = canonical_pbij_category((0, 1, 2))
     asked = Counter()
-    for hook, left in (("_kernel", True), ("_cokernel", False)):
-        model = getattr(cat, hook)
-        setattr(cat, hook, lambda f, model=model, left=left: asked.update([(f, left)]) or model(f))
+    model = cat._kernel
+    cat._kernel = lambda f, left: asked.update([(f, left)]) or model(f, left)
     assert check_coherence(cat, budget).passed
     assert asked and max(asked.values()) == 1
     assert {left for _, left in asked} == {True, False}
@@ -714,9 +788,9 @@ def test_factorization_search_agrees_with_the_pool_by_pool_loop(make, budget):
         expected = reference_factorization(cat, f, enum)
         if expected is None:
             with pytest.raises(NoFactorizationError):
-                _factorization_by_search(cat, f, enum)
+                _checked_factorization(cat, f, enum)
         else:
-            assert _factorization_by_search(cat, f, enum) == expected, render_morphism(f)
+            assert _checked_factorization(cat, f, enum) == Factorization(*expected), render_morphism(f)
             found += 1
     assert found
 
@@ -725,11 +799,10 @@ def test_factorization_search_agrees_with_the_pool_by_pool_loop(make, budget):
 
 
 class SearchRoutePBij(PBijCategory):
-    """Partial bijections with the closed-form hooks switched back to
-    FiniteCategory's, so every construction is found by search."""
+    """Partial bijections with the proposing hooks switched back to
+    FiniteCategory's, so every construction is found in the run's pools."""
 
     _kernel = FiniteCategory._kernel
-    _cokernel = FiniteCategory._cokernel
     _factorization = FiniteCategory._factorization
 
 
