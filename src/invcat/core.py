@@ -527,13 +527,40 @@ class Enumeration:
     def endos(self, a) -> tuple[Morphism, ...]:
         return self.pool(a, a)
 
-    def composable_pairs(self) -> Iterator[tuple[Morphism, Morphism]]:
-        for a in self.cat.objects:
-            for b in self.cat.objects:
-                for c in self.cat.objects:
-                    for f in self.pool(b, c):
-                        for g in self.pool(a, b):
-                            yield f, g
+    def pair_blocks(self, sides: Callable[[int, tuple[int, ...]], tuple[list, list]]) -> Iterator:
+        """The cases of a law over every composable pair (f, g), a block of
+        one f ∈ pool(b, c) and every g ∈ pool(a, b) at a time, over objects
+        a, b, c.  sides(id of f, ids of the g) gives the law's two sides for
+        the block as two lists, the same number of entries per pair.  A block
+        whose lists are equal is Passed(n); any other is Passed(k) for the k
+        pairs before its first differing entry, then that pair (f, g), for the
+        per-pair check to decide and word.  A block whose sides raise
+        MissingConstructionError is handed over pair by pair, so the per-pair
+        check fails where it would alone; any other error raises."""
+        objs = self.cat.objects
+        for a in objs:
+            for b in objs:
+                gids, gs = self.pool_ids(a, b), self.pool(a, b)
+                for c in objs:
+                    # enumerated even when no g composes with it, so every
+                    # law counts the same pools in morphisms_enumerated
+                    fs = self.pool(b, c)
+                    if not gids:
+                        continue
+                    for fi, f in zip(self.pool_ids(b, c), fs):
+                        try:
+                            lefts, rights = sides(fi, gids)
+                        except MissingConstructionError:
+                            yield from ((f, g) for g in gs)
+                            continue
+                        if lefts == rights:
+                            yield Passed(len(gids))
+                            continue
+                        first = next(e for e, left in enumerate(lefts) if left != rights[e])
+                        k = first // (len(lefts) // len(gids))
+                        if k:
+                            yield Passed(k)
+                        yield f, gs[k]
 
     def total_enumerated(self) -> int:
         return sum(len(p) for p in self._pools.values())
@@ -687,41 +714,19 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             return f"(f*)* = {render_morphism(gg)} ≠ f = {render_morphism(f)}"
         return None
 
-    def antihomomorphism_cases():
-        """Per f ∈ pool(b, c) and block g ∈ pool(a, b) over objects a, b, c:
-        (f∘g)* and g*∘f* as two lists in pair order, every entry and
-        involution filled first.  A block that holds is Passed(n); any
-        other is Passed(k) for the k pairs before its first failing one,
-        then that pair (f, g).  A block whose filling finds an involution
-        missing (a morphism with no unique quasi-inverse) is walked pair by
-        pair, so it fails where the per-pair check would; any other error
-        raises, as in associativity."""
-        involve_id, compose_id, objs = cat.involve_id, cat.compose_id, cat.objects
-        for a in objs:
-            for b in objs:
-                gids, gs = pool_ids(a, b), enum.pool(a, b)
-                if not gids:
-                    continue
-                gstars = None
-                for c in objs:
-                    for fi, f in zip(pool_ids(b, c), enum.pool(b, c)):
-                        try:
-                            fstar = involve_id(fi)
-                            lefts = list(map(involve_id, compose_ids(fi, gids)))
-                            if gstars is None:
-                                gstars = list(map(involve_id, gids))
-                            rights = [compose_id(s, fstar) for s in gstars]
-                        except MissingConstructionError:
-                            lefts = None
-                        if lefts is None:
-                            yield from ((f, g) for g in gs)
-                        elif lefts == rights:
-                            yield Passed(len(lefts))
-                        else:
-                            k = next(k for k, left in enumerate(lefts) if left != rights[k])
-                            if k:
-                                yield Passed(k)
-                            yield f, gs[k]
+    involve_id, compose_id = cat.involve_id, cat.compose_id
+    stars: dict = {}  # ids of a hom block → ids of their involutions
+
+    def antihomomorphism_sides(fi, gids):
+        """(f∘g)* and g*∘f* for g over gids, with every entry and involution
+        filled; an involution missing (a morphism with no unique
+        quasi-inverse) raises NotInverseCategoryError."""
+        fstar = involve_id(fi)
+        lefts = list(map(involve_id, compose_ids(fi, gids)))
+        gstars = stars.get(gids)
+        if gstars is None:
+            gstars = stars[gids] = list(map(involve_id, gids))
+        return lefts, [compose_id(s, fstar) for s in gstars]
 
     def antihomomorphism(pair):
         f, g = pair
@@ -761,7 +766,7 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         run_clause("inverse.exists", "1", enum.morphisms(), inverse_exists),
         run_clause("inverse.unique", "1", enum.morphisms(), inverse_unique),
         run_clause("involution.involutory", "1", enum.morphisms(), involutory),
-        run_clause("involution.antihomomorphism", "1", antihomomorphism_cases(), antihomomorphism),
+        run_clause("involution.antihomomorphism", "1", enum.pair_blocks(antihomomorphism_sides), antihomomorphism),
         run_clause("involution.moore-penrose", "1", enum.morphisms(), moore_penrose),
         run_clause("involution.moore-penrose-unique", "1", enum.morphisms(), moore_penrose_unique),
     ]

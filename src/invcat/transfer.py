@@ -300,9 +300,13 @@ def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p:
 
 def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: Morphism) -> CommutingSquare:
     """The square with left leg u, bottom f, right v, and top edge v*∘f∘u."""
-    top_edge = cat.compose(cat.involve(v), cat.compose(f, u))
-    square = CommutingSquare(top=top_edge, left=u, right=v, bottom=f)
-    if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
+    fi, vi, ui = cat.intern(f), cat.intern(v), cat.intern(u)
+    compose_id = cat.compose_id
+    vstar = cat.involve_id(vi)
+    fu = compose_id(fi, ui)
+    top = compose_id(vstar, fu)
+    square = CommutingSquare(top=cat.morphisms_by_id[top], left=u, right=v, bottom=f)
+    if fu != compose_id(vi, top):
         raise NonCommutingSquareError(
             f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
             f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
@@ -650,11 +654,33 @@ def functoriality_clauses_for(kind: TransferKind):
     name, anchor, _ = _KIND_NAMES[kind]
     # P is covariant, P(f∘g) = P(f)∘P(g) on P(dom g); P′ and P″ are
     # contravariant, K(f∘g) = K(g)∘K(f) on P(cod f)
-    outer, inner = ("f", "g") if kind is TransferKind.IMAGE else ("g", "f")
+    covariant = kind is TransferKind.IMAGE
+    outer, inner = ("f", "g") if covariant else ("g", "f")
     law = f"{kind.value}(f∘g) ≠ {kind.value}({outer})∘{kind.value}({inner}) at {_variable(kind)}"
 
     def group(enum: Enumeration) -> list[Clause]:
         cat = enum.cat
+        compose_ids, morphisms_by_id = cat.compose_ids, cat.morphisms_by_id
+        rows: dict = {}  # id → row of kind(id), looked up once per clause
+
+        def row_of(i):
+            r = rows.get(i)
+            if r is None:
+                r = rows[i] = _row(enum, kind, i)
+            return r
+
+        def sides(fi, gids):
+            """kind(f∘g)(p) and the composite of kind(f) and kind(g) at p, for
+            g over gids and p over the source lattice, every entry filled."""
+            at_f = row_of(fi)
+            source = morphisms_by_id[gids[0]].dom if covariant else morphisms_by_id[fi].cod
+            ps = [pi for _, pi in enum.cached(_projection_ids, source)]
+            lefts, rights = [], []
+            for gi, fg in zip(gids, compose_ids(fi, gids)):
+                first, then = (row_of(gi), at_f) if covariant else (at_f, row_of(gi))
+                lefts += map(row_of(fg).__getitem__, ps)
+                rights += map(then.__getitem__, map(first.__getitem__, ps))
+            return lefts, rights
 
         def identity_law(a):
             row = _row(enum, kind, cat.identity_id(a))
@@ -680,7 +706,7 @@ def functoriality_clauses_for(kind: TransferKind):
 
         return [
             run_clause(f"functor.{name}.identity", anchor, cat.objects, identity_law),
-            run_clause(f"functor.{name}.composition", anchor, enum.composable_pairs(), composition_law),
+            run_clause(f"functor.{name}.composition", anchor, enum.pair_blocks(sides), composition_law),
         ]
 
     return group

@@ -178,6 +178,17 @@ def reference_factorization_witness(cat, f, u, enum, left):
     return None
 
 
+def composable_pairs(enum):
+    """Every composable pair (f, g) of enum's pools, f ∈ pool(b, c) and
+    g ∈ pool(a, b), over objects a, b, c in order: the per-pair order of
+    the laws over pairs."""
+    objs = enum.cat.objects
+    for a, b, c in itertools.product(objs, repeat=3):
+        for f in enum.pool(b, c):
+            for g in enum.pool(a, b):
+                yield f, g
+
+
 def endomorphism_clones(base):
     """One clone of base per composable pair of endomorphisms, with the
     composite replaced by another member of its hom-set."""

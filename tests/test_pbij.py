@@ -52,7 +52,7 @@ from invcat.pbij import (
     unhit_labels,
     zero_pbij,
 )
-from test_exactness import endomorphism_clones, involution_clones
+from test_exactness import composable_pairs, endomorphism_clones, involution_clones
 from test_golden import README_FIXTURE
 
 
@@ -292,7 +292,7 @@ def _assert_agree_on_every_composite_asked_for(reference, budget) -> None:
         lambda cat: theorem_suite(cat, "all", budget),
     )
     _assert_rules_agree(by_code, by_pair, runs)
-    pairs = sum(1 for _ in Enumeration(by_code, budget).composable_pairs())
+    pairs = sum(1 for _ in composable_pairs(Enumeration(by_code, budget)))
     assert sum(map(len, by_code.rows)) > pairs == 3_396
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import takewhile
 
 import pytest
 
@@ -29,7 +30,7 @@ from invcat import (
 )
 from invcat.exactness import NotMonoError, is_epi, is_mono
 from invcat.pbij import image_labels, projection_labels
-from invcat.exactness import NoFactorizationError, NonCommutingSquareError
+from invcat.exactness import CommutingSquare, NoFactorizationError, NonCommutingSquareError
 from invcat.projections import AnnihilatorNotFoundError, NotBaerStarError, annihilator, lattice_on
 import invcat.transfer as transfer_module
 from invcat.transfer import (
@@ -46,8 +47,8 @@ from invcat.transfer import (
     transfer,
 )
 from invcat.core import InvcatError, build_report, render_object
-from invcat.report import FAIL, run_clause
-from test_exactness import endomorphism_clones, reference_pullback_witness
+from invcat.report import FAIL, PASS, Passed, run_clause
+from test_exactness import composable_pairs, endomorphism_clones, reference_pullback_witness, single_entry_clones
 from test_golden import CATEGORIES as GOLDEN_CATEGORIES
 from test_golden import CLONES, NOT_BAER_STAR
 from test_golden import _clone as _golden_clone
@@ -119,6 +120,29 @@ def test_inverse_image_square_commutes(fixture_cat, B, f):
     lhs = fixture_cat.compose(square.bottom, square.left)
     rhs = fixture_cat.compose(square.right, square.top)
     assert lhs == rhs
+
+
+def test_inverse_image_square_on_every_pair_of_inclusions(fixture_cat, A, B, f):
+    # the square's top edge is v*∘f∘u on plain morphisms, or it names the
+    # legs that do not commute
+    cat, commuting, failing = fixture_cat, 0, 0
+    for v in (inclusion(B, labels) for labels in ((), ("a",), ("a", "c"), ("a", "b", "c"))):
+        for u in (inclusion(A, labels) for labels in ((), ("1",), ("3",), ("1", "2"), ("1", "3"))):
+            fu = cat.compose(f, u)
+            top = cat.compose(cat.involve(v), fu)
+            if cat.compose(v, top) == fu:
+                square = square_for_inverse_image(cat, f, v, u)
+                assert square == CommutingSquare(top=top, left=u, right=v, bottom=f)
+                commuting += 1
+                continue
+            with pytest.raises(NonCommutingSquareError) as raised:
+                square_for_inverse_image(cat, f, v, u)
+            assert str(raised.value) == (
+                f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
+                f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
+            )
+            failing += 1
+    assert commuting and failing
 
 
 @pytest.mark.parametrize("suite_id", sorted(SUITES))
@@ -248,8 +272,8 @@ def test_transfer_errors_are_not_cached(budget, monkeypatch):
 P, P1, P2 = TransferKind.IMAGE, TransferKind.INVERSE_IMAGE, TransferKind.STRICT_PREIMAGE
 
 
-def _reference_law_clauses(cat, budget):
-    enum = Enumeration(cat, budget)
+def _reference_transfer(cat, enum):
+    """fn(kind, f, p), kind(f)(p) by definition, and lattice(a), the elements of P(a)."""
     values = {}
 
     def fn(kind, f, p):
@@ -267,6 +291,47 @@ def _reference_law_clauses(cat, budget):
     def lattice(a):
         return lattice_on(enum, a).elements
 
+    return fn, lattice
+
+
+def _reference_functor_clauses(cat, enum, fn, lattice, kind):
+    """The identity law of kind per object and its composition law per pair."""
+    prefix, anchor, _ = _KIND_NAMES[kind]
+
+    def identity_law(a):
+        ida = cat.identity(a)
+        for p in lattice(a):
+            if fn(kind, ida, p) != p:
+                return f"{kind.value}(id) moves {render_morphism(p)} on {render_object(a)}"
+        return None
+
+    if kind is P:
+        law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
+    else:
+        law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
+
+    def composition_law(pair):
+        f, g = pair
+        fg = cat.compose(f, g)
+        first, then = (g, f) if kind is P else (f, g)
+        for p in lattice(_source(kind, fg)):
+            if fn(kind, fg, p) != fn(kind, then, fn(kind, first, p)):
+                return (
+                    f"{law} = {render_morphism(p)} for f = {render_morphism(f)}, "
+                    f"g = {render_morphism(g)}"
+                )
+        return None
+
+    return [
+        run_clause(f"functor.{prefix}.identity", anchor, cat.objects, identity_law),
+        run_clause(f"functor.{prefix}.composition", anchor, composable_pairs(enum), composition_law),
+    ]
+
+
+def _reference_law_clauses(cat, budget):
+    enum = Enumeration(cat, budget)
+    fn, lattice = _reference_transfer(cat, enum)
+
     def table(kind, f):
         # kind(f) as a dict from its source lattice to projections, and its target
         source, target = lattice(_source(kind, f)), lattice(f.cod if kind is P else f.dom)
@@ -282,7 +347,7 @@ def _reference_law_clauses(cat, budget):
 
     clauses = []
     for kind in TransferKind:
-        prefix, anchor, _ = _KIND_NAMES[kind]
+        prefix, _, _ = _KIND_NAMES[kind]
 
         def meets(f, kind=kind):
             lat = lattice(_source(kind, f))
@@ -313,35 +378,10 @@ def _reference_law_clauses(cat, budget):
                         )
             return None
 
-        def identity_law(a, kind=kind):
-            ida = cat.identity(a)
-            for p in lattice(a):
-                if fn(kind, ida, p) != p:
-                    return f"{kind.value}(id) moves {render_morphism(p)} on {render_object(a)}"
-            return None
-
-        if kind is P:
-            law = f"{kind.value}(f∘g) ≠ {kind.value}(f)∘{kind.value}(g) at i"
-        else:
-            law = f"{kind.value}(f∘g) ≠ {kind.value}(g)∘{kind.value}(f) at j"
-
-        def composition_law(pair, kind=kind, law=law):
-            f, g = pair
-            fg = cat.compose(f, g)
-            first, then = (g, f) if kind is P else (f, g)
-            for p in lattice(_source(kind, fg)):
-                if fn(kind, fg, p) != fn(kind, then, fn(kind, first, p)):
-                    return (
-                        f"{law} = {render_morphism(p)} for f = {render_morphism(f)}, "
-                        f"g = {render_morphism(g)}"
-                    )
-            return None
-
         clauses += [
             run_clause(f"{prefix}.meet-homomorphism", "", enum.morphisms(), meets),
             run_clause(f"{prefix}.order-preserving", "", enum.morphisms(), order),
-            run_clause(f"functor.{prefix}.identity", anchor, cat.objects, identity_law),
-            run_clause(f"functor.{prefix}.composition", anchor, enum.composable_pairs(), composition_law),
+            *_reference_functor_clauses(cat, enum, fn, lattice, kind),
         ]
 
     for kind in (P1, P2):
@@ -664,6 +704,74 @@ def test_id_level_laws_agree_with_projection_level_definitions(budget):
         assert _assert_laws_agree(clone, budget) > 0
         got = theorem_suite(clone, "connection", budget).clause(clause_id)
         assert (got.status, got.checked, got.counterexample) == (FAIL, checked, counterexample)
+
+
+def _reference_functoriality(cat, budget):
+    enum = Enumeration(cat, budget)
+    fn, lattice = _reference_transfer(cat, enum)
+    return [c for kind in TransferKind for c in _reference_functor_clauses(cat, enum, fn, lattice, kind)]
+
+
+def _spy_on_composition_cases(monkeypatch) -> dict:
+    """The cases each functor composition clause is handed, by clause id."""
+    handed = {}
+    real = transfer_module.run_clause
+
+    def spy(clause_id, anchor, cases, check):
+        if clause_id.endswith(".composition"):
+            cases = handed[clause_id] = list(cases)
+        return real(clause_id, anchor, cases, check)
+
+    monkeypatch.setattr(transfer_module, "run_clause", spy)
+    return handed
+
+
+def test_functor_laws_agree_with_their_per_pair_definitions_on_every_clone(monkeypatch, budget):
+    # a composition law compares a hom block at a time and falls back to
+    # single pairs; 530 of the 536 clones fail a functor law, by value or
+    # through a missing annihilator, so every way out of a block is taken
+    handed = _spy_on_composition_cases(monkeypatch)
+    base = canonical_pbij_category((1, 2))
+    report = check_functoriality(base, budget=budget)
+    for clause in report.clauses[1::2]:
+        cases = handed[clause.clause_id]
+        assert clause.status == PASS and all(type(case) is Passed for case in cases)
+        assert sum(cases) == clause.checked == 166 > len(cases)
+    clones = list(single_entry_clones(base))
+    failing = by_value = 0
+    for clone in clones:
+        report = check_functoriality(clone, budget=budget)
+        assert report.clauses == _reference_functoriality(clone, budget)
+        failing += not report.passed
+        # failing by value: the blocks before the failing pair come as
+        # Passed cases, then that pair, and the count is theirs plus one
+        for clause in report.failures():
+            if "(f∘g) ≠" in clause.counterexample:
+                cases = handed[clause.clause_id]
+                first = next(k for k, case in enumerate(cases) if type(case) is not Passed)
+                assert clause.checked == sum(cases[:first]) + 1
+                by_value += 1
+    assert (len(clones), failing, by_value) == (536, 530, 521 + 120 + 120)
+
+
+def test_functor_composition_walks_a_block_with_a_missing_annihilator_pair_by_pair(monkeypatch, budget):
+    # P′ and P″ of m2: A → B need an annihilator this category lacks, so
+    # their composition laws fail at the per-pair reference's pair and text
+    handed = _spy_on_composition_cases(monkeypatch)
+    cat = build_category(parse_spec(NOT_BAER_STAR))[0]
+    report = check_functoriality(cat, budget=budget)
+    assert report.clauses == _reference_functoriality(cat, budget)
+    for kind in (P1, P2):
+        clause = report.clause(f"functor.{_KIND_NAMES[kind][0]}.composition")
+        assert clause.status == FAIL
+        assert clause.counterexample.startswith("no projection annihilates exactly what")
+        # the block comes as Passed cases and then every pair of one f
+        cases = handed[clause.clause_id]
+        first = next(k for k, case in enumerate(cases) if type(case) is not Passed)
+        f = cases[first][0]
+        block = list(takewhile(lambda case: type(case) is not Passed and case[0] == f, cases[first:]))
+        assert len(block) > 1
+        assert sum(cases[:first]) < clause.checked <= sum(cases[:first]) + len(block)
 
 
 def _chain3_clone(f: str, g: str, wrong: str):
