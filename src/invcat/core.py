@@ -10,9 +10,10 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import comb, factorial
-from typing import Any, Callable, Iterable, Iterator
+from operator import attrgetter, is_
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .report import (
     SKIPPED,
@@ -202,6 +203,12 @@ class FiniteCategory:
         id of a composite without building it override this."""
         return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
 
+    def _compose_rule_ids(self, i: int, js: list[int]) -> Iterable[int]:
+        """_compose_rule_id(i, j) for each j of js, in order, for a row's
+        distinct, shape-checked misses with no override.  The result may be
+        lazy: the entries before one whose computation raises are stored."""
+        return map(self._compose_rule_id, repeat(i), js)
+
     def _involve(self, f: Morphism) -> Morphism | None:
         return None
 
@@ -288,11 +295,30 @@ class FiniteCategory:
             k = row[j] = self.intern(fg) if fg is not None else self._compose_rule_id(i, j)
         return k
 
-    def compose_ids(self, i: int, js: Iterable[int]) -> list[int]:
+    def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
         """[compose_id(i, j) for j in js], reading the entries already in
-        row i in place: a scan over a whole hom block mostly hits."""
-        row, compose_id = self.rows[i], self.compose_id
-        return [k if (k := row.get(j)) is not None else compose_id(i, j) for j in js]
+        row i in place: a scan over a whole hom block mostly hits.  Two or
+        more misses go to the model rule in one call, each once and in js
+        order, when each is composable by object identity and none has an
+        override; otherwise each goes through compose_id."""
+        row = self.rows[i]
+        try:
+            return list(map(row.__getitem__, js))
+        except KeyError:
+            pass
+        misses = list(dict.fromkeys([j for j in js if j not in row]))
+        f, overrides = self.morphisms_by_id[i], self._compose_overrides
+        gs = map(self.morphisms_by_id.__getitem__, misses)
+        if (
+            len(misses) > 1
+            and all(map(is_, map(attrgetter("cod"), gs), repeat(f.dom)))
+            and not (overrides and any(left == f for left, _ in overrides))
+        ):
+            row.update(zip(misses, self._compose_rule_ids(i, misses)))
+        else:
+            for j in misses:
+                self.compose_id(i, j)
+        return list(map(row.__getitem__, js))
 
     def precompose_ids(self, i: int, js: Iterable[int]) -> list[int]:
         """[compose_id(j, i) for j in js], reading filled entries in place."""
@@ -635,19 +661,14 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
     # Associativity and the antihomomorphism law work on the category's
     # morphism ids, a hom block at a time: each fills every entry a block
     # needs, then compares two lists.
-    compose_ids, rows, pool_ids = cat.compose_ids, cat.rows, enum.pool_ids
-
-    def composites(i, js):
-        """The ids of i∘j for j in js, read in place when all are filled."""
-        out = list(map(rows[i].get, js))
-        return compose_ids(i, js) if None in out else out
+    compose_ids, pool_ids = cat.compose_ids, enum.pool_ids
 
     def concatenated(cache, ids, js):
-        """composites(i, js) for each i in ids, concatenated; a filled entry
+        """compose_ids(i, js) for each i in ids, concatenated; a filled entry
         never changes, so each row is kept in cache."""
         for i in ids:
             if i not in cache:
-                cache[i] = composites(i, js)
+                cache[i] = compose_ids(i, js)
         return list(chain.from_iterable(map(cache.__getitem__, ids)))
 
     def associativity_cases():
@@ -671,11 +692,8 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
                     gh_all = concatenated(over_h, gids, hids)
                     for d in objs:
                         for fi, f in zip(pool_ids(c, d), enum.pool(c, d)):
-                            lefts = concatenated(over_h, composites(fi, gids), hids)
-                            # a missing entry reads None and never matches
-                            rights = list(map(rows[fi].get, gh_all))
-                            if rights != lefts:
-                                rights = compose_ids(fi, gh_all)
+                            lefts = concatenated(over_h, compose_ids(fi, gids), hids)
+                            rights = compose_ids(fi, gh_all)
                             if rights == lefts:
                                 yield Passed(len(lefts))
                                 continue

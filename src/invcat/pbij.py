@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter, is_, methodcaller
+from typing import Callable, Iterable
 
 from .core import FiniteCategory, InvcatError, Morphism, pbij_counts_by_rank
 
@@ -121,13 +122,19 @@ def compose_pbij(f: Morphism, g: Morphism) -> Morphism:
     return Morphism(g.dom, f.cod, pairs)
 
 
-def pbij_code(f: Morphism) -> tuple[int, ...]:
-    """The position in cod of the image of each element of dom, in order,
-    -1 where f is undefined, then a trailing -1.  Within one hom-set the
-    code determines f, and the code of f∘g is code f read at code g."""
-    position = {y: n for n, y in enumerate(f.cod.elements)}
+def pbij_code(f: Morphism) -> str:
+    """One character per element of dom, in order: chr of the 1-based
+    position in cod of its image, "\\0" where f is undefined.  Within one
+    hom-set the code determines f; precomposer gives the code of f∘g."""
+    position = {y: chr(n) for n, y in enumerate(f.cod.elements, 1)}
     image = dict(f.payload)
-    return tuple(position[image[x]] if x in image else -1 for x in f.dom.elements) + (-1,)
+    return "".join(position[image[x]] if x in image else "\0" for x in f.dom.elements)
+
+
+def precomposer(code_f: str) -> Callable[[str], str]:
+    """The map code g ↦ code of f∘g, for any g with cod g = dom f: code g
+    read through code f, a character at a time, in C."""
+    return methodcaller("translate", "\0" + code_f)
 
 
 def invert_pbij(f: Morphism) -> Morphism:
@@ -250,30 +257,53 @@ class PBijCategory(FiniteCategory):
 
     def _empty_table(self) -> None:
         super()._empty_table()
-        # _codes[i] is pbij_code(morphisms_by_id[i]).  _code_ids[(a, b)] maps
-        # the code of a model composite a → b to its id; a clone's override
-        # never enters it.
+        # _codes[i] is pbij_code(morphisms_by_id[i]) and _afters[i] its
+        # precomposer.  _code_ids[(a, b)] maps the code of a model composite
+        # a → b to its id; a clone's override never enters it.
         self._codes: dict = {}
+        self._afters: dict = {}
         self._code_ids: dict = {}
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         return compose_pbij(f, g)
 
+    def _code(self, i: int) -> str:
+        code = self._codes.get(i)
+        if code is None:
+            code = self._codes[i] = pbij_code(self.morphisms_by_id[i])
+        return code
+
+    def _after(self, i: int) -> Callable[[str], str]:
+        after = self._afters.get(i)
+        if after is None:
+            after = self._afters[i] = precomposer(self._code(i))
+        return after
+
     def _compose_rule_id(self, i: int, j: int) -> int:
         # the model composes each distinct composite once per category
-        f, g, codes = self.morphisms_by_id[i], self.morphisms_by_id[j], self._codes
-        code_f = codes.get(i) or codes.setdefault(i, pbij_code(f))
-        code_g = codes.get(j) or codes.setdefault(j, pbij_code(g))
-        code = tuple(map(code_f.__getitem__, code_g))
-        key = (g.dom, f.cod)
-        ids = self._code_ids.get(key)
-        if ids is None:
-            ids = self._code_ids[key] = {}
+        after_f, code_g = self._afters.get(i), self._codes.get(j)
+        code = (after_f or self._after(i))(code_g if code_g is not None else self._code(j))
+        f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
+        ids = self._code_ids.setdefault((g.dom, f.cod), {})
         k = ids.get(code)
         if k is None:
             k = ids[code] = self.intern(self._compose(f, g))
             self._codes.setdefault(k, code)
         return k
+
+    def _compose_rule_ids(self, i: int, js: list[int]) -> list[int]:
+        # a block whose g share one dom, and whose codes and composite codes
+        # are all known, is read from one code dict; any other goes pair by
+        # pair, which composes and records what is new
+        by_id = self.morphisms_by_id
+        dom = by_id[js[0]].dom
+        if all(map(is_, map(attrgetter("dom"), map(by_id.__getitem__, js)), itertools.repeat(dom))):
+            ids = self._code_ids.get((dom, by_id[i].cod), {})
+            try:
+                return list(map(ids.__getitem__, map(self._after(i), map(self._codes.__getitem__, js))))
+            except KeyError:
+                pass
+        return super()._compose_rule_ids(i, js)
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

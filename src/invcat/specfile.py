@@ -22,6 +22,7 @@ from .pbij import (
     make_pbij,
     pbij_code,
     pbij_pairs,
+    precomposer,
     zero_pbij,
 )
 
@@ -286,21 +287,22 @@ def _saturate(
     """Close the given partial bijections under identities, zero morphisms,
     involution and composition, and present the result as an explicit table.
 
-    Each composable pair is composed once, on the integer codes of its
-    members (pbij_code), when the later of the two leaves the frontier.  A
-    code names one member of its hom-set, so a Morphism is built only for a
-    new member, and the tables hold the members themselves.  With a budget,
-    a hom-set that grows past budget.homset_limit raises BudgetExceededError
-    at once: a closure cannot be sampled."""
+    Each composable pair is composed once, on the string codes of its
+    members (pbij_code, precomposer), when the later of the two leaves the
+    frontier.  A code names one member of its hom-set, so a Morphism is
+    built only for a new member, and the tables hold the members
+    themselves.  With a budget, a hom-set that grows past
+    budget.homset_limit raises BudgetExceededError at once: a closure
+    cannot be sampled."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
     limit = budget.homset_limit if budget is not None else math.inf
     # by_code[a][b] maps the code of each member a → b to it, in order found
     by_code: dict = {a: {b: {} for b in objs} for a in objs}
-    frontier: list[tuple[Morphism, tuple[int, ...]]] = []
+    frontier: list[tuple[Morphism, str]] = []
 
-    def add(m: Morphism, code: tuple[int, ...] | None = None) -> Morphism:
+    def add(m: Morphism, code: str | None = None) -> Morphism:
         """The member equal to m, which is m itself when it is new."""
         code = pbij_code(m) if code is None else code
         members = by_code[m.dom][m.cod]
@@ -319,25 +321,26 @@ def _saturate(
     for m in seeds:
         add(m)
 
-    # the members, with their codes, that have left the frontier, by dom and by cod
+    # the members that have left the frontier: by dom, each with the map
+    # that composes after it (precomposer), and by cod, each with its code
     done_from: dict = {a: [] for a in objs}
     done_into: dict = {a: [] for a in objs}
     compose_table: dict = {}
     involution_table: dict = {}
     while frontier:
         m, code_m = frontier.pop()
-        done_from[m.dom].append((m, code_m))
+        after_m = precomposer(code_m)
+        done_from[m.dom].append((m, after_m))
         done_into[m.cod].append((m, code_m))
         involution_table[m] = add(invert_pbij(m))
         out_of_m = by_code[m.dom]
-        for n, code_n in done_from[m.cod]:
-            code = tuple(map(code_n.__getitem__, code_m))
+        for n, after_n in done_from[m.cod]:
+            code = after_n(code_m)
             nm = out_of_m[n.cod].get(code)
             compose_table[(n, m)] = nm if nm is not None else add(compose_pbij(n, m), code)
-        read_m = code_m.__getitem__
         for n, code_n in done_into[m.dom]:
             if n is not m:  # m∘m, for an endomorphism m, was made just above
-                code = tuple(map(read_m, code_n))
+                code = after_m(code_n)
                 mn = by_code[n.dom][m.cod].get(code)
                 compose_table[(m, n)] = mn if mn is not None else add(compose_pbij(m, n), code)
 

@@ -564,16 +564,27 @@ def _cyclic3():
 
 @pytest.mark.parametrize("make", [_cyclic3, lambda: canonical_pbij_category((0, 1, 2))])
 def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
-    # the per-pair hook runs once per table entry, whichever route the model
-    # takes to the id (the partial-bijection rule composes only new codes)
+    # the model rule runs once per table entry, whichever hook computes it
+    # and whatever route the model takes to the id (the partial-bijection
+    # rule composes only new codes); the block hook's own per-pair calls are
+    # counted with its block
     def record(cat, calls):
-        real = cat._compose_rule_id
+        pair_rule, block_rule = cat._compose_rule_id, cat._compose_rule_ids
+        by_id = cat.morphisms_by_id
 
         def compose_rule_id(i, j):
-            calls.append((cat.morphisms_by_id[i], cat.morphisms_by_id[j]))
-            return real(i, j)
+            calls.append((by_id[i], by_id[j]))
+            return pair_rule(i, j)
 
-        cat._compose_rule_id = compose_rule_id
+        def compose_rule_ids(i, js):
+            calls.extend((by_id[i], by_id[j]) for j in js)
+            cat._compose_rule_id = pair_rule
+            try:
+                return list(block_rule(i, js))
+            finally:
+                cat._compose_rule_id = compose_rule_id
+
+        cat._compose_rule_id, cat._compose_rule_ids = compose_rule_id, compose_rule_ids
 
     reference = make()
     first_calls = []

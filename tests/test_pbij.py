@@ -45,6 +45,7 @@ from invcat.pbij import (
     inverse_image_subset,
     pbij_code,
     pbij_pairs,
+    precomposer,
     preimage_subset,
     projection_labels,
     subset_finset,
@@ -244,21 +245,46 @@ def test_interning_leaves_corrupted_composites_alone():
 
 def test_pbij_code_names_each_member_of_a_hom_set_and_composes_by_lookup():
     s2, s3 = size_finset(2), size_finset(3)
-    assert pbij_code(make_pbij(s2, s3, (("e1", "e3"),))) == (2, -1, -1)
-    assert pbij_code(identity_pbij(ZERO_FINSET)) == (-1,)
+    assert pbij_code(make_pbij(s2, s3, (("e1", "e3"),))) == "\3\0"
+    assert pbij_code(identity_pbij(ZERO_FINSET)) == ""
     for dom, mid, cod in ((s2, s3, s2), (s3, s2, s3), (s3, s3, s2)):
         assert len({pbij_code(h) for h in enumerate_pbij(dom, cod)}) == hom_count(len(dom), len(cod))
         for f in enumerate_pbij(mid, cod):
-            read_f = pbij_code(f).__getitem__
+            after_f = precomposer(pbij_code(f))
             for g in enumerate_pbij(dom, mid):
-                assert tuple(map(read_f, pbij_code(g))) == pbij_code(compose_pbij(f, g))
+                code = pbij_code(compose_pbij(f, g))
+                assert after_f(pbij_code(g)) == pbij_code(g).translate("\0" + pbij_code(f)) == code
+
+
+def test_codes_past_latin1_compose_as_the_model_does():
+    # 300 labels put positions past chr(255); the hom-set is never enumerated
+    big = FinSet("Big", tuple(f"x{n:03d}" for n in range(300)))
+    cat = PBijCategory([big])
+    labels, zero = big.elements, cat.zero_object
+    shift = make_pbij(big, big, tuple(zip(labels, labels[1:])))
+    flip = make_pbij(big, big, tuple(zip(labels[::2], labels[::-2])))
+    top = make_pbij(big, big, ((labels[0], labels[-1]), (labels[-1], labels[256])))
+    assert max(map(ord, pbij_code(top))) == 300 and pbij_code(identity_pbij(zero)) == ""
+    assert max(map(ord, pbij_code(flip))) == 300 and len(shift.payload) == 299
+    ends = (zero_pbij(zero, big), zero_pbij(big, zero), identity_pbij(zero))
+    ms = (shift, flip, top, identity_pbij(big), *ends)
+    for f in ms:
+        for dom in (big, zero):
+            gs = [g for g in ms if g.cod == f.dom and g.dom == dom]
+            want = [compose_pbij(f, g) for g in gs]
+            pairs = [cat.compose_id(cat.intern(f), cat.intern(g)) for g in gs]
+            assert [cat.morphisms_by_id[k] for k in pairs] == want
+            twin = PBijCategory([big])  # an empty table: every g of the block misses
+            block = twin.compose_ids(twin.intern(f), list(map(twin.intern, gs)))
+            assert [twin.morphisms_by_id[k] for k in block] == want
 
 
 class PairRulePBij(PBijCategory):
-    """Partial bijections with FiniteCategory's per-pair hook: every table
-    entry composes its pair and interns the result."""
+    """Partial bijections with FiniteCategory's rule for both hooks: every
+    table entry composes its pair and interns the result."""
 
     _compose_rule_id = FiniteCategory._compose_rule_id
+    _compose_rule_ids = FiniteCategory._compose_rule_ids
 
 
 class PairScanPBij(PBijCategory):
@@ -368,13 +394,15 @@ def test_block_scans_read_hits_in_place_and_compute_misses_in_order():
     f = ids[3]
     hit = cat.compose_id(f, ids[1])
     asked = []
-    compose_id = cat.compose_id
-    cat.compose_id = lambda i, j: asked.append(j) or compose_id(i, j)
-    got = cat.compose_ids(f, ids[::-1])
-    assert asked == [j for j in ids[::-1] if j != ids[1]]
-    assert got == [compose_id(f, j) for j in ids[::-1]] and got[-2] == hit
-    assert cat.compose_ids(f, ids) == got[::-1] and len(asked) == len(ids) - 1
-    del cat.compose_id
+    compose_rule_ids = cat._compose_rule_ids
+    cat._compose_rule_ids = lambda i, js: asked.append(list(js)) or compose_rule_ids(i, js)
+    # ids[0] twice: a repeated miss reaches the rule once
+    got = cat.compose_ids(f, ids[::-1] + ids[:1])
+    assert asked == [[j for j in ids[::-1] if j != ids[1]]]
+    assert got[:-1] == [cat.compose_id(f, j) for j in ids[::-1]] and got[-3] == hit
+    assert got[-1] == got[-2]
+    assert cat.compose_ids(f, ids) == got[-2::-1] and len(asked) == 1
+    del cat._compose_rule_ids
     # a clone starts with an empty table, and its override wins
     by_id = cat.morphisms_by_id
     twin = cat.with_corrupted_composition(by_id[f], by_id[ids[0]], by_id[f])
@@ -420,3 +448,27 @@ def test_compose_runs_once_per_distinct_composite(budget):
     check_exactness(cat, budget)
     assert made and len(set(made)) == len(made)
     assert sum(map(len, cat.rows)) > 20 * len(made)
+
+
+def test_block_rule_composes_each_distinct_composite_once(budget):
+    # exactness alone: no identity law has put every code in the table first
+    cat = canonical_pbij_category((0, 1, 2, 3))
+    made = []
+    real = cat._compose
+    cat._compose = lambda f, g: made.append(real(f, g)) or made[-1]
+    check_exactness(cat, budget)
+    assert made and len(set(made)) == len(made)
+
+
+def test_a_block_over_several_domains_keeps_each_composite_in_its_hom_set():
+    # g: A → C and h: B → C have one code, but f∘g and f∘h lie in two
+    # hom-sets; s∘(s∘m) = m puts every code involved in the code dicts first
+    a, b, c = (FinSet(n, (f"{n}1", f"{n}2")) for n in "ABC")
+    cat = PBijCategory([a, b, c])
+    g, h = make_pbij(a, c, (("A1", "C2"),)), make_pbij(b, c, (("B1", "C2"),))
+    s = make_pbij(c, c, (("C1", "C2"), ("C2", "C1")))
+    assert pbij_code(g) == pbij_code(h)
+    for m in (g, h):
+        assert cat.compose(s, cat.compose(s, m)) == m
+    got = cat.compose_ids(cat.intern(identity_pbij(c)), [cat.intern(g), cat.intern(h)])
+    assert [cat.morphisms_by_id[k] for k in got] == [g, h]
