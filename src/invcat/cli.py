@@ -11,6 +11,7 @@ from pathlib import Path
 import click
 
 from .core import (
+    LARGEST_LIMIT_SIZE,
     Budget,
     BudgetExceededError,
     InvcatError,
@@ -216,8 +217,9 @@ def enumerate(sizes, max_size, sample, no_sample, seed):
     if m < 0 or n < 0:
         raise SpecFormatError("sizes must be non-negative")
     names = [f"S{k}" if k else "0" for k in (m, n)]  # size_finset's names, without the sets
-    # hom(m, n) holds hom(k, k), k = min(m, n): no need to sum k + 1 terms
-    if min(m, n) > budget.max_size:
+    # hom(m, n) holds hom(k, k), k = min(m, n), which is over the limit past
+    # max_size and past LARGEST_LIMIT_SIZE: no need to sum k + 1 terms
+    if min(m, n) > min(budget.max_size, LARGEST_LIMIT_SIZE):
         raise BudgetExceededError(budget.homset_limit + 1, *names, at_least=True)
     expected = hom_count(m, n)
     if expected > budget.homset_limit:

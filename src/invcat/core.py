@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 import time
+import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from math import comb, factorial
 from operator import attrgetter, is_
@@ -66,7 +68,11 @@ class BudgetExceededError(InvcatError):
         self.hom_size = hom_size
         self.dom = dom
         self.cod = cod
-        count = f"at least {hom_size}" if at_least else str(hom_size)
+        bits = hom_size.bit_length()
+        if bits > 1000:  # hundreds of digits tell no more than a power of two below them
+            count = f"at least 2^{bits - 1}"
+        else:
+            count = f"at least {hom_size}" if at_least else str(hom_size)
         super().__init__(
             f"hom({render_object(dom)}, {render_object(cod)}) has {count} morphisms, "
             "over the enumeration budget"
@@ -146,13 +152,39 @@ class Budget:
 
     @cached_property
     def homset_limit(self) -> int:
+        """The size of hom(max_size, max_size), or sys.maxsize past
+        LARGEST_LIMIT_SIZE: no tuple holds more, so a larger limit would
+        admit no more hom-sets, only take longer to count."""
+        if self.max_size > LARGEST_LIMIT_SIZE:
+            return sys.maxsize
         return sum(pbij_counts_by_rank(self.max_size, self.max_size))
+
+
+# the largest n with at most sys.maxsize partial bijections of an n-set:
+# hom(18, 18) has 2,968,971,263,911,288,999 and hom(19, 19) about 7·10^19
+LARGEST_LIMIT_SIZE = 18
 
 
 def pbij_counts_by_rank(m: int, n: int) -> list[int]:
     """C(m,k)·C(n,k)·k!, the number of partial bijections of rank k from an
     m-set to an n-set, for k = 0 … min(m, n)."""
     return [comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1)]
+
+
+class Memo(dict):
+    """A table that fills itself: a missing key is stored as fill(key), once,
+    and a fill that raises stores nothing, so asking again raises again.
+    Every run-scoped cache is one of these; the per-category tables of
+    FiniteCategory are plain dicts, built for every category and clone."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[[Any], Any]):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 class FiniteCategory:
@@ -501,41 +533,31 @@ class Enumeration:
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
-        self.budget = budget if budget is not None else Budget()
-        self._pools: dict = {}
-        self._pool_ids: dict = {}
-        self.sampled = False
-        self._memo: dict = {}
+        self.budget = budget = budget if budget is not None else Budget()
+        # (pool, sampled) per (a, b), and the category's ids of each pool
+        self._pools = pools = Memo(lambda key: cat.morphism_pool(*key, budget))
+        self._pool_ids = Memo(lambda key: tuple(map(cat.intern, pools[key][0])))
+        # the memo refers to the run weakly, so that a run no longer used is
+        # freed at once, not at the next collection of reference cycles
+        run = weakref.ref(self)
+        self._memo = Memo(lambda slot: slot[0](cat, slot[1], run()))
         self.details: dict = {}
 
+    @property
+    def sampled(self) -> bool:
+        """Whether a pool drawn so far is a sample of its hom-set."""
+        return any(sampled for _, sampled in self._pools.values())
+
     def pool(self, a, b) -> tuple[Morphism, ...]:
-        key = (a, b)
-        pool = self._pools.get(key)
-        if pool is None:
-            pool, sampled = self.cat.morphism_pool(a, b, self.budget)
-            self._pools[key] = pool
-            if sampled:
-                self.sampled = True
-        return pool
+        return self._pools[a, b][0]
 
     def pool_ids(self, a, b) -> tuple[int, ...]:
-        """The category's ids of pool(a, b), in pool order, looked up once per run."""
-        key = (a, b)
-        ids = self._pool_ids.get(key)
-        if ids is None:
-            ids = self._pool_ids[key] = tuple(map(self.cat.intern, self.pool(a, b)))
-        return ids
+        return self._pool_ids[a, b]
 
     def cached(self, fn: Callable, key):
         """fn(cat, key, self), computed once per run for each fn and key.
         Callers name fn as a module global, so a wrapper put there sees every call."""
-        slot = (fn, key)
-        try:
-            return self._memo[slot]
-        except KeyError:
-            pass
-        value = self._memo[slot] = fn(self.cat, key, self)
-        return value
+        return self._memo[fn, key]
 
     def morphisms(self) -> Iterator[Morphism]:
         for a in self.cat.objects:
@@ -549,9 +571,6 @@ class Enumeration:
     def morphisms_out_of(self, a) -> Iterator[Morphism]:
         for b in self.cat.objects:
             yield from self.pool(a, b)
-
-    def endos(self, a) -> tuple[Morphism, ...]:
-        return self.pool(a, a)
 
     def pair_blocks(self, sides: Callable[[int, tuple[int, ...]], tuple[list, list]]) -> Iterator:
         """The cases of a law over every composable pair (f, g), a block of
@@ -589,7 +608,7 @@ class Enumeration:
                         yield f, gs[k]
 
     def total_enumerated(self) -> int:
-        return sum(len(p) for p in self._pools.values())
+        return sum(len(pool) for pool, _ in self._pools.values())
 
 
 def build_report(
@@ -663,13 +682,9 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
     # needs, then compares two lists.
     compose_ids, pool_ids = cat.compose_ids, enum.pool_ids
 
-    def concatenated(cache, ids, js):
-        """compose_ids(i, js) for each i in ids, concatenated; a filled entry
-        never changes, so each row is kept in cache."""
-        for i in ids:
-            if i not in cache:
-                cache[i] = compose_ids(i, js)
-        return list(chain.from_iterable(map(cache.__getitem__, ids)))
+    def concatenated(rows, ids):
+        """rows[i] for each i in ids, concatenated."""
+        return list(chain.from_iterable(map(rows.__getitem__, ids)))
 
     def associativity_cases():
         """Per f ∈ pool(c, d) and blocks g ∈ pool(b, c), h ∈ pool(a, b) over
@@ -687,12 +702,13 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
                     gids = pool_ids(b, c)
                     if not gids:
                         continue
-                    # id i → ids of i∘h over hids: g∘h for a g, (fg)∘h for an fg
-                    over_h = {}
-                    gh_all = concatenated(over_h, gids, hids)
+                    # id i → ids of i∘h over hids: g∘h for a g, (fg)∘h for an fg;
+                    # a filled entry never changes, so each is kept
+                    over_h = Memo(partial(compose_ids, js=hids))
+                    gh_all = concatenated(over_h, gids)
                     for d in objs:
                         for fi, f in zip(pool_ids(c, d), enum.pool(c, d)):
-                            lefts = concatenated(over_h, compose_ids(fi, gids), hids)
+                            lefts = concatenated(over_h, compose_ids(fi, gids))
                             rights = compose_ids(fi, gh_all)
                             if rights == lefts:
                                 yield Passed(len(lefts))
@@ -733,7 +749,8 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     involve_id, compose_id = cat.involve_id, cat.compose_id
-    stars: dict = {}  # ids of a hom block → ids of their involutions
+    # the ids of a hom block → the ids of their involutions
+    stars = Memo(lambda gids: list(map(involve_id, gids)))
 
     def antihomomorphism_sides(fi, gids):
         """(f∘g)* and g*∘f* for g over gids, with every entry and involution
@@ -741,10 +758,7 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         quasi-inverse) raises NotInverseCategoryError."""
         fstar = involve_id(fi)
         lefts = list(map(involve_id, compose_ids(fi, gids)))
-        gstars = stars.get(gids)
-        if gstars is None:
-            gstars = stars[gids] = list(map(involve_id, gids))
-        return lefts, [compose_id(s, fstar) for s in gstars]
+        return lefts, [compose_id(s, fstar) for s in stars[gids]]
 
     def antihomomorphism(pair):
         f, g = pair

@@ -23,9 +23,9 @@ from .core import (
 )
 from .projections import (
     NotBaerStarError,
+    _killed,
     annihilator,
     annihilator_clauses,
-    killed,
     projection_cases,
 )
 from .report import FAIL, PASS, Clause, MissingConstructionError, VerificationReport, run_clause
@@ -129,7 +129,7 @@ def _unique_factorization_witness(
     enum = enum if enum is not None else Enumeration(cat)
     fi, ui = cat.intern(f), cat.intern(u)
     for w in cat.objects:
-        hits = killed(enum, fi, w, left)[1]
+        hits = enum.cached(_killed, (fi, w, left))[1]
         if not hits:
             continue
         ways = enum.cached(_factorization_counts, (ui, w, left))

@@ -77,6 +77,7 @@ ZERO_FINSET = subset_finset(())
 
 def make_pbij(dom: FinSet, cod: FinSet, pairs: Iterable[tuple[str, str]], name: str | None = None) -> Morphism:
     """Validate pairs as a partial bijection dom ⇀ cod and build the morphism."""
+    pairs = tuple(pairs)  # read once: an iterator is used up by the checks
     seen_x: set[str] = set()
     seen_y: set[str] = set()
     for x, y in pairs:

@@ -63,7 +63,7 @@ def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> t
     projection pool (which keeps the search complete when hom-sets are
     sampled), the enumerated endomorphisms, and 1 and 0 on `a`."""
     enum = enum if enum is not None else Enumeration(cat)
-    candidates = chain(cat._projection_pool(a) or (), enum.endos(a), (cat.identity(a), cat.zero(a, a)))
+    candidates = chain(cat._projection_pool(a) or (), enum.pool(a, a), (cat.identity(a), cat.zero(a, a)))
     found = set()
     for m in candidates:
         try:
@@ -85,8 +85,12 @@ def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> t
 
 @dataclass(frozen=True)
 class ProjectionLattice:
+    """P(obj): its elements in sort order, with their ids in the category
+    they were found in."""
+
     obj: object
     elements: tuple[Morphism, ...]
+    ids: tuple[int, ...]
     top: Morphism
     bottom: Morphism
 
@@ -101,7 +105,8 @@ def lattice_on(enum: Enumeration, a) -> ProjectionLattice:
 
 
 def _lattice(cat: FiniteCategory, a, enum: Enumeration) -> ProjectionLattice:
-    return ProjectionLattice(a, projections_on(cat, a, enum), cat.identity(a), cat.zero(a, a))
+    elements = projections_on(cat, a, enum)
+    return ProjectionLattice(a, elements, tuple(map(cat.intern, elements)), cat.identity(a), cat.zero(a, a))
 
 
 def projection_cases(enum: Enumeration) -> Iterator[Morphism]:
@@ -153,18 +158,17 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     bit k is set when f∘g = 0 for the k-th probe g."""
     enum = enum if enum is not None else Enumeration(cat)
     a, fi = f.dom, cat.intern(f)
-    elements = lattice_on(enum, a).elements
+    lattice = lattice_on(enum, a)
     killed_mask, offset = 0, 0
     for w in cat.objects:
-        killed_mask |= killed(enum, fi, w, left=True)[0] << offset
+        killed_mask |= enum.cached(_killed, (fi, w, True))[0] << offset
         offset += len(enum.pool(w, a))
     zero = cat.zero_id(a, f.cod)
-    composites = cat.compose_ids(fi, list(map(cat.intern, elements)))
-    for k, composite in enumerate(composites, offset):
+    for k, composite in enumerate(cat.compose_ids(fi, lattice.ids), offset):
         if composite == zero:
             killed_mask |= 1 << k
     fixes = enum.cached(_fixes_masks, a)
-    return tuple(p for p, mask in zip(elements, fixes) if mask == killed_mask)
+    return tuple(p for p, mask in zip(lattice.elements, fixes) if mask == killed_mask)
 
 
 def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
@@ -172,11 +176,11 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     is set when p∘g = g for the k-th probe g.  The probes are every
     enumerated g into a, then the projections on a themselves, which tell
     projections apart even when a sampled pool happens to miss them."""
+    ids = lattice_on(enum, a).ids
     probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
-    elements = list(map(cat.intern, lattice_on(enum, a).elements))
-    probes += elements
+    probes += ids
     masks = []
-    for p in elements:
+    for p in ids:
         mask = 0
         for k, (composite, g) in enumerate(zip(cat.compose_ids(p, probes), probes)):
             if composite == g:
@@ -185,16 +189,12 @@ def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def killed(enum: Enumeration, f: int, w, left: bool) -> tuple[int, tuple]:
-    """What the morphism with id f kills among the g in pool(w, dom f) when
-    left (f∘g = 0), or in pool(cod f, w) otherwise (g∘f = 0): a mask with
-    bit k set when the k-th g is killed, and the pool position of each
-    killed g, in pool order.  Built once per run; the annihilator search and
-    the kernel and cokernel witnesses share it."""
-    return enum.cached(_killed, (f, w, left))
-
-
 def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
+    """For key (f, w, left): what the morphism with id f kills among the g
+    in pool(w, dom f) when left (f∘g = 0), or in pool(cod f, w) otherwise
+    (g∘f = 0): a mask with bit k set when the k-th g is killed, and the pool
+    position of each killed g, in pool order.  Kept in the run's memo, which
+    the annihilator search and the kernel and cokernel witnesses share."""
     f, w, left = key
     m = cat.morphisms_by_id[f]
     if left:

@@ -24,14 +24,17 @@ map picked by the word the clause prints.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from .core import (
     Budget,
     Enumeration,
     FiniteCategory,
     InvcatError,
+    Memo,
     Morphism,
     ObjectMismatchError,
     ShapeMismatchError,
@@ -133,37 +136,18 @@ def _by_definition(cat: FiniteCategory, kind: TransferKind, f: Morphism, p: Morp
     return apply_Pdoubleprime(cat, f, p, enum)
 
 
-class _TransferRow(dict):
+def _transfer_row(cat: FiniteCategory, key, enum: Enumeration) -> Memo:
     """kind(f) on morphism ids, the one store of transfer values: the id of
-    a projection p maps to the id of kind(f)(p).  A missing entry is filled
-    once, by the one dispatch over P, P′ and P″; an entry whose computation
-    raises is not stored."""
-
-    __slots__ = ("kind", "f", "enum")
-
-    def __init__(self, kind: TransferKind, f: Morphism, enum: Enumeration):
-        super().__init__()
-        self.kind, self.f, self.enum = kind, f, enum
-
-    def __missing__(self, p: int) -> int:
-        cat = self.enum.cat
-        q = self[p] = cat.intern(_by_definition(cat, self.kind, self.f, cat.morphisms_by_id[p], self.enum))
-        return q
-
-
-def _transfer_row(cat: FiniteCategory, key, enum: Enumeration) -> _TransferRow:
+    a projection p maps to the id of kind(f)(p), filled by the one dispatch
+    over P, P′ and P″.  It refers to the run weakly, as the run's memo does."""
     kind, f = key
-    return _TransferRow(kind, cat.morphisms_by_id[f], enum)
+    f, run = cat.morphisms_by_id[f], weakref.ref(enum)
+    return Memo(lambda p: cat.intern(_by_definition(cat, kind, f, cat.morphisms_by_id[p], run())))
 
 
-def _row(enum: Enumeration, kind: TransferKind, f: int) -> _TransferRow:
+def _row(enum: Enumeration, kind: TransferKind, f: int) -> Memo:
     """The row of kind(f), for the morphism with id f, kept once per run."""
     return enum.cached(_transfer_row, (kind, f))
-
-
-def _projection_ids(cat: FiniteCategory, a, enum: Enumeration) -> tuple:
-    """(p, id of p) for every p in P(a), in lattice order."""
-    return tuple((p, cat.intern(p)) for p in lattice_on(enum, a).elements)
 
 
 def _source(kind: TransferKind, f: Morphism):
@@ -186,8 +170,9 @@ def _variable(kind: TransferKind) -> str:
 
 
 def _row_and_source(enum: Enumeration, kind: TransferKind, f: Morphism) -> tuple:
-    """The row of kind(f) and (p, id of p) for its source lattice."""
-    return _row(enum, kind, enum.cat.intern(f)), enum.cached(_projection_ids, _source(kind, f))
+    """The row of kind(f) and (p, id of p) for each p of its source lattice."""
+    source = lattice_on(enum, _source(kind, f))
+    return _row(enum, kind, enum.cat.intern(f)), tuple(zip(source.elements, source.ids))
 
 
 # ---- explicit tables -------------------------------------------------------
@@ -213,15 +198,15 @@ class TransferMap:
         return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
-        return set(self.values) >= set(map(self.cat.intern, self.target.elements))
+        return set(self.values) >= set(self.target.ids)
 
 
 def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
     enum = enum if enum is not None else Enumeration(cat)
     source = lattice_on(enum, _source(kind, f))
     target = lattice_on(enum, _target(kind, f))
-    row, source_ids = _row_and_source(enum, kind, f)
-    return TransferMap(kind, f, source, target, tuple(row[i] for _, i in source_ids), cat)
+    row = _row(enum, kind, cat.intern(f))
+    return TransferMap(kind, f, source, target, tuple(map(row.__getitem__, source.ids)), cat)
 
 
 # ---- subobject transfer ----------------------------------------------------
@@ -580,11 +565,12 @@ def connection_mono_epi_clauses(enum: Enumeration) -> list[Clause]:
     def triple_identities(f: Morphism):
         fid = cat.intern(f)
         image, prime = _row(enum, TransferKind.IMAGE, fid), _row(enum, TransferKind.INVERSE_IMAGE, fid)
-        for i, ii in enum.cached(_projection_ids, f.dom):
+        source, target = lattice_on(enum, f.dom), lattice_on(enum, f.cod)
+        for i, ii in zip(source.elements, source.ids):
             fi = image[ii]
             if image[prime[fi]] != fi:
                 return f"P(f)P'(f)P(f) ≠ P(f) at i = {render_morphism(i)} for f = {render_morphism(f)}"
-        for j, ji in enum.cached(_projection_ids, f.cod):
+        for j, ji in zip(target.elements, target.ids):
             fj = prime[ji]
             if prime[image[fj]] != fj:
                 return f"P'(f)P(f)P'(f) ≠ P'(f) at j = {render_morphism(j)} for f = {render_morphism(f)}"
@@ -661,30 +647,24 @@ def functoriality_clauses_for(kind: TransferKind):
     def group(enum: Enumeration) -> list[Clause]:
         cat = enum.cat
         compose_ids, morphisms_by_id = cat.compose_ids, cat.morphisms_by_id
-        rows: dict = {}  # id → row of kind(id), looked up once per clause
-
-        def row_of(i):
-            r = rows.get(i)
-            if r is None:
-                r = rows[i] = _row(enum, kind, i)
-            return r
+        row_of = Memo(partial(_row, enum, kind))  # id → row of kind(id), looked up once per clause
 
         def sides(fi, gids):
             """kind(f∘g)(p) and the composite of kind(f) and kind(g) at p, for
             g over gids and p over the source lattice, every entry filled."""
-            at_f = row_of(fi)
+            at_f = row_of[fi]
             source = morphisms_by_id[gids[0]].dom if covariant else morphisms_by_id[fi].cod
-            ps = [pi for _, pi in enum.cached(_projection_ids, source)]
+            ps = lattice_on(enum, source).ids
             lefts, rights = [], []
             for gi, fg in zip(gids, compose_ids(fi, gids)):
-                first, then = (row_of(gi), at_f) if covariant else (at_f, row_of(gi))
-                lefts += map(row_of(fg).__getitem__, ps)
+                first, then = (row_of[gi], at_f) if covariant else (at_f, row_of[gi])
+                lefts += map(row_of[fg].__getitem__, ps)
                 rights += map(then.__getitem__, map(first.__getitem__, ps))
             return lefts, rights
 
         def identity_law(a):
-            row = _row(enum, kind, cat.identity_id(a))
-            for p, pi in enum.cached(_projection_ids, a):
+            row, lattice = _row(enum, kind, cat.identity_id(a)), lattice_on(enum, a)
+            for p, pi in zip(lattice.elements, lattice.ids):
                 if row[pi] != pi:
                     return f"{kind.value}(id) moves {render_morphism(p)} on {render_object(a)}"
             return None
@@ -695,8 +675,8 @@ def functoriality_clauses_for(kind: TransferKind):
             fg = cat.compose_id(fi, gi)
             first, then = (gi, fi) if kind is TransferKind.IMAGE else (fi, gi)
             at_fg, at_first, at_then = (_row(enum, kind, i) for i in (fg, first, then))
-            source = _source(kind, cat.morphisms_by_id[fg])
-            for p, pi in enum.cached(_projection_ids, source):
+            source = lattice_on(enum, _source(kind, cat.morphisms_by_id[fg]))
+            for p, pi in zip(source.elements, source.ids):
                 if at_fg[pi] != at_then[at_first[pi]]:
                     return (
                         f"{law} = {render_morphism(p)} for f = {render_morphism(f)}, "

@@ -105,6 +105,36 @@ def test_enumerate_decides_the_budget_before_building_anything(runner, monkeypat
     assert f"hom(S{m}, S{n}) has {count} morphisms, over the enumeration budget" in result.output
 
 
+@pytest.mark.parametrize(
+    "args,env,code,output",
+    [
+        (["enumerate", "--sizes", "3,3", "--max-size", "20000"], {}, 0, "34"),
+        (["enumerate", "--sizes", "3,3"], {"INVCAT_MAX_SIZE": "20000"}, 0, "34"),
+        (
+            ["enumerate", "--sizes", "2001,2001", "--max-size", "2000"],
+            {},
+            3,
+            "hom(S2001, S2001) has at least 9223372036854775808 morphisms, over the enumeration budget",
+        ),
+        (["axioms", "--spec", "PBIJ01", "--max-size", "20000"], {}, 0, '"suite": "axioms"'),
+    ],
+)
+def test_a_large_max_size_is_not_summed(runner, tmp_path, monkeypatch, args, env, code, output):
+    # hom(20000, 20000) has 20,001 huge terms and about 77,000 digits: past
+    # hom(18, 18) the limit is sys.maxsize, which no hom-set that fits in a
+    # tuple passes, and neither it nor a count of more than 18 terms is summed
+    def guarded(real):
+        return lambda m, n: real(m, n) if min(m, n) <= 18 else pytest.fail(f"summed {m},{n}")
+
+    monkeypatch.setattr(invcat.core, "pbij_counts_by_rank", guarded(invcat.core.pbij_counts_by_rank))
+    monkeypatch.setattr(invcat.cli, "hom_count", guarded(invcat.cli.hom_count))
+    spec = write(tmp_path, "pbij01.json", {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [0, 1]}})
+    result = runner.invoke(main, [spec if a == "PBIJ01" else a for a in args], env=env)
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert output in result.output
+
+
 def test_enumerate_reads_env_budget(runner):
     result = runner.invoke(main, ["enumerate", "--sizes", "3,3"],
                            env={"INVCAT_MAX_SIZE": "2"})

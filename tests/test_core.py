@@ -1,3 +1,6 @@
+import gc
+import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -22,6 +25,7 @@ from invcat import (
     check_exactness,
     check_inverse_category,
     cyclic_group,
+    hom_count,
     is_generalized_inverse,
     is_projection,
     make_pbij,
@@ -35,9 +39,12 @@ from invcat import (
 import invcat
 import invcat.core as core
 from invcat.core import ShapeMismatchError, morphism_sort_key
+from invcat.exactness import exactness_clauses
+from invcat.projections import AnnihilatorNotFoundError, baer_star_clauses
 from invcat.report import FAIL, PASS, SKIPPED, Clause, Passed, run_clause
+from invcat.transfer import SUITES, TransferKind, _row
 from test_exactness import composable_pairs, endomorphism_clones, involution_clones
-from test_golden import README_FIXTURE, _clone
+from test_golden import NOT_BAER_STAR, README_FIXTURE, _clone
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
@@ -154,6 +161,7 @@ def test_pbij_zero_is_the_object_an_equal_composite_returns():
     assert not cat.is_zero(make_pbij(s1, s2, (("e1", "e2"),)))
 
 
+@pytest.mark.hashseed
 def test_zero_is_composed_on_the_table_under_test():
     # the clone with (0→S2 ∅)∘(S1→0 ∅) made S1→S2 {e1↦e1}
     cat = _clone("zero-to-up")
@@ -281,6 +289,100 @@ def test_enumeration_memo_computes_once_per_run_and_key(pbij2):
     assert calls == ["a", "b"]
     Enumeration(pbij2).cached(empty, "a")
     assert calls == ["a", "b", "a"]
+
+
+def test_a_memo_fills_each_key_once_and_stores_no_failed_fill(budget):
+    asked = []
+
+    def fill(key):
+        asked.append(key)
+        if key < 0:
+            raise InvcatError(f"no value at {key}")
+        return key * key
+
+    table = core.Memo(fill)
+    assert [table[3], table[3], table[4], table[3]] == [9, 9, 16, 9]
+    assert asked == [3, 4] and table == {3: 9, 4: 16}
+    for _ in range(2):
+        with pytest.raises(InvcatError, match="no value at -1"):
+            table[-1]
+    assert -1 not in table and asked == [3, 4, -1, -1]
+
+    # an over-budget pool that may not be sampled, asked for twice
+    s3 = size_finset(3)
+    enum = Enumeration(PBijCategory([s3]), Budget(max_size=2, sample=None))
+    for ask in (enum.pool, enum.pool, enum.pool_ids):
+        with pytest.raises(BudgetExceededError):
+            ask(s3, s3)
+    assert enum._pools == {} and enum._pool_ids == {} and enum.total_enumerated() == 0
+
+    # the run memo
+    calls = []
+
+    def failing(cat, key, run):
+        calls.append(key)
+        raise InvcatError("no value")
+
+    for _ in range(2):
+        with pytest.raises(InvcatError):
+            enum.cached(failing, "a")
+    assert calls == ["a", "a"] and enum._memo == {}
+
+    # a transfer row: B→A {b1↦a1} has no annihilator, so P′ of it has no value at 0
+    cat = build_category(parse_spec(NOT_BAER_STAR))[0]
+    enum = Enumeration(cat, budget)
+    f = next(m for m in enum.morphisms() if render_morphism(m) == "B→A {b1↦a1}")
+    row = _row(enum, TransferKind.INVERSE_IMAGE, cat.intern(f))
+    assert isinstance(row, core.Memo)
+    zero = cat.zero_id(f.cod, f.cod)
+    for _ in range(2):
+        with pytest.raises(AnnihilatorNotFoundError):
+            row[zero]
+    assert row == {}
+
+
+def test_a_run_no_longer_used_is_freed_without_a_collection(pbij2):
+    # the run's memo and transfer rows refer to it weakly, so no reference
+    # cycle keeps its pools and memo alive until the collector runs
+    enum = Enumeration(pbij2)
+    gc.disable()
+    try:
+        for group in (core.inverse_category_clauses, baer_star_clauses, exactness_clauses, *SUITES["all"]):
+            assert group(enum)
+        assert enum._memo and enum._pools
+        gone = weakref.ref(enum)
+        del enum
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_the_homset_limit_is_counted_up_to_sys_maxsize():
+    assert Budget(max_size=core.LARGEST_LIMIT_SIZE).homset_limit == 2968971263911288999
+    assert hom_count(18, 18) == 2968971263911288999 <= sys.maxsize < hom_count(19, 19)
+    # hom(19, 19) has more members than any tuple holds: no limit is counted past it
+    for max_size in (19, 20000, 10**100):
+        assert Budget(max_size=max_size).homset_limit == sys.maxsize
+
+
+def test_an_uncountable_hom_set_prints_a_power_of_two_below_its_size():
+    huge = 3 * 2**2000
+    assert "has at least 2^2001 morphisms" in str(BudgetExceededError(huge, "A", "B"))
+    assert "has 1000000000000020000001 morphisms" in str(BudgetExceededError(10**21 + 2 * 10**7 + 1, "A", "B"))
+
+
+def test_a_table_category_needs_an_identity_for_every_object():
+    one = Morphism("X", "X", "1")
+    with pytest.raises(InvcatError, match="missing identity for object Y"):
+        TableCategory(["X", "Y"], {("X", "X"): [one]}, {(one, one): one}, {"X": one})
+
+
+def test_a_table_category_rejects_a_morphism_filed_under_the_wrong_hom_set():
+    one, other = Morphism("X", "X", "1"), Morphism("Y", "Y", "1")
+    with pytest.raises(InvcatError, match=r"Y→Y \[1\] filed under wrong hom-set"):
+        TableCategory(
+            ["X", "Y"], {("X", "X"): [one, other]}, {(one, one): one}, {"X": one, "Y": other}
+        )
 
 
 # ---- associativity over morphism ids, against the per-triple check ------
@@ -704,6 +806,7 @@ def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypat
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.hashseed
 def test_every_memo_is_answered_from_the_memo(monkeypatch):
     # a memoised function whose value no caller asks for twice in one run
     # only keeps its entries: it should be a plain call

@@ -243,6 +243,7 @@ def to_table(cat) -> TableCategory:
     return TableCategory(objects, homs, table, identities, involution, cat.zero_object)
 
 
+@pytest.mark.hashseed
 def test_a_construction_on_the_table_copy_is_found_on_the_clone():
     # a model's proposal only comes first in the search, so a clone finds
     # every kernel, cokernel and factorization that its own table has
@@ -756,6 +757,7 @@ DUALITY_FAILURES = {
 
 
 @pytest.mark.parametrize("name", list(DUALITY_FAILURES))
+@pytest.mark.hashseed
 def test_kernel_cokernel_duality_fails_where_a_cokernel_is_missing(name):
     clause = check_coherence(_golden_clone(name)).clause("coherence.kernel-cokernel-duality")
     assert (clause.status, clause.checked, clause.counterexample) == (FAIL, *DUALITY_FAILURES[name])

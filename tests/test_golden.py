@@ -39,6 +39,9 @@ from invcat import (
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
+# reports walk sets and dicts of morphisms: CI runs them under two hash seeds
+pytestmark = pytest.mark.hashseed
+
 README_FIXTURE = {
     "format-version": 1,
     "objects": [

@@ -113,6 +113,16 @@ def test_make_pbij_validation(A, B):
     assert issubclass(UnknownElementError, PBijValidationError)
 
 
+def test_make_pbij_reads_an_iterator_of_pairs_once():
+    s3 = size_finset(3)
+    as_tuple = make_pbij(s3, s3, (("e1", "e2"), ("e2", "e3")))
+    assert make_pbij(s3, s3, iter([("e1", "e2"), ("e2", "e3")])) == as_tuple
+    assert make_pbij(s3, s3, zip(("e1", "e2"), ("e2", "e3"))) == as_tuple
+    assert make_pbij(s3, s3, ((x, y) for x, y in as_tuple.payload)).payload == as_tuple.payload
+    with pytest.raises(DuplicateCodomainElementError):
+        make_pbij(s3, s3, iter([("e1", "e2"), ("e3", "e2")]))
+
+
 def test_label_views(f):
     assert image_labels(f) == ("a", "b")
     assert undefined_labels(f) == ("3",)
@@ -348,26 +358,32 @@ def _assert_agree_on_a_sampled_hom_set(reference) -> None:
     assert all(c.sampled for c in check_exactness(by_code, budget).clauses)
 
 
+@pytest.mark.hashseed
 def test_code_rule_agrees_with_pair_rule_on_every_composite_asked_for(budget):
     _assert_agree_on_every_composite_asked_for(PairRulePBij, budget)
 
 
+@pytest.mark.hashseed
 def test_code_rule_agrees_with_pair_rule_on_clones(budget):
     _assert_agree_on_clones(PairRulePBij, budget)
 
 
+@pytest.mark.hashseed
 def test_code_rule_agrees_with_pair_rule_on_a_sampled_hom_set():
     _assert_agree_on_a_sampled_hom_set(PairRulePBij)
 
 
+@pytest.mark.hashseed
 def test_block_scans_agree_with_pair_scans_on_every_composite_asked_for(budget):
     _assert_agree_on_every_composite_asked_for(PairScanPBij, budget)
 
 
+@pytest.mark.hashseed
 def test_block_scans_agree_with_pair_scans_on_clones(budget):
     _assert_agree_on_clones(PairScanPBij, budget)
 
 
+@pytest.mark.hashseed
 def test_block_scans_agree_with_pair_scans_on_a_sampled_hom_set():
     _assert_agree_on_a_sampled_hom_set(PairScanPBij)
 

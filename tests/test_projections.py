@@ -32,12 +32,15 @@ from invcat.projections import (
     annihilator_candidates,
     double_annihilator,
     is_closed,
+    lattice_on,
     leq,
     meet,
     projection_lattice,
     projections_on,
 )
 from invcat.report import FAIL, PASS, Clause
+from invcat.transfer import SUITES as THEOREM_SUITES
+from test_golden import CATEGORIES
 from test_exactness import endomorphism_clones, involution_clones
 from test_golden import NOT_BAER_STAR, _clone
 
@@ -84,6 +87,7 @@ def test_lattice_detects_broken_meet(fixture_cat, A):
         projection_lattice(twisted, A)
 
 
+@pytest.mark.hashseed
 def test_a_projection_outside_the_model_pool_is_in_P(budget):
     # with t∘t made t, the swap t is a projection on the table under test,
     # though no partial identity
@@ -98,6 +102,7 @@ def test_a_projection_outside_the_model_pool_is_in_P(budget):
     )
 
 
+@pytest.mark.hashseed
 def test_a_zero_that_is_not_self_adjoint_is_not_in_P(budget):
     # with 0* made [e1>e1], the zero endomorphism of X is no projection
     base = two_object_category(symmetric_inverse_monoid(2))
@@ -123,6 +128,7 @@ def test_search_agrees_with_closed_form(fixture_cat, A, B, budget):
         assert annihilator(fixture_cat, m, enum) == annihilator_pbij(m)
 
 
+@pytest.mark.hashseed
 def test_annihilator_is_the_one_candidate_on_every_clone(budget):
     # f′ is read from the table under test: on a seeded defect it is the one
     # projection with f′'s defining property, or it is missing loudly
@@ -291,6 +297,7 @@ def test_missing_zero_object_is_loud():
             check_exactness(c)
 
 
+@pytest.mark.hashseed
 def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():
     # the two-object C2 table with X, which has three endomorphisms, declared zero
     base = two_object_category(cyclic_group(2))
@@ -307,3 +314,26 @@ def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():
     # one Z → X but three X → X: X is not initial at X, whatever Z is
     with pytest.raises(ZeroUnavailableError, match=f"^{want}$"):
         cat.zero("Z", "X")
+
+
+@pytest.mark.hashseed
+def test_each_lattice_keeps_the_ids_of_its_elements_through_a_run():
+    # the ids are given when P(a) is found; every suite that follows reads them
+    checked = 0
+    for build, budget, _ in CATEGORIES.values():
+        cat = build()[0]
+        enum = Enumeration(cat, budget)
+        for group in THEOREM_SUITES["all"]:
+            try:
+                group(enum)
+            except InvcatError:
+                pass
+        for a in cat.objects:
+            try:
+                lattice = lattice_on(enum, a)
+            except InvcatError:
+                continue
+            assert lattice.ids == tuple(map(cat.intern, lattice.elements))
+            checked += 1
+    assert checked > 40
+

@@ -672,6 +672,7 @@ def _assert_laws_agree(cat, budget) -> int:
 
 
 
+@pytest.mark.hashseed
 def test_id_level_laws_agree_with_projection_level_definitions(budget):
     # every golden category under its own budget: the models, the monoid
     # categories, the seeded defects, the README fixture and a non-Baer* spec
@@ -726,6 +727,7 @@ def _spy_on_composition_cases(monkeypatch) -> dict:
     return handed
 
 
+@pytest.mark.hashseed
 def test_functor_laws_agree_with_their_per_pair_definitions_on_every_clone(monkeypatch, budget):
     # a composition law compares a hom block at a time and falls back to
     # single pairs; 530 of the 536 clones fail a functor law, by value or
