@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -188,13 +189,13 @@ def eval_(functor, morphism_name, projection_csv, spec_path):
     labels = tuple(x for x in projection_csv.split(",") if x)
     kind = TransferKind(functor)
     base = _source(kind, f)
-    unknown = [x for x in labels if x not in base.elements]
+    unknown = [x for x in labels if x not in base]
     if unknown:
         raise SpecFormatError(
             f"labels {unknown} are not elements of {base.name} "
             f"(the projection must live on {_source_side(kind)}(f))"
         )
-    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    repeated = sorted(x for x, n in Counter(labels).items() if n > 1)
     if repeated:
         raise SpecFormatError(f"labels {repeated} are given more than once")
     click.echo("{" + ",".join(SUBSET_FORMS[kind](f, labels)) + "}")

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, repeat
 from math import comb, factorial
-from operator import attrgetter, is_
+from operator import attrgetter, eq, is_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .report import (
     SKIPPED,
     Clause,
+    Failed,
     MissingConstructionError,
     Passed,
     VerificationReport,
@@ -572,16 +573,17 @@ class Enumeration:
         for b in self.cat.objects:
             yield from self.pool(a, b)
 
-    def pair_blocks(self, sides: Callable[[int, tuple[int, ...]], tuple[list, list]]) -> Iterator:
+    def pair_blocks(self, sides: Callable, word: Callable) -> Iterator:
         """The cases of a law over every composable pair (f, g), a block of
         one f ∈ pool(b, c) and every g ∈ pool(a, b) at a time, over objects
-        a, b, c.  sides(id of f, ids of the g) gives the law's two sides for
-        the block as two lists, the same number of entries per pair.  A block
-        whose lists are equal is Passed(n); any other is Passed(k) for the k
-        pairs before its first differing entry, then that pair (f, g), for the
-        per-pair check to decide and word.  A block whose sides raise
-        MissingConstructionError is handed over pair by pair, so the per-pair
-        check fails where it would alone; any other error raises."""
+        a, b, c.  sides(id of f, ids of the g) gives the law's two sides, the
+        same number of entries per pair, asking a lone pair's entries in the
+        order the law reads them, lazily where it has several; word(f, g, e)
+        words a pair whose e-th entries differ.  A block whose sides agree is
+        Passed(n); any other, or one whose sides raise a missing construction,
+        is walked pair by pair, comparing each entry as it is asked: Passed(1)
+        per pair before its first failing one, then Failed(word(f, g, e)) or
+        Failed(the error's text), as that pair fails alone."""
         objs = self.cat.objects
         for a in objs:
             for b in objs:
@@ -594,18 +596,21 @@ class Enumeration:
                         continue
                     for fi, f in zip(self.pool_ids(b, c), fs):
                         try:
-                            lefts, rights = sides(fi, gids)
+                            if eq(*map(list, sides(fi, gids))):
+                                yield Passed(len(gids))
+                                continue
                         except MissingConstructionError:
-                            yield from ((f, g) for g in gs)
-                            continue
-                        if lefts == rights:
-                            yield Passed(len(gids))
-                            continue
-                        first = next(e for e, left in enumerate(lefts) if left != rights[e])
-                        k = first // (len(lefts) // len(gids))
-                        if k:
-                            yield Passed(k)
-                        yield f, gs[k]
+                            pass
+                        for gi, g in zip(gids, gs):
+                            try:
+                                pairs = enumerate(zip(*sides(fi, (gi,))))
+                                text = next((word(f, g, e) for e, (left, right) in pairs if left != right), None)
+                            except MissingConstructionError as err:
+                                text = str(err)
+                            if text is not None:
+                                yield Failed(text)
+                                break
+                            yield Passed(1)
 
     def total_enumerated(self) -> int:
         return sum(len(pool) for pool, _ in self._pools.values())
@@ -679,7 +684,7 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
 
     # Associativity and the antihomomorphism law work on the category's
     # morphism ids, a hom block at a time: each fills every entry a block
-    # needs, then compares two lists.
+    # needs, then compares two lists; a block's verdict is final.
     compose_ids, pool_ids = cat.compose_ids, enum.pool_ids
 
     def concatenated(rows, ids):
@@ -691,15 +696,15 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         objects a, b, c, d: (f∘g)∘h and f∘(g∘h) as two lists in triple order,
         every entry filled first.  A block that holds is Passed(n); any other
         is Passed(k) for the k triples before its first failing one, then
-        that triple as (id of (f∘g)∘h, id of f∘(g∘h), f, g, h)."""
+        that triple as a Failed case."""
         objs = cat.objects
         for a in objs:
             for b in objs:
-                hids = pool_ids(a, b)
+                hids, hs = pool_ids(a, b), enum.pool(a, b)
                 if not hids:
                     continue
                 for c in objs:
-                    gids = pool_ids(b, c)
+                    gids, gs = pool_ids(b, c), enum.pool(b, c)
                     if not gids:
                         continue
                     # id i → ids of i∘h over hids: g∘h for a g, (fg)∘h for an fg;
@@ -714,19 +719,12 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
                                 yield Passed(len(lefts))
                                 continue
                             k = next(k for k, left in enumerate(lefts) if left != rights[k])
-                            if k:
-                                yield Passed(k)
                             g, h = divmod(k, len(hids))
-                            yield lefts[k], rights[k], f, enum.pool(b, c)[g], enum.pool(a, b)[h]
-
-    def associativity(case):
-        left, right, f, g, h = case
-        if left != right:
-            return (
-                f"(f∘g)∘h ≠ f∘(g∘h) for f={render_morphism(f)}, "
-                f"g={render_morphism(g)}, h={render_morphism(h)}"
-            )
-        return None
+                            yield Passed(k)
+                            yield Failed(
+                                f"(f∘g)∘h ≠ f∘(g∘h) for f={render_morphism(f)}, "
+                                f"g={render_morphism(gs[g])}, h={render_morphism(hs[h])}"
+                            )
 
     def inverse_exists(f: Morphism):
         if not enum.cached(_quasi_inverses, f):
@@ -752,23 +750,17 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
     # the ids of a hom block → the ids of their involutions
     stars = Memo(lambda gids: list(map(involve_id, gids)))
 
-    def antihomomorphism_sides(fi, gids):
-        """(f∘g)* and g*∘f* for g over gids, with every entry and involution
-        filled; an involution missing (a morphism with no unique
+    def star_sides(fi, gids):
+        """(f∘g)* and g*∘f* for g over gids, every entry and involution
+        filled in the order the law reads them for one pair: (f∘g)*, then g*,
+        then f*.  An involution missing (a morphism with no unique
         quasi-inverse) raises NotInverseCategoryError."""
-        fstar = involve_id(fi)
         lefts = list(map(involve_id, compose_ids(fi, gids)))
-        return lefts, [compose_id(s, fstar) for s in stars[gids]]
+        gstars, fstar = stars[gids], involve_id(fi)
+        return lefts, [compose_id(s, fstar) for s in gstars]
 
-    def antihomomorphism(pair):
-        f, g = pair
-        left = cat.involve(cat.compose(f, g))
-        right = cat.compose(cat.involve(g), cat.involve(f))
-        if left != right:
-            return (
-                f"(f∘g)* ≠ g*∘f* for f={render_morphism(f)}, g={render_morphism(g)}"
-            )
-        return None
+    def star_word(f, g, e):
+        return f"(f∘g)* ≠ g*∘f* for f={render_morphism(f)}, g={render_morphism(g)}"
 
     def moore_penrose(f: Morphism):
         if not is_generalized_inverse(cat, f, cat.involve(f)):
@@ -794,11 +786,11 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
 
     clauses = [
         run_clause("category.identity-laws", "cat", enum.morphisms(), identity_laws),
-        run_clause("category.associativity", "cat", associativity_cases(), associativity),
+        run_clause("category.associativity", "cat", associativity_cases(), None),
         run_clause("inverse.exists", "1", enum.morphisms(), inverse_exists),
         run_clause("inverse.unique", "1", enum.morphisms(), inverse_unique),
         run_clause("involution.involutory", "1", enum.morphisms(), involutory),
-        run_clause("involution.antihomomorphism", "1", enum.pair_blocks(antihomomorphism_sides), antihomomorphism),
+        run_clause("involution.antihomomorphism", "1", enum.pair_blocks(star_sides, star_word), None),
         run_clause("involution.moore-penrose", "1", enum.morphisms(), moore_penrose),
         run_clause("involution.moore-penrose-unique", "1", enum.morphisms(), moore_penrose_unique),
     ]

@@ -35,19 +35,22 @@ class DuplicateCodomainElementError(PBijValidationError):
 
 @dataclass(frozen=True, slots=True)
 class FinSet:
-    """A finite set of string labels with a name.  Labels are kept sorted.
-    The hash is computed once, at construction, as hash((name, elements))."""
+    """A finite set of string labels with a name.  Labels are kept sorted,
+    and also as a set, so membership is one lookup.  The hash is computed
+    once, at construction, as hash((name, elements))."""
 
     name: str
     elements: tuple[str, ...]
     _hash: int = field(init=False, compare=False, repr=False)
+    _members: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise InvcatError("object name must be non-empty")
         if any(not e for e in self.elements):
             raise InvcatError(f"empty element label in {self.name}")
-        if len(set(self.elements)) != len(self.elements):
+        object.__setattr__(self, "_members", frozenset(self.elements))
+        if len(self._members) != len(self.elements):
             raise InvcatError(f"duplicate element labels in {self.name}")
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
         object.__setattr__(self, "_hash", hash((self.name, self.elements)))
@@ -56,7 +59,7 @@ class FinSet:
         return self._hash
 
     def __contains__(self, label: str) -> bool:
-        return label in self.elements
+        return label in self._members
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -112,13 +112,22 @@ class Passed(int):
     __slots__ = ()
 
 
+class Failed(str):
+    """Failed(text), in place of a case: one case the caller checked in bulk
+    and found failing, worded as text.  `run_clause` counts it and ends the
+    clause with that text, without calling `check`."""
+
+    __slots__ = ()
+
+
 def run_clause(
     clause_id: str,
     anchor: str,
     cases: Iterable,
-    check: Callable,
+    check: Callable | None,
 ) -> Clause:
-    """Evaluate `check` over `cases`, stopping at the first returned witness.
+    """Evaluate `check` over `cases`, stopping at the first returned witness
+    or Failed case; cases all Passed or Failed need no `check` (None).
 
     A MissingConstructionError ends the clause as a failure with the error's
     message as its counterexample; any other error (malformed input, an
@@ -130,7 +139,7 @@ def run_clause(
                 checked += case
                 continue
             checked += 1
-            witness = check(case)
+            witness = str(case) if type(case) is Failed else check(case)
             if witness is not None:
                 return Clause(clause_id, anchor, FAIL, checked, witness)
     except MissingConstructionError as err:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import Budget, BudgetExceededError, FiniteCategory, InvcatError, Morphism, TableCategory
 from .monoid import InverseMonoid, two_object_category, validate_inverse_monoid
@@ -140,6 +141,7 @@ def parse_spec(data) -> CategorySpec:
         return CategorySpec(tuple(objects), None, gen)
 
     _require(bool(objects), "explicit specs need at least one object")
+    finsets = _finsets(objects)
     morphisms: list[MorphismSpec] = []
     seen_names: set[str] = set()
     raw_morphisms = [] if data["morphisms"] is None else data["morphisms"]
@@ -167,11 +169,7 @@ def parse_spec(data) -> CategorySpec:
             )
             pairs.append((entry[0], entry[1]))
         try:
-            make_pbij(
-                FinSet(dom, seen_objects[dom].elements) if seen_objects[dom].elements else ZERO_FINSET,
-                FinSet(cod, seen_objects[cod].elements) if seen_objects[cod].elements else ZERO_FINSET,
-                pairs,
-            )
+            make_pbij(finsets[dom], finsets[cod], pairs)
         except PBijValidationError as err:
             raise SpecFormatError(f"morphism {name!r} is invalid: {err}") from err
         morphisms.append(MorphismSpec(name, dom, cod, tuple(sorted(pairs))))
@@ -373,13 +371,15 @@ def build_category(
     return cat, named
 
 
+def _finsets(objects: Iterable[ObjectSpec]) -> dict[str, FinSet]:
+    """The FinSet of each object by name, built once per spec."""
+    return {o.name: FinSet(o.name, o.elements) if o.elements else ZERO_FINSET for o in objects}
+
+
 def declared_morphisms(spec: CategorySpec) -> tuple[tuple[FinSet, ...], dict[str, Morphism]]:
     """The objects and the declared morphisms by name of an explicit spec,
     validated as partial bijections but not saturated."""
-    finsets = {
-        o.name: FinSet(o.name, o.elements) if o.elements else ZERO_FINSET
-        for o in spec.objects
-    }
+    finsets = _finsets(spec.objects)
     named = {
         m.name: make_pbij(finsets[m.dom], finsets[m.cod], m.pairs)
         for m in spec.morphisms or ()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +205,29 @@ def test_eval_rejects_repeated_labels(runner, tmp_path, functor, projection):
                                   "--morphism", "f", "--projection", projection])
     assert result.exit_code == 2
     assert "given more than once" in result.output
+
+
+def test_eval_checks_many_labels_in_linear_time(runner, tmp_path):
+    # each label is looked up in a set and counted once: a scan per label
+    # made 60,000 repeated labels take seconds to reach exit 2
+    spec = write(tmp_path, "spec.json", FIXTURE_DOC)
+    t0 = time.perf_counter()
+    repeated = runner.invoke(main, ["eval", "--spec", spec, "--functor", "P",
+                                    "--morphism", "f", "--projection", "1,2," * 30_000])
+    labels = [f"x{i}" for i in range(20_000)]
+    big = write(tmp_path, "big.json", {
+        "format-version": 1,
+        "objects": [{"name": "A", "elements": labels}, {"name": "B", "elements": ["b"]}],
+        "morphisms": [{"name": "f", "dom": "A", "cod": "B", "pairs": [["x0", "b"]]}],
+    })
+    unknown = runner.invoke(main, ["eval", "--spec", big, "--functor", "P",
+                                   "--morphism", "f", "--projection", ",".join(labels + ["y"])])
+    elapsed = time.perf_counter() - t0
+    assert repeated.exit_code == 2
+    assert "labels ['1', '2'] are given more than once" in repeated.output
+    assert unknown.exit_code == 2
+    assert "labels ['y'] are not elements of A" in unknown.output
+    assert elapsed < 3.0, elapsed
 
 
 def test_boolean_size_is_invalid_input(runner, tmp_path):

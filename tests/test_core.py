@@ -1,4 +1,5 @@
 import gc
+import itertools
 import sys
 import weakref
 from collections import Counter
@@ -41,7 +42,7 @@ import invcat.core as core
 from invcat.core import ShapeMismatchError, morphism_sort_key
 from invcat.exactness import exactness_clauses
 from invcat.projections import AnnihilatorNotFoundError, baer_star_clauses
-from invcat.report import FAIL, PASS, SKIPPED, Clause, Passed, run_clause
+from invcat.report import FAIL, PASS, SKIPPED, Clause, Failed, Passed, run_clause
 from invcat.transfer import SUITES, TransferKind, _row
 from test_exactness import composable_pairs, endomorphism_clones, involution_clones
 from test_golden import NOT_BAER_STAR, README_FIXTURE, _clone
@@ -419,6 +420,7 @@ def _reference_associativity(cat, budget):
     return run_clause("category.associativity", "cat", triples(), check)
 
 
+@pytest.mark.hashseed
 def test_associativity_agrees_with_the_per_triple_check(budget):
     base = canonical_pbij_category((1, 2))
     for cat in (canonical_pbij_category((0, 1, 2)), base):
@@ -486,6 +488,7 @@ def _non_associative():
     return TableCategory(("X",), {("X", "X"): tuple(ms.values())}, table, {"X": ms["1"]})
 
 
+@pytest.mark.hashseed
 def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(fn2_cat, budget):
     # each category is checked twice: the first run starts from an empty
     # table, the second reads what the first filled, so the block compares
@@ -527,6 +530,19 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(fn2_cat, bu
     # every composition clone breaks associativity and 44 of them the
     # antihomomorphism law; every involution clone breaks the latter only
     assert failing == {"category.associativity": 53, "involution.antihomomorphism": 44 + 9}
+
+
+def test_antihomomorphism_fails_on_the_first_involution_the_law_asks_for(budget):
+    # all maps of a 3-set: f = (1↦1, 2↦1, 3↦2) comes first and f∘g first
+    # meets the constant g = 1↦1, 2↦1, 3↦1; neither f nor f∘g has a unique
+    # quasi-inverse, and the law reads (f∘g)* before g* and f*
+    maps = list(itertools.product("123", repeat=3))
+    ms = {m: Morphism("X", "X", "f" if m == ("1", "1", "2") else "m" + "".join(m)) for m in maps}
+    table = {(ms[a], ms[b]): ms[tuple(a[int(x) - 1] for x in b)] for a in maps for b in maps}
+    cat = TableCategory(("X",), {("X", "X"): tuple(ms.values())}, table, {"X": ms[("1", "2", "3")]})
+    got = check_inverse_category(cat, budget).clause("involution.antihomomorphism")
+    assert _verdict(got) == _verdict(_reference_antihomomorphism(cat, budget))
+    assert _verdict(got) == (FAIL, 1, "X→X [m111] has 3 quasi-inverses")
 
 
 def test_antihomomorphism_block_compare_reads_only_filled_entries(monkeypatch, budget):
@@ -574,7 +590,8 @@ def test_block_compares_hand_a_warm_passing_category_over_as_passed_cases(monkey
 
 def test_associativity_hands_over_passed_cases_and_one_failing_triple_per_block(monkeypatch, budget):
     # a cold run: each block of one f and hom blocks of g and h comes as
-    # Passed cases, followed by its first failing triple when it has one
+    # Passed cases, followed by one Failed case, worded for its first failing
+    # triple, when it has one; the clause ends there, as the reference does
     handed = []
     real = core.run_clause
 
@@ -592,7 +609,8 @@ def test_associativity_hands_over_passed_cases_and_one_failing_triple_per_block(
                     for d in objs:
                         for f in enum.pool(c, d):
                             out += [
-                                (f, g, h)
+                                f"(f∘g)∘h ≠ f∘(g∘h) for f={render_morphism(f)}, "
+                                f"g={render_morphism(g)}, h={render_morphism(h)}"
                                 for g in enum.pool(b, c)
                                 for h in enum.pool(a, b)
                                 if cat.compose(cat.compose(f, g), h) != cat.compose(f, cat.compose(g, h))
@@ -605,15 +623,20 @@ def test_associativity_hands_over_passed_cases_and_one_failing_triple_per_block(
     assert all(type(case) is Passed for case in handed[-1])
     assert sum(handed[-1]) == report.clause("category.associativity").checked > 0
     for cat in endomorphism_clones(base):
-        check_inverse_category(cat, budget)
-        triples = [case for case in handed[-1] if type(case) is not Passed]
-        assert all(left != right for left, right, *_ in triples)
-        assert [tuple(case[2:]) for case in triples] == first_failures(cat) != []
+        clause = check_inverse_category(cat, budget).clause("category.associativity")
+        cases = handed[-1]
+        failed = [case for case in cases if type(case) is not Passed]
+        assert all(type(case) is Failed for case in failed)
+        assert failed == first_failures(cat) != []
+        first = cases.index(failed[0])
+        assert _verdict(clause) == (FAIL, sum(cases[:first]) + 1, failed[0])
+        assert _verdict(clause) == _verdict(_reference_associativity(cat, budget))
 
 
 def test_antihomomorphism_hands_over_passed_cases_and_one_failing_pair_per_block(monkeypatch, budget):
     # a cold run: each block of one f and a hom block of g comes as Passed
-    # cases, followed by its first failing pair when it has one
+    # cases, followed by one Failed case, worded for its first failing pair,
+    # when it has one; the clause ends there, as the reference does
     handed = []
     real = core.run_clause
 
@@ -630,7 +653,7 @@ def test_antihomomorphism_hands_over_passed_cases_and_one_failing_pair_per_block
                 for c in objs:
                     for f in enum.pool(b, c):
                         out += [
-                            (f, g)
+                            f"(f∘g)* ≠ g*∘f* for f={render_morphism(f)}, g={render_morphism(g)}"
                             for g in enum.pool(a, b)
                             if cat.involve(cat.compose(f, g)) != cat.compose(cat.involve(g), cat.involve(f))
                         ][:1]
@@ -642,12 +665,13 @@ def test_antihomomorphism_hands_over_passed_cases_and_one_failing_pair_per_block
     for cat in clones:
         clause = check_inverse_category(cat, budget).clause("involution.antihomomorphism")
         cases = handed[-1]
-        pairs = [case for case in cases if type(case) is not Passed]
-        assert pairs == first_failures(cat) != []
-        # run_clause stops at the first pair, after the Passed cases before it
-        first = cases.index(pairs[0])
-        assert all(type(case) is Passed for case in cases[:first])
-        assert (clause.status, clause.checked) == (FAIL, sum(cases[:first]) + 1)
+        failed = [case for case in cases if type(case) is not Passed]
+        assert all(type(case) is Failed for case in failed)
+        assert failed == first_failures(cat) != []
+        # run_clause stops at the first Failed case, after the Passed cases before it
+        first = cases.index(failed[0])
+        assert _verdict(clause) == (FAIL, sum(cases[:first]) + 1, failed[0])
+        assert _verdict(clause) == _verdict(_reference_antihomomorphism(cat, budget))
 
 
 def _cyclic3():

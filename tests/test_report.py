@@ -21,7 +21,7 @@ from invcat import (
     merge_reports,
 )
 from invcat.projections import AnnihilatorNotUniqueError
-from invcat.report import Passed, run_clause
+from invcat.report import Failed, Passed, run_clause
 
 
 def test_clause_requires_witness_exactly_on_fail():
@@ -125,6 +125,22 @@ def test_run_clause_counts_passed_cases_before_a_witness():
     clause = run_clause("c", "1", [Passed(5), "ok", "ok", "w", Passed(3)], check)
     assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 8, "bad")
     assert seen == ["ok", "ok", "w"]
+
+
+def test_run_clause_ends_at_a_failed_case_without_checking_it():
+    # a Failed case counts once and its text is the counterexample, as a
+    # plain string; a string case that is not Failed goes to check
+    seen = []
+
+    def check(case):
+        seen.append(case)
+        return None
+
+    cases = [Passed(5), "ok", Failed("broken at ok"), "never"]
+    clause = run_clause("c", "1", cases, check)
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 7, "broken at ok")
+    assert type(clause.counterexample) is str and seen == ["ok"]
+    assert run_clause("c", "1", [Passed(2), Failed("x")], None).checked == 3
 
 
 def test_run_clause_counts_passed_cases_before_a_missing_construction():

@@ -25,6 +25,7 @@ from invcat.specfile import (
     MorphismSpec,
     ObjectSpec,
     SpecFormatError,
+    declared_morphisms,
     monoid_from_generator,
     parse_monoid_table,
     spec_from_category_fixture,
@@ -41,6 +42,24 @@ FIXTURE_DOC = {
         {"name": "f", "dom": "A", "cod": "B", "pairs": [["1", "a"], ["2", "b"]]}
     ],
 }
+
+
+def test_a_large_spec_is_read_in_linear_time():
+    # each label is looked up in its object's set, and each object's FinSet
+    # is built once per spec: a scan of the labels per pair, or a FinSet per
+    # morphism, made each half of this spec take seconds
+    labels = [f"x{i}" for i in range(20_000)]
+    doc = {
+        "format-version": 1,
+        "objects": [{"name": "A", "elements": labels}],
+        "morphisms": [{"name": "id", "dom": "A", "cod": "A", "pairs": [[x, x] for x in labels]}]
+        + [{"name": f"p{k}", "dom": "A", "cod": "A", "pairs": [[labels[k], labels[k]]]} for k in range(1_000)],
+    }
+    t0 = time.perf_counter()
+    _, named = declared_morphisms(parse_spec(doc))
+    elapsed = time.perf_counter() - t0
+    assert len(named) == 1_001 and len(named["id"].payload) == 20_000
+    assert elapsed < 2.0, elapsed
 
 
 def test_parse_fixture_doc():

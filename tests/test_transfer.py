@@ -47,7 +47,7 @@ from invcat.transfer import (
     transfer,
 )
 from invcat.core import InvcatError, build_report, render_object
-from invcat.report import FAIL, PASS, Passed, run_clause
+from invcat.report import FAIL, PASS, Failed, Passed, run_clause
 from test_exactness import composable_pairs, endomorphism_clones, reference_pullback_witness, single_entry_clones
 from test_golden import CATEGORIES as GOLDEN_CATEGORIES
 from test_golden import CLONES, NOT_BAER_STAR
@@ -760,6 +760,17 @@ def test_functor_composition_walks_a_block_with_a_missing_annihilator_pair_by_pa
     # P′ and P″ of m2: A → B need an annihilator this category lacks, so
     # their composition laws fail at the per-pair reference's pair and text
     handed = _spy_on_composition_cases(monkeypatch)
+    calls = []  # (id of f, ids of the g) of each call of a law's sides
+    real = Enumeration.pair_blocks
+
+    def recording(enum, sides, word):
+        def recorded(fi, gids):
+            calls.append((fi, gids))
+            return sides(fi, gids)
+
+        return real(enum, recorded, word)
+
+    monkeypatch.setattr(Enumeration, "pair_blocks", recording)
     cat = build_category(parse_spec(NOT_BAER_STAR))[0]
     report = check_functoriality(cat, budget=budget)
     assert report.clauses == _reference_functoriality(cat, budget)
@@ -767,13 +778,39 @@ def test_functor_composition_walks_a_block_with_a_missing_annihilator_pair_by_pa
         clause = report.clause(f"functor.{_KIND_NAMES[kind][0]}.composition")
         assert clause.status == FAIL
         assert clause.counterexample.startswith("no projection annihilates exactly what")
-        # the block comes as Passed cases and then every pair of one f
+        # Passed cases, then one Failed case with the clause's text and count
         cases = handed[clause.clause_id]
         first = next(k for k, case in enumerate(cases) if type(case) is not Passed)
-        f = cases[first][0]
-        block = list(takewhile(lambda case: type(case) is not Passed and case[0] == f, cases[first:]))
-        assert len(block) > 1
-        assert sum(cases[:first]) < clause.checked <= sum(cases[:first]) + len(block)
+        assert type(cases[first]) is Failed
+        assert (clause.checked, clause.counterexample) == (sum(cases[:first]) + 1, cases[first])
+    # a block whose sides raised is asked again one g at a time, in block
+    # order, up to its first failing pair
+    walks = [
+        k for k, ((fi, gids), after) in enumerate(zip(calls, calls[1:]))
+        if len(gids) > 1 and after == (fi, gids[:1])
+    ]
+    assert walks
+    for k in walks:
+        fi, gids = calls[k]
+        walked = list(takewhile(lambda call: call[0] == fi and len(call[1]) == 1, calls[k + 1:]))
+        assert walked == [(fi, (gi,)) for gi in gids[:len(walked)]]
+
+
+@pytest.mark.hashseed
+def test_functor_laws_agree_with_their_per_pair_definitions_on_the_clones_of_a_category_missing_annihilators(budget):
+    # a walked pair asks kind(f∘g)(p), kind(first)(p) and kind(then) of that,
+    # p by p, and stops at the first p where the sides differ, as the per-pair
+    # definition does; a walk that asked all of one side first, or went on
+    # past a differing p, words two of these clones with another missing
+    # annihilator
+    clones = list(single_entry_clones(build_category(parse_spec(NOT_BAER_STAR))[0]))
+    failing = Counter()
+    for clone in clones:
+        report = check_functoriality(clone, budget=budget)
+        assert report.clauses == _reference_functoriality(clone, budget)
+        failing.update(c.clause_id for c in report.failures() if c.counterexample.startswith("no projection"))
+    assert len(clones) == 446
+    assert failing["functor.inverse-image.composition"] > 0 and failing["functor.preimage.composition"] > 0
 
 
 def _chain3_clone(f: str, g: str, wrong: str):
