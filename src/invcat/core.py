@@ -197,6 +197,9 @@ class FiniteCategory:
     """
 
     has_involution_rule = False
+    # the id table the category was built with, if any: (morphisms_by_id,
+    # rows, involution ids or None)
+    _given: tuple | None = None
 
     def __init__(self, objects: Iterable, zero_object: Any = None):
         self._objects = tuple(objects)
@@ -212,8 +215,8 @@ class FiniteCategory:
     def _empty_table(self) -> None:
         # morphisms_by_id[i] has id i; rows[i] maps an id j to the id of
         # morphisms_by_id[i]∘morphisms_by_id[j].  Entries here and in the
-        # involution and zero ids are filled on first need, and an entry
-        # whose computation raises is not stored.
+        # involution and zero ids are filled on first need, unless given at
+        # construction, and an entry whose computation raises is not stored.
         self._ids: dict = {}
         self.morphisms_by_id: list[Morphism] = []
         self.rows: list[dict] = []
@@ -452,28 +455,42 @@ class FiniteCategory:
     def with_corrupted_composition(self, f: Morphism, g: Morphism, result: Morphism) -> "FiniteCategory":
         if g.cod != f.dom or result.dom != g.dom or result.cod != f.cod:
             raise ShapeMismatchError("corrupted composite must be shape-correct")
-        twin = self._clone()
-        twin._compose_overrides[(f, g)] = result
-        return twin
+        return self._clone(compose={(f, g): result})
 
     def with_corrupted_involution(self, f: Morphism, result: Morphism) -> "FiniteCategory":
         if result.dom != f.cod or result.cod != f.dom:
             raise ShapeMismatchError("corrupted involution must be shape-correct")
-        twin = self._clone()
-        twin._involve_overrides[f] = result
-        return twin
+        return self._clone(involve={f: result})
 
-    def _clone(self) -> "FiniteCategory":
+    def _clone(self, compose=(), involve=()) -> "FiniteCategory":
+        """A twin with these overrides added to this category's.  It starts
+        from a copy of the table the category was built with, less every
+        overridden entry, which it reads from its override at first need;
+        all else it computes again, on its own table."""
         twin = copy.copy(self)
         twin._hom_cache = dict(self._hom_cache)
-        twin._compose_overrides = dict(self._compose_overrides)
-        twin._involve_overrides = dict(self._involve_overrides)
+        twin._compose_overrides = {**self._compose_overrides, **dict(compose)}
+        twin._involve_overrides = {**self._involve_overrides, **dict(involve)}
         twin._empty_table()
+        if self._given is not None:
+            morphisms, rows, involution = self._given
+            twin.morphisms_by_id = list(morphisms)
+            twin._ids = ids = dict(zip(morphisms, range(len(morphisms))))
+            twin.rows = [row.copy() for row in rows]
+            twin._involution_ids = dict(involution or {})
+            for f, g in twin._compose_overrides:
+                if f in ids and g in ids:
+                    twin.rows[ids[f]].pop(ids[g], None)
+            for f in twin._involve_overrides:
+                twin._involution_ids.pop(ids.get(f), None)
         return twin
 
 
 class TableCategory(FiniteCategory):
-    """A category given by explicit hom-sets and a composition table."""
+    """A category given by explicit hom-sets and a composition table.  Its id
+    table is the table it was given, numbered and filled at construction;
+    the model rules only answer a pair or a morphism the table lacks, by
+    raising."""
 
     def __init__(
         self,
@@ -484,41 +501,85 @@ class TableCategory(FiniteCategory):
         involution_table: dict | None = None,
         zero_object: Any = None,
     ):
+        """The table keyed by morphisms: compose_table[(f, g)] is f∘g and
+        involution_table[f] is f*.  Numbered once, hom-sets first; an entry
+        for a pair that does not compose is never read, so it is dropped."""
+        ids: dict = {}
+
+        def number(m: Morphism) -> int:
+            return ids.setdefault(m, len(ids))
+
+        hom_ids = {pair: list(map(number, morphisms)) for pair, morphisms in homs.items()}
+        entries = [
+            (number(f), number(g), number(fg))
+            for (f, g), fg in compose_table.items()
+            if g.cod == f.dom
+        ]
+        involution = (
+            None
+            if involution_table is None
+            else {number(f): number(star) for f, star in involution_table.items()}
+        )
+        identity_ids = {a: number(m) for a, m in identities.items()}
+        rows: list[dict] = [{} for _ in ids]
+        for i, j, k in entries:
+            rows[i][j] = k
+        self._take(objects, list(ids), hom_ids, rows, identity_ids, involution, zero_object)
+
+    @classmethod
+    def from_ids(
+        cls,
+        objects: Iterable,
+        morphisms: Sequence[Morphism],
+        homs: dict,
+        rows: Sequence[dict],
+        identities: dict,
+        involution: dict | None = None,
+        zero_object: Any = None,
+    ) -> "TableCategory":
+        """The table on ids, taken over as it is: morphisms[i], all distinct,
+        has id i; homs[(a, b)] holds the ids of hom(a, b); rows[i][j] is the
+        id of morphisms[i]∘morphisms[j], for composable pairs only;
+        identities[a] is the id of the identity on a; and involution[i],
+        when given, the id of morphisms[i]*."""
+        cat = cls.__new__(cls)
+        cat._take(objects, morphisms, homs, rows, identities, involution, zero_object)
+        return cat
+
+    def _take(self, objects, morphisms, homs, rows, identities, involution, zero_object) -> None:
         super().__init__(objects, zero_object)
         self._homs = {
-            pair: tuple(sorted(morphisms, key=morphism_sort_key))
-            for pair, morphisms in homs.items()
+            pair: tuple(sorted(map(morphisms.__getitem__, ids), key=morphism_sort_key))
+            for pair, ids in homs.items()
         }
-        self._table = dict(compose_table)
-        self._identities = dict(identities)
-        self._involution_table = dict(involution_table) if involution_table is not None else None
-        self.has_involution_rule = self._involution_table is not None
+        self._identities = {a: morphisms[i] for a, i in identities.items()}
+        self.has_involution_rule = involution is not None
         for a in self._objects:
             if a not in self._identities:
                 raise InvcatError(f"missing identity for object {render_object(a)}")
-        for (a, b), morphisms in self._homs.items():
-            for m in morphisms:
+        for (a, b), members in self._homs.items():
+            for m in members:
                 if m.dom != a or m.cod != b:
                     raise InvcatError(f"{render_morphism(m)} filed under wrong hom-set")
+        # the category's own table shares its rows and involution with the
+        # given one: without an override, no entry of either ever changes
+        self._given = (tuple(morphisms), tuple(rows), involution)
+        self.morphisms_by_id, self.rows = list(morphisms), list(rows)
+        self._ids = dict(zip(morphisms, range(len(morphisms))))
+        self._involution_ids = involution if involution is not None else {}
 
     def _hom(self, a, b) -> tuple[Morphism, ...]:
         return self._homs.get((a, b), ())
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
-        try:
-            return self._table[(f, g)]
-        except KeyError:
-            raise InvcatError(
-                f"composition table is missing {render_morphism(f)} after {render_morphism(g)}"
-            ) from None
+        raise InvcatError(
+            f"composition table is missing {render_morphism(f)} after {render_morphism(g)}"
+        )
 
     def _involve(self, f: Morphism) -> Morphism | None:
-        if self._involution_table is None:
-            return None
-        try:
-            return self._involution_table[f]
-        except KeyError:
-            raise InvcatError(f"involution table is missing {render_morphism(f)}") from None
+        if self.has_involution_rule:
+            raise InvcatError(f"involution table is missing {render_morphism(f)}")
+        return None
 
     def identity(self, a) -> Morphism:
         try:

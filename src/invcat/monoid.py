@@ -74,44 +74,52 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
     """Check the inverse-monoid axioms, returning the validated structure or
     raising MonoidAxiomError naming the broken axiom with a witness."""
     elements = tuple(elements)
-    universe = set(elements)
     if not elements:
         raise TableShapeError("empty element list")
-    if len(universe) != len(elements):
+    position = {x: i for i, x in enumerate(elements)}
+    if len(position) != len(elements):
         raise TableShapeError("duplicate element labels")
+    # rows[i][j] is the position of the product of elements i and j: the id
+    # table of the one-object category, numbered by element position
     tbl = dict(table)
+    rows = []
     for x in elements:
-        for y in elements:
+        row = {}
+        for j, y in enumerate(elements):
             z = tbl.get((x, y))
             if z is None:
                 raise TableShapeError(f"table is missing the product {x}·{y}")
-            if z not in universe:
+            k = position.get(z)
+            if k is None:
                 raise TableShapeError(f"product {x}·{y} = {z} is not an element")
+            row[j] = k
+        rows.append(row)
 
-    if identity not in universe:
+    if identity not in position:
         raise MonoidAxiomError("no-identity", f"{identity!r} is not an element")
 
     # An inverse monoid is a one-object inverse category, so the category
     # checker decides the axioms; a budget that fits the whole table keeps it
     # from sampling, and with no involution table given, involve is the
     # unique quasi-inverse.
-    endo = {x: Morphism("X", "X", x) for x in elements}
-    cat = TableCategory(
+    n = len(elements)
+    cat = TableCategory.from_ids(
         objects=("X",),
-        homs={("X", "X"): tuple(endo.values())},
-        compose_table={(endo[x], endo[y]): endo[tbl[(x, y)]] for x in elements for y in elements},
-        identities={"X": endo[identity]},
+        morphisms=[Morphism("X", "X", x) for x in elements],
+        homs={("X", "X"): range(n)},
+        rows=rows,
+        identities={"X": position[identity]},
     )
-    enum = Enumeration(cat, Budget(max_size=len(elements), sample=None))
+    enum = Enumeration(cat, Budget(max_size=n, sample=None))
     for clause in inverse_category_clauses(enum):
         violation = _VIOLATIONS.get(clause.clause_id)
         if violation is not None and clause.status == FAIL:
             raise MonoidAxiomError(violation, clause.counterexample)
-    inverses = {x: cat.involve(f).payload for x, f in endo.items()}
+    inverses = {x: elements[cat.involve_id(i)] for i, x in enumerate(elements)}
 
-    idempotents = tuple(x for x in elements if tbl[(x, x)] == x)
+    idempotents = tuple(x for i, x in enumerate(elements) if rows[i][i] == i)
     zero = next(
-        (z for z in elements if all(tbl[(z, x)] == z and tbl[(x, z)] == z for x in elements)),
+        (elements[z] for z in range(n) if all(rows[z][i] == z and rows[i][z] == z for i in range(n))),
         None,
     )
     return InverseMonoid(elements, identity, tbl, inverses, idempotents, zero)
@@ -153,56 +161,47 @@ def two_object_category(monoid: InverseMonoid) -> TableCategory:
         zero_label = next(c for c in ("0" + "_" * k for k in count()) if c not in used)
         labels.append(zero_label)
 
-    def endo(label: str) -> Morphism:
-        return Morphism("X", "X", label)
-
-    id_z = Morphism("Z", "Z", zero_label)
-    z_in = Morphism("Z", "X", zero_label)
-    z_out = Morphism("X", "Z", zero_label)
-    zero_endo = endo(zero_label)
-
+    # ids: the endomorphisms of X in label order, then 1 on Z, Z → X and X → Z
+    position = {s: i for i, s in enumerate(labels)}
+    zero_endo, id_z, z_in, z_out = position[zero_label], len(labels), len(labels) + 1, len(labels) + 2
+    morphisms = [Morphism("X", "X", s) for s in labels]
+    morphisms += [Morphism("Z", "Z", zero_label), Morphism("Z", "X", zero_label), Morphism("X", "Z", zero_label)]
     homs = {
-        ("X", "X"): tuple(endo(s) for s in labels),
+        ("X", "X"): range(len(labels)),
         ("Z", "Z"): (id_z,),
         ("Z", "X"): (z_in,),
         ("X", "Z"): (z_out,),
     }
 
-    def product(x: str, y: str) -> str:
-        if x == zero_label or y == zero_label:
-            return zero_label
-        return monoid.table[(x, y)]
+    def product(i: int, j: int) -> int:
+        if i == zero_endo or j == zero_endo:
+            return zero_endo
+        return position[monoid.table[(labels[i], labels[j])]]
 
-    compose_table: dict = {}
-    zero_of = {
-        ("X", "X"): zero_endo,
-        ("Z", "Z"): id_z,
-        ("Z", "X"): z_in,
-        ("X", "Z"): z_out,
-    }
+    zero_of = {("X", "X"): zero_endo, ("Z", "Z"): id_z, ("Z", "X"): z_in, ("X", "Z"): z_out}
+    rows: list[dict] = [{} for _ in morphisms]
     for (b, c), fs in homs.items():
         for (a, b2), gs in homs.items():
             if b2 != b:
                 continue
             for f in fs:
-                for g in gs:
-                    if a == "X" and b == "X" and c == "X":
-                        out = endo(product(f.payload, g.payload))
-                    else:
-                        out = zero_of[(a, c)]
-                    compose_table[(f, g)] = out
+                if a == b == c == "X":
+                    rows[f].update((g, product(f, g)) for g in gs)
+                else:
+                    rows[f].update(dict.fromkeys(gs, zero_of[(a, c)]))
 
     involution = {id_z: id_z, z_in: z_out, z_out: z_in, zero_endo: zero_endo}
     for s in monoid.elements:
         if s != zero_label:
-            involution[endo(s)] = endo(monoid.inverses[s])
+            involution[position[s]] = position[monoid.inverses[s]]
 
-    return TableCategory(
+    return TableCategory.from_ids(
         objects=("Z", "X"),
+        morphisms=morphisms,
         homs=homs,
-        compose_table=compose_table,
-        identities={"X": endo(monoid.identity), "Z": id_z},
-        involution_table=involution,
+        rows=rows,
+        identities={"X": position[monoid.identity], "Z": id_z},
+        involution=involution,
         zero_object="Z",
     )
 

@@ -285,69 +285,80 @@ def _saturate(
     """Close the given partial bijections under identities, zero morphisms,
     involution and composition, and present the result as an explicit table.
 
-    Each composable pair is composed once, on the string codes of its
-    members (pbij_code, precomposer), when the later of the two leaves the
-    frontier.  A code names one member of its hom-set, so a Morphism is
-    built only for a new member, and the tables hold the members
-    themselves.  With a budget, a hom-set that grows past
-    budget.homset_limit raises BudgetExceededError at once: a closure
-    cannot be sampled."""
+    Each member is numbered when it is found, and each composable pair is
+    composed once, on the string codes of its members (pbij_code,
+    precomposer), when the later of the two leaves the frontier: its id is
+    written into the id table.  A code names one member of its hom-set, so a
+    Morphism is built only for a new member.  With a budget, a hom-set that
+    grows past budget.homset_limit raises BudgetExceededError at once: a
+    closure cannot be sampled."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
     limit = budget.homset_limit if budget is not None else math.inf
-    # by_code[a][b] maps the code of each member a → b to it, in order found
-    by_code: dict = {a: {b: {} for b in objs} for a in objs}
-    frontier: list[tuple[Morphism, str]] = []
+    # objects by position: by_code[x][y] maps the code of each member from
+    # objs[x] to objs[y] to its id, in order found
+    position = {a: x for x, a in enumerate(objs)}
+    by_code: list = [[{} for _ in objs] for _ in objs]
+    morphisms: list[Morphism] = []
+    rows: list[dict] = []
+    # (id, dom position, cod position, code) of each member not yet composed
+    frontier: list[tuple[int, int, int, str]] = []
 
-    def add(m: Morphism, code: str | None = None) -> Morphism:
-        """The member equal to m, which is m itself when it is new."""
+    def add(m: Morphism, x: int, y: int, code: str | None = None) -> int:
+        """The id of the member equal to m, from objs[x] to objs[y]; m is
+        numbered when it is new."""
         code = pbij_code(m) if code is None else code
-        members = by_code[m.dom][m.cod]
-        member = members.get(code)
-        if member is None:
-            member = members[code] = m
-            frontier.append((m, code))
+        members = by_code[x][y]
+        k = members.get(code)
+        if k is None:
+            k = members[code] = len(morphisms)
+            morphisms.append(m)
+            rows.append({})
+            frontier.append((k, x, y, code))
             if len(members) > limit:
                 raise BudgetExceededError(len(members), m.dom, m.cod, at_least=True)
-        return member
+        return k
 
-    for a in objs:
-        add(identity_pbij(a))
-        for b in objs:
-            add(zero_pbij(a, b))
+    identities = {}
+    for x, a in enumerate(objs):
+        identities[a] = add(identity_pbij(a), x, x)
+        for y, b in enumerate(objs):
+            add(zero_pbij(a, b), x, y)
     for m in seeds:
-        add(m)
+        add(m, position[m.dom], position[m.cod])
 
-    # the members that have left the frontier: by dom, each with the map
-    # that composes after it (precomposer), and by cod, each with its code
-    done_from: dict = {a: [] for a in objs}
-    done_into: dict = {a: [] for a in objs}
-    compose_table: dict = {}
-    involution_table: dict = {}
+    # the members that have left the frontier: by dom, each with its cod
+    # and the map that composes after it (precomposer), and by cod, each
+    # with its dom and its code
+    done_from: list = [[] for _ in objs]
+    done_into: list = [[] for _ in objs]
+    involution: dict = {}
     while frontier:
-        m, code_m = frontier.pop()
+        m, x, y, code_m = frontier.pop()
         after_m = precomposer(code_m)
-        done_from[m.dom].append((m, after_m))
-        done_into[m.cod].append((m, code_m))
-        involution_table[m] = add(invert_pbij(m))
-        out_of_m = by_code[m.dom]
-        for n, after_n in done_from[m.cod]:
+        done_from[x].append((m, y, after_m))
+        done_into[y].append((m, x, code_m))
+        involution[m] = add(invert_pbij(morphisms[m]), y, x)
+        out_of_m = by_code[x]
+        for n, z, after_n in done_from[y]:
             code = after_n(code_m)
-            nm = out_of_m[n.cod].get(code)
-            compose_table[(n, m)] = nm if nm is not None else add(compose_pbij(n, m), code)
-        for n, code_n in done_into[m.dom]:
-            if n is not m:  # m∘m, for an endomorphism m, was made just above
+            nm = out_of_m[z].get(code)
+            rows[n][m] = nm if nm is not None else add(compose_pbij(morphisms[n], morphisms[m]), x, z, code)
+        row_m = rows[m]
+        for n, w, code_n in done_into[x]:
+            if n != m:  # m∘m, for an endomorphism m, was made just above
                 code = after_m(code_n)
-                mn = by_code[n.dom][m.cod].get(code)
-                compose_table[(m, n)] = mn if mn is not None else add(compose_pbij(m, n), code)
+                mn = by_code[w][y].get(code)
+                row_m[n] = mn if mn is not None else add(compose_pbij(morphisms[m], morphisms[n]), w, y, code)
 
-    return TableCategory(
+    return TableCategory.from_ids(
         objects=tuple(objs),
-        homs={(a, b): list(members.values()) for a in objs for b, members in by_code[a].items()},
-        compose_table=compose_table,
-        identities={a: identity_pbij(a) for a in objs},
-        involution_table=involution_table,
+        morphisms=morphisms,
+        homs={(a, b): members.values() for a, codes in zip(objs, by_code) for b, members in zip(objs, codes)},
+        rows=rows,
+        identities=identities,
+        involution=involution,
         zero_object=ZERO_FINSET,
     )
 

@@ -44,7 +44,8 @@ from invcat.exactness import exactness_clauses
 from invcat.projections import AnnihilatorNotFoundError, baer_star_clauses
 from invcat.report import FAIL, PASS, SKIPPED, Clause, Failed, Passed, run_clause
 from invcat.transfer import SUITES, TransferKind, _row
-from test_exactness import composable_pairs, endomorphism_clones, involution_clones
+from model_copies import endomorphism_clones, involution_clones, morphism_tables, table_lacking
+from test_exactness import composable_pairs
 from test_golden import NOT_BAER_STAR, README_FIXTURE, _clone
 
 
@@ -690,7 +691,7 @@ def _cyclic3():
 
 @pytest.mark.parametrize("make", [_cyclic3, lambda: canonical_pbij_category((0, 1, 2))])
 def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
-    # the model rule runs once per table entry, whichever hook computes it
+    # the model rule runs at most once per table entry, whichever hook computes it
     # and whatever route the model takes to the id (the partial-bijection
     # rule composes only new codes); the block hook's own per-pair calls are
     # counted with its block
@@ -734,8 +735,13 @@ def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
     # the identity laws run first and leave their composites in the table;
     # associativity fills the rest a block at a time, so in its own order
     earlier, during = by_clause["category.associativity"]
-    assert earlier and len(set(during)) == len(during)
-    assert set(during) == set(first_calls) - earlier != set()
+    assert len(set(during)) == len(during)
+    assert set(during) == set(first_calls) - earlier
+    # a complete table is filled at construction: no suite asks its rule
+    if make is _cyclic3:
+        assert calls == first_calls == []
+    else:
+        assert earlier and during
 
 
 def test_associativity_fills_the_table_every_clause_and_run_shares(budget):
@@ -791,6 +797,43 @@ def test_clone_overrides_land_in_the_clone_table_only(budget):
     assert check_inverse_category(base, budget).passed
 
 
+def test_a_table_clone_answers_its_overrides_and_reads_the_rest_from_its_table(budget):
+    # a table clone starts from a copy of the table its base was built
+    # with, less the overridden entries, before and after suites have run
+    # on the base; the base keeps its own table
+    base = build_category(parse_spec(NOT_BAER_STAR))[0]
+    table, involution = morphism_tables(base)
+    rows = [dict(row) for row in base.rows]
+    identities = {base.identity(a) for a in base.objects}
+    f, g = next(
+        (f, g) for f, g in table if identities.isdisjoint((f, g)) and len(base.hom(g.dom, f.cod)) > 1
+    )
+    wrong = next(m for m in base.hom(g.dom, f.cod) if m != table[f, g])
+    h = next(m for m in involution if m not in identities and len(base.hom(m.cod, m.dom)) > 1)
+    bad_star = next(m for m in base.hom(h.cod, h.dom) if m != involution[h])
+
+    def no_rule(*pair):
+        raise AssertionError(f"the model rule was asked for {pair}")
+
+    for suites_run in (False, True):
+        if suites_run:
+            check_inverse_category(base, budget)
+            check_exactness(base, budget)
+        composition = base.with_corrupted_composition(f, g, wrong)
+        twins = (
+            (composition, {(f, g): wrong}, {}),
+            (base.with_corrupted_involution(h, bad_star), {}, {h: bad_star}),
+            (composition.with_corrupted_involution(h, bad_star), {(f, g): wrong}, {h: bad_star}),
+        )
+        for twin, composites, stars in twins:
+            twin._compose = twin._involve = no_rule
+            assert {pair: twin.compose(*pair) for pair in table} == {**table, **composites}
+            assert {m: twin.involve(m) for m in involution} == {**involution, **stars}
+            assert not check_inverse_category(twin, budget).passed
+        assert [dict(row) for row in base.rows[: len(rows)]] == rows
+        assert base.compose(f, g) == table[f, g] and base.involve(h) == involution[h]
+
+
 def test_involve_asks_the_model_once_per_morphism_per_category(budget):
     cat = canonical_pbij_category((1, 2))
     calls = []
@@ -808,7 +851,7 @@ def test_involve_asks_the_model_once_per_morphism_per_category(budget):
 def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypatch, budget):
     base = build_category(parse_spec(README_FIXTURE))[0]
     identities = {base.identity(a) for a in base.objects}
-    pairs = [(f, g) for f, g in base._table if f not in identities and g not in identities]
+    pairs = [(f, g) for f, g in morphism_tables(base)[0] if f not in identities and g not in identities]
     assert len(pairs) > 20
     started = []
     real = core.run_clause
@@ -819,9 +862,7 @@ def test_missing_table_entry_raises_the_same_text_inside_associativity(monkeypat
 
     monkeypatch.setattr(core, "run_clause", spy)
     for pair in pairs:
-        damaged = [build_category(parse_spec(README_FIXTURE))[0] for _ in range(2)]
-        for cat in damaged:
-            del cat._table[pair]
+        damaged = [table_lacking(base, pairs=[pair]) for _ in range(2)]
         with pytest.raises(InvcatError) as want:
             _reference_associativity(damaged[0], budget)
         with pytest.raises(InvcatError) as got:

@@ -16,7 +16,6 @@ from invcat import (
     NoKernelError,
     NonCommutingSquareError,
     PBijCategory,
-    TableCategory,
     canonical_pbij_category,
     check_coherence,
     check_exactness,
@@ -54,6 +53,14 @@ from invcat.projections import annihilator_candidates, lattice_on
 from invcat.report import FAIL, PASS
 from invcat.specfile import build_category, parse_spec
 from invcat.transfer import TransferKind, _moved_mono, square_for_inverse_image
+from model_copies import (
+    endomorphism_clones,
+    involution_clones,
+    morphism_tables,
+    single_entry_clones,
+    table_lacking,
+    to_table,
+)
 from test_golden import README_FIXTURE
 from test_golden import _clone as _golden_clone
 
@@ -189,60 +196,6 @@ def composable_pairs(enum):
                 yield f, g
 
 
-def endomorphism_clones(base):
-    """One clone of base per composable pair of endomorphisms, with the
-    composite replaced by another member of its hom-set."""
-    for a in base.objects:
-        for f in base.hom(a, a):
-            for g in base.hom(a, a):
-                fg = base.compose(f, g)
-                wrong = next((m for m in base.hom(a, a) if m != fg), None)
-                if wrong is not None:
-                    yield base.with_corrupted_composition(f, g, wrong)
-
-
-def involution_clones(base):
-    """One clone of base per endomorphism, with its involution replaced by
-    another member of its hom-set."""
-    for a in base.objects:
-        for f in base.hom(a, a):
-            star = base.involve(f)
-            wrong = next((m for m in base.hom(a, a) if m != star), None)
-            if wrong is not None:
-                yield base.with_corrupted_involution(f, wrong)
-
-
-def single_entry_clones(base):
-    """One clone of base per composable pair (f, g) and per other member of
-    the hom-set of f∘g, with that member as the composite; then one per
-    morphism f and per other member of the hom-set of f*, as its involution."""
-    objects = base.objects
-    for a, b, c in itertools.product(objects, repeat=3):
-        for f, g in itertools.product(base.hom(b, c), base.hom(a, b)):
-            fg = base.compose(f, g)
-            yield from (base.with_corrupted_composition(f, g, m) for m in base.hom(a, c) if m != fg)
-    for a, b in itertools.product(objects, repeat=2):
-        for f in base.hom(a, b):
-            star = base.involve(f)
-            yield from (base.with_corrupted_involution(f, m) for m in base.hom(b, a) if m != star)
-
-
-def to_table(cat) -> TableCategory:
-    """cat copied into a TableCategory, which has no model hooks: its
-    hom-sets, every composite through cat.compose (so a clone's overrides
-    carry over), the involution, the identities and the zero object."""
-    objects = cat.objects
-    homs = {(a, b): cat.hom(a, b) for a, b in itertools.product(objects, repeat=2)}
-    table = {
-        (f, g): cat.compose(f, g)
-        for a, b, c in itertools.product(objects, repeat=3)
-        for f, g in itertools.product(homs[b, c], homs[a, b])
-    }
-    involution = {f: cat.involve(f) for fs in homs.values() for f in fs}
-    identities = {a: cat.identity(a) for a in objects}
-    return TableCategory(objects, homs, table, identities, involution, cat.zero_object)
-
-
 @pytest.mark.hashseed
 def test_a_construction_on_the_table_copy_is_found_on_the_clone():
     # a model's proposal only comes first in the search, so a clone finds
@@ -302,18 +255,19 @@ def test_searches_agree_with_reference(budget):
 
 
 def test_missing_table_entry_raises_from_exactness_and_coherence(budget):
-    # the searches compose through the run's id table, which reaches every
-    # composite through cat.compose, so a hole in the table still raises
-    pairs = list(build_category(parse_spec(README_FIXTURE))[0]._table)
+    # the searches compose through the id table, so a table that lacks a
+    # pair from construction on raises where the pair is first needed
+    base = build_category(parse_spec(README_FIXTURE))[0]
+    pairs = list(morphism_tables(base)[0])
     assert len(pairs) == 81
     for f, g in pairs:
         expected = f"composition table is missing {render_morphism(f)} after {render_morphism(g)}"
         for check in (check_exactness, check_coherence):
-            damaged = build_category(parse_spec(README_FIXTURE))[0]
-            del damaged._table[(f, g)]
+            damaged = table_lacking(base, pairs=[(f, g)])
             with pytest.raises(InvcatError) as raised:
                 check(damaged, budget)
             assert str(raised.value) == expected
+            assert damaged.intern(g) not in damaged.rows[damaged.intern(f)]
 
 
 def _mono_collision(cat):
@@ -704,6 +658,8 @@ def test_normality_scans_its_own_direction_when_the_annihilator_is_missing():
     [lambda: canonical_pbij_category((0, 1, 2)), lambda: two_object_category(cyclic_group(4))],
 )
 def test_exactness_then_coherence_compose_each_pair_once(make, budget):
+    # the partial-bijection model composes each pair once, on first need; a
+    # complete table is filled at construction and asks its rule nothing
     cat = make()
     calls = []
     real = cat._compose
@@ -711,7 +667,8 @@ def test_exactness_then_coherence_compose_each_pair_once(make, budget):
     assert check_exactness(cat, budget).passed
     made = len(calls)
     assert check_coherence(cat, budget).passed
-    assert made and len(set(calls)) == len(calls)
+    assert len(set(calls)) == len(calls)
+    assert bool(made) == bool(calls) == isinstance(cat, PBijCategory)
 
 
 def test_coherence_spot_values(fixture_cat, A, f):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import invcat.monoid
 from invcat import (
     Budget,
     InverseMonoid,
@@ -312,3 +313,31 @@ def test_classify_marks_sampled_verdicts():
     report = classify_exactness(cyclic_group(2), Budget(max_size=1))
     assert [c.sampled for c in report.clauses] == [True, True]
     assert report.seed == 0
+
+
+@pytest.mark.hashseed
+def test_cayley_table_rows_are_its_products(monkeypatch):
+    # the one-object category validation checks, and the two-object
+    # category, are numbered by element position and filled from the table
+    checked = []
+    real = invcat.monoid.Enumeration
+    monkeypatch.setattr(invcat.monoid, "Enumeration", lambda cat, budget: checked.append(cat) or real(cat, budget))
+    for make in (lambda: symmetric_inverse_monoid(2), lambda: cyclic_group(5), lambda: chain_semilattice(4)):
+        checked.clear()
+        monoid = make()
+        one_object, = checked
+        assert [m.payload for m in one_object.morphisms_by_id] == list(monoid.elements)
+        assert one_object.rows == [
+            {j: monoid.elements.index(monoid.product(x, y)) for j, y in enumerate(monoid.elements)}
+            for x in monoid.elements
+        ]
+        cat = two_object_category(monoid)
+        endos = {m.payload: i for i, m in enumerate(cat.morphisms_by_id) if m.dom == m.cod == "X"}
+        zero = cat.zero_id("X", "X")
+        for x, y in product(monoid.elements, repeat=2):
+            i, j = endos[x], endos[y]
+            want = zero if zero in (i, j) else endos[monoid.product(x, y)]
+            assert cat.rows[i][j] == want
+        assert {x: cat._involution_ids[endos[x]] for x in monoid.elements} == {
+            x: endos[monoid.inverse(x)] for x in monoid.elements
+        }

@@ -53,7 +53,8 @@ from invcat.pbij import (
     unhit_labels,
     zero_pbij,
 )
-from test_exactness import composable_pairs, endomorphism_clones, involution_clones
+from model_copies import endomorphism_clones, involution_clones, table_lacking
+from test_exactness import composable_pairs
 from test_golden import README_FIXTURE
 
 
@@ -428,15 +429,40 @@ def test_block_scans_read_hits_in_place_and_compute_misses_in_order():
     assert row[0] == f != cat.compose_id(f, ids[0])
 
 
+class OnePairRaisesPBij(PairRulePBij):
+    """Partial bijections whose rule raises for one pair, as a table that
+    lacks it would, and fills every other entry on first need."""
+
+    missing: tuple = ()
+
+    def _compose(self, f, g):
+        if (f, g) == self.missing:
+            raise InvcatError("composition table is missing the pair")
+        return super()._compose(f, g)
+
+
 def test_block_scans_store_nothing_for_a_pair_whose_composite_raises():
-    damaged = build_category(parse_spec(README_FIXTURE))[0]
-    a = damaged.objects[0]
-    first, f, last = ids = damaged.hom_ids(a, a)
-    del damaged._table[(damaged.morphisms_by_id[f], damaged.morphisms_by_id[last])]
+    # a table that lacks a pair from construction on raises for it and
+    # stores nothing: the rest of its row was filled at construction
+    base = build_category(parse_spec(README_FIXTURE))[0]
+    a = base.objects[0]
+    _, f, last = base.hom_ids(a, a)
+    damaged = table_lacking(base, pairs=[(base.morphisms_by_id[f], base.morphisms_by_id[last])])
+    ids = damaged.hom_ids(a, a)
+    f, row = ids[1], dict(damaged.rows[ids[1]])
+    assert ids[0] in row and f in row and ids[2] not in row
     with pytest.raises(InvcatError, match="composition table is missing"):
         damaged.compose_ids(f, ids)
-    # the pairs before it are filled, as compose_id would have filled them
-    assert list(damaged.rows[f]) == [first, f]
+    assert damaged.rows[f] == row
+    # a model that fills on first need stores the pairs before the one
+    # that raises, as compose_id would have filled them
+    lazy = OnePairRaisesPBij([size_finset(2)])
+    ids = lazy.hom_ids(lazy.finset("S2"), lazy.finset("S2"))
+    f = ids[3]
+    lazy.missing = (lazy.morphisms_by_id[f], lazy.morphisms_by_id[ids[-1]])
+    with pytest.raises(InvcatError, match="composition table is missing"):
+        lazy.compose_ids(f, ids)
+    assert list(lazy.rows[f]) == list(ids[:-1])
 
 
 def test_an_override_never_answers_another_pair():

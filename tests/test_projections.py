@@ -1,4 +1,6 @@
 import itertools
+import re
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from invcat import (
     make_pbij,
     partial_identity,
     render_morphism,
+    render_object,
     theorem_suite,
 )
 from invcat.specfile import build_category, parse_spec
@@ -41,7 +44,7 @@ from invcat.projections import (
 from invcat.report import FAIL, PASS, Clause
 from invcat.transfer import SUITES as THEOREM_SUITES
 from test_golden import CATEGORIES
-from test_exactness import endomorphism_clones, involution_clones
+from model_copies import endomorphism_clones, involution_clones, single_entry_clones, to_table
 from test_golden import NOT_BAER_STAR, _clone
 
 
@@ -85,6 +88,68 @@ def test_lattice_detects_broken_meet(fixture_cat, A):
     twisted = fixture_cat.with_corrupted_composition(i1, i13, i3)
     with pytest.raises(LatticeError):
         projection_lattice(twisted, A)
+
+
+def reference_projection_lattice(cat, a, enum):
+    """The semilattice laws on P(a) by Morphism-level meets, kept as the
+    oracle of projection_lattice: the same laws, loop order and texts."""
+    lattice = lattice_on(enum, a)
+    elements, one, zero = lattice.elements, lattice.top, lattice.bottom
+    pool = set(elements)
+    if one not in pool or zero not in pool:
+        raise LatticeError(f"P({render_object(a)}) is missing top or bottom")
+    for i in elements:
+        if meet(cat, i, i) != i:
+            raise LatticeError(f"meet is not idempotent at {render_morphism(i)}")
+        if meet(cat, i, one) != i or meet(cat, one, i) != i:
+            raise LatticeError(f"top is not neutral at {render_morphism(i)}")
+        for j in elements:
+            m = meet(cat, i, j)
+            if m not in pool:
+                raise LatticeError(
+                    f"meet of {render_morphism(i)} and {render_morphism(j)} "
+                    "leaves the projection set"
+                )
+            if m != meet(cat, j, i):
+                raise LatticeError(
+                    f"meet is not commutative at {render_morphism(i)}, {render_morphism(j)}"
+                )
+            for k in elements:
+                if meet(cat, m, k) != meet(cat, i, meet(cat, j, k)):
+                    raise LatticeError("meet is not associative")
+    return lattice
+
+
+@pytest.mark.hashseed
+def test_lattice_laws_on_ids_agree_with_the_morphism_level_loop():
+    # every golden category, then the single-entry clones of a partial-
+    # bijection model and of a saturated table; each text but "not
+    # idempotent" fires on some clone (P(a) holds only idempotents)
+    def outcome(check, cat, a, budget):
+        try:
+            return check(cat, a, Enumeration(cat, budget)).elements
+        except InvcatError as err:
+            return type(err).__name__, str(err)
+
+    cats = [(build()[0], budget) for build, budget, _ in CATEGORIES.values()]
+    for base in (canonical_pbij_category((1, 2)), build_category(parse_spec(NOT_BAER_STAR))[0]):
+        cats += [(clone, None) for clone in single_entry_clones(base)]
+    texts = {
+        "missing": r"P\(.+\) is missing top or bottom",
+        "idempotent": r"meet is not idempotent at .+",
+        "top": r"top is not neutral at .+",
+        "leaves": r"meet of .+ leaves the projection set",
+        "commutative": r"meet is not commutative at .+",
+        "associative": r"meet is not associative",
+    }
+    fired = Counter()
+    for cat, budget in cats:
+        for a in cat.objects:
+            got = outcome(projection_lattice, cat, a, budget)
+            assert got == outcome(reference_projection_lattice, cat, a, budget)
+            if got[0] == "LatticeError":
+                fired[next(name for name, text in texts.items() if re.fullmatch(text, got[1]))] += 1
+    assert set(fired) == set(texts) - {"idempotent"}, fired
 
 
 @pytest.mark.hashseed
@@ -300,10 +365,7 @@ def test_missing_zero_object_is_loud():
 @pytest.mark.hashseed
 def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():
     # the two-object C2 table with X, which has three endomorphisms, declared zero
-    base = two_object_category(cyclic_group(2))
-    cat = TableCategory(
-        base.objects, base._homs, base._table, base._identities, base._involution_table, zero_object="X"
-    )
+    cat = to_table(two_object_category(cyclic_group(2)), zero_object="X")
     report = check_baer_star(cat)
     assert report.exit_code() == 1
     want = "X is not initial and terminal at X"

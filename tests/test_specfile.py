@@ -1,10 +1,15 @@
 import json
+import os
 import string
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, seed, settings, strategies as st
 
+import invcat
 import invcat.specfile
 from invcat import (
     Budget,
@@ -16,6 +21,7 @@ from invcat import (
     load_spec,
     loads_spec,
     parse_spec,
+    render_morphism,
     serialize_spec,
 )
 from invcat.pbij import ZERO_FINSET, compose_pbij, identity_pbij, invert_pbij, zero_pbij
@@ -30,7 +36,7 @@ from invcat.specfile import (
     parse_monoid_table,
     spec_from_category_fixture,
 )
-from test_golden import README_FIXTURE
+from test_golden import NOT_BAER_STAR, README_FIXTURE
 
 FIXTURE_DOC = {
     "format-version": 1,
@@ -338,6 +344,21 @@ def _reference_closure(objects, seeds) -> set:
         pool = grown
 
 
+def _assert_the_id_table_is_the_closure(cat) -> None:
+    """The id table holds every member once, the hom-set members themselves,
+    and is complete from construction: the id of compose_pbij for every
+    composable pair of members, and of invert_pbij for every member."""
+    pool = {m for hom in cat._homs.values() for m in hom}
+    by_id = cat.morphisms_by_id
+    assert len(by_id) == len(pool) and set(by_id) == pool
+    assert all(any(m is member for member in cat._homs[(m.dom, m.cod)]) for m in by_id)
+    ids = {m: i for i, m in enumerate(by_id)}
+    assert [dict(row) for row in cat.rows] == [
+        {ids[g]: ids[compose_pbij(f, g)] for g in by_id if g.cod == f.dom} for f in by_id
+    ]
+    assert cat._involution_ids == {ids[f]: ids[invert_pbij(f)] for f in by_id}
+
+
 def _assert_saturation_builds_each_member_once(spec) -> None:
     made = []
     with pytest.MonkeyPatch.context() as patch:
@@ -350,11 +371,7 @@ def _assert_saturation_builds_each_member_once(spec) -> None:
     pool = {m for hom in cat._homs.values() for m in hom}
     assert set(made) <= pool
     assert pool == _reference_closure(cat.objects, named.values())
-    # the table the saturation used to build in a pass over every pair
-    assert cat._table == {(f, g): compose_pbij(f, g) for f in pool for g in pool if g.cod == f.dom}
-    # and its values are the members themselves, not equal copies
-    for value in cat._table.values():
-        assert any(value is m for m in cat._homs[(value.dom, value.cod)])
+    _assert_the_id_table_is_the_closure(cat)
 
 
 def test_saturation_builds_each_member_once_on_the_readme_fixture():
@@ -380,3 +397,49 @@ def test_saturation_budget_stops_at_the_first_hom_set_over_it():
     assert cat._homs == build_category(parse_spec(README_FIXTURE))[0]._homs
     with pytest.raises(BudgetExceededError):
         build_category(parse_spec(README_FIXTURE), Budget(max_size=1))
+
+
+def numbering(doc: dict) -> list:
+    """What saturating the spec numbers, in id order: each member, the
+    entries of its row and its involution, as JSON data."""
+    cat = build_category(parse_spec(doc))[0]
+    return [
+        [render_morphism(m), list(row.items()), cat._involution_ids[i]]
+        for i, (m, row) in enumerate(zip(cat.morphisms_by_id, cat.rows))
+    ]
+
+
+NUMBERING_ELSEWHERE = """
+import json, sys
+from test_specfile import numbering
+print(json.dumps([numbering(doc) for doc in json.load(sys.stdin)]))
+"""
+
+
+@pytest.mark.hashseed
+def test_saturation_numbers_alike_under_every_hash_seed():
+    # the README fixture, NOT_BAER_STAR and a seeded handful of random specs
+    specs = [parse_spec(README_FIXTURE), parse_spec(NOT_BAER_STAR)]
+
+    @seed(31)
+    @settings(max_examples=8, database=None, phases=[Phase.generate], deadline=None)
+    @given(explicit_specs())
+    def draw(spec):
+        specs.append(spec)
+
+    draw()
+    assert len(specs) == 10
+    for spec in specs:
+        _assert_the_id_table_is_the_closure(build_category(spec)[0])
+    docs = [serialize_spec(spec) for spec in specs]
+    here = [numbering(doc) for doc in docs]
+    assert here == [numbering(doc) for doc in docs]
+    # and in a process with another hash seed
+    tests, src = Path(__file__).parent, Path(invcat.__file__).parent.parent
+    other = "7" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = {**os.environ, "PYTHONHASHSEED": other, "PYTHONPATH": os.pathsep.join(map(str, (tests, src)))}
+    elsewhere = subprocess.run(
+        [sys.executable, "-c", NUMBERING_ELSEWHERE],
+        input=json.dumps(docs), env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert json.loads(elsewhere.stdout) == json.loads(json.dumps(here))

@@ -48,7 +48,8 @@ from invcat.transfer import (
 )
 from invcat.core import InvcatError, build_report, render_object
 from invcat.report import FAIL, PASS, Failed, Passed, run_clause
-from test_exactness import composable_pairs, endomorphism_clones, reference_pullback_witness, single_entry_clones
+from model_copies import endomorphism_clones, single_entry_clones
+from test_exactness import composable_pairs, reference_pullback_witness
 from test_golden import CATEGORIES as GOLDEN_CATEGORIES
 from test_golden import CLONES, NOT_BAER_STAR
 from test_golden import _clone as _golden_clone

@@ -19,7 +19,7 @@ from invcat import (
     theorem_suite,
     two_object_category,
 )
-from test_exactness import endomorphism_clones
+from model_copies import endomorphism_clones
 from test_golden import MONOIDS
 
 SUITES = {
