@@ -734,6 +734,14 @@ def _quasi_inverses(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tupl
 
 
 def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
+    """The category laws, the existence and uniqueness of quasi-inverses,
+    then the involution clauses, in that order."""
+    return category_axiom_clauses(enum) + involution_clauses(enum)
+
+
+def category_axiom_clauses(enum: Enumeration) -> list[Clause]:
+    """The identity laws, associativity, and that every morphism has a
+    quasi-inverse and only one: what decides an inverse monoid."""
     cat = enum.cat
 
     def identity_laws(f: Morphism):
@@ -801,13 +809,26 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
             )
         return None
 
+    return [
+        run_clause("category.identity-laws", "cat", enum.morphisms(), identity_laws),
+        run_clause("category.associativity", "cat", associativity_cases(), None),
+        run_clause("inverse.exists", "1", enum.morphisms(), inverse_exists),
+        run_clause("inverse.unique", "1", enum.morphisms(), inverse_unique),
+    ]
+
+
+def involution_clauses(enum: Enumeration) -> list[Clause]:
+    """The laws of the involution f ↦ f*, and its agreement with the unique
+    quasi-inverse when the model has an involution rule."""
+    cat = enum.cat
+
     def involutory(f: Morphism):
         gg = cat.involve(cat.involve(f))
         if gg != f:
             return f"(f*)* = {render_morphism(gg)} ≠ f = {render_morphism(f)}"
         return None
 
-    involve_id, compose_id = cat.involve_id, cat.compose_id
+    involve_id, compose_id, compose_ids = cat.involve_id, cat.compose_id, cat.compose_ids
     # the ids of a hom block → the ids of their involutions
     stars = Memo(lambda gids: list(map(involve_id, gids)))
 
@@ -846,10 +867,6 @@ def inverse_category_clauses(enum: Enumeration) -> list[Clause]:
         return None
 
     clauses = [
-        run_clause("category.identity-laws", "cat", enum.morphisms(), identity_laws),
-        run_clause("category.associativity", "cat", associativity_cases(), None),
-        run_clause("inverse.exists", "1", enum.morphisms(), inverse_exists),
-        run_clause("inverse.unique", "1", enum.morphisms(), inverse_unique),
         run_clause("involution.involutory", "1", enum.morphisms(), involutory),
         run_clause("involution.antihomomorphism", "1", enum.pair_blocks(star_sides, star_word), None),
         run_clause("involution.moore-penrose", "1", enum.morphisms(), moore_penrose),

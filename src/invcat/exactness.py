@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import eq, itemgetter, mul
 from typing import Iterable, Iterator
 
 from .core import (
@@ -276,11 +277,14 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
     """None when the square is a pullback: every cone (x, y) with
     bottom∘x = right∘y is mediated by exactly one morphism into the vertex.
 
-    Works on morphism ids.  For each object w the mediator counts
-    of (left, top), the fibres of x ↦ bottom∘x and the list of (y, right∘y)
-    are built once per run, all as ids, so squares sharing a leg share its
-    tables.  Cones are visited y first, then x, each in hom order; a failing
-    cone's x and y are rendered from their hom-sets, by position."""
+    Works on morphism ids and decides by two counts over every object w at
+    once: the cones, and the pairs (left∘m, top∘m) that have exactly one m
+    and are cones; the square is a pullback exactly when they are equal.
+    Their tables are kept once per run, by morphism id.  A square whose
+    counts differ, or whose count raises, is walked cone by cone to its
+    first failing cone, which the walk words; the count reads no composite
+    outside the hom-sets the walk reads, so the walk raises the same error
+    unless a failing cone comes first."""
     enum = enum if enum is not None else Enumeration(cat)
     left, top = cat.intern(square.left), cat.intern(square.top)
     right, bottom = cat.intern(square.right), cat.intern(square.bottom)
@@ -289,44 +293,91 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
             f"square does not commute: bottom∘left ≠ right∘top for bottom = "
             f"{render_morphism(square.bottom)}, left = {render_morphism(square.left)}"
         )
+    try:
+        if _each_cone_mediated_once(enum, left, top, right, bottom):
+            return None
+    except InvcatError:
+        pass  # a missing entry: the walk reaches it, unless a failing cone comes first
+    return _first_failing_cone(cat, square, left, top, right, bottom)
+
+
+def _each_cone_mediated_once(enum: Enumeration, left: int, top: int, right: int, bottom: int) -> bool:
+    """Whether the cones, over every object w at once, are as many as the
+    pairs (left∘m, top∘m) that have exactly one m and are cones.  The
+    cones are counted as Σ_z |{x : bottom∘x = z}|·|{y : right∘y = z}|, and
+    a pair (x, y) is a cone when rows[bottom][x] = rows[right][y].  Over
+    every w at once is the same as w by w, since every composite read
+    lies in the hom-set of its w; where one does not, the count declines
+    (False)."""
+    singles = enum.cached(_single_pairs, (left, top))
+    bz, rz = enum.cached(_composites, bottom), enum.cached(_composites, right)
+    if singles is None or bz is None or rz is None:
+        return False
+    if len(rz) < len(bz):
+        bz, rz = rz, bz
+    cones = sum(map(mul, bz.values(), map(rz.get, bz, repeat(0))))
+    xs, ys = singles
+    rows = enum.cat.rows
+    return cones == sum(map(eq, map(rows[bottom].__getitem__, xs), map(rows[right].__getitem__, ys)))
+
+
+def _single_pairs(cat: FiniteCategory, key, enum: Enumeration) -> tuple | None:
+    """For key (left, top): the ids x and y of the pairs (x, y) = (left∘m,
+    top∘m) given by exactly one m into dom left, from any object, as two
+    lists; None when _composites is None for either."""
+    left, top = key
+    if enum.cached(_composites, left) is None or enum.cached(_composites, top) is None:
+        return None
+    vertex = cat.morphisms_by_id[left].dom
+    ms = list(chain.from_iterable(cat.hom_ids(w, vertex) for w in cat.objects))
+    pairs = Counter(zip(map(cat.rows[left].__getitem__, ms), map(cat.rows[top].__getitem__, ms)))
+    singles = [pair for pair, n in pairs.items() if n == 1]
+    return list(map(itemgetter(0), singles)), list(map(itemgetter(1), singles))
+
+
+def _composites(cat: FiniteCategory, i: int, enum: Enumeration) -> Counter | None:
+    """How many x: w → dom i, over every object w, give each composite i∘x,
+    every one of them read into row i of the table; None when one lies
+    outside hom(w, cod i)."""
+    m = cat.morphisms_by_id[i]
+    counts: Counter = Counter()
     for w in cat.objects:
-        mediators = enum.cached(_mediator_counts, (left, top, w))
-        fibres = enum.cached(_fibres, (bottom, w))
-        for k, (yi, z) in enumerate(enum.cached(_legs, (right, w))):
+        zs = cat.compose_ids(i, cat.hom_ids(w, m.dom))
+        if not enum.cached(_hom_id_set, (w, m.cod)).issuperset(zs):
+            return None
+        counts.update(zs)
+    return counts
+
+
+def _hom_id_set(cat: FiniteCategory, key, enum: Enumeration) -> frozenset:
+    """The ids of hom(a, b), for key (a, b), as a set."""
+    return frozenset(cat.hom_ids(*key))
+
+
+def _first_failing_cone(cat: FiniteCategory, square: CommutingSquare, left, top, right, bottom) -> str | None:
+    """The first cone without exactly one mediator, visiting w, then y, then
+    x, each in hom order, or None; its tables are built here, w by w, as
+    the walk reaches them.  A failing cone's x and y are rendered from
+    their hom-sets, by position."""
+    a, b, vertex = square.bottom.dom, square.right.dom, square.left.dom
+    compose_ids = cat.compose_ids
+    for w in cat.objects:
+        ms = cat.hom_ids(w, vertex)
+        mediators = Counter(zip(compose_ids(left, ms), compose_ids(top, ms)))
+        xs, fibres = cat.hom_ids(w, a), {}
+        for xi, z in zip(xs, compose_ids(bottom, xs)):
+            fibres.setdefault(z, []).append(xi)
+        ys = cat.hom_ids(w, b)
+        for k, (yi, z) in enumerate(zip(ys, compose_ids(right, ys))):
             for xi in fibres.get(z, ()):
-                count = mediators.get((xi, yi), 0)
+                count = mediators[xi, yi]
                 if count != 1:
-                    a, b = square.bottom.dom, square.right.dom
-                    x, y = cat.hom(w, a)[cat.hom_ids(w, a).index(xi)], cat.hom(w, b)[k]
+                    x, y = cat.hom(w, a)[xs.index(xi)], cat.hom(w, b)[k]
                     return (
                         f"cone x = {render_morphism(x)}, y = {render_morphism(y)} "
                         f"has {count} mediating morphisms"
                     )
     return None
-
-
-def _mediator_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
-    """How many m: w → vertex give each pair of ids (left∘m, top∘m)."""
-    left, top, w = key
-    ms = cat.hom_ids(w, cat.morphisms_by_id[left].dom)
-    return Counter(zip(cat.compose_ids(left, ms), cat.compose_ids(top, ms)))
-
-
-def _fibres(cat: FiniteCategory, key, enum: Enumeration) -> dict:
-    """The ids of the x: w → dom(bottom), in hom order, grouped by the id of bottom∘x."""
-    bottom, w = key
-    xs = cat.hom_ids(w, cat.morphisms_by_id[bottom].dom)
-    out: dict = {}
-    for xi, z in zip(xs, cat.compose_ids(bottom, xs)):
-        out.setdefault(z, []).append(xi)
-    return out
-
-
-def _legs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
-    """(id of y, id of right∘y) for every y: w → dom(right), in hom order."""
-    right, w = key
-    ys = cat.hom_ids(w, cat.morphisms_by_id[right].dom)
-    return tuple(zip(ys, cat.compose_ids(right, ys)))
 
 
 def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:

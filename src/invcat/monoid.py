@@ -14,6 +14,7 @@ from .core import (
     Morphism,
     TableCategory,
     build_report,
+    category_axiom_clauses,
     inverse_category_clauses,
 )
 from .exactness import exactness_clauses
@@ -60,8 +61,8 @@ class InverseMonoid:
         return self.inverses[x]
 
 
-# The inverse-category clauses that decide the inverse-monoid axioms, in the
-# order they run, and the violation each failure names.
+# The clauses of category_axiom_clauses, which decide the inverse-monoid
+# axioms, in the order they run, and the violation each failure names.
 _VIOLATIONS = {
     "category.identity-laws": "no-identity",
     "category.associativity": "non-associative",
@@ -111,10 +112,9 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
         identities={"X": position[identity]},
     )
     enum = Enumeration(cat, Budget(max_size=n, sample=None))
-    for clause in inverse_category_clauses(enum):
-        violation = _VIOLATIONS.get(clause.clause_id)
-        if violation is not None and clause.status == FAIL:
-            raise MonoidAxiomError(violation, clause.counterexample)
+    for clause in category_axiom_clauses(enum):
+        if clause.status == FAIL:
+            raise MonoidAxiomError(_VIOLATIONS[clause.clause_id], clause.counterexample)
     inverses = {x: elements[cat.involve_id(i)] for i, x in enumerate(elements)}
 
     idempotents = tuple(x for i, x in enumerate(elements) if rows[i][i] == i)

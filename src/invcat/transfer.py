@@ -223,16 +223,11 @@ def _mono_projections(cat: FiniteCategory, b, enum: Enumeration) -> tuple[int, .
     return tuple(cat.compose_id(si, cat.involve_id(si)) for si in ids)
 
 
-def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
-    """The mono part p of the factorization of kind(f)(s∘s*) = p∘p*, for a
-    mono s into the source of kind(f)."""
-    if s.cod != _source(kind, f):
-        raise ShapeMismatchError(f"{render_morphism(s)} does not land in {_source_side(kind)}(f)")
-    if not is_mono(cat, s):
-        raise NotMonoError(f"{render_morphism(s)} is not a monomorphism")
-    si = cat.intern(s)
-    moved = _row(enum, kind, cat.intern(f))[cat.compose_id(si, cat.involve_id(si))]
-    return mono_epi_factorize(cat, cat.morphisms_by_id[moved], enum).p
+def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: int, s: int, enum: Enumeration) -> int:
+    """The id of the mono part p of the factorization of kind(f)(s∘s*) =
+    p∘p*, for the ids of f and of a mono s into the source of kind(f)."""
+    moved = _row(enum, kind, f)[cat.compose_id(s, cat.involve_id(s))]
+    return cat.intern(mono_epi_factorize(cat, cat.morphisms_by_id[moved], enum).p)
 
 
 def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> Morphism:
@@ -253,33 +248,45 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumer
 
 def _certified(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
     """The image (kind P) or inverse image (kind P′) of s under f, checked
-    by its smallest-subobject or pullback property."""
-    moved = _moved_mono(cat, kind, f, s, enum)
+    by its smallest-subobject or pullback property, on ids: f, s and the
+    moved mono are interned once, and the square of P′ is built from its
+    ids and checked to commute once, by pullback_witness."""
+    if s.cod != _source(kind, f):
+        raise ShapeMismatchError(f"{render_morphism(s)} does not land in {_source_side(kind)}(f)")
+    if not is_mono(cat, s):
+        raise NotMonoError(f"{render_morphism(s)} is not a monomorphism")
+    fi, si = cat.intern(f), cat.intern(s)
+    u = _moved_mono(cat, kind, fi, si, enum)
+    moved = cat.morphisms_by_id[u]
     if kind is TransferKind.IMAGE:
-        witness = smallest_subobject_witness(cat, f, s, moved, enum)
+        witness = enum.cached(smallest_subobject_witness, (cat.compose_id(fi, si), u, f.cod))
     else:
+        top, square = cat.compose_id(cat.involve_id(si), cat.compose_id(fi, u)), None
         try:
-            witness = pullback_witness(cat, square_for_inverse_image(cat, f, s, moved), enum)
+            square = CommutingSquare(top=cat.morphisms_by_id[top], left=moved, right=s, bottom=f)
+            witness = pullback_witness(cat, square, enum)
         except NonCommutingSquareError as err:
-            witness = str(err)
+            # legs that do not meet, or a square that does not commute
+            witness = str(err) if square is None else _not_through_v(f, moved, s)
     if witness is not None:
         raise TransferCertificationError(witness)
     return moved
 
 
-def smallest_subobject_witness(cat: FiniteCategory, f: Morphism, u: Morphism, p: Morphism, enum: Enumeration) -> str | None:
-    """None when f∘u factors through p and p factors through every
-    enumerated mono that f∘u factors through."""
-    fu = cat.compose(f, u)
-    pp = cat.compose(p, cat.involve(p))
-    if cat.compose(pp, fu) != fu:
-        return f"f∘u = {render_morphism(fu)} does not factor through {render_morphism(p)}"
-    fu_id, p_id, compose_id = cat.intern(fu), cat.intern(p), cat.compose_id
-    for s, ss in zip(enum.cached(_monos_into, f.cod), enum.cached(_mono_projections, f.cod)):
-        if compose_id(ss, fu_id) == fu_id and compose_id(ss, p_id) != p_id:
+def smallest_subobject_witness(cat: FiniteCategory, key, enum: Enumeration) -> str | None:
+    """For key (id of f∘u, id of p, b = cod f): None when f∘u factors
+    through p and p factors through every enumerated mono into b that f∘u
+    factors through.  A run memo, since it depends on f and u only through
+    f∘u and cod f."""
+    fu, p, b = key
+    compose_id, by_id = cat.compose_id, cat.morphisms_by_id
+    if compose_id(compose_id(p, cat.involve_id(p)), fu) != fu:
+        return f"f∘u = {render_morphism(by_id[fu])} does not factor through {render_morphism(by_id[p])}"
+    for s, ss in zip(enum.cached(_monos_into, b), enum.cached(_mono_projections, b)):
+        if compose_id(ss, fu) == fu and compose_id(ss, p) != p:
             return (
-                f"f∘u = {render_morphism(fu)} factors through {render_morphism(s)} "
-                f"but {render_morphism(p)} does not"
+                f"f∘u = {render_morphism(by_id[fu])} factors through {render_morphism(s)} "
+                f"but {render_morphism(by_id[p])} does not"
             )
     return None
 
@@ -293,11 +300,16 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
     top = compose_id(vstar, fu)
     square = CommutingSquare(top=cat.morphisms_by_id[top], left=u, right=v, bottom=f)
     if fu != compose_id(vi, top):
-        raise NonCommutingSquareError(
-            f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
-            f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
-        )
+        raise NonCommutingSquareError(_not_through_v(f, u, v))
     return square
+
+
+def _not_through_v(f: Morphism, u: Morphism, v: Morphism) -> str:
+    """What a square of inverse_image_of that does not commute prints."""
+    return (
+        f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
+        f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
+    )
 
 
 # ---- law shapes: point, bound and saturation laws, mono/epi dual pairs -----

@@ -59,6 +59,7 @@ from model_copies import (
     morphism_tables,
     single_entry_clones,
     table_lacking,
+    table_with,
     to_table,
 )
 from test_golden import README_FIXTURE
@@ -523,8 +524,8 @@ def test_square_shape_and_commutation_errors(fixture_cat, A, B, f):
 
 def reference_pullback_witness(cat, square):
     """The per-square scan, kept as the oracle: for each object w the
-    mediator, x and y tables are rebuilt, and cones are visited y first,
-    then x, each in hom order."""
+    mediator, x and y tables are rebuilt, all three before any cone at w is
+    visited, and cones are visited y first, then x, each in hom order."""
     if cat.compose(square.bottom, square.left) != cat.compose(square.right, square.top):
         raise NonCommutingSquareError(
             f"square does not commute: bottom∘left ≠ right∘top for bottom = "
@@ -540,8 +541,8 @@ def reference_pullback_witness(cat, square):
         xs_by_composite: dict = {}
         for x in cat.hom(w, a):
             xs_by_composite.setdefault(cat.compose(square.bottom, x), []).append(x)
-        for y in cat.hom(w, y_obj):
-            z = cat.compose(square.right, y)
+        legs = [(y, cat.compose(square.right, y)) for y in cat.hom(w, y_obj)]
+        for y, z in legs:
             for x in xs_by_composite.get(z, ()):
                 hits = mediators.get((x, y), ())
                 if len(hits) != 1:
@@ -568,7 +569,7 @@ def test_pullback_witness_agrees_on_every_inverse_image_square(budget):
         for v in list(enum.morphisms_into(f.cod)):
             if not is_mono(cat, v):
                 continue
-            u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
+            u = cat.morphisms_by_id[_moved_mono(cat, TransferKind.INVERSE_IMAGE, cat.intern(f), cat.intern(v), enum)]
             square = square_for_inverse_image(cat, f, v, u)
             assert pullback_witness(cat, square, enum) == reference_pullback_witness(cat, square)
             squares += 1
@@ -593,27 +594,128 @@ def test_pullback_witness_agrees_on_perturbed_fixture_squares(fixture_cat, A, B,
     assert outcomes[1] == "cone x = A→A ∅, y = A→{a,c} ∅ has 4 mediating morphisms"
 
 
+def commuting_squares(cat, enum):
+    """Every commuting square of cat with a mono right leg, pullback or not,
+    bottom leg outermost, each leg in enumeration or hom order."""
+    for bottom in list(enum.morphisms()):
+        for right in list(enum.morphisms_into(bottom.cod)):
+            if not is_mono(cat, right):
+                continue
+            for vertex in cat.objects:
+                for left in cat.hom(vertex, bottom.dom):
+                    for top in cat.hom(vertex, right.dom):
+                        if cat.compose(bottom, left) == cat.compose(right, top):
+                            yield CommutingSquare(top=top, left=left, right=right, bottom=bottom)
+
+
 def test_pullback_witness_agrees_on_every_commuting_square(budget):
     # every commuting square of (0,1,2) on a mono right leg, pullback or not, so
     # that the first failing cone depends on the order the cones are visited in
     cat = canonical_pbij_category((0, 1, 2))
     enum = Enumeration(cat, budget)
-    objs = cat.objects
     outcomes = Counter()
-    for bottom in list(enum.morphisms()):
-        for right in list(enum.morphisms_into(bottom.cod)):
-            if not is_mono(cat, right):
-                continue
-            for vertex in objs:
-                for left in cat.hom(vertex, bottom.dom):
-                    for top in cat.hom(vertex, right.dom):
-                        if cat.compose(bottom, left) != cat.compose(right, top):
-                            continue
-                        square = CommutingSquare(top=top, left=left, right=right, bottom=bottom)
-                        witness = pullback_witness(cat, square, enum)
-                        assert witness == reference_pullback_witness(cat, square), square
-                        outcomes[witness is None] += 1
+    for square in commuting_squares(cat, enum):
+        witness = pullback_witness(cat, square, enum)
+        assert witness == reference_pullback_witness(cat, square), square
+        outcomes[witness is None] += 1
     assert outcomes[True] and outcomes[False] > outcomes[True], outcomes
+
+
+@pytest.mark.hashseed
+def test_pullback_witness_on_a_table_lacking_an_entry_raises_or_fails_as_the_walk(monkeypatch):
+    # a table less one entry, for each of its entries, and its commuting
+    # squares on a mono right leg: the count reads only the hom-sets the walk
+    # reads, so a square it certifies needs no walk, and any other square is
+    # walked: the first failing cone before the missing entry is read, or
+    # the missing entry's error.  The README fixture has squares of every
+    # outcome; the pullbacks of (0,1,2) have legs whose composites, such as
+    # (bottom∘left)∘m, lie outside the hom-sets the walk reads
+    walks = []
+    walk = invcat.exactness._first_failing_cone
+    monkeypatch.setattr(invcat.exactness, "_first_failing_cone", lambda *args: walks.append(args) or walk(*args))
+
+    def outcome(witness, *args):
+        try:
+            return witness(*args)
+        except InvcatError as err:
+            return f"raises {err}"
+
+    def outcomes(base, squares) -> Counter:
+        seen = Counter()
+        for pair in morphism_tables(base)[0]:
+            damaged = table_lacking(base, pairs=[pair])
+            enum = Enumeration(damaged)
+            for square in squares:
+                walks.clear()
+                expected = outcome(reference_pullback_witness, damaged, square)
+                assert outcome(pullback_witness, damaged, square, enum) == expected, (pair, square)
+                if expected is None:
+                    assert not walks, (pair, square)
+                    seen["pullback"] += 1
+                else:
+                    seen["raises" if expected.startswith("raises") else "fails"] += 1
+        return seen
+
+    fixture = build_category(parse_spec(README_FIXTURE))[0]
+    squares = list(commuting_squares(fixture, Enumeration(fixture)))
+    assert len(squares) == 129
+    assert outcomes(fixture, squares) == {"pullback": 1824, "fails": 7370, "raises": 1255}
+    pbij = to_table(canonical_pbij_category((0, 1, 2)))
+    squares = [s for s in commuting_squares(pbij, Enumeration(pbij)) if pullback_witness(pbij, s) is None]
+    assert len(squares) == 96
+    assert outcomes(pbij, squares) == {"pullback": 13390, "raises": 2546}
+
+
+def cone_counts(cat, square):
+    """Over every object w: the cones (x, y), the pairs (left∘m, top∘m)
+    given by exactly one m, and how many of those are cones."""
+    cones = singles = single_cones = 0
+    for w in cat.objects:
+        xs = {x: cat.compose(square.bottom, x) for x in cat.hom(w, square.bottom.dom)}
+        ys = {y: cat.compose(square.right, y) for y in cat.hom(w, square.right.dom)}
+        cones += sum(xs[x] == ys[y] for x in xs for y in ys)
+        pairs = Counter((cat.compose(square.left, m), cat.compose(square.top, m)) for m in cat.hom(w, square.left.dom))
+        for (x, y), n in pairs.items():
+            if n == 1:
+                singles += 1
+                single_cones += x in xs and y in ys and xs[x] == ys[y]
+    return cones, singles, single_cones
+
+
+def test_a_pair_that_is_not_a_cone_mediates_no_cone():
+    # top∘m for m: S1 → 0 is corrupted from the zero to the identity of S1, so
+    # the pair of m is no cone and the cone (S1→0 ∅, S1→S1 ∅) has no
+    # mediator, while cones and pairs with one mediator are equally many: a
+    # count that did not test each pair for being a cone would pass it
+    base = canonical_pbij_category((1, 2))
+    zero, s1, s2 = base.objects
+    top, to_zero = base.hom(zero, s1)[0], base.hom(s1, zero)[0]
+    clone = base.with_corrupted_composition(top, to_zero, base.identity(s1))
+    square = CommutingSquare(
+        top=top, left=base.identity(zero), right=make_pbij(s1, s2, (("e1", "e1"),)), bottom=base.hom(zero, s2)[0]
+    )
+    assert pullback_witness(base, square) is None
+    assert cone_counts(clone, square) == (3, 3, 2)
+    expected = "cone x = S1→0 ∅, y = S1→S1 ∅ has 0 mediating morphisms"
+    assert pullback_witness(clone, square) == reference_pullback_witness(clone, square) == expected
+
+
+def test_composites_outside_their_hom_set_leave_the_square_to_the_walk():
+    # the identity square of S2 is a pullback; the table copy below swaps
+    # id∘m and id∘m2 for m: S1 → S2 and m2: S2 → S2, so each mediator lands
+    # in the other's hom-set.  Over every w at once the pairs are the same
+    # as before, all cones and each given once, but at w = S1 the cone
+    # (m, m) has no mediator: the count must see that a composite left its
+    # hom-set and hand the square to the walk
+    base = to_table(canonical_pbij_category((0, 1, 2)))
+    zero, s1, s2 = base.objects
+    identity = base.identity(s2)
+    square = CommutingSquare(top=identity, left=identity, right=identity, bottom=identity)
+    assert pullback_witness(base, square) is None
+    m, m2 = base.hom(s1, s2)[1], base.hom(s2, s2)[1]
+    swapped = table_with(base, {(identity, m): m2, (identity, m2): m})
+    expected = "cone x = S1→S2 {e1↦e1}, y = S1→S2 {e1↦e1} has 0 mediating morphisms"
+    assert pullback_witness(swapped, square) == reference_pullback_witness(swapped, square) == expected
 
 
 def test_coherence_and_normal_conormal_green(pbij2, budget):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import invcat.core
 import invcat.monoid
 from invcat import (
     Budget,
@@ -180,6 +181,20 @@ def test_validation_agrees_with_the_reference_loops():
         assert got == want, (elements, table, identity)
         seen.add(got if isinstance(got, str) else "valid")
     assert seen == {"valid", "no-identity", "non-associative", "non-unique-inverse"}
+
+
+def test_validation_runs_only_the_clauses_it_reads(monkeypatch):
+    # the involution clauses follow from the four that decide the axioms
+    monoid, ran = symmetric_inverse_monoid(2), []
+    real = invcat.core.run_clause
+    monkeypatch.setattr(invcat.core, "run_clause", lambda clause_id, *args: ran.append(clause_id) or real(clause_id, *args))
+    validate_inverse_monoid(monoid.elements, monoid.table, monoid.identity)
+    assert ran == list(invcat.monoid._VIOLATIONS) == [
+        "category.identity-laws",
+        "category.associativity",
+        "inverse.exists",
+        "inverse.unique",
+    ]
 
 
 def test_validation_never_samples():

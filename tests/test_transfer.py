@@ -43,12 +43,14 @@ from invcat.transfer import (
     _row,
     _source,
     _target,
+    image_smallest_subobject_clauses,
+    inverse_image_pullback_clauses,
     square_for_inverse_image,
     transfer,
 )
 from invcat.core import InvcatError, build_report, render_object
 from invcat.report import FAIL, PASS, Failed, Passed, run_clause
-from model_copies import endomorphism_clones, single_entry_clones
+from model_copies import endomorphism_clones, single_entry_clones, table_with, to_table
 from test_exactness import composable_pairs, reference_pullback_witness
 from test_golden import CATEGORIES as GOLDEN_CATEGORIES
 from test_golden import CLONES, NOT_BAER_STAR
@@ -575,31 +577,6 @@ def _reference_law_clauses(cat, budget):
             )
         return None
 
-    def smallest(case):
-        f, u = case
-        try:
-            p = _moved_mono(cat, TransferKind.IMAGE, f, u, enum)
-            witness = reference_smallest_subobject_witness(cat, f, u, p, enum)
-            if witness is not None:
-                raise TransferCertificationError(witness)
-        except (TransferCertificationError, NoFactorizationError) as err:
-            return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
-        return None
-
-    def pullback(case):
-        f, v = case
-        try:
-            u = _moved_mono(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
-            try:
-                witness = reference_pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
-            except NonCommutingSquareError as err:
-                witness = str(err)
-            if witness is not None:
-                raise TransferCertificationError(witness)
-        except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
-            return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
-        return None
-
     per_morphism = {
         "image.preserves-mono": preserves_mono,
         "image.preserves-epi": preserves_epi,
@@ -624,11 +601,45 @@ def _reference_law_clauses(cat, budget):
         "connection.equivalence-annihilators": equivalence_annihilators,
     }
     clauses += [run_clause(clause_id, "", enum.morphisms(), check) for clause_id, check in per_morphism.items()]
-    clauses += [
+    clauses += reference_certified_clauses(enum)
+    return {c.clause_id: c for c in clauses}
+
+
+def reference_certified_clauses(enum):
+    """Clauses 2.1 and 3.1 with each case decided by its per-case
+    reference: the smallest-subobject scan and the per-square pullback
+    walk, on morphisms."""
+    cat = enum.cat
+
+    def smallest(case):
+        f, u = case
+        try:
+            p = cat.morphisms_by_id[_moved_mono(cat, TransferKind.IMAGE, cat.intern(f), cat.intern(u), enum)]
+            witness = reference_smallest_subobject_witness(cat, f, u, p, enum)
+            if witness is not None:
+                raise TransferCertificationError(witness)
+        except (TransferCertificationError, NoFactorizationError) as err:
+            return f"f = {render_morphism(f)}, u = {render_morphism(u)}: {err}"
+        return None
+
+    def pullback(case):
+        f, v = case
+        try:
+            u = cat.morphisms_by_id[_moved_mono(cat, TransferKind.INVERSE_IMAGE, cat.intern(f), cat.intern(v), enum)]
+            try:
+                witness = reference_pullback_witness(cat, square_for_inverse_image(cat, f, v, u))
+            except NonCommutingSquareError as err:
+                witness = str(err)
+            if witness is not None:
+                raise TransferCertificationError(witness)
+        except (TransferCertificationError, NoFactorizationError, NotBaerStarError) as err:
+            return f"f = {render_morphism(f)}, v = {render_morphism(v)}: {err}"
+        return None
+
+    return [
         run_clause("image.smallest-subobject", "2.1", mono_pairs(enum, into_dom=True), smallest),
         run_clause("inverse-image.pullback", "3.1", mono_pairs(enum, into_dom=False), pullback),
     ]
-    return {c.clause_id: c for c in clauses}
 
 
 def mono_pairs(enum, into_dom):
@@ -706,6 +717,50 @@ def test_id_level_laws_agree_with_projection_level_definitions(budget):
         assert _assert_laws_agree(clone, budget) > 0
         got = theorem_suite(clone, "connection", budget).clause(clause_id)
         assert (got.status, got.checked, got.counterexample) == (FAIL, checked, counterexample)
+
+
+def test_an_inverse_image_square_whose_legs_do_not_meet_fails_3_1(budget):
+    # a table copy of (0,1,2) whose v∘id for v: S1 → S2 lies outside
+    # hom(S1, S2): the top edge v*∘f∘u then starts at 0, not at dom u
+    base = to_table(canonical_pbij_category((0, 1, 2)))
+    zero, s1, s2 = base.objects
+    v = make_pbij(s1, s2, (("e1", "e1"),))
+    cat = table_with(base, {(v, base.identity(s1)): base.hom(zero, s2)[0]})
+    clause = theorem_suite(cat, "3.1", budget).clause("inverse-image.pullback")
+    expected = f"f = {render_morphism(v)}, v = {render_morphism(v)}: left and top legs start at different objects"
+    assert (clause.status, clause.checked, clause.counterexample) == (FAIL, 20, expected)
+
+
+@pytest.mark.hashseed
+def test_certified_clauses_agree_with_their_per_case_references_on_every_clone(budget):
+    # 2.1 and 3.1 on each of the 536 single-entry clones of (1, 2), against
+    # the smallest-subobject scan and the per-square walk: 141 clones fail
+    # 3.1 by value on a cone with no mediator, and 7 on a square that does
+    # not commute
+    groups = [image_smallest_subobject_clauses, inverse_image_pullback_clauses]
+    outcomes = Counter()
+    for clone in single_entry_clones(canonical_pbij_category((1, 2))):
+        expected = reference_certified_clauses(Enumeration(clone, budget))
+        report = build_report("certified", clone, groups, budget)
+        for got, want in zip(report.clauses, expected, strict=True):
+            assert (got.clause_id, got.status, got.checked, got.counterexample) == (
+                want.clause_id,
+                want.status,
+                want.checked,
+                want.counterexample,
+            ), got.clause_id
+        pullback = report.clauses[1]
+        if pullback.status == FAIL:
+            text = pullback.counterexample
+            outcomes["no mediator" if "0 mediating" in text else "not commuting" if "f∘u ≠" in text else "missing"] += 1
+        outcomes[report.clauses[0].clause_id, report.clauses[0].status] += 1
+    assert outcomes == {
+        "no mediator": 141,
+        "not commuting": 7,
+        "missing": 358,
+        ("image.smallest-subobject", FAIL): 358,
+        ("image.smallest-subobject", PASS): 178,
+    }
 
 
 def _reference_functoriality(cat, budget):
