@@ -82,29 +82,18 @@ def _guarded(fn):
     return wrapper
 
 
-def _budget_options(fn):
-    fn = click.option(
+def _budget_option(fn):
+    return click.option(
         "--max-size",
+        "budget",
         type=click.IntRange(min=0),
         default=4,
         envvar="INVCAT_MAX_SIZE",
         show_default=True,
-        help="Largest object size whose full hom-sets are enumerated.",
+        callback=lambda ctx, param, max_size: Budget(max_size=max_size),
+        help="Largest object size whose full hom-sets are enumerated; "
+        "a larger hom-set ends the run with exit 3.",
     )(fn)
-    fn = click.option(
-        "--sample",
-        type=click.IntRange(min=1),
-        default=64,
-        show_default=True,
-        help="Morphisms drawn per over-budget hom-set.",
-    )(fn)
-    fn = click.option(
-        "--no-sample",
-        is_flag=True,
-        help="Fail with exit 3 instead of sampling over-budget hom-sets.",
-    )(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    return fn
 
 
 def _spec_options(fn):
@@ -120,10 +109,6 @@ def _spec_options(fn):
     return fn
 
 
-def _make_budget(max_size: int, sample: int, no_sample: bool, seed: int) -> Budget:
-    return Budget(max_size=max_size, sample=None if no_sample else sample, seed=seed)
-
-
 @click.group()
 def main() -> None:
     """Exhaustive law checking for finite inverse categories."""
@@ -131,11 +116,10 @@ def main() -> None:
 
 @main.command()
 @_spec_options
-@_budget_options
+@_budget_option
 @_guarded
-def axioms(spec_path, out, max_size, sample, no_sample, seed):
+def axioms(spec_path, out, budget):
     """Inverse-category axioms plus the annihilator (Baer*) laws."""
-    budget = _make_budget(max_size, sample, no_sample, seed)
     cat, _ = build_category(load_spec(spec_path), budget)
     groups = [inverse_category_clauses, baer_star_clauses]
     _finish(build_report("axioms", cat, groups, budget), out)
@@ -143,12 +127,11 @@ def axioms(spec_path, out, max_size, sample, no_sample, seed):
 
 @main.command()
 @_spec_options
-@_budget_options
+@_budget_option
 @_guarded
-def exactness(spec_path, out, max_size, sample, no_sample, seed):
+def exactness(spec_path, out, budget):
     """Both exactness checklists, their biconditional, and the coherence
     identities tying kernels, annihilators and factorizations together."""
-    budget = _make_budget(max_size, sample, no_sample, seed)
     cat, _ = build_category(load_spec(spec_path), budget)
     groups = [exactness_clauses, coherence_clauses, normal_conormal_clauses]
     _finish(build_report("exactness", cat, groups, budget), out)
@@ -158,11 +141,10 @@ def exactness(spec_path, out, max_size, sample, no_sample, seed):
 @click.option("--suite", required=True, type=click.Choice(sorted(SUITES)),
               help="Which law group to verify.")
 @_spec_options
-@_budget_options
+@_budget_option
 @_guarded
-def theorems(suite, spec_path, out, max_size, sample, no_sample, seed):
+def theorems(suite, spec_path, out, budget):
     """One transfer-map law group (or all of them)."""
-    budget = _make_budget(max_size, sample, no_sample, seed)
     cat, _ = build_category(load_spec(spec_path), budget)
     _finish(theorem_suite(cat, suite, budget), out)
 
@@ -203,11 +185,10 @@ def eval_(functor, morphism_name, projection_csv, spec_path):
 
 @main.command()
 @click.option("--sizes", required=True, help="Two sizes, e.g. 3,3.")
-@_budget_options
+@_budget_option
 @_guarded
-def enumerate(sizes, max_size, sample, no_sample, seed):
+def enumerate(sizes, budget):
     """Count the partial bijections between sets of the given sizes."""
-    budget = _make_budget(max_size, sample, no_sample, seed)
     parts = sizes.split(",")
     if len(parts) != 2:
         raise SpecFormatError(f"--sizes wants m,n, got {sizes!r}")
@@ -239,12 +220,11 @@ def enumerate(sizes, max_size, sample, no_sample, seed):
               type=click.Path(exists=True, dir_okay=False),
               help="Cayley table file: {elements, identity, table}.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_budget_options
+@_budget_option
 @_guarded
-def classify(monoid_path, out, max_size, sample, no_sample, seed):
+def classify(monoid_path, out, budget):
     """Validate an inverse monoid and check its two-object category is exact
     exactly when the monoid is a group."""
-    budget = _make_budget(max_size, sample, no_sample, seed)
     elements, table, identity = load_monoid_table(monoid_path)
     monoid = validate_inverse_monoid(elements, table, identity)
     _finish(classify_exactness(monoid, budget), out)

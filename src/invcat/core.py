@@ -6,11 +6,10 @@ gfg = g, and the induced involution satisfies the Moore-Penrose laws.
 from __future__ import annotations
 
 import copy
-import random
 import sys
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
 from math import comb, factorial
@@ -81,7 +80,7 @@ class BudgetExceededError(InvcatError):
 
 
 class BudgetValueError(InvcatError):
-    """A Budget with max_size below 0 or sample below 1."""
+    """A Budget with max_size below 0."""
 
 
 def render_object(obj: Any) -> str:
@@ -136,20 +135,15 @@ def morphism_sort_key(f: Morphism):
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration budget.  Hom-sets larger than hom(max_size, max_size)
-    in the partial-bijection count are either sampled (`sample` morphisms,
-    deterministically seeded) or rejected when `sample` is None.
+    """Enumeration budget.  A hom-set larger than hom(max_size, max_size)
+    in the partial-bijection count is rejected with BudgetExceededError.
     """
 
     max_size: int = 4
-    sample: int | None = 64
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_size < 0:
             raise BudgetValueError(f"max_size must be at least 0, got {self.max_size}")
-        if self.sample is not None and self.sample < 1:
-            raise BudgetValueError(f"sample must be at least 1 or None, got {self.sample}")
 
     @cached_property
     def homset_limit(self) -> int:
@@ -253,17 +247,6 @@ class FiniteCategory:
 
     def _hom_size(self, a, b) -> int:
         return len(self.hom(a, b))
-
-    def _projection_pool(self, a) -> tuple | None:
-        # models that can list every projection cheaply override this, so
-        # projection searches stay complete even when hom-sets are sampled;
-        # a member counts only where it is a projection on the table under test
-        return None
-
-    def _hom_sample(self, a, b, count: int, rng: random.Random) -> tuple[Morphism, ...]:
-        pool = list(self.hom(a, b))
-        picked = rng.sample(pool, min(count, len(pool)))
-        return tuple(sorted(picked, key=morphism_sort_key))
 
     # Proposals for the constructions of exactness.py, read from the pure
     # model; None proposes nothing.  A proposal is only the first candidate
@@ -435,20 +418,14 @@ class FiniteCategory:
     def is_zero(self, f: Morphism) -> bool:
         return self.intern(f) == self.zero_id(f.dom, f.cod)
 
-    def morphism_pool(self, a, b, budget: Budget | None = None) -> tuple[tuple[Morphism, ...], bool]:
-        """The hom-set, or a seeded sample of it when over budget.
-
-        Returns (morphisms, sampled).  Raises BudgetExceededError when the
-        hom-set is over budget and sampling is disabled.
-        """
+    def morphism_pool(self, a, b, budget: Budget | None = None) -> tuple[Morphism, ...]:
+        """The hom-set, counted before it is enumerated: BudgetExceededError
+        when it is over budget."""
         budget = budget if budget is not None else Budget()
         size = self._hom_size(a, b)
-        if size <= budget.homset_limit:
-            return self.hom(a, b), False
-        if budget.sample is None:
+        if size > budget.homset_limit:
             raise BudgetExceededError(size, a, b)
-        rng = random.Random(f"{budget.seed}|{render_object(a)}|{render_object(b)}")
-        return self._hom_sample(a, b, budget.sample, rng), True
+        return self.hom(a, b)
 
     # ---- seeded defects, for mutation testing -------------------------
 
@@ -595,23 +572,17 @@ class Enumeration:
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
-        self.budget = budget = budget if budget is not None else Budget()
-        # (pool, sampled) per (a, b), and the category's ids of each pool
+        # the hom-set per (a, b), and the category's ids of each pool
         self._pools = pools = Memo(lambda key: cat.morphism_pool(*key, budget))
-        self._pool_ids = Memo(lambda key: tuple(map(cat.intern, pools[key][0])))
+        self._pool_ids = Memo(lambda key: tuple(map(cat.intern, pools[key])))
         # the memo refers to the run weakly, so that a run no longer used is
         # freed at once, not at the next collection of reference cycles
         run = weakref.ref(self)
         self._memo = Memo(lambda slot: slot[0](cat, slot[1], run()))
         self.details: dict = {}
 
-    @property
-    def sampled(self) -> bool:
-        """Whether a pool drawn so far is a sample of its hom-set."""
-        return any(sampled for _, sampled in self._pools.values())
-
     def pool(self, a, b) -> tuple[Morphism, ...]:
-        return self._pools[a, b][0]
+        return self._pools[a, b]
 
     def pool_ids(self, a, b) -> tuple[int, ...]:
         return self._pool_ids[a, b]
@@ -674,7 +645,7 @@ class Enumeration:
                             yield Passed(1)
 
     def total_enumerated(self) -> int:
-        return sum(len(pool) for pool, _ in self._pools.values())
+        return sum(map(len, self._pools.values()))
 
 
 def build_report(
@@ -691,14 +662,11 @@ def build_report(
     for group in groups:
         clauses.extend(group(enum))
     elapsed = time.perf_counter() - start
-    if enum.sampled:
-        clauses = [replace(c, sampled=True) if c.status != SKIPPED else c for c in clauses]
     return VerificationReport(
         suite=suite,
         clauses=clauses,
         morphisms_enumerated=enum.total_enumerated(),
         wall_time=elapsed,
-        seed=enum.budget.seed if enum.sampled else None,
         details=enum.details or None,
     )
 

@@ -436,15 +436,10 @@ def exactness_clauses(enum: Enumeration) -> list[Clause]:
         side, construction = _WORDS[left][:2]
         return f"{side} {render_morphism(v)} is not the {construction} of any enumerated morphism"
 
-    def disagree(criterion: bool, cancellable: bool) -> bool:
-        # a sampled pool can miss the pair that f fails to cancel, but a
-        # mono (epi) cancels on every pool
-        return criterion != cancellable and (criterion or not enum.sampled)
-
     def mono_epi_criterion(f: Morphism):
-        if disagree(is_mono(cat, f), is_mono_by_cancellation(cat, f, enum)):
+        if is_mono(cat, f) != is_mono_by_cancellation(cat, f, enum):
             return f"mono criterion and cancellation disagree on {render_morphism(f)}"
-        if disagree(is_epi(cat, f), is_epi_by_cancellation(cat, f, enum)):
+        if is_epi(cat, f) != is_epi_by_cancellation(cat, f, enum):
             return f"epi criterion and cancellation disagree on {render_morphism(f)}"
         return None
 

@@ -100,9 +100,8 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
         raise MonoidAxiomError("no-identity", f"{identity!r} is not an element")
 
     # An inverse monoid is a one-object inverse category, so the category
-    # checker decides the axioms; a budget that fits the whole table keeps it
-    # from sampling, and with no involution table given, involve is the
-    # unique quasi-inverse.
+    # checker decides the axioms on a budget that fits the whole table; with
+    # no involution table given, involve is the unique quasi-inverse.
     n = len(elements)
     cat = TableCategory.from_ids(
         objects=("X",),
@@ -111,7 +110,7 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
         rows=rows,
         identities={"X": position[identity]},
     )
-    enum = Enumeration(cat, Budget(max_size=n, sample=None))
+    enum = Enumeration(cat, Budget(max_size=n))
     for clause in category_axiom_clauses(enum):
         if clause.status == FAIL:
             raise MonoidAxiomError(_VIOLATIONS[clause.clause_id], clause.counterexample)

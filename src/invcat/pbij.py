@@ -248,17 +248,6 @@ class PBijCategory(FiniteCategory):
     def _hom_size(self, a: FinSet, b: FinSet) -> int:
         return hom_count(len(a), len(b))
 
-    def _hom_sample(self, a: FinSet, b: FinSet, count: int, rng) -> tuple[Morphism, ...]:
-        weights = pbij_counts_by_rank(len(a), len(b))
-        ks = list(range(len(weights)))
-        seen = set()
-        for _ in range(count):
-            k = rng.choices(ks, weights)[0]
-            xs = sorted(rng.sample(a.elements, k))
-            ys = rng.sample(b.elements, k)
-            seen.add(Morphism(a, b, frozenset(zip(xs, ys))))
-        return tuple(sorted(seen, key=lambda f: tuple(sorted(f.payload))))
-
     def _empty_table(self) -> None:
         super()._empty_table()
         # _codes[i] is pbij_code(morphisms_by_id[i]) and _afters[i] its
@@ -314,13 +303,6 @@ class PBijCategory(FiniteCategory):
 
     def identity(self, a: FinSet) -> Morphism:
         return identity_pbij(a)
-
-    def _projection_pool(self, a: FinSet) -> tuple:
-        # the projections on a finite set are exactly its partial identities
-        subsets = itertools.chain.from_iterable(
-            itertools.combinations(a.elements, k) for k in range(len(a.elements) + 1)
-        )
-        return tuple(partial_identity(a, labels) for labels in subsets)
 
     def _kernel(self, f: Morphism, left: bool) -> Morphism:
         # the inclusion of the subset where f is undefined, or the

@@ -62,27 +62,16 @@ def leq(cat: FiniteCategory, i: Morphism, j: Morphism) -> bool:
 
 def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> tuple[Morphism, ...]:
     """All projections on `a`: every candidate that is a projection on the
-    table under test, closed under meet.  The candidates are the model's
-    projection pool (which keeps the search complete when hom-sets are
-    sampled), the enumerated endomorphisms, and 1 and 0 on `a`."""
+    table under test.  The candidates are the endomorphisms of `a`, and 1
+    and 0 on `a`."""
     enum = enum if enum is not None else Enumeration(cat)
-    candidates = chain(cat._projection_pool(a) or (), enum.pool(a, a), (cat.identity(a), cat.zero(a, a)))
     found = set()
-    for m in candidates:
+    for m in chain(enum.pool(a, a), (cat.identity(a), cat.zero(a, a))):
         try:
             if m not in found and is_projection(cat, m):
                 found.add(m)
         except NotInverseCategoryError:
             continue
-    # close under meet so sampled pools still give a semilattice
-    frontier = list(found)
-    while frontier:
-        m = frontier.pop()
-        for other in list(found):
-            composite = cat.compose(m, other)
-            if composite not in found and is_projection(cat, composite):
-                found.add(composite)
-                frontier.append(composite)
     return tuple(sorted(found, key=morphism_sort_key))
 
 
@@ -175,7 +164,7 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
 
     Works on morphism ids: the candidates are the projections
     whose "fixes" mask (see _fixes_masks) equals f's "killed" mask, whose
-    bit k is set when f∘g = 0 for the k-th probe g."""
+    bit k is set when f∘g = 0 for the k-th enumerated g into dom(f)."""
     enum = enum if enum is not None else Enumeration(cat)
     a, fi = f.dom, cat.intern(f)
     lattice = lattice_on(enum, a)
@@ -183,22 +172,15 @@ def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration |
     for w in cat.objects:
         killed_mask |= enum.cached(_killed, (fi, w, True))[0] << offset
         offset += len(enum.pool(w, a))
-    zero = cat.zero_id(a, f.cod)
-    for k, composite in enumerate(cat.compose_ids(fi, lattice.ids), offset):
-        if composite == zero:
-            killed_mask |= 1 << k
     fixes = enum.cached(_fixes_masks, a)
     return tuple(p for p, mask in zip(lattice.elements, fixes) if mask == killed_mask)
 
 
 def _fixes_masks(cat: FiniteCategory, a, enum: Enumeration) -> tuple[int, ...]:
     """The "fixes" mask of each projection p on a, in lattice order: bit k
-    is set when p∘g = g for the k-th probe g.  The probes are every
-    enumerated g into a, then the projections on a themselves, which tell
-    projections apart even when a sampled pool happens to miss them."""
+    is set when p∘g = g for the k-th enumerated g into a."""
     ids = lattice_on(enum, a).ids
     probes = [g for w in cat.objects for g in enum.pool_ids(w, a)]
-    probes += ids
     masks = []
     for p in ids:
         mask = 0

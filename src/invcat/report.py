@@ -37,7 +37,6 @@ class Clause:
     status: str
     checked: int = 0
     counterexample: str | None = None
-    sampled: bool = False
 
     def __post_init__(self) -> None:
         if self.status not in (PASS, FAIL, SKIPPED):
@@ -52,8 +51,6 @@ class Clause:
             "status": self.status,
             "checked": self.checked,
         }
-        if self.sampled:
-            out["sampled"] = True
         if self.status == FAIL:
             out["counterexample"] = self.counterexample
         return out
@@ -65,7 +62,6 @@ class VerificationReport:
     clauses: list[Clause]
     morphisms_enumerated: int = 0
     wall_time: float = 0.0
-    seed: int | None = None
     details: dict | None = None
 
     @property
@@ -85,17 +81,14 @@ class VerificationReport:
         return EXIT_OK if self.passed else EXIT_CLAUSE_FAILURES
 
     def to_dict(self) -> dict:
-        stats: dict = {
-            "morphisms-enumerated": self.morphisms_enumerated,
-            "wall-time": round(self.wall_time, 6),
-        }
-        if self.seed is not None:
-            stats["seed"] = self.seed
         out: dict = {
             "format-version": REPORT_FORMAT_VERSION,
             "suite": self.suite,
             "clauses": [c.to_dict() for c in self.clauses],
-            "stats": stats,
+            "stats": {
+                "morphisms-enumerated": self.morphisms_enumerated,
+                "wall-time": round(self.wall_time, 6),
+            },
         }
         if self.details is not None:
             out["details"] = self.details
@@ -151,18 +144,14 @@ def merge_reports(suite: str, *reports: VerificationReport) -> VerificationRepor
     """Concatenate the clauses of several reports over the same category."""
     clauses: list[Clause] = []
     details: dict = {}
-    seed = None
     for rep in reports:
         clauses.extend(rep.clauses)
         if rep.details:
             details.update(rep.details)
-        if seed is None:
-            seed = rep.seed
     return VerificationReport(
         suite=suite,
         clauses=clauses,
         morphisms_enumerated=max((r.morphisms_enumerated for r in reports), default=0),
         wall_time=sum(r.wall_time for r in reports),
-        seed=seed,
         details=details or None,
     )

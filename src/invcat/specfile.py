@@ -290,8 +290,7 @@ def _saturate(
     precomposer), when the later of the two leaves the frontier: its id is
     written into the id table.  A code names one member of its hom-set, so a
     Morphism is built only for a new member.  With a budget, a hom-set that
-    grows past budget.homset_limit raises BudgetExceededError at once: a
-    closure cannot be sampled."""
+    grows past budget.homset_limit raises BudgetExceededError at once."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
@@ -369,7 +368,7 @@ def build_category(
     """Instantiate a spec.  Returns the category and the declared morphisms
     by name (empty for generator specs).  With a budget, saturating an
     explicit spec stops with BudgetExceededError as soon as one of its
-    hom-sets is over budget.homset_limit, whatever budget.sample says."""
+    hom-sets is over budget.homset_limit."""
     if spec.generators is not None:
         if spec.generators.kind == "all-pbij":
             return canonical_pbij_category(spec.generators.sizes), {}

@@ -38,7 +38,6 @@ FIXTURE_DOC = {
 }
 
 PBIJ23_DOC = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [2, 3]}}
-PBIJ5_DOC = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [5]}}
 
 
 def monoid_doc(monoid):
@@ -241,8 +240,8 @@ def test_boolean_size_is_invalid_input(runner, tmp_path):
 @pytest.mark.parametrize(
     "args,env",
     [
-        (["--sample", "0", "--max-size", "1"], {}),
-        (["--sample", "-1", "--max-size", "1"], {}),
+        (["--max-size", "two"], {}),
+        ([], {"INVCAT_MAX_SIZE": "2.5"}),
         (["--max-size", "-1"], {}),
         ([], {"INVCAT_MAX_SIZE": "-1"}),
     ],
@@ -262,7 +261,6 @@ def test_axioms_green_on_generated_category(runner, tmp_path):
     assert doc["suite"] == "axioms"
     assert all(c["status"] != "fail" for c in doc["clauses"])
     assert doc["stats"]["morphisms-enumerated"] > 0
-    assert "seed" not in doc["stats"]
 
 
 def test_axioms_exit_one_with_witness_on_truncated_category(runner, tmp_path):
@@ -392,17 +390,18 @@ def test_reports_deterministic_modulo_wall_time(runner, tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_budget_exit_and_sampling_markers(runner, tmp_path):
-    spec = write(tmp_path, "spec.json", PBIJ5_DOC)
-    hard = runner.invoke(main, ["axioms", "--spec", spec, "--no-sample"])
-    assert hard.exit_code == 3
-
-    soft = runner.invoke(main, ["axioms", "--spec", spec,
-                                "--sample", "12", "--seed", "5"])
-    assert soft.exit_code == 0, soft.output
-    doc = json.loads(soft.output)
-    assert doc["stats"]["seed"] == 5
-    assert any(c.get("sampled") for c in doc["clauses"])
+# S5 has 1,546 endomorphisms, over the default 209; hom(S400, S400) is
+# counted, never drawn from, though its count is too large for a float
+@pytest.mark.parametrize("size, count", [(5, "1546"), (400, "at least 2^2939")], ids=["S5", "S400"])
+@pytest.mark.parametrize("command", [["axioms"], ["exactness"], ["theorems", "--suite", "all"]])
+def test_over_budget_hom_set_exits_three(runner, tmp_path, command, size, count):
+    # every run is exhaustive: a hom-set over the budget ends it with exit 3
+    # and no report
+    doc = {"format-version": 1, "generators": {"kind": "all-pbij", "sizes": [0, size]}}
+    result = runner.invoke(main, [*command, "--spec", write(tmp_path, "spec.json", doc)])
+    assert result.exit_code == 3, result.output
+    assert f"hom(S{size}, S{size}) has {count} morphisms, over the enumeration budget" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("command", [["axioms"], ["exactness"], ["theorems", "--suite", "all"]])
@@ -420,25 +419,23 @@ SEPARATE_RUNS = {
     "exactness": (check_exactness, check_coherence),
 }
 COMPOSITE_INPUTS = {
-    "readme-fixture": (FIXTURE_DOC, []),
-    "not-baer-star": (NOT_BAER_STAR, []),
-    "pbij23": (PBIJ23_DOC, []),
-    "pbij5-sampled": (PBIJ5_DOC, ["--sample", "12", "--seed", "5"]),
-    "I2": (monoid_doc(symmetric_inverse_monoid(2)), []),
-    "C3": (monoid_doc(cyclic_group(3)), []),
+    "readme-fixture": FIXTURE_DOC,
+    "not-baer-star": NOT_BAER_STAR,
+    "pbij23": PBIJ23_DOC,
+    "I2": monoid_doc(symmetric_inverse_monoid(2)),
+    "C3": monoid_doc(cyclic_group(3)),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SEPARATE_RUNS))
 @pytest.mark.parametrize("name", sorted(COMPOSITE_INPUTS))
 def test_composite_report_equals_the_separate_runs(runner, tmp_path, command, name):
-    doc, args = COMPOSITE_INPUTS[name]
-    result = runner.invoke(main, [command, "--spec", write(tmp_path, "spec.json", doc), *args])
+    doc = COMPOSITE_INPUTS[name]
+    result = runner.invoke(main, [command, "--spec", write(tmp_path, "spec.json", doc)])
     assert result.exit_code in (0, 1), result.output
     got = json.loads(result.output)
-    budget = Budget(sample=12, seed=5) if args else Budget()
-    cat, _ = build_category(parse_spec(doc), budget)
-    want = merge_reports(command, *(check(cat, budget) for check in SEPARATE_RUNS[command]))
+    cat, _ = build_category(parse_spec(doc), Budget())
+    want = merge_reports(command, *(check(cat) for check in SEPARATE_RUNS[command]))
     want = want.to_dict()
     for report in (got, want):
         del report["stats"]["wall-time"]

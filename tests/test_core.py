@@ -221,30 +221,20 @@ def test_corruption_rejects_wrong_shapes(pbij2):
         pbij2.with_corrupted_composition(g, g, wrong)
 
 
-def test_budget_limits_and_sampling():
-    tight = Budget(max_size=2, sample=10, seed=1)
+def test_budget_limit_gives_the_whole_hom_set_or_raises():
+    tight = Budget(max_size=2)
     assert tight.homset_limit == 7
     big = PBijCategory([FinSet("S3", ("e1", "e2", "e3"))])
     s3 = big.finset("S3")
-    pool, sampled = big.morphism_pool(s3, s3, tight)
-    assert sampled and len(pool) == 10
-    again, _ = big.morphism_pool(s3, s3, tight)
-    assert pool == again  # seeded, deterministic
-    other, _ = big.morphism_pool(s3, s3, Budget(max_size=2, sample=10, seed=2))
-    assert pool != other
-
-    with pytest.raises(BudgetExceededError):
-        big.morphism_pool(s3, s3, Budget(max_size=2, sample=None))
+    with pytest.raises(BudgetExceededError, match="hom\\(S3, S3\\) has 34 morphisms, over the enumeration budget"):
+        big.morphism_pool(s3, s3, tight)
+    assert big.morphism_pool(s3, s3, Budget(max_size=3)) == big.hom(s3, s3)
+    full = Enumeration(big, Budget(max_size=3))
+    seen = len(list(full.morphisms()))
+    assert full.total_enumerated() == seen == 34 + 1 + 1 + 1
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"max_size": 1, "sample": 0},  # every over-budget pool sampled empty
-        {"sample": -1},
-        {"max_size": -1},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"max_size": -1}])
 def test_budget_rejects_out_of_range_values(kwargs):
     with pytest.raises(BudgetValueError):
         Budget(**kwargs)
@@ -252,19 +242,7 @@ def test_budget_rejects_out_of_range_values(kwargs):
 
 def test_budget_accepts_the_smallest_values():
     assert issubclass(BudgetValueError, InvcatError)
-    assert Budget(max_size=0, sample=1).homset_limit == 1
-    assert Budget(max_size=0, sample=None).sample is None
-
-
-def test_enumeration_reflects_sampling():
-    big = PBijCategory([FinSet("S3", ("e1", "e2", "e3"))])
-    enum = Enumeration(big, Budget(max_size=2, sample=5, seed=0))
-    assert len(list(enum.morphisms())) > 0
-    assert enum.sampled
-    full = Enumeration(big, Budget(max_size=4))
-    seen = len(list(full.morphisms()))
-    assert not full.sampled
-    assert full.total_enumerated() == seen
+    assert Budget(max_size=0).homset_limit == 1
 
 
 def test_morphism_sort_key_is_total_on_mixed_payloads(A, B):
@@ -310,9 +288,9 @@ def test_a_memo_fills_each_key_once_and_stores_no_failed_fill(budget):
             table[-1]
     assert -1 not in table and asked == [3, 4, -1, -1]
 
-    # an over-budget pool that may not be sampled, asked for twice
+    # an over-budget pool, asked for twice
     s3 = size_finset(3)
-    enum = Enumeration(PBijCategory([s3]), Budget(max_size=2, sample=None))
+    enum = Enumeration(PBijCategory([s3]), Budget(max_size=2))
     for ask in (enum.pool, enum.pool, enum.pool_ids):
         with pytest.raises(BudgetExceededError):
             ask(s3, s3)
@@ -506,15 +484,13 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(fn2_cat, bu
         fn2_cat,
         _non_associative(),
     ]
-    cases = [(canonical_pbij_category(sizes), budget) for sizes in ((0, 1, 2), (1, 2))]
-    cases += [(cat, budget) for cat in clones + tables]
-    cases.append((canonical_pbij_category((0, 5)), Budget(max_size=4, sample=6, seed=3)))
+    cases = [canonical_pbij_category(sizes) for sizes in ((0, 1, 2), (1, 2))] + clones + tables
     failing = Counter()
-    for cat, run_budget in cases:
-        runs = [check_inverse_category(cat, run_budget) for _ in range(2)]
+    for cat in cases:
+        runs = [check_inverse_category(cat, budget) for _ in range(2)]
         want = {
-            "category.associativity": _reference_associativity(cat, run_budget),
-            "involution.antihomomorphism": _reference_antihomomorphism(cat, run_budget),
+            "category.associativity": _reference_associativity(cat, budget),
+            "involution.antihomomorphism": _reference_antihomomorphism(cat, budget),
         }
         for clause_id, clause in want.items():
             for report in runs:
@@ -526,8 +502,6 @@ def test_block_compares_agree_with_the_per_case_checks_cold_and_warm(fn2_cat, bu
         if cat is fn2_cat:
             want_antihomomorphism = ("fail", 2, "X→X [ka] has 2 quasi-inverses")
             assert _verdict(want["involution.antihomomorphism"]) == want_antihomomorphism
-    # the last category's pools were sampled
-    assert all(c.sampled for c in runs[0].clauses if c.status != SKIPPED)
     # every composition clone breaks associativity and 44 of them the
     # antihomomorphism law; every involution clone breaks the latter only
     assert failing == {"category.associativity": 53, "involution.antihomomorphism": 44 + 9}

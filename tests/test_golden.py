@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from invcat import (
-    Budget,
     InvcatError,
     build_category,
     canonical_pbij_category,
@@ -117,38 +116,33 @@ CLONES = (
     "up-id-to-0",
 )
 
-# name -> (builds (category, monoid or None), budget, whether it is a partial-bijection model)
+# name -> (builds (category, monoid or None), whether it is a partial-bijection model)
 CATEGORIES = {
-    "pbij012": (lambda: (canonical_pbij_category((0, 1, 2)), None), None, True),
-    "pbij12": (lambda: (canonical_pbij_category((1, 2)), None), None, True),
-    "pbij012-sampled": (
-        lambda: (canonical_pbij_category((0, 1, 2)), None),
-        Budget(max_size=1, sample=4),
-        True,
-    ),
+    "pbij012": (lambda: (canonical_pbij_category((0, 1, 2)), None), True),
+    "pbij12": (lambda: (canonical_pbij_category((1, 2)), None), True),
     **{
-        f"two-object-{name}": (lambda make=make: _two_object(make()), None, False)
+        f"two-object-{name}": (lambda make=make: _two_object(make()), False)
         for name, make in MONOIDS.items()
     },
-    **{f"pbij12-{name}": (lambda name=name: (_clone(name), None), None, True) for name in CLONES},
-    "readme-fixture": (lambda: (build_category(parse_spec(README_FIXTURE))[0], None), None, False),
-    "not-baer-star": (lambda: (build_category(parse_spec(NOT_BAER_STAR))[0], None), None, False),
+    **{f"pbij12-{name}": (lambda name=name: (_clone(name), None), True) for name in CLONES},
+    "readme-fixture": (lambda: (build_category(parse_spec(README_FIXTURE))[0], None), False),
+    "not-baer-star": (lambda: (build_category(parse_spec(NOT_BAER_STAR))[0], None), False),
 }
 
 SUITES = {
-    "inverse-category": lambda cat, monoid, budget: check_inverse_category(cat, budget),
-    "baer-star": lambda cat, monoid, budget: check_baer_star(cat, budget),
-    "exactness": lambda cat, monoid, budget: check_exactness(cat, budget),
-    "coherence": lambda cat, monoid, budget: check_coherence(cat, budget),
-    "normal-conormal": lambda cat, monoid, budget: check_normal_conormal(cat, budget),
-    "theorems-all": lambda cat, monoid, budget: theorem_suite(cat, "all", budget),
-    "closed-forms": lambda cat, monoid, budget: check_closed_forms(cat, budget),
-    "classify": lambda cat, monoid, budget: classify_exactness(monoid, budget),
+    "inverse-category": lambda cat, monoid: check_inverse_category(cat),
+    "baer-star": lambda cat, monoid: check_baer_star(cat),
+    "exactness": lambda cat, monoid: check_exactness(cat),
+    "coherence": lambda cat, monoid: check_coherence(cat),
+    "normal-conormal": lambda cat, monoid: check_normal_conormal(cat),
+    "theorems-all": lambda cat, monoid: theorem_suite(cat, "all"),
+    "closed-forms": lambda cat, monoid: check_closed_forms(cat),
+    "classify": lambda cat, monoid: classify_exactness(monoid),
 }
 
 
 def _cases():
-    for cat_name, (_, _, pbij) in CATEGORIES.items():
+    for cat_name, (_, pbij) in CATEGORIES.items():
         monoid = cat_name.startswith("two-object-")
         for suite in SUITES:
             if suite == "closed-forms" and not pbij or suite == "classify" and not monoid:
@@ -158,10 +152,9 @@ def _cases():
 
 def _observe(case: str) -> dict:
     cat_name, suite = case.split("/")
-    build, budget, _ = CATEGORIES[cat_name]
-    cat, monoid = build()
+    cat, monoid = CATEGORIES[cat_name][0]()
     try:
-        report = SUITES[suite](cat, monoid, budget)
+        report = SUITES[suite](cat, monoid)
     except InvcatError as err:
         return {"raises": type(err).__name__, "text": str(err)}
     doc = report.to_dict()

@@ -7,6 +7,7 @@ import invcat.core
 import invcat.monoid
 from invcat import (
     Budget,
+    BudgetExceededError,
     InverseMonoid,
     MonoidAxiomError,
     TableShapeError,
@@ -198,8 +199,8 @@ def test_validation_runs_only_the_clauses_it_reads(monkeypatch):
 
 
 def test_validation_never_samples():
-    # Z/210 has more elements than the default budget enumerates, which
-    # would sample End(X) and could pass a broken table
+    # Z/210 has more elements than the default budget enumerates; validation
+    # reads the whole table all the same, so a broken entry is found
     labels = [str(k) for k in range(210)]
     assert len(labels) > Budget().homset_limit
     table = {(x, y): str((int(x) + int(y)) % 210) for x in labels for y in labels}
@@ -321,13 +322,11 @@ def test_classify_flags_broken_axioms(budget):
     assert report.exit_code() == 1
 
 
-def test_classify_marks_sampled_verdicts():
-    # Budget(max_size=1) samples End(X): the verdicts rest on a sample, so
-    # they carry the flag and the report records the seed, as every other
-    # sampled report does
-    report = classify_exactness(cyclic_group(2), Budget(max_size=1))
-    assert [c.sampled for c in report.clauses] == [True, True]
-    assert report.seed == 0
+def test_classify_over_budget_raises():
+    # End(X) of C2 holds its two elements and a zero, one more than
+    # Budget(max_size=1) admits: no verdict rests on part of it
+    with pytest.raises(BudgetExceededError, match="hom\\(X, X\\) has 3 morphisms, over the enumeration budget"):
+        classify_exactness(cyclic_group(2), Budget(max_size=1))
 
 
 @pytest.mark.hashseed

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invcat import (
-    Budget,
     CompositionError,
     Enumeration,
     FiniteCategory,
@@ -350,13 +349,13 @@ def _assert_agree_on_clones(reference, budget) -> None:
     assert clones == 53 + 9
 
 
-def _assert_agree_on_a_sampled_hom_set(reference) -> None:
-    budget = Budget(max_size=4, sample=6, seed=3)
-    by_code = canonical_pbij_category((0, 5))
+def _assert_agree_on_the_largest_hom_set_in_budget(reference, budget) -> None:
+    by_code = canonical_pbij_category((0, 4))
     by_pair = reference(by_code.objects)
     runs = (lambda cat: check_exactness(cat, budget), lambda cat: check_coherence(cat, budget))
     _assert_rules_agree(by_code, by_pair, runs)
-    assert all(c.sampled for c in check_exactness(by_code, budget).clauses)
+    s4 = by_code.finset("S4")
+    assert len(by_code.hom(s4, s4)) == budget.homset_limit == 209
 
 
 @pytest.mark.hashseed
@@ -370,8 +369,8 @@ def test_code_rule_agrees_with_pair_rule_on_clones(budget):
 
 
 @pytest.mark.hashseed
-def test_code_rule_agrees_with_pair_rule_on_a_sampled_hom_set():
-    _assert_agree_on_a_sampled_hom_set(PairRulePBij)
+def test_code_rule_agrees_with_pair_rule_on_the_largest_hom_set_in_budget(budget):
+    _assert_agree_on_the_largest_hom_set_in_budget(PairRulePBij, budget)
 
 
 @pytest.mark.hashseed
@@ -385,8 +384,8 @@ def test_block_scans_agree_with_pair_scans_on_clones(budget):
 
 
 @pytest.mark.hashseed
-def test_block_scans_agree_with_pair_scans_on_a_sampled_hom_set():
-    _assert_agree_on_a_sampled_hom_set(PairScanPBij)
+def test_block_scans_agree_with_pair_scans_on_the_largest_hom_set_in_budget(budget):
+    _assert_agree_on_the_largest_hom_set_in_budget(PairScanPBij, budget)
 
 
 def test_block_scans_check_the_shape_as_compose_id_does():

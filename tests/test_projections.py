@@ -125,15 +125,15 @@ def test_lattice_laws_on_ids_agree_with_the_morphism_level_loop():
     # every golden category, then the single-entry clones of a partial-
     # bijection model and of a saturated table; each text but "not
     # idempotent" fires on some clone (P(a) holds only idempotents)
-    def outcome(check, cat, a, budget):
+    def outcome(check, cat, a):
         try:
-            return check(cat, a, Enumeration(cat, budget)).elements
+            return check(cat, a, Enumeration(cat)).elements
         except InvcatError as err:
             return type(err).__name__, str(err)
 
-    cats = [(build()[0], budget) for build, budget, _ in CATEGORIES.values()]
+    cats = [build()[0] for build, _ in CATEGORIES.values()]
     for base in (canonical_pbij_category((1, 2)), build_category(parse_spec(NOT_BAER_STAR))[0]):
-        cats += [(clone, None) for clone in single_entry_clones(base)]
+        cats += single_entry_clones(base)
     texts = {
         "missing": r"P\(.+\) is missing top or bottom",
         "idempotent": r"meet is not idempotent at .+",
@@ -143,10 +143,10 @@ def test_lattice_laws_on_ids_agree_with_the_morphism_level_loop():
         "associative": r"meet is not associative",
     }
     fired = Counter()
-    for cat, budget in cats:
+    for cat in cats:
         for a in cat.objects:
-            got = outcome(projection_lattice, cat, a, budget)
-            assert got == outcome(reference_projection_lattice, cat, a, budget)
+            got = outcome(projection_lattice, cat, a)
+            assert got == outcome(reference_projection_lattice, cat, a)
             if got[0] == "LatticeError":
                 fired[next(name for name, text in texts.items() if re.fullmatch(text, got[1]))] += 1
     assert set(fired) == set(texts) - {"idempotent"}, fired
@@ -382,9 +382,9 @@ def test_a_fake_zero_object_fails_the_clauses_that_need_a_zero():
 def test_each_lattice_keeps_the_ids_of_its_elements_through_a_run():
     # the ids are given when P(a) is found; every suite that follows reads them
     checked = 0
-    for build, budget, _ in CATEGORIES.values():
+    for build, _ in CATEGORIES.values():
         cat = build()[0]
-        enum = Enumeration(cat, budget)
+        enum = Enumeration(cat)
         for group in THEOREM_SUITES["all"]:
             try:
                 group(enum)

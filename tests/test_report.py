@@ -36,17 +36,16 @@ def test_clause_requires_witness_exactly_on_fail():
 
 
 def test_clause_dict_shape():
-    d = Clause("laws.assoc", "2.3.i", FAIL, 17, "f, g", sampled=True).to_dict()
+    d = Clause("laws.assoc", "2.3.i", FAIL, 17, "f, g").to_dict()
     assert d == {
         "clause-id": "laws.assoc",
         "anchor": "2.3.i",
         "status": "fail",
         "checked": 17,
-        "sampled": True,
         "counterexample": "f, g",
     }
     d2 = Clause("laws.assoc", "2.3.i", PASS, 17).to_dict()
-    assert "counterexample" not in d2 and "sampled" not in d2
+    assert "counterexample" not in d2
 
 
 def test_report_exit_codes_and_lookup():
@@ -182,15 +181,12 @@ def test_run_clause_lets_other_errors_through():
 
 
 def test_merge_reports_concatenates():
-    r1 = VerificationReport("x", [Clause("a", "1", PASS)], 5, 0.5, seed=None,
-                            details={"left": 1})
-    r2 = VerificationReport("y", [Clause("b", "1", FAIL, 1, "w")], 9, 0.25, seed=3,
-                            details={"right": 2})
+    r1 = VerificationReport("x", [Clause("a", "1", PASS)], 5, 0.5, details={"left": 1})
+    r2 = VerificationReport("y", [Clause("b", "1", FAIL, 1, "w")], 9, 0.25, details={"right": 2})
     merged = merge_reports("both", r1, r2)
     assert merged.suite == "both"
     assert [c.clause_id for c in merged.clauses] == ["a", "b"]
     assert merged.morphisms_enumerated == 9
     assert merged.wall_time == 0.75
-    assert merged.seed == 3
     assert merged.details == {"left": 1, "right": 2}
     assert merged.exit_code() == EXIT_CLAUSE_FAILURES

@@ -686,11 +686,11 @@ def _assert_laws_agree(cat, budget) -> int:
 
 @pytest.mark.hashseed
 def test_id_level_laws_agree_with_projection_level_definitions(budget):
-    # every golden category under its own budget: the models, the monoid
-    # categories, the seeded defects, the README fixture and a non-Baer* spec
+    # every golden category: the models, the monoid categories, the seeded
+    # defects, the README fixture and a non-Baer* spec
     failing = {
-        name: _assert_laws_agree(build()[0], golden_budget or budget)
-        for name, (build, golden_budget, _) in GOLDEN_CATEGORIES.items()
+        name: _assert_laws_agree(build()[0], budget)
+        for name, (build, _) in GOLDEN_CATEGORIES.items()
     }
     assert failing["pbij012"] == failing["pbij12"] == 0
     assert sum(failing[f"pbij12-{name}"] > 0 for name in CLONES) >= 4
