@@ -221,7 +221,8 @@ def test_corruption_rejects_wrong_shapes(pbij2):
         pbij2.with_corrupted_composition(g, g, wrong)
 
 
-def test_budget_limit_gives_the_whole_hom_set_or_raises():
+def test_budget_limits_and_sampling():
+    # nothing is sampled: an over-budget pool raises, any other is the whole hom-set
     tight = Budget(max_size=2)
     assert tight.homset_limit == 7
     big = PBijCategory([FinSet("S3", ("e1", "e2", "e3"))])
@@ -229,20 +230,34 @@ def test_budget_limit_gives_the_whole_hom_set_or_raises():
     with pytest.raises(BudgetExceededError, match="hom\\(S3, S3\\) has 34 morphisms, over the enumeration budget"):
         big.morphism_pool(s3, s3, tight)
     assert big.morphism_pool(s3, s3, Budget(max_size=3)) == big.hom(s3, s3)
-    full = Enumeration(big, Budget(max_size=3))
-    seen = len(list(full.morphisms()))
-    assert full.total_enumerated() == seen == 34 + 1 + 1 + 1
 
 
-@pytest.mark.parametrize("kwargs", [{"max_size": -1}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_size": -1},
+        {"max_size": -2},
+        {"max_size": -(core.LARGEST_LIMIT_SIZE + 1)},  # rejected before the limit is capped
+    ],
+)
 def test_budget_rejects_out_of_range_values(kwargs):
-    with pytest.raises(BudgetValueError):
+    with pytest.raises(BudgetValueError, match=f"max_size must be at least 0, got {kwargs['max_size']}"):
         Budget(**kwargs)
 
 
 def test_budget_accepts_the_smallest_values():
     assert issubclass(BudgetValueError, InvcatError)
     assert Budget(max_size=0).homset_limit == 1
+
+
+def test_enumeration_reflects_sampling():
+    # every enumerated pool is exhaustive: the count is the sum of the hom-set sizes
+    big = PBijCategory([FinSet("S3", ("e1", "e2", "e3"))])
+    full = Enumeration(big, Budget(max_size=3))
+    seen = len(list(full.morphisms()))
+    assert full.total_enumerated() == seen == 34 + 1 + 1 + 1
+    with pytest.raises(BudgetExceededError):
+        list(Enumeration(big, Budget(max_size=2)).morphisms())
 
 
 def test_morphism_sort_key_is_total_on_mixed_payloads(A, B):
