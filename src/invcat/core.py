@@ -12,7 +12,6 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, repeat
-from math import comb, factorial
 from operator import attrgetter, eq, is_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -163,7 +162,10 @@ LARGEST_LIMIT_SIZE = 18
 def pbij_counts_by_rank(m: int, n: int) -> list[int]:
     """C(m,k)·C(n,k)·k!, the number of partial bijections of rank k from an
     m-set to an n-set, for k = 0 … min(m, n)."""
-    return [comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1)]
+    counts = [1]
+    for k in range(min(m, n)):  # exact: the quotient is the next count
+        counts.append(counts[k] * (m - k) * (n - k) // (k + 1))
+    return counts
 
 
 class Memo(dict):
@@ -238,6 +240,14 @@ class FiniteCategory:
         distinct, shape-checked misses with no override.  The result may be
         lazy: the entries before one whose computation raises are stored."""
         return map(self._compose_rule_id, repeat(i), js)
+
+    def _compose_block_ids(self, i: int, a, js: tuple[int, ...]) -> list[int] | None:
+        """The ids of morphisms_by_id[i]∘g for g over js, the hom_ids tuple of
+        hom(a, dom i), for a row that holds none of them and has no override
+        on its left; None declines, and the misses go to _compose_rule_ids.
+        Models that can read a whole block's composites at once override
+        this, and leave a composite never interned to the pair rule."""
+        return None
 
     def _involve(self, f: Morphism) -> Morphism | None:
         return None
@@ -316,23 +326,29 @@ class FiniteCategory:
 
     def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
         """[compose_id(i, j) for j in js], reading the entries already in
-        row i in place: a scan over a whole hom block mostly hits.  Two or
-        more misses go to the model rule in one call, each once and in js
-        order, when each is composable by object identity and none has an
-        override; otherwise each goes through compose_id."""
+        row i in place: a scan over a whole hom block mostly hits.  When js
+        is the category's hom_ids tuple of hom(a, dom i), row i holds none
+        of it and no override has i on its left, the model's block hook
+        may fill it in one call.  Otherwise two or more misses go to the
+        model rule in one call, each once and in js order, when each is
+        composable by object identity and none has an override; otherwise
+        each goes through compose_id."""
         row = self.rows[i]
         try:
             return list(map(row.__getitem__, js))
         except KeyError:
             pass
+        by_id, overrides = self.morphisms_by_id, self._compose_overrides
+        f, a = by_id[i], by_id[js[0]].dom
+        no_override = not (overrides and any(left == f for left, _ in overrides))
+        if no_override and js is self._hom_ids.get((a, f.dom)) and row.keys().isdisjoint(js):
+            ks = self._compose_block_ids(i, a, js)
+            if ks is not None:
+                row.update(zip(js, ks))
+                return ks
         misses = list(dict.fromkeys([j for j in js if j not in row]))
-        f, overrides = self.morphisms_by_id[i], self._compose_overrides
-        gs = map(self.morphisms_by_id.__getitem__, misses)
-        if (
-            len(misses) > 1
-            and all(map(is_, map(attrgetter("cod"), gs), repeat(f.dom)))
-            and not (overrides and any(left == f for left, _ in overrides))
-        ):
+        gs = map(by_id.__getitem__, misses)
+        if len(misses) > 1 and all(map(is_, map(attrgetter("cod"), gs), repeat(f.dom))) and no_override:
             row.update(zip(misses, self._compose_rule_ids(i, misses)))
         else:
             for j in misses:
@@ -572,9 +588,10 @@ class Enumeration:
 
     def __init__(self, cat: FiniteCategory, budget: Budget | None = None):
         self.cat = cat
-        # the hom-set per (a, b), and the category's ids of each pool
+        # the hom-set per (a, b), and the category's hom_ids tuple of each
+        # pool, asked for once the pool is in budget
         self._pools = pools = Memo(lambda key: cat.morphism_pool(*key, budget))
-        self._pool_ids = Memo(lambda key: tuple(map(cat.intern, pools[key])))
+        self._pool_ids = Memo(lambda key: (pools[key], cat.hom_ids(*key))[1])
         # the memo refers to the run weakly, so that a run no longer used is
         # freed at once, not at the next collection of reference cycles
         run = weakref.ref(self)
@@ -585,6 +602,7 @@ class Enumeration:
         return self._pools[a, b]
 
     def pool_ids(self, a, b) -> tuple[int, ...]:
+        """The category's hom_ids tuple itself, once pool(a, b) is in budget."""
         return self._pool_ids[a, b]
 
     def cached(self, fn: Callable, key):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter, is_, methodcaller
+from operator import methodcaller
 from typing import Callable, Iterable
 
 from .core import FiniteCategory, InvcatError, Morphism, pbij_counts_by_rank
@@ -251,9 +251,12 @@ class PBijCategory(FiniteCategory):
     def _empty_table(self) -> None:
         super()._empty_table()
         # _codes[i] is pbij_code(morphisms_by_id[i]) and _afters[i] its
-        # precomposer.  _code_ids[(a, b)] maps the code of a model composite
-        # a → b to its id; a clone's override never enters it.
+        # precomposer.  _joined[(a, b)] is the codes of hom(a, b), joined in
+        # hom order, and the slices that cut it back into codes.
+        # _code_ids[(a, b)] maps the code of a model composite a → b to its
+        # id; a clone's override never enters it.
         self._codes: dict = {}
+        self._joined: dict = {}
         self._afters: dict = {}
         self._code_ids: dict = {}
 
@@ -284,19 +287,24 @@ class PBijCategory(FiniteCategory):
             self._codes.setdefault(k, code)
         return k
 
-    def _compose_rule_ids(self, i: int, js: list[int]) -> list[int]:
-        # a block whose g share one dom, and whose codes and composite codes
-        # are all known, is read from one code dict; any other goes pair by
-        # pair, which composes and records what is new
-        by_id = self.morphisms_by_id
-        dom = by_id[js[0]].dom
-        if all(map(is_, map(attrgetter("dom"), map(by_id.__getitem__, js)), itertools.repeat(dom))):
-            ids = self._code_ids.get((dom, by_id[i].cod), {})
-            try:
-                return list(map(ids.__getitem__, map(self._after(i), map(self._codes.__getitem__, js))))
-            except KeyError:
-                pass
-        return super()._compose_rule_ids(i, js)
+    def _compose_block_ids(self, i: int, a: FinSet, js: tuple[int, ...]) -> list[int] | None:
+        # one translate gives the code of every composite of the block; a
+        # code not yet known is a composite the rule has not composed, so
+        # the block declines and the pair rule composes and records it
+        f = self.morphisms_by_id[i]
+        ids = self._code_ids.get((a, f.cod))
+        if ids is None:
+            return None
+        key = (a, f.dom)
+        if key not in self._joined:
+            n = len(a)
+            self._joined[key] = "".join(map(self._code, js)), [slice(n * k, n * k + n) for k in range(len(js))]
+        codes, cuts = self._joined[key]
+        composites = self._after(i)(codes)
+        try:
+            return list(map(ids.__getitem__, map(composites.__getitem__, cuts)))
+        except KeyError:
+            return None
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

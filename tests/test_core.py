@@ -4,6 +4,7 @@ import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -22,9 +23,12 @@ from invcat import (
     build_category,
     canonical_pbij_category,
     check_baer_star,
+    check_closed_forms,
     check_coherence,
     check_exactness,
+    check_functoriality,
     check_inverse_category,
+    check_normal_conormal,
     cyclic_group,
     hom_count,
     is_generalized_inverse,
@@ -366,6 +370,33 @@ def test_an_uncountable_hom_set_prints_a_power_of_two_below_its_size():
     assert "has 1000000000000020000001 morphisms" in str(BudgetExceededError(10**21 + 2 * 10**7 + 1, "A", "B"))
 
 
+@pytest.mark.parametrize("sizes", [(0, 6), (0, 2, 6), (1, 7)])
+def test_no_suite_enumerates_a_hom_set_past_the_budget(sizes, monkeypatch):
+    # every scan reads its hom-sets through the run's pools, which count a
+    # hom-set before they enumerate it, so each suite stops at the budget
+    limit, model_hom = Budget().homset_limit, PBijCategory._hom
+
+    def bounded_hom(cat, a, b):
+        if hom_count(len(a), len(b)) > limit:
+            pytest.fail(f"hom({a.name}, {b.name}) enumerated past the budget")
+        return model_hom(cat, a, b)
+
+    monkeypatch.setattr(PBijCategory, "_hom", bounded_hom)
+    suites = [
+        check_inverse_category,
+        check_baer_star,
+        check_exactness,
+        check_normal_conormal,
+        check_coherence,
+        check_functoriality,
+        check_closed_forms,
+        *(partial(theorem_suite, suite_id=suite_id) for suite_id in SUITES),
+    ]
+    for suite in suites:
+        with pytest.raises(BudgetExceededError):
+            suite(canonical_pbij_category(sizes))
+
+
 def test_a_table_category_needs_an_identity_for_every_object():
     one = Morphism("X", "X", "1")
     with pytest.raises(InvcatError, match="missing identity for object Y"):
@@ -683,10 +714,11 @@ def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
     # the model rule runs at most once per table entry, whichever hook computes it
     # and whatever route the model takes to the id (the partial-bijection
     # rule composes only new codes); the block hook's own per-pair calls are
-    # counted with its block
+    # counted with its block, and a hom block the whole-block hook fills is
+    # counted pair by pair
     def record(cat, calls):
         pair_rule, block_rule = cat._compose_rule_id, cat._compose_rule_ids
-        by_id = cat.morphisms_by_id
+        hom_block_rule, by_id = cat._compose_block_ids, cat.morphisms_by_id
 
         def compose_rule_id(i, j):
             calls.append((by_id[i], by_id[j]))
@@ -700,7 +732,14 @@ def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
             finally:
                 cat._compose_rule_id = compose_rule_id
 
+        def compose_block_ids(i, a, js):
+            ks = hom_block_rule(i, a, js)
+            if ks is not None:
+                calls.extend((by_id[i], by_id[j]) for j in js)
+            return ks
+
         cat._compose_rule_id, cat._compose_rule_ids = compose_rule_id, compose_rule_ids
+        cat._compose_block_ids = compose_block_ids
 
     reference = make()
     first_calls = []

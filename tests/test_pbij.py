@@ -33,6 +33,7 @@ from invcat import (
     size_finset,
     theorem_suite,
 )
+from invcat.core import pbij_counts_by_rank
 from invcat.pbij import (
     ZERO_FINSET,
     DuplicateCodomainElementError,
@@ -78,8 +79,18 @@ def test_enumeration_matches_brute_force(m, n):
     assert enumerated == brute_force_pbijs(a, b)
 
 
+def brute_counts_by_rank(m: int, n: int) -> list[int]:
+    return [comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1)]
+
+
 def brute_count(m: int, n: int) -> int:
-    return sum(comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1))
+    return sum(brute_counts_by_rank(m, n))
+
+
+def test_counts_by_rank_follow_the_binomial_formula():
+    # pbij_counts_by_rank steps from rank k to k + 1 by (m−k)(n−k)/(k+1)
+    for m, n in [*itertools.product(range(13), repeat=2), (400, 400)]:
+        assert pbij_counts_by_rank(m, n) == brute_counts_by_rank(m, n)
 
 
 @pytest.mark.parametrize("m,n", list(itertools.product(range(5), repeat=2)))
@@ -287,14 +298,70 @@ def test_codes_past_latin1_compose_as_the_model_does():
             twin = PBijCategory([big])  # an empty table: every g of the block misses
             block = twin.compose_ids(twin.intern(f), list(map(twin.intern, gs)))
             assert [twin.morphisms_by_id[k] for k in block] == want
+    # hom(Big, 0) and hom(0, Big) have one member each, so their id tuples
+    # are hom blocks, which the block hook reads from codes alone
+    twin, into = PBijCategory([big]), ends[0]
+    model_hom = twin._hom
+    twin._hom = lambda a, b: model_hom(a, b) if zero in (a, b) else pytest.fail("hom(Big, Big) enumerated")
+    hooked = _count_block_hook(twin)
+    # the two composites the blocks land on, each composed once by the pair rule
+    every, empty = twin.compose(shift, zero_pbij(big, big)), twin.compose(top, into)
+    assert twin.compose_ids(twin.intern(into), twin.hom_ids(big, zero)) == [twin.intern(every)]
+    assert twin.compose_ids(twin.intern(flip), twin.hom_ids(zero, big)) == [twin.intern(empty)]
+    assert hooked == [(twin.intern(into), True), (twin.intern(flip), True)]
+
+
+def _count_block_hook(cat) -> list:
+    """Wraps cat's whole-block hook; the list gets (row id, whether the
+    hook filled the row) for each call."""
+    calls, block_rule = [], cat._compose_block_ids
+
+    def counted(i, a, js):
+        ks = block_rule(i, a, js)
+        calls.append((i, ks is not None))
+        return ks
+
+    cat._compose_block_ids = counted
+    return calls
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize("sizes", [(0, 1, 2, 3), (0, 4)])
+def test_block_hook_composes_every_row_over_every_pool_as_the_model_does(sizes, budget):
+    cat = canonical_pbij_category(sizes)
+    enum, hooked, objs = Enumeration(cat, budget), _count_block_hook(cat), cat.objects
+    for b, c in itertools.product(objs, repeat=2):
+        for i, f in zip(enum.pool_ids(b, c), enum.pool(b, c)):
+            for a in objs:
+                row = cat.compose_ids(i, enum.pool_ids(a, b))
+                assert row == [cat.intern(compose_pbij(f, g)) for g in enum.pool(a, b)]
+    # every row is asked once per pool, so each call of the hook is a fresh
+    # row; it declines only while a composite of its block is new
+    filled = sum(taken for _, taken in hooked)
+    assert len(hooked) == len(cat.morphisms_by_id) * len(objs) and filled > len(hooked) // 2
+
+
+def test_an_override_keeps_its_row_off_the_block_hook():
+    base = canonical_pbij_category((2,))
+    s2 = base.finset("S2")
+    e1, e2 = partial_identity(s2, ("e1",)), partial_identity(s2, ("e2",))
+    twin = base.with_corrupted_composition(e1, e2, e1)  # e1∘e2 is ∅, made e1
+    hooked, ids = _count_block_hook(twin), twin.hom_ids(s2, s2)
+    one, left, right = twin.identity_id(s2), twin.intern(e1), twin.intern(e2)
+    # the identity row meets every code, so each later row could be read whole
+    for i in (one, left, right):
+        assert twin.compose_ids(i, ids) == [twin.compose_id(i, j) for j in ids]
+    assert twin.compose_ids(left, ids)[ids.index(right)] == left
+    assert hooked == [(one, False), (right, True)]
 
 
 class PairRulePBij(PBijCategory):
-    """Partial bijections with FiniteCategory's rule for both hooks: every
+    """Partial bijections with FiniteCategory's rule for every hook: every
     table entry composes its pair and interns the result."""
 
     _compose_rule_id = FiniteCategory._compose_rule_id
     _compose_rule_ids = FiniteCategory._compose_rule_ids
+    _compose_block_ids = FiniteCategory._compose_block_ids
 
 
 class PairScanPBij(PBijCategory):
