@@ -11,8 +11,8 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, repeat
-from operator import attrgetter, eq, is_
+from itertools import chain
+from operator import eq
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .report import (
@@ -235,18 +235,11 @@ class FiniteCategory:
         id of a composite without building it override this."""
         return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
 
-    def _compose_rule_ids(self, i: int, js: list[int]) -> Iterable[int]:
-        """_compose_rule_id(i, j) for each j of js, in order, for a row's
-        distinct, shape-checked misses with no override.  The result may be
-        lazy: the entries before one whose computation raises are stored."""
-        return map(self._compose_rule_id, repeat(i), js)
-
     def _compose_block_ids(self, i: int, a, js: tuple[int, ...]) -> list[int] | None:
         """The ids of morphisms_by_id[i]∘g for g over js, the hom_ids tuple of
-        hom(a, dom i), for a row that holds none of them and has no override
-        on its left; None declines, and the misses go to _compose_rule_ids.
-        Models that can read a whole block's composites at once override
-        this, and leave a composite never interned to the pair rule."""
+        hom(a, dom i), for a row with no override on its left.  Models that
+        can read a whole block's composites at once override this and give
+        every id; None, the default, sends each missing entry to compose_id."""
         return None
 
     def _involve(self, f: Morphism) -> Morphism | None:
@@ -327,12 +320,10 @@ class FiniteCategory:
     def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
         """[compose_id(i, j) for j in js], reading the entries already in
         row i in place: a scan over a whole hom block mostly hits.  When js
-        is the category's hom_ids tuple of hom(a, dom i), row i holds none
-        of it and no override has i on its left, the model's block hook
-        may fill it in one call.  Otherwise two or more misses go to the
-        model rule in one call, each once and in js order, when each is
-        composable by object identity and none has an override; otherwise
-        each goes through compose_id."""
+        is the category's hom_ids tuple of hom(a, dom i) and no override has
+        i on its left, the model's block hook may fill the block in one
+        call; otherwise each missing entry goes through compose_id, once
+        and in js order."""
         row = self.rows[i]
         try:
             return list(map(row.__getitem__, js))
@@ -340,18 +331,13 @@ class FiniteCategory:
             pass
         by_id, overrides = self.morphisms_by_id, self._compose_overrides
         f, a = by_id[i], by_id[js[0]].dom
-        no_override = not (overrides and any(left == f for left, _ in overrides))
-        if no_override and js is self._hom_ids.get((a, f.dom)) and row.keys().isdisjoint(js):
+        if js is self._hom_ids.get((a, f.dom)) and not (overrides and any(left == f for left, _ in overrides)):
             ks = self._compose_block_ids(i, a, js)
             if ks is not None:
                 row.update(zip(js, ks))
                 return ks
-        misses = list(dict.fromkeys([j for j in js if j not in row]))
-        gs = map(by_id.__getitem__, misses)
-        if len(misses) > 1 and all(map(is_, map(attrgetter("cod"), gs), repeat(f.dom))) and no_override:
-            row.update(zip(misses, self._compose_rule_ids(i, misses)))
-        else:
-            for j in misses:
+        for j in js:
+            if j not in row:
                 self.compose_id(i, j)
         return list(map(row.__getitem__, js))
 
@@ -496,13 +482,20 @@ class TableCategory(FiniteCategory):
     ):
         """The table keyed by morphisms: compose_table[(f, g)] is f∘g and
         involution_table[f] is f*.  Numbered once, hom-sets first; an entry
-        for a pair that does not compose is never read, so it is dropped."""
+        for a pair that does not compose is never read, so it is dropped,
+        and one outside hom(dom g, cod f) is refused."""
         ids: dict = {}
 
         def number(m: Morphism) -> int:
             return ids.setdefault(m, len(ids))
 
         hom_ids = {pair: list(map(number, morphisms)) for pair, morphisms in homs.items()}
+        for (f, g), fg in compose_table.items():
+            if g.cod == f.dom and (fg.dom != g.dom or fg.cod != f.cod):
+                raise InvcatError(
+                    f"composition table gives {render_morphism(fg)} as {render_morphism(f)} after "
+                    f"{render_morphism(g)}, outside hom({render_object(g.dom)}, {render_object(f.cod)})"
+                )
         entries = [
             (number(f), number(g), number(fg))
             for (f, g), fg in compose_table.items()
@@ -534,7 +527,9 @@ class TableCategory(FiniteCategory):
         has id i; homs[(a, b)] holds the ids of hom(a, b); rows[i][j] is the
         id of morphisms[i]∘morphisms[j], for composable pairs only;
         identities[a] is the id of the identity on a; and involution[i],
-        when given, the id of morphisms[i]*."""
+        when given, the id of morphisms[i]*.  Composites are not checked
+        against their hom-sets: its builders, saturation and the Cayley
+        tables, give each composite the right shape by construction."""
         cat = cls.__new__(cls)
         cat._take(objects, morphisms, homs, rows, identities, involution, zero_object)
         return cat

@@ -287,24 +287,24 @@ class PBijCategory(FiniteCategory):
             self._codes.setdefault(k, code)
         return k
 
-    def _compose_block_ids(self, i: int, a: FinSet, js: tuple[int, ...]) -> list[int] | None:
+    def _compose_block_ids(self, i: int, a: FinSet, js: tuple[int, ...]) -> list[int]:
         # one translate gives the code of every composite of the block; a
-        # code not yet known is a composite the rule has not composed, so
-        # the block declines and the pair rule composes and records it
+        # code not yet known goes to the pair rule, which composes the
+        # composite and records its code, so a repeated new code is composed once
         f = self.morphisms_by_id[i]
-        ids = self._code_ids.get((a, f.cod))
-        if ids is None:
-            return None
         key = (a, f.dom)
         if key not in self._joined:
             n = len(a)
             self._joined[key] = "".join(map(self._code, js)), [slice(n * k, n * k + n) for k in range(len(js))]
         codes, cuts = self._joined[key]
         composites = self._after(i)(codes)
-        try:
-            return list(map(ids.__getitem__, map(composites.__getitem__, cuts)))
-        except KeyError:
-            return None
+        ids = self._code_ids.setdefault((a, f.cod), {})
+        ks = list(map(ids.get, map(composites.__getitem__, cuts)))
+        if None in ks:
+            for n, k in enumerate(ks):
+                if k is None:
+                    ks[n] = self._compose_rule_id(i, js[n])
+        return ks
 
     def _involve(self, f: Morphism) -> Morphism:
         return invert_pbij(f)

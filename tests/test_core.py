@@ -411,6 +411,30 @@ def test_a_table_category_rejects_a_morphism_filed_under_the_wrong_hom_set():
         )
 
 
+def test_a_table_category_rejects_a_composite_outside_its_hom_set():
+    cat = canonical_pbij_category((0, 1, 2))
+    s1, s2 = cat.finset("S1"), cat.finset("S2")
+    objects = cat.objects
+    homs = {(a, b): cat.hom(a, b) for a in objects for b in objects}
+    table = {
+        (f, g): cat.compose(f, g)
+        for fs in homs.values()
+        for f in fs
+        for gs in homs.values()
+        for g in gs
+        if g.cod == f.dom
+    }
+    identities = {a: cat.identity(a) for a in objects}
+    v = make_pbij(s1, s2, (("e1", "e1"),))
+    assert TableCategory(objects, homs, table, identities).compose(v, identities[s1]) == v
+    (table[v, identities[s1]],) = homs[cat.zero_object, s2]  # 0→S2 ∅
+    with pytest.raises(InvcatError) as refused:
+        TableCategory(objects, homs, table, identities)
+    assert str(refused.value) == (
+        "composition table gives 0→S2 ∅ as S1→S2 {e1↦e1} after S1→S1 {e1↦e1}, outside hom(S1, S2)"
+    )
+
+
 # ---- associativity over morphism ids, against the per-triple check ------
 
 
@@ -711,63 +735,43 @@ def _cyclic3():
 
 @pytest.mark.parametrize("make", [_cyclic3, lambda: canonical_pbij_category((0, 1, 2))])
 def test_associativity_computes_each_composite_once(make, monkeypatch, budget):
-    # the model rule runs at most once per table entry, whichever hook computes it
-    # and whatever route the model takes to the id (the partial-bijection
-    # rule composes only new codes); the block hook's own per-pair calls are
-    # counted with its block, and a hom block the whole-block hook fills is
-    # counted pair by pair
-    def record(cat, calls):
-        pair_rule, block_rule = cat._compose_rule_id, cat._compose_rule_ids
-        hom_block_rule, by_id = cat._compose_block_ids, cat.morphisms_by_id
+    # the model composes each distinct composite at most once, whichever
+    # hook asks for it, and associativity fills the entries the per-triple
+    # oracle fills, in its own order
+    def record(cat):
+        composed, rule = [], cat._compose
+        cat._compose = lambda f, g: composed.append(rule(f, g)) or composed[-1]
+        return composed
 
-        def compose_rule_id(i, j):
-            calls.append((by_id[i], by_id[j]))
-            return pair_rule(i, j)
-
-        def compose_rule_ids(i, js):
-            calls.extend((by_id[i], by_id[j]) for j in js)
-            cat._compose_rule_id = pair_rule
-            try:
-                return list(block_rule(i, js))
-            finally:
-                cat._compose_rule_id = compose_rule_id
-
-        def compose_block_ids(i, a, js):
-            ks = hom_block_rule(i, a, js)
-            if ks is not None:
-                calls.extend((by_id[i], by_id[j]) for j in js)
-            return ks
-
-        cat._compose_rule_id, cat._compose_rule_ids = compose_rule_id, compose_rule_ids
-        cat._compose_block_ids = compose_block_ids
+    def entries(cat):
+        by_id = cat.morphisms_by_id
+        return {(by_id[i], by_id[j]): by_id[k] for i, row in enumerate(cat.rows) for j, k in row.items()}
 
     reference = make()
-    first_calls = []
-    record(reference, first_calls)
+    first_composed = record(reference)
     _reference_associativity(reference, budget)
-    first_calls = list(dict.fromkeys(first_calls))
+    assert len(set(first_composed)) == len(first_composed)
 
     cat = make()
-    calls, by_clause = [], {}
-    record(cat, calls)
+    composed, by_clause = record(cat), {}
     real = core.run_clause
 
     def measure(clause_id, anchor, cases, check):
-        before = len(calls)
+        before = entries(cat)
         clause = real(clause_id, anchor, cases, check)
-        by_clause[clause_id] = set(calls[:before]), calls[before:]
+        by_clause[clause_id] = before, entries(cat).items() - before.items()
         return clause
 
     monkeypatch.setattr(core, "run_clause", measure)
     check_inverse_category(cat, budget)
-    # the identity laws run first and leave their composites in the table;
-    # associativity fills the rest a block at a time, so in its own order
+    assert len(set(composed)) == len(composed)
+    # the identity laws run first and leave their entries in the table;
+    # associativity fills the rest a block at a time
     earlier, during = by_clause["category.associativity"]
-    assert len(set(during)) == len(during)
-    assert set(during) == set(first_calls) - earlier
+    assert during == entries(reference).items() - earlier.items()
     # a complete table is filled at construction: no suite asks its rule
     if make is _cyclic3:
-        assert calls == first_calls == []
+        assert composed == first_composed == [] and not during
     else:
         assert earlier and during
 

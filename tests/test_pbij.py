@@ -336,9 +336,9 @@ def test_block_hook_composes_every_row_over_every_pool_as_the_model_does(sizes, 
                 row = cat.compose_ids(i, enum.pool_ids(a, b))
                 assert row == [cat.intern(compose_pbij(f, g)) for g in enum.pool(a, b)]
     # every row is asked once per pool, so each call of the hook is a fresh
-    # row; it declines only while a composite of its block is new
-    filled = sum(taken for _, taken in hooked)
-    assert len(hooked) == len(cat.morphisms_by_id) * len(objs) and filled > len(hooked) // 2
+    # row, and the hook fills it even where a composite of its block is new
+    assert len(hooked) == len(cat.morphisms_by_id) * len(objs)
+    assert all(filled for _, filled in hooked)
 
 
 def test_an_override_keeps_its_row_off_the_block_hook():
@@ -348,11 +348,26 @@ def test_an_override_keeps_its_row_off_the_block_hook():
     twin = base.with_corrupted_composition(e1, e2, e1)  # e1∘e2 is ∅, made e1
     hooked, ids = _count_block_hook(twin), twin.hom_ids(s2, s2)
     one, left, right = twin.identity_id(s2), twin.intern(e1), twin.intern(e2)
-    # the identity row meets every code, so each later row could be read whole
     for i in (one, left, right):
         assert twin.compose_ids(i, ids) == [twin.compose_id(i, j) for j in ids]
     assert twin.compose_ids(left, ids)[ids.index(right)] == left
-    assert hooked == [(one, False), (right, True)]
+    assert hooked == [(one, True), (right, True)]
+
+
+def test_a_partly_filled_row_takes_the_block_hook_and_composes_each_composite_once():
+    cat = canonical_pbij_category((3,))
+    s3 = cat.finset("S3")
+    ids, by_id = cat.hom_ids(s3, s3), cat.morphisms_by_id
+    composed, rule = [], cat._compose
+    cat._compose = lambda f, g: composed.append(rule(f, g)) or composed[-1]
+    hooked = _count_block_hook(cat)
+    for i in ids:
+        for j in ids[::3]:  # a third of the row first, pair by pair
+            cat.compose_id(i, j)
+        row = cat.compose_ids(i, ids)
+        assert row == [cat.intern(compose_pbij(by_id[i], by_id[j])) for j in ids]
+    assert hooked == [(i, True) for i in ids]
+    assert len(set(composed)) == len(composed) == len(ids)
 
 
 class PairRulePBij(PBijCategory):
@@ -360,7 +375,6 @@ class PairRulePBij(PBijCategory):
     table entry composes its pair and interns the result."""
 
     _compose_rule_id = FiniteCategory._compose_rule_id
-    _compose_rule_ids = FiniteCategory._compose_rule_ids
     _compose_block_ids = FiniteCategory._compose_block_ids
 
 
@@ -477,15 +491,16 @@ def test_block_scans_read_hits_in_place_and_compute_misses_in_order():
     f = ids[3]
     hit = cat.compose_id(f, ids[1])
     asked = []
-    compose_rule_ids = cat._compose_rule_ids
-    cat._compose_rule_ids = lambda i, js: asked.append(list(js)) or compose_rule_ids(i, js)
+    compose_rule_id = cat._compose_rule_id
+    cat._compose_rule_id = lambda i, j: asked.append(j) or compose_rule_id(i, j)
     # ids[0] twice: a repeated miss reaches the rule once
     got = cat.compose_ids(f, ids[::-1] + ids[:1])
-    assert asked == [[j for j in ids[::-1] if j != ids[1]]]
+    misses = [j for j in ids[::-1] if j != ids[1]]
+    assert asked == misses
     assert got[:-1] == [cat.compose_id(f, j) for j in ids[::-1]] and got[-3] == hit
     assert got[-1] == got[-2]
-    assert cat.compose_ids(f, ids) == got[-2::-1] and len(asked) == 1
-    del cat._compose_rule_ids
+    assert cat.compose_ids(f, ids) == got[-2::-1] and asked == misses
+    del cat._compose_rule_id
     # a clone starts with an empty table, and its override wins
     by_id = cat.morphisms_by_id
     twin = cat.with_corrupted_composition(by_id[f], by_id[ids[0]], by_id[f])
