@@ -74,19 +74,18 @@ def is_iso(cat: FiniteCategory, f: Morphism) -> bool:
     return is_mono(cat, f) and is_epi(cat, f)
 
 
-def is_mono_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> bool:
+def is_mono_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> bool:
     return _cancellable(cat, f, enum, left=True)
 
 
-def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> bool:
+def is_epi_by_cancellation(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> bool:
     return _cancellable(cat, f, enum, left=False)
 
 
-def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration | None, left: bool) -> bool:
+def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration, left: bool) -> bool:
     """Whether x ↦ f∘x (left) or x ↦ x∘f is injective on every enumerated
     pool it applies to, on morphism ids, stopping at the first
     repeated composite."""
-    enum = enum if enum is not None else Enumeration(cat)
     fi, compose_id = cat.intern(f), cat.compose_id
     for w in cat.objects:
         seen: dict = {}
@@ -100,7 +99,7 @@ def _cancellable(cat: FiniteCategory, f: Morphism, enum: Enumeration | None, lef
 # ---- kernels and cokernels ----------------------------------------------
 
 
-def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> str | None:
+def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration) -> str | None:
     """None when u satisfies the kernel universal property for f: f∘u = 0 and
     every g with f∘g = 0 factors through u exactly once."""
     if u.cod != f.dom:
@@ -110,7 +109,7 @@ def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumerat
     return _unique_factorization_witness(cat, f, u, enum, left=True)
 
 
-def cokernel_witness(cat: FiniteCategory, f: Morphism, q: Morphism, enum: Enumeration | None = None) -> str | None:
+def cokernel_witness(cat: FiniteCategory, f: Morphism, q: Morphism, enum: Enumeration) -> str | None:
     if q.dom != f.cod:
         return f"{render_morphism(q)} does not start at cod(f)"
     if not cat.is_zero(cat.compose(q, f)):
@@ -119,7 +118,7 @@ def cokernel_witness(cat: FiniteCategory, f: Morphism, q: Morphism, enum: Enumer
 
 
 def _unique_factorization_witness(
-    cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None, left: bool
+    cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration, left: bool
 ) -> str | None:
     """The first g killed by f (f∘g = 0 if left, else g∘f = 0) that is not u∘h
     (h∘u) for exactly one h, or None, visiting w, then g, in pool order.
@@ -127,7 +126,6 @@ def _unique_factorization_witness(
     Works on morphism ids: the killed g of each (f, w, side) and
     the factorization counts of each (u, w, side) are built once per run; a
     failing g is rendered from its pool, by position."""
-    enum = enum if enum is not None else Enumeration(cat)
     fi, ui = cat.intern(f), cat.intern(u)
     for w in cat.objects:
         hits = enum.cached(_killed, (fi, w, left))[1]
@@ -153,18 +151,16 @@ def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counte
     return Counter(cat.precompose_ids(u, cat.hom_ids(m.cod, w)))
 
 
-def kernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
+def kernel(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Morphism:
     """The canonical kernel of f: the first mono u, among the model's
     proposal and then the run's pools, with kernel_witness(f, u) None.
     Found once per run, or NoKernelError."""
-    enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_universal, (f, True))
 
 
-def cokernel(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
+def cokernel(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Morphism:
     """The canonical cokernel of f, found by cokernel_witness as the kernel
     is, or NoCokernelError."""
-    enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_universal, (f, False))
 
 
@@ -199,9 +195,8 @@ class Factorization:
     q: Morphism
 
 
-def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Factorization:
+def mono_epi_factorize(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Factorization:
     """Found and checked once per run, or NoFactorizationError."""
-    enum = enum if enum is not None else Enumeration(cat)
     return enum.cached(_checked_factorization, f)
 
 
@@ -217,22 +212,13 @@ def _checked_factorization(cat: FiniteCategory, f: Morphism, enum: Enumeration) 
     raise NoFactorizationError(f)
 
 
-def subobject_iso(cat: FiniteCategory, u: Morphism, k: Morphism) -> Morphism | None:
-    """An iso j with k∘j = u, when u and k present the same subobject."""
-    if u.cod != k.cod:
+def _iso(cat: FiniteCategory, x: Morphism, y: Morphism, left: bool) -> Morphism | None:
+    """An iso j with y∘j = x (left), when monos x and y present the same
+    subobject, or with j∘x = y, when epis x and y present the same quotient."""
+    if (x.cod != y.cod) if left else (x.dom != y.dom):
         return None
-    j = cat.compose(cat.involve(k), u)
-    if is_iso(cat, j) and cat.compose(k, j) == u:
-        return j
-    return None
-
-
-def quotient_iso(cat: FiniteCategory, q1: Morphism, q2: Morphism) -> Morphism | None:
-    """An iso j with j∘q1 = q2, when q1 and q2 present the same quotient."""
-    if q1.dom != q2.dom:
-        return None
-    j = cat.compose(q2, cat.involve(q1))
-    if is_iso(cat, j) and cat.compose(j, q1) == q2:
+    j = cat.compose(cat.involve(y), x) if left else cat.compose(y, cat.involve(x))
+    if is_iso(cat, j) and (cat.compose(y, j) == x if left else cat.compose(j, x) == y):
         return j
     return None
 
@@ -241,7 +227,7 @@ def _same(cat: FiniteCategory, x: Morphism, y: Morphism, left: bool) -> bool:
     """Whether monos x and y into one object present the same subobject
     (left), or epis x and y out of one object the same quotient: they are
     equal or differ by an iso."""
-    return x == y or (subobject_iso(cat, x, y) if left else quotient_iso(cat, x, y)) is not None
+    return x == y or _iso(cat, x, y, left) is not None
 
 
 # ---- pullback squares -----------------------------------------------------
@@ -273,7 +259,7 @@ class CommutingSquare:
             raise NonCommutingSquareError("bottom and right legs end at different objects")
 
 
-def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration | None = None) -> str | None:
+def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration) -> str | None:
     """None when the square is a pullback: every cone (x, y) with
     bottom∘x = right∘y is mediated by exactly one morphism into the vertex.
 
@@ -285,7 +271,6 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
     first failing cone, which the walk words; the count reads no composite
     outside the hom-sets the walk reads, so the walk raises the same error
     unless a failing cone comes first."""
-    enum = enum if enum is not None else Enumeration(cat)
     left, top = cat.intern(square.left), cat.intern(square.top)
     right, bottom = cat.intern(square.right), cat.intern(square.bottom)
     if cat.compose_id(bottom, left) != cat.compose_id(right, top):
@@ -380,8 +365,8 @@ def _first_failing_cone(cat: FiniteCategory, square: CommutingSquare, left, top,
     return None
 
 
-def is_pullback(cat: FiniteCategory, square: CommutingSquare) -> bool:
-    return pullback_witness(cat, square) is None
+def is_pullback(cat: FiniteCategory, square: CommutingSquare, enum: Enumeration) -> bool:
+    return pullback_witness(cat, square, enum) is None
 
 
 # ---- the exactness checklists ---------------------------------------------

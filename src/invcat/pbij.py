@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import methodcaller
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import FiniteCategory, InvcatError, Morphism, pbij_counts_by_rank
 
@@ -127,18 +126,14 @@ def compose_pbij(f: Morphism, g: Morphism) -> Morphism:
 
 
 def pbij_code(f: Morphism) -> str:
-    """One character per element of dom, in order: chr of the 1-based
-    position in cod of its image, "\\0" where f is undefined.  Within one
-    hom-set the code determines f; precomposer gives the code of f∘g."""
+    """The code of f: "\\0", then one character per element of dom, in
+    order: chr of the 1-based position in cod of its image, "\\0" where f
+    is undefined.  Within one hom-set the code determines f.  A code is its
+    own str.translate table: code_g.translate(code_f) is the code of f∘g,
+    code g read through code f a character at a time, in C."""
     position = {y: chr(n) for n, y in enumerate(f.cod.elements, 1)}
     image = dict(f.payload)
-    return "".join(position[image[x]] if x in image else "\0" for x in f.dom.elements)
-
-
-def precomposer(code_f: str) -> Callable[[str], str]:
-    """The map code g ↦ code of f∘g, for any g with cod g = dom f: code g
-    read through code f, a character at a time, in C."""
-    return methodcaller("translate", "\0" + code_f)
+    return "\0" + "".join(position[image[x]] if x in image else "\0" for x in f.dom.elements)
 
 
 def invert_pbij(f: Morphism) -> Morphism:
@@ -250,14 +245,13 @@ class PBijCategory(FiniteCategory):
 
     def _empty_table(self) -> None:
         super()._empty_table()
-        # _codes[i] is pbij_code(morphisms_by_id[i]) and _afters[i] its
-        # precomposer.  _joined[(a, b)] is the codes of hom(a, b), joined in
-        # hom order, and the slices that cut it back into codes.
+        # _codes[i] is pbij_code(morphisms_by_id[i]).  _joined[(a, b)] is
+        # the codes of hom(a, b), joined in hom order, and the slices that
+        # cut it back into codes.
         # _code_ids[(a, b)] maps the code of a model composite a → b to its
         # id; a clone's override never enters it.
         self._codes: dict = {}
         self._joined: dict = {}
-        self._afters: dict = {}
         self._code_ids: dict = {}
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
@@ -269,16 +263,9 @@ class PBijCategory(FiniteCategory):
             code = self._codes[i] = pbij_code(self.morphisms_by_id[i])
         return code
 
-    def _after(self, i: int) -> Callable[[str], str]:
-        after = self._afters.get(i)
-        if after is None:
-            after = self._afters[i] = precomposer(self._code(i))
-        return after
-
     def _compose_rule_id(self, i: int, j: int) -> int:
         # the model composes each distinct composite once per category
-        after_f, code_g = self._afters.get(i), self._codes.get(j)
-        code = (after_f or self._after(i))(code_g if code_g is not None else self._code(j))
+        code = self._code(j).translate(self._code(i))
         f, g = self.morphisms_by_id[i], self.morphisms_by_id[j]
         ids = self._code_ids.setdefault((g.dom, f.cod), {})
         k = ids.get(code)
@@ -294,10 +281,10 @@ class PBijCategory(FiniteCategory):
         f = self.morphisms_by_id[i]
         key = (a, f.dom)
         if key not in self._joined:
-            n = len(a)
+            n = len(a) + 1
             self._joined[key] = "".join(map(self._code, js)), [slice(n * k, n * k + n) for k in range(len(js))]
         codes, cuts = self._joined[key]
-        composites = self._after(i)(codes)
+        composites = codes.translate(self._code(i))
         ids = self._code_ids.setdefault((a, f.cod), {})
         ks = list(map(ids.get, map(composites.__getitem__, cuts)))
         if None in ks:

@@ -60,11 +60,10 @@ def leq(cat: FiniteCategory, i: Morphism, j: Morphism) -> bool:
     return meet(cat, i, j) == i
 
 
-def projections_on(cat: FiniteCategory, a, enum: Enumeration | None = None) -> tuple[Morphism, ...]:
+def projections_on(cat: FiniteCategory, a, enum: Enumeration) -> tuple[Morphism, ...]:
     """All projections on `a`: every candidate that is a projection on the
     table under test.  The candidates are the endomorphisms of `a`, and 1
     and 0 on `a`."""
-    enum = enum if enum is not None else Enumeration(cat)
     found = set()
     for m in chain(enum.pool(a, a), (cat.identity(a), cat.zero(a, a))):
         try:
@@ -109,14 +108,14 @@ def projection_cases(enum: Enumeration) -> Iterator[Morphism]:
         yield from lattice_on(enum, a).elements
 
 
-def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) -> ProjectionLattice:
+def projection_lattice(cat: FiniteCategory, a, enum: Enumeration) -> ProjectionLattice:
     """Build P(a) and verify it is a meet semilattice with top and bottom.
 
     The laws are checked in the order of their definitions, on ids: the
     meets of an element with every element of P(a) are one row of the id
     table, read whole when first needed, and a meet with an id outside P(a)
     is composed on its own."""
-    lattice = lattice_on(enum if enum is not None else Enumeration(cat), a)
+    lattice = lattice_on(enum, a)
     elements, ids = lattice.elements, lattice.ids
     position = {p: n for n, p in enumerate(ids)}
     one, zero = cat.intern(lattice.top), cat.intern(lattice.bottom)
@@ -158,14 +157,13 @@ def projection_lattice(cat: FiniteCategory, a, enum: Enumeration | None = None) 
 # ---- annihilators -------------------------------------------------------
 
 
-def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> tuple[Morphism, ...]:
+def annihilator_candidates(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> tuple[Morphism, ...]:
     """All projections p on dom(f) with: f∘g = 0  ⇔  p∘g = g, for every
     enumerated g into dom(f).  In a Baer*-category there is exactly one.
 
     Works on morphism ids: the candidates are the projections
     whose "fixes" mask (see _fixes_masks) equals f's "killed" mask, whose
     bit k is set when f∘g = 0 for the k-th enumerated g into dom(f)."""
-    enum = enum if enum is not None else Enumeration(cat)
     a, fi = f.dom, cat.intern(f)
     lattice = lattice_on(enum, a)
     killed_mask, offset = 0, 0
@@ -214,10 +212,9 @@ def _killed(cat: FiniteCategory, key, enum: Enumeration) -> tuple[int, tuple]:
     return mask, tuple(out)
 
 
-def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
+def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Morphism:
     """The annihilator f′, found from its defining property on the table
-    under test.  With `enum`, the search runs once per run."""
-    enum = enum if enum is not None else Enumeration(cat)
+    under test, searched once per run."""
     candidates = enum.cached(annihilator_candidates, f)
     if not candidates:
         raise AnnihilatorNotFoundError(f)
@@ -226,12 +223,11 @@ def annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = Non
     return candidates[0]
 
 
-def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration | None = None) -> Morphism:
-    enum = enum if enum is not None else Enumeration(cat)
+def double_annihilator(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Morphism:
     return annihilator(cat, annihilator(cat, f, enum), enum)
 
 
-def is_closed(cat: FiniteCategory, i: Morphism, enum: Enumeration | None = None) -> bool:
+def is_closed(cat: FiniteCategory, i: Morphism, enum: Enumeration) -> bool:
     """A projection is closed when it is its own double annihilator."""
     return double_annihilator(cat, i, enum) == i
 

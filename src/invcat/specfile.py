@@ -23,7 +23,6 @@ from .pbij import (
     make_pbij,
     pbij_code,
     pbij_pairs,
-    precomposer,
     zero_pbij,
 )
 
@@ -286,11 +285,11 @@ def _saturate(
     involution and composition, and present the result as an explicit table.
 
     Each member is numbered when it is found, and each composable pair is
-    composed once, on the string codes of its members (pbij_code,
-    precomposer), when the later of the two leaves the frontier: its id is
-    written into the id table.  A code names one member of its hom-set, so a
-    Morphism is built only for a new member.  With a budget, a hom-set that
-    grows past budget.homset_limit raises BudgetExceededError at once."""
+    composed once, on the string codes of its members (pbij_code), when
+    the later of the two leaves the frontier: its id is written into the id
+    table.  A code names one member of its hom-set, so a Morphism is built
+    only for a new member.  With a budget, a hom-set that grows past
+    budget.homset_limit raises BudgetExceededError at once."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
         objs.append(ZERO_FINSET)
@@ -328,26 +327,24 @@ def _saturate(
         add(m, position[m.dom], position[m.cod])
 
     # the members that have left the frontier: by dom, each with its cod
-    # and the map that composes after it (precomposer), and by cod, each
-    # with its dom and its code
+    # and its code, and by cod, each with its dom and its code
     done_from: list = [[] for _ in objs]
     done_into: list = [[] for _ in objs]
     involution: dict = {}
     while frontier:
         m, x, y, code_m = frontier.pop()
-        after_m = precomposer(code_m)
-        done_from[x].append((m, y, after_m))
+        done_from[x].append((m, y, code_m))
         done_into[y].append((m, x, code_m))
         involution[m] = add(invert_pbij(morphisms[m]), y, x)
         out_of_m = by_code[x]
-        for n, z, after_n in done_from[y]:
-            code = after_n(code_m)
+        for n, z, code_n in done_from[y]:
+            code = code_m.translate(code_n)
             nm = out_of_m[z].get(code)
             rows[n][m] = nm if nm is not None else add(compose_pbij(morphisms[n], morphisms[m]), x, z, code)
         row_m = rows[m]
         for n, w, code_n in done_into[x]:
             if n != m:  # m∘m, for an endomorphism m, was made just above
-                code = after_m(code_n)
+                code = code_n.translate(code_m)
                 mn = by_code[w][y].get(code)
                 row_m[n] = mn if mn is not None else add(compose_pbij(morphisms[m], morphisms[n]), w, y, code)
 

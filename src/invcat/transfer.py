@@ -115,15 +115,13 @@ def apply_P(cat: FiniteCategory, f: Morphism, i: Morphism) -> Morphism:
     return transfer(cat, f, i)
 
 
-def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration | None = None) -> Morphism:
+def apply_Pprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration) -> Morphism:
     _check_source(TransferKind.INVERSE_IMAGE, f, j)
-    enum = enum if enum is not None else Enumeration(cat)
     return annihilator(cat, cat.compose(annihilator(cat, j, enum), f), enum)
 
 
-def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration | None = None) -> Morphism:
+def apply_Pdoubleprime(cat: FiniteCategory, f: Morphism, j: Morphism, enum: Enumeration) -> Morphism:
     _check_source(TransferKind.STRICT_PREIMAGE, f, j)
-    enum = enum if enum is not None else Enumeration(cat)
     return annihilator(cat, annihilator(cat, cat.compose(j, f), enum), enum)
 
 
@@ -202,8 +200,7 @@ class TransferMap:
         return set(self.values) >= set(self.target.ids)
 
 
-def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration | None = None) -> TransferMap:
-    enum = enum if enum is not None else Enumeration(cat)
+def transfer_table(cat: FiniteCategory, kind: TransferKind, f: Morphism, enum: Enumeration) -> TransferMap:
     source = lattice_on(enum, _source(kind, f))
     target = lattice_on(enum, _target(kind, f))
     row = _row(enum, kind, cat.intern(f))
@@ -230,19 +227,17 @@ def _moved_mono(cat: FiniteCategory, kind: TransferKind, f: int, s: int, enum: E
     return cat.intern(mono_epi_factorize(cat, cat.morphisms_by_id[moved], enum).p)
 
 
-def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration | None = None) -> Morphism:
+def image_of(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumeration) -> Morphism:
     """The image of f∘u, for a mono u into dom(f): the mono part p of the
     factorization of P(f)(u∘u*) = p∘p*, checked by
     smallest_subobject_witness, or TransferCertificationError."""
-    enum = enum if enum is not None else Enumeration(cat)
     return _certified(cat, TransferKind.IMAGE, f, u, enum)
 
 
-def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumeration | None = None) -> Morphism:
+def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumeration) -> Morphism:
     """The mono u with u∘u* = P'(f)(v∘v*), for a mono v into cod(f),
     checked to make square_for_inverse_image(f, v, u) a pullback, or
     TransferCertificationError."""
-    enum = enum if enum is not None else Enumeration(cat)
     return _certified(cat, TransferKind.INVERSE_IMAGE, f, v, enum)
 
 

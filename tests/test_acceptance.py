@@ -7,6 +7,7 @@ from math import comb, factorial
 from invcat import (
     Budget,
     CommutingSquare,
+    Enumeration,
     FinSet,
     PBijCategory,
     VerificationReport,
@@ -191,11 +192,12 @@ def test_criterion_8_mutation_sensitivity():
     u = inclusion(A, ("1", "3"))
     top = fixture.compose(fixture.involve(v), fixture.compose(f, u))
     good = CommutingSquare(top=top, left=u, right=v, bottom=f)
-    assert pullback_witness(fixture, good) is None
+    enum = Enumeration(fixture, BUDGET)
+    assert pullback_witness(fixture, good, enum) is None
     bad_left = make_pbij(u.dom, A, (("1", "1"),))
     bad = CommutingSquare(top=top, left=bad_left, right=v, bottom=f)
     clause = run_clause("seeded.pullback-leg", "3.1", [bad],
-                        lambda sq: pullback_witness(fixture, sq))
+                        lambda sq: pullback_witness(fixture, sq, enum))
     seeded = VerificationReport("seeded", [clause])
     pb_ok = (seeded.exit_code() == 1 and clause.counterexample)
 

@@ -37,14 +37,13 @@ from invcat import (
 from invcat.exactness import (
     Factorization,
     _checked_factorization,
+    _iso,
     _same,
     _unique_factorization_witness,
     cokernel_witness,
     is_epi_by_cancellation,
     is_mono_by_cancellation,
     kernel_witness,
-    quotient_iso,
-    subobject_iso,
 )
 from invcat.monoid import chain_semilattice, cyclic_group, symmetric_inverse_monoid, two_object_category
 from invcat.pbij import ZERO_FINSET, corestriction, image_labels, zero_pbij
@@ -296,61 +295,67 @@ def test_scans_agree_with_reference_on_corrupted_clones(pbij2, budget):
 def test_mono_collision_fails_the_criterion(pbij2, budget):
     clone, u = _mono_collision(pbij2)
     assert is_mono(clone, u)
-    assert not is_mono_by_cancellation(clone, u)
+    assert not is_mono_by_cancellation(clone, u, Enumeration(clone))
     clause = check_exactness(clone, budget).clause("exact.mono-epi-criterion")
     assert clause.status == FAIL
     assert clause.counterexample == f"mono criterion and cancellation disagree on {render_morphism(u)}"
 
 
 def test_witness_text_counts_factorizations(fixture_cat, A, B, f):
-    too_small = kernel_witness(fixture_cat, f, inclusion(A, ()))
+    enum = Enumeration(fixture_cat)
+    too_small = kernel_witness(fixture_cat, f, inclusion(A, ()), enum)
     assert too_small == "A→A {1↦3} factors through 0→A ∅ in 0 ways"
-    too_small = cokernel_witness(fixture_cat, f, corestriction(B, ()))
+    too_small = cokernel_witness(fixture_cat, f, corestriction(B, ()), enum)
     assert too_small == "B→A {c↦1} factors through B→0 ∅ in 0 ways"
     # the empty map on S1 is neither mono nor epi: ∅ factors through it via ∅ and id
     cat = canonical_pbij_category((0, 1, 2))
+    enum = Enumeration(cat)
     s1 = cat.finset("S1")
     empty = zero_pbij(s1, s1)
     expected = "S1→S1 ∅ factors through S1→S1 ∅ in 2 ways"
-    assert kernel_witness(cat, empty, empty) == expected
-    assert cokernel_witness(cat, empty, empty) == expected
+    assert kernel_witness(cat, empty, empty, enum) == expected
+    assert cokernel_witness(cat, empty, empty, enum) == expected
 
 
 def test_kernel_fixture(fixture_cat, A, f):
-    k = kernel(fixture_cat, f)
+    enum = Enumeration(fixture_cat)
+    k = kernel(fixture_cat, f, enum)
     assert k.cod == A
     assert k.dom.elements == ("3",)
     assert k.payload == frozenset({("3", "3")})
-    k_id = kernel(fixture_cat, fixture_cat.identity(A))
+    k_id = kernel(fixture_cat, fixture_cat.identity(A), enum)
     assert k_id.dom == ZERO_FINSET and k_id.payload == frozenset()
 
 
 def test_kernel_universal_property_witness(fixture_cat, A, f):
+    enum = Enumeration(fixture_cat)
     good = inclusion(A, ("3",))
-    assert kernel_witness(fixture_cat, f, good) is None
+    assert kernel_witness(fixture_cat, f, good, enum) is None
     too_big = inclusion(A, ("2", "3"))
-    assert kernel_witness(fixture_cat, f, too_big) is not None
+    assert kernel_witness(fixture_cat, f, too_big, enum) is not None
     too_small = inclusion(A, ())
-    assert kernel_witness(fixture_cat, f, too_small) is not None
+    assert kernel_witness(fixture_cat, f, too_small, enum) is not None
 
 
 def test_cokernel_fixture(fixture_cat, B, f):
-    q = cokernel(fixture_cat, f)
+    enum = Enumeration(fixture_cat)
+    q = cokernel(fixture_cat, f, enum)
     assert q.dom == B
     assert q.cod.elements == ("c",)
     assert q.payload == frozenset({("c", "c")})
-    q_id = cokernel(fixture_cat, fixture_cat.identity(B))
+    q_id = cokernel(fixture_cat, fixture_cat.identity(B), enum)
     assert q_id.cod == ZERO_FINSET
 
 
 def test_factorization_fixture(fixture_cat, A, B, f):
-    fac = mono_epi_factorize(fixture_cat, f)
+    enum = Enumeration(fixture_cat)
+    fac = mono_epi_factorize(fixture_cat, f, enum)
     assert isinstance(fac, Factorization)
     assert fixture_cat.compose(fac.p, fac.q) == f
     assert is_mono(fixture_cat, fac.p) and is_epi(fixture_cat, fac.q)
     assert image_labels(fac.p) == ("a", "b")
     assert fac.p.dom.elements == ("a", "b")
-    zfac = mono_epi_factorize(fixture_cat, fixture_cat.zero(A, B))
+    zfac = mono_epi_factorize(fixture_cat, fixture_cat.zero(A, B), enum)
     assert zfac.p.dom == ZERO_FINSET
 
 
@@ -359,15 +364,16 @@ def test_subobject_and_quotient_isos(fixture_cat, A):
     # another presentation of the same subobject, through a renamed midpoint
     mid = u.dom
     flip = make_pbij(mid, A, (("1", "3"), ("3", "1")))
-    j = subobject_iso(fixture_cat, flip, u)
+    j = _iso(fixture_cat, flip, u, True)
     assert j is not None and fixture_cat.compose(u, j) == flip
     other = inclusion(A, ("2",))
-    assert subobject_iso(fixture_cat, other, u) is None
+    assert _iso(fixture_cat, other, u, True) is None
 
     q1 = fixture_cat.involve(u)
     q2 = fixture_cat.involve(flip)
-    assert quotient_iso(fixture_cat, q1, q2) is not None
-    assert quotient_iso(fixture_cat, q1, fixture_cat.involve(other)) is None
+    j = _iso(fixture_cat, q1, q2, False)
+    assert j is not None and fixture_cat.compose(j, q1) == q2
+    assert _iso(fixture_cat, q1, fixture_cat.involve(other), False) is None
 
 
 def test_same_passes_the_morphism_under_test_first():
@@ -377,12 +383,12 @@ def test_same_passes_the_morphism_under_test_first():
     cat = canonical_pbij_category((1, 2)).with_corrupted_composition(
         make_pbij(s0, s1, ()), make_pbij(s1, s0, ()), make_pbij(s1, s1, (("e1", "e1"),))
     )
-    for left, iso, x, y in (
-        (True, subobject_iso, make_pbij(s0, s2, ()), make_pbij(s1, s2, (("e1", "e1"),))),
-        (False, quotient_iso, make_pbij(s2, s0, ()), make_pbij(s2, s1, (("e1", "e1"),))),
+    for left, x, y in (
+        (True, make_pbij(s0, s2, ()), make_pbij(s1, s2, (("e1", "e1"),))),
+        (False, make_pbij(s2, s0, ()), make_pbij(s2, s1, (("e1", "e1"),))),
     ):
-        forward = iso(cat, x, y) is not None
-        assert forward != (iso(cat, y, x) is not None)
+        forward = _iso(cat, x, y, left) is not None
+        assert forward != (_iso(cat, y, x, left) is not None)
         assert _same(cat, x, y, left) == forward, left
 
 
@@ -417,7 +423,7 @@ def test_symmetric_monoid_category_lacks_kernels(budget):
             i_a = m
     assert i_a is not None
     with pytest.raises(NoKernelError):
-        kernel(cat, i_a)
+        kernel(cat, i_a, Enumeration(cat, budget))
     report = check_exactness(cat, budget)
     by_id = {c.clause_id: c for c in report.clauses}
     assert by_id["exact.kernels"].status == FAIL
@@ -433,7 +439,7 @@ def test_no_factorization_is_loud(budget):
             e = m
     assert e is not None
     with pytest.raises(NoFactorizationError):
-        mono_epi_factorize(cat, e)
+        mono_epi_factorize(cat, e, Enumeration(cat, budget))
 
 
 def test_factorization_is_checked_once_per_run_and_a_missing_one_every_time(budget):
@@ -453,8 +459,8 @@ def test_factorization_is_checked_once_per_run_and_a_missing_one_every_time(budg
     one = cat.identity("X")
     found = mono_epi_factorize(cat, one, enum)
     assert mono_epi_factorize(cat, one, enum) is found and len(searched) == 4
-    # without a run there is no memo, and the result is the same
-    assert mono_epi_factorize(cat, one) == found and len(searched) == 5
+    # a second run has its own memo, and the result is the same
+    assert mono_epi_factorize(cat, one, Enumeration(cat, budget)) == found and len(searched) == 5
 
 
 def test_a_clone_starts_with_an_empty_memo(fixture_cat, f, budget):
@@ -477,8 +483,9 @@ def test_pullback_fixture(fixture_cat, A, B, f):
     u = inclusion(A, ("1", "3"))
     top = fixture_cat.compose(fixture_cat.involve(v), fixture_cat.compose(f, u))
     square = CommutingSquare(top=top, left=u, right=v, bottom=f)
-    assert pullback_witness(fixture_cat, square) is None
-    assert is_pullback(fixture_cat, square)
+    enum = Enumeration(fixture_cat)
+    assert pullback_witness(fixture_cat, square, enum) is None
+    assert is_pullback(fixture_cat, square, enum)
 
 
 def test_perturbed_pullback_leg_detected(fixture_cat, A, B, f):
@@ -487,9 +494,10 @@ def test_perturbed_pullback_leg_detected(fixture_cat, A, B, f):
     top = fixture_cat.compose(fixture_cat.involve(v), fixture_cat.compose(f, u))
     bad_left = make_pbij(u.dom, A, (("1", "1"),))
     square = CommutingSquare(top=top, left=bad_left, right=v, bottom=f)
-    witness = pullback_witness(fixture_cat, square)
+    enum = Enumeration(fixture_cat)
+    witness = pullback_witness(fixture_cat, square, enum)
     assert witness is not None and witness != ""
-    assert not is_pullback(fixture_cat, square)
+    assert not is_pullback(fixture_cat, square, enum)
 
 
 def test_square_shape_and_commutation_errors(fixture_cat, A, B, f):
@@ -501,7 +509,7 @@ def test_square_shape_and_commutation_errors(fixture_cat, A, B, f):
     bad_top = make_pbij(u.dom, v.dom, (("1", "c"),))
     square = CommutingSquare(top=bad_top, left=u, right=v, bottom=f)
     with pytest.raises(NonCommutingSquareError):
-        pullback_witness(fixture_cat, square)
+        pullback_witness(fixture_cat, square, Enumeration(fixture_cat))
 
 
 # ---- pullback witnesses against the per-square scan ---------------------------
@@ -572,7 +580,8 @@ def test_pullback_witness_agrees_on_perturbed_fixture_squares(fixture_cat, A, B,
     outcomes = []
     for square in squares:
         expected = pullback_outcome(reference_pullback_witness, cat, square)
-        assert pullback_outcome(pullback_witness, cat, square) == expected, square
+        # in a run of its own, and in the run the squares share
+        assert pullback_outcome(pullback_witness, cat, square, Enumeration(cat)) == expected, square
         assert pullback_outcome(pullback_witness, cat, square, enum) == expected, square
         outcomes.append(expected)
     assert outcomes.count(None) == 2  # the square itself, once in each list
@@ -646,7 +655,8 @@ def test_pullback_witness_on_a_table_lacking_an_entry_raises_or_fails_as_the_wal
     assert len(squares) == 129
     assert outcomes(fixture, squares) == {"pullback": 1824, "fails": 7370, "raises": 1255}
     pbij = to_table(canonical_pbij_category((0, 1, 2)))
-    squares = [s for s in commuting_squares(pbij, Enumeration(pbij)) if pullback_witness(pbij, s) is None]
+    enum = Enumeration(pbij)
+    squares = [s for s in commuting_squares(pbij, enum) if pullback_witness(pbij, s, enum) is None]
     assert len(squares) == 96
     assert outcomes(pbij, squares) == {"pullback": 13390, "raises": 2546}
 
@@ -679,10 +689,10 @@ def test_a_pair_that_is_not_a_cone_mediates_no_cone():
     square = CommutingSquare(
         top=top, left=base.identity(zero), right=make_pbij(s1, s2, (("e1", "e1"),)), bottom=base.hom(zero, s2)[0]
     )
-    assert pullback_witness(base, square) is None
+    assert pullback_witness(base, square, Enumeration(base)) is None
     assert cone_counts(clone, square) == (3, 3, 2)
     expected = "cone x = S1→0 ∅, y = S1→S1 ∅ has 0 mediating morphisms"
-    assert pullback_witness(clone, square) == reference_pullback_witness(clone, square) == expected
+    assert pullback_witness(clone, square, Enumeration(clone)) == reference_pullback_witness(clone, square) == expected
 
 
 def test_composites_outside_their_hom_set_leave_the_square_to_the_walk():
@@ -696,11 +706,11 @@ def test_composites_outside_their_hom_set_leave_the_square_to_the_walk():
     zero, s1, s2 = base.objects
     identity = base.identity(s2)
     square = CommutingSquare(top=identity, left=identity, right=identity, bottom=identity)
-    assert pullback_witness(base, square) is None
+    assert pullback_witness(base, square, Enumeration(base)) is None
     m, m2 = base.hom(s1, s2)[1], base.hom(s2, s2)[1]
     swapped = table_with(base, {(identity, m): m2, (identity, m2): m})
     expected = "cone x = S1→S2 {e1↦e1}, y = S1→S2 {e1↦e1} has 0 mediating morphisms"
-    assert pullback_witness(swapped, square) == reference_pullback_witness(swapped, square) == expected
+    assert pullback_witness(swapped, square, Enumeration(swapped)) == reference_pullback_witness(swapped, square) == expected
 
 
 def test_coherence_and_normal_conormal_green(pbij2, budget):
@@ -709,11 +719,10 @@ def test_coherence_and_normal_conormal_green(pbij2, budget):
 
 
 def test_normality_fails_by_value_when_no_iso_is_found(monkeypatch):
-    # no category at hand reaches these texts; with both iso tests finding
-    # nothing, a mono (epi) that is not its canonical kernel (cokernel) must
-    # be reported on its own side
-    monkeypatch.setattr(invcat.exactness, "subobject_iso", lambda cat, u, k: None)
-    monkeypatch.setattr(invcat.exactness, "quotient_iso", lambda cat, q1, q2: None)
+    # no category at hand reaches these texts; with the iso test finding
+    # nothing on either side, a mono (epi) that is not its canonical kernel
+    # (cokernel) must be reported on its own side
+    monkeypatch.setattr(invcat.exactness, "_iso", lambda cat, x, y, left: None)
     report = check_coherence(canonical_pbij_category((1, 2)))
     failed = {c.clause_id: (c.checked, c.counterexample) for c in report.clauses if c.status == FAIL}
     assert failed == {
@@ -760,7 +769,7 @@ def test_exactness_then_coherence_compose_each_pair_once(make, budget):
 
 def test_coherence_spot_values(fixture_cat, A, f):
     # ker f composed with its involution is exactly the annihilator projection
-    k = kernel(fixture_cat, f)
+    k = kernel(fixture_cat, f, Enumeration(fixture_cat))
     kk = fixture_cat.compose(k, fixture_cat.involve(k))
     assert kk == partial_identity(A, ("3",))
 
@@ -773,7 +782,7 @@ def test_a_closed_form_cokernel_is_checked_on_the_table_under_test():
     s2 = size_finset(2)
     p1 = make_pbij(s2, s2, [("e1", "e1")])
     with pytest.raises(NoCokernelError) as raised:
-        cokernel(clone, p1)
+        cokernel(clone, p1, Enumeration(clone))
     assert str(raised.value) == "no cokernel for S2→S2 {e1↦e1}: no enumerated epi has the universal property"
 
 
@@ -786,9 +795,10 @@ def test_a_proposal_that_fails_its_witness_is_only_the_first_candidate():
     up = make_pbij(s1, s2, [("e1", "e1")])
     proposal = clone._kernel(up, True)
     assert proposal == make_pbij(size_finset(0), s1, [])
-    assert kernel_witness(clone, up, proposal) is not None
-    assert kernel(clone, up) == clone.identity(s1)
-    assert kernel_witness(clone, up, clone.identity(s1)) is None
+    enum = Enumeration(clone)
+    assert kernel_witness(clone, up, proposal, enum) is not None
+    assert kernel(clone, up, enum) == clone.identity(s1)
+    assert kernel_witness(clone, up, clone.identity(s1), enum) is None
 
 
 DUALITY_FAILURES = {
@@ -869,12 +879,12 @@ def test_closed_forms_agree_with_search_route(budget):
     fast_enum, slow_enum = Enumeration(fast, budget), Enumeration(slow, budget)
     for f in list(fast_enum.morphisms()):
         u, k = kernel(slow, f, enum=slow_enum), kernel(fast, f, enum=fast_enum)
-        assert subobject_iso(fast, u, k) is not None, render_morphism(f)
+        assert _iso(fast, u, k, True) is not None, render_morphism(f)
         q1, q2 = cokernel(slow, f, enum=slow_enum), cokernel(fast, f, enum=fast_enum)
-        assert quotient_iso(fast, q1, q2) is not None, render_morphism(f)
+        assert _iso(fast, q1, q2, False) is not None, render_morphism(f)
         p1 = mono_epi_factorize(slow, f, slow_enum).p
         p2 = mono_epi_factorize(fast, f, fast_enum).p
-        assert subobject_iso(fast, p1, p2) is not None, render_morphism(f)
+        assert _iso(fast, p1, p2, True) is not None, render_morphism(f)
     monos = [m for m in fast_enum.morphisms() if is_mono(fast, m)]
     epis = [m for m in fast_enum.morphisms() if is_epi(fast, m)]
     for u, k in itertools.product(monos, repeat=2):

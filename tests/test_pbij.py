@@ -45,7 +45,6 @@ from invcat.pbij import (
     inverse_image_subset,
     pbij_code,
     pbij_pairs,
-    precomposer,
     preimage_subset,
     projection_labels,
     subset_finset,
@@ -266,15 +265,13 @@ def test_interning_leaves_corrupted_composites_alone():
 
 def test_pbij_code_names_each_member_of_a_hom_set_and_composes_by_lookup():
     s2, s3 = size_finset(2), size_finset(3)
-    assert pbij_code(make_pbij(s2, s3, (("e1", "e3"),))) == "\3\0"
-    assert pbij_code(identity_pbij(ZERO_FINSET)) == ""
+    assert pbij_code(make_pbij(s2, s3, (("e1", "e3"),))) == "\0\3\0"
+    assert pbij_code(identity_pbij(ZERO_FINSET)) == "\0"
     for dom, mid, cod in ((s2, s3, s2), (s3, s2, s3), (s3, s3, s2)):
         assert len({pbij_code(h) for h in enumerate_pbij(dom, cod)}) == hom_count(len(dom), len(cod))
         for f in enumerate_pbij(mid, cod):
-            after_f = precomposer(pbij_code(f))
             for g in enumerate_pbij(dom, mid):
-                code = pbij_code(compose_pbij(f, g))
-                assert after_f(pbij_code(g)) == pbij_code(g).translate("\0" + pbij_code(f)) == code
+                assert pbij_code(g).translate(pbij_code(f)) == pbij_code(compose_pbij(f, g))
 
 
 def test_codes_past_latin1_compose_as_the_model_does():
@@ -285,7 +282,7 @@ def test_codes_past_latin1_compose_as_the_model_does():
     shift = make_pbij(big, big, tuple(zip(labels, labels[1:])))
     flip = make_pbij(big, big, tuple(zip(labels[::2], labels[::-2])))
     top = make_pbij(big, big, ((labels[0], labels[-1]), (labels[-1], labels[256])))
-    assert max(map(ord, pbij_code(top))) == 300 and pbij_code(identity_pbij(zero)) == ""
+    assert max(map(ord, pbij_code(top))) == 300 and pbij_code(identity_pbij(zero)) == "\0"
     assert max(map(ord, pbij_code(flip))) == 300 and len(shift.payload) == 299
     ends = (zero_pbij(zero, big), zero_pbij(big, zero), identity_pbij(zero))
     ms = (shift, flip, top, identity_pbij(big), *ends)

@@ -66,22 +66,23 @@ def test_transfer_conjugates(fixture_cat, A, f):
 
 
 def test_fixture_transfer_values(fixture_cat, A, B, f):
+    enum = Enumeration(fixture_cat)
     assert projection_labels(apply_P(fixture_cat, f, partial_identity(A, ("1", "3")))) == ("a",)
     assert projection_labels(
-        apply_Pprime(fixture_cat, f, partial_identity(B, ("a", "c")))
+        apply_Pprime(fixture_cat, f, partial_identity(B, ("a", "c")), enum)
     ) == ("1", "3")
     assert projection_labels(
-        apply_Pdoubleprime(fixture_cat, f, partial_identity(B, ("a", "c")))
+        apply_Pdoubleprime(fixture_cat, f, partial_identity(B, ("a", "c")), enum)
     ) == ("1",)
     # the inverse image of the empty projection is the annihilator
-    assert projection_labels(apply_Pprime(fixture_cat, f, partial_identity(B, ()))) == ("3",)
+    assert projection_labels(apply_Pprime(fixture_cat, f, partial_identity(B, ()), enum)) == ("3",)
 
 
 def test_transfer_rejects_wrong_lattice(fixture_cat, A, B, f):
     with pytest.raises(ObjectMismatchError):
         apply_P(fixture_cat, f, partial_identity(B, ("a",)))
     with pytest.raises(ObjectMismatchError):
-        apply_Pprime(fixture_cat, f, partial_identity(A, ("1",)))
+        apply_Pprime(fixture_cat, f, partial_identity(A, ("1",)), Enumeration(fixture_cat))
 
 
 def test_transfer_table_round_trip(fixture_cat, A, B, f, budget):
@@ -96,30 +97,33 @@ def test_transfer_table_round_trip(fixture_cat, A, B, f, budget):
 
 
 def test_image_of_fixture(fixture_cat, A, B, f):
+    enum = Enumeration(fixture_cat)
     u = inclusion(A, ("1", "3"))
-    p = image_of(fixture_cat, f, u)
+    p = image_of(fixture_cat, f, u, enum)
     assert image_labels(p) == ("a",)
     zero_sub = inclusion(A, ())
-    p0 = image_of(fixture_cat, f, zero_sub)
+    p0 = image_of(fixture_cat, f, zero_sub, enum)
     assert image_labels(p0) == ()
     not_mono = partial_identity(A, ("1", "2"))
     with pytest.raises(NotMonoError):
-        image_of(fixture_cat, f, not_mono)
+        image_of(fixture_cat, f, not_mono, enum)
 
 
 def test_inverse_image_of_fixture(fixture_cat, A, B, f):
+    enum = Enumeration(fixture_cat)
     v = inclusion(B, ("a", "c"))
-    u = inverse_image_of(fixture_cat, f, v)
+    u = inverse_image_of(fixture_cat, f, v, enum)
     assert image_labels(u) == ("1", "3")
-    u_full = inverse_image_of(fixture_cat, f, fixture_cat.identity(B))
+    u_full = inverse_image_of(fixture_cat, f, fixture_cat.identity(B), enum)
     assert image_labels(u_full) == ("1", "2", "3")
-    u_zero = inverse_image_of(fixture_cat, f, inclusion(B, ()))
+    u_zero = inverse_image_of(fixture_cat, f, inclusion(B, ()), enum)
     assert image_labels(u_zero) == ("3",)
 
 
 def test_inverse_image_square_commutes(fixture_cat, B, f):
     v = inclusion(B, ("a", "c"))
-    square = square_for_inverse_image(fixture_cat, f, v, inverse_image_of(fixture_cat, f, v))
+    u = inverse_image_of(fixture_cat, f, v, Enumeration(fixture_cat))
+    square = square_for_inverse_image(fixture_cat, f, v, u)
     lhs = fixture_cat.compose(square.bottom, square.left)
     rhs = fixture_cat.compose(square.right, square.top)
     assert lhs == rhs
