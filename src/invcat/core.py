@@ -203,7 +203,6 @@ class FiniteCategory:
         if len(set(names)) != len(names):
             raise InvcatError("duplicate object names in category")
         self._zero_object = zero_object
-        self._hom_cache: dict = {}
         self._compose_overrides: dict = {}
         self._involve_overrides: dict = {}
         self._empty_table()
@@ -249,7 +248,7 @@ class FiniteCategory:
         raise NotImplementedError
 
     def _hom_size(self, a, b) -> int:
-        return len(self.hom(a, b))
+        return len(self.hom_ids(a, b))
 
     # Proposals for the constructions of exactness.py, read from the pure
     # model; None proposes nothing.  A proposal is only the first candidate
@@ -276,12 +275,8 @@ class FiniteCategory:
         return self._zero_object
 
     def hom(self, a, b) -> tuple[Morphism, ...]:
-        key = (a, b)
-        hit = self._hom_cache.get(key)
-        if hit is None:
-            hit = self._hom(a, b)
-            self._hom_cache[key] = hit
-        return hit
+        """The hom-set in hom order, as the category's own morphisms."""
+        return tuple(map(self.morphisms_by_id.__getitem__, self.hom_ids(a, b)))
 
     def intern(self, m: Morphism) -> int:
         """The id of m in this category, given out on first sight."""
@@ -293,11 +288,12 @@ class FiniteCategory:
         return i
 
     def hom_ids(self, a, b) -> tuple[int, ...]:
-        """The ids of hom(a, b), in hom order, looked up once per category."""
+        """The ids of hom(a, b), in hom order: the one store of a hom-set,
+        enumerated by the model and numbered once per category."""
         key = (a, b)
         ids = self._hom_ids.get(key)
         if ids is None:
-            ids = self._hom_ids[key] = tuple(map(self.intern, self.hom(a, b)))
+            ids = self._hom_ids[key] = tuple(map(self.intern, self._hom(a, b)))
         return ids
 
     def compose_id(self, i: int, j: int) -> int:
@@ -447,7 +443,6 @@ class FiniteCategory:
         overridden entry, which it reads from its override at first need;
         all else it computes again, on its own table."""
         twin = copy.copy(self)
-        twin._hom_cache = dict(self._hom_cache)
         twin._compose_overrides = {**self._compose_overrides, **dict(compose)}
         twin._involve_overrides = {**self._involve_overrides, **dict(involve)}
         twin._empty_table()

@@ -282,7 +282,7 @@ def pullback_witness(cat: FiniteCategory, square: CommutingSquare, enum: Enumera
         if _each_cone_mediated_once(enum, left, top, right, bottom):
             return None
     except InvcatError:
-        pass  # a missing entry: the walk reaches it, unless a failing cone comes first
+        pass  # a missing entry or a stray composite: the walk reaches it, unless a failing cone comes first
     return _first_failing_cone(cat, square, left, top, right, bottom)
 
 
@@ -293,11 +293,9 @@ def _each_cone_mediated_once(enum: Enumeration, left: int, top: int, right: int,
     a pair (x, y) is a cone when rows[bottom][x] = rows[right][y].  Over
     every w at once is the same as w by w, since every composite read
     lies in the hom-set of its w; where one does not, the count declines
-    (False)."""
+    by raising InvcatError."""
     singles = enum.cached(_single_pairs, (left, top))
     bz, rz = enum.cached(_composites, bottom), enum.cached(_composites, right)
-    if singles is None or bz is None or rz is None:
-        return False
     if len(rz) < len(bz):
         bz, rz = rz, bz
     cones = sum(map(mul, bz.values(), map(rz.get, bz, repeat(0))))
@@ -306,13 +304,13 @@ def _each_cone_mediated_once(enum: Enumeration, left: int, top: int, right: int,
     return cones == sum(map(eq, map(rows[bottom].__getitem__, xs), map(rows[right].__getitem__, ys)))
 
 
-def _single_pairs(cat: FiniteCategory, key, enum: Enumeration) -> tuple | None:
+def _single_pairs(cat: FiniteCategory, key, enum: Enumeration) -> tuple:
     """For key (left, top): the ids x and y of the pairs (x, y) = (left∘m,
     top∘m) given by exactly one m into dom left, from any object, as two
-    lists; None when _composites is None for either."""
+    lists; raising where _composites raises for either."""
     left, top = key
-    if enum.cached(_composites, left) is None or enum.cached(_composites, top) is None:
-        return None
+    for i in key:  # rows left and top, filled and checked against their hom-sets
+        enum.cached(_composites, i)
     vertex = cat.morphisms_by_id[left].dom
     ms = list(chain.from_iterable(cat.hom_ids(w, vertex) for w in cat.objects))
     pairs = Counter(zip(map(cat.rows[left].__getitem__, ms), map(cat.rows[top].__getitem__, ms)))
@@ -320,16 +318,16 @@ def _single_pairs(cat: FiniteCategory, key, enum: Enumeration) -> tuple | None:
     return list(map(itemgetter(0), singles)), list(map(itemgetter(1), singles))
 
 
-def _composites(cat: FiniteCategory, i: int, enum: Enumeration) -> Counter | None:
+def _composites(cat: FiniteCategory, i: int, enum: Enumeration) -> Counter:
     """How many x: w → dom i, over every object w, give each composite i∘x,
-    every one of them read into row i of the table; None when one lies
-    outside hom(w, cod i)."""
+    every one of them read into row i of the table; InvcatError when one
+    lies outside hom(w, cod i)."""
     m = cat.morphisms_by_id[i]
     counts: Counter = Counter()
     for w in cat.objects:
         zs = cat.compose_ids(i, cat.hom_ids(w, m.dom))
         if not enum.cached(_hom_id_set, (w, m.cod)).issuperset(zs):
-            return None
+            raise InvcatError(f"a composite of {render_morphism(m)} lies outside its hom-set")
         counts.update(zs)
     return counts
 
@@ -342,10 +340,9 @@ def _hom_id_set(cat: FiniteCategory, key, enum: Enumeration) -> frozenset:
 def _first_failing_cone(cat: FiniteCategory, square: CommutingSquare, left, top, right, bottom) -> str | None:
     """The first cone without exactly one mediator, visiting w, then y, then
     x, each in hom order, or None; its tables are built here, w by w, as
-    the walk reaches them.  A failing cone's x and y are rendered from
-    their hom-sets, by position."""
+    the walk reaches them."""
     a, b, vertex = square.bottom.dom, square.right.dom, square.left.dom
-    compose_ids = cat.compose_ids
+    compose_ids, by_id = cat.compose_ids, cat.morphisms_by_id
     for w in cat.objects:
         ms = cat.hom_ids(w, vertex)
         mediators = Counter(zip(compose_ids(left, ms), compose_ids(top, ms)))
@@ -353,11 +350,11 @@ def _first_failing_cone(cat: FiniteCategory, square: CommutingSquare, left, top,
         for xi, z in zip(xs, compose_ids(bottom, xs)):
             fibres.setdefault(z, []).append(xi)
         ys = cat.hom_ids(w, b)
-        for k, (yi, z) in enumerate(zip(ys, compose_ids(right, ys))):
+        for yi, z in zip(ys, compose_ids(right, ys)):
             for xi in fibres.get(z, ()):
                 count = mediators[xi, yi]
                 if count != 1:
-                    x, y = cat.hom(w, a)[xs.index(xi)], cat.hom(w, b)[k]
+                    x, y = by_id[xi], by_id[yi]
                     return (
                         f"cone x = {render_morphism(x)}, y = {render_morphism(y)} "
                         f"has {count} mediating morphisms"

@@ -243,9 +243,9 @@ def inverse_image_of(cat: FiniteCategory, f: Morphism, v: Morphism, enum: Enumer
 
 def _certified(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism, enum: Enumeration) -> Morphism:
     """The image (kind P) or inverse image (kind P′) of s under f, checked
-    by its smallest-subobject or pullback property, on ids: f, s and the
-    moved mono are interned once, and the square of P′ is built from its
-    ids and checked to commute once, by pullback_witness."""
+    by its smallest-subobject or pullback property, on ids.  The square of
+    P′ is square_for_inverse_image's, and a square that cannot be built
+    gives its text as the witness."""
     if s.cod != _source(kind, f):
         raise ShapeMismatchError(f"{render_morphism(s)} does not land in {_source_side(kind)}(f)")
     if not is_mono(cat, s):
@@ -256,13 +256,11 @@ def _certified(cat: FiniteCategory, kind: TransferKind, f: Morphism, s: Morphism
     if kind is TransferKind.IMAGE:
         witness = enum.cached(smallest_subobject_witness, (cat.compose_id(fi, si), u, f.cod))
     else:
-        top, square = cat.compose_id(cat.involve_id(si), cat.compose_id(fi, u)), None
         try:
-            square = CommutingSquare(top=cat.morphisms_by_id[top], left=moved, right=s, bottom=f)
-            witness = pullback_witness(cat, square, enum)
+            witness = pullback_witness(cat, square_for_inverse_image(cat, f, s, moved), enum)
         except NonCommutingSquareError as err:
             # legs that do not meet, or a square that does not commute
-            witness = str(err) if square is None else _not_through_v(f, moved, s)
+            witness = str(err)
     if witness is not None:
         raise TransferCertificationError(witness)
     return moved
@@ -287,7 +285,8 @@ def smallest_subobject_witness(cat: FiniteCategory, key, enum: Enumeration) -> s
 
 
 def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: Morphism) -> CommutingSquare:
-    """The square with left leg u, bottom f, right v, and top edge v*∘f∘u."""
+    """The square with left leg u, bottom f, right v, and top edge v*∘f∘u;
+    NonCommutingSquareError when its legs do not meet or it does not commute."""
     fi, vi, ui = cat.intern(f), cat.intern(v), cat.intern(u)
     compose_id = cat.compose_id
     vstar = cat.involve_id(vi)
@@ -295,16 +294,11 @@ def square_for_inverse_image(cat: FiniteCategory, f: Morphism, v: Morphism, u: M
     top = compose_id(vstar, fu)
     square = CommutingSquare(top=cat.morphisms_by_id[top], left=u, right=v, bottom=f)
     if fu != compose_id(vi, top):
-        raise NonCommutingSquareError(_not_through_v(f, u, v))
+        raise NonCommutingSquareError(
+            f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
+            f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
+        )
     return square
-
-
-def _not_through_v(f: Morphism, u: Morphism, v: Morphism) -> str:
-    """What a square of inverse_image_of that does not commute prints."""
-    return (
-        f"f∘u ≠ v∘(v*∘f∘u) for f = {render_morphism(f)}, u = {render_morphism(u)}, "
-        f"v = {render_morphism(v)}: f∘u does not factor through v's subobject"
-    )
 
 
 # ---- law shapes: point, bound and saturation laws, mono/epi dual pairs -----

@@ -397,6 +397,64 @@ def test_no_suite_enumerates_a_hom_set_past_the_budget(sizes, monkeypatch):
             suite(canonical_pbij_category(sizes))
 
 
+@pytest.mark.parametrize(
+    "suites, sizes",
+    [
+        ((check_inverse_category, check_exactness, check_coherence, partial(theorem_suite, suite_id="all")), (0, 1, 2, 3)),
+        ((check_exactness, check_coherence), (0, 4)),
+    ],
+)
+def test_no_hom_set_read_past_the_pools_is_larger_than_a_pool_already_checked(suites, sizes, monkeypatch):
+    # quasi_inverses_of and _factorization_counts read hom-sets that are not
+    # pools, some on undeclared subset objects; each is no larger than a pool
+    # the run has already counted within its budget
+    model_pool, model_hom = core.FiniteCategory.morphism_pool, PBijCategory._hom
+    largest, enumerated = [0], []
+
+    def counted_pool(cat, a, b, budget=None):
+        size = cat._hom_size(a, b)
+        if size <= (budget if budget is not None else Budget()).homset_limit:
+            largest[0] = max(largest[0], size)
+        return model_pool(cat, a, b, budget)
+
+    def bounded_hom(cat, a, b):
+        members = model_hom(cat, a, b)
+        enumerated.append((a.name, b.name, len(members), largest[0]))
+        return members
+
+    monkeypatch.setattr(core.FiniteCategory, "morphism_pool", counted_pool)
+    monkeypatch.setattr(PBijCategory, "_hom", bounded_hom)
+    for suite in suites:
+        largest[0] = 0
+        suite(canonical_pbij_category(sizes))
+    assert enumerated
+    assert [e for e in enumerated if e[2] > e[3]] == []
+
+
+@pytest.mark.hashseed
+@pytest.mark.parametrize(
+    "build",
+    [
+        partial(canonical_pbij_category, (0, 1, 2, 3)),
+        partial(canonical_pbij_category, (0, 4)),
+        lambda: two_object_category(symmetric_inverse_monoid(2)),
+    ],
+)
+def test_pool_members_are_the_categorys_own_morphisms(build):
+    # a suite interns identities and composites before it enumerates their
+    # hom-sets; hom(a, b) and the pools still read the one instance that
+    # hom_ids numbered, so interning a pool member is an identity hit
+    cat = build()
+    check_inverse_category(cat)
+    enum = Enumeration(cat)
+    for a, b in itertools.product(cat.objects, repeat=2):
+        pool, ids = enum.pool(a, b), enum.pool_ids(a, b)
+        assert len(pool) == len(ids)
+        for m, i in zip(pool, ids):
+            assert m is cat.morphisms_by_id[i]
+        assert cat.hom(a, b) == cat._hom(a, b)
+
+
 def test_a_table_category_needs_an_identity_for_every_object():
     one = Morphism("X", "X", "1")
     with pytest.raises(InvcatError, match="missing identity for object Y"):
