@@ -193,9 +193,9 @@ class FiniteCategory:
     """
 
     has_involution_rule = False
-    # the id table the category was built with, if any: (morphisms_by_id,
-    # rows, involution ids or None)
-    _given: tuple | None = None
+    # the involution ids given at construction or written as a defect;
+    # replaced, never changed in place
+    _given_involution: dict = {}
 
     def __init__(self, objects: Iterable, zero_object: Any = None):
         self._objects = tuple(objects)
@@ -203,15 +203,14 @@ class FiniteCategory:
         if len(set(names)) != len(names):
             raise InvcatError("duplicate object names in category")
         self._zero_object = zero_object
-        self._compose_overrides: dict = {}
-        self._involve_overrides: dict = {}
         self._empty_table()
 
     def _empty_table(self) -> None:
         # morphisms_by_id[i] has id i; rows[i] maps an id j to the id of
         # morphisms_by_id[i]∘morphisms_by_id[j].  Entries here and in the
         # involution and zero ids are filled on first need, unless given at
-        # construction, and an entry whose computation raises is not stored.
+        # construction or written as a defect, and an entry whose
+        # computation raises is not stored.
         self._ids: dict = {}
         self.morphisms_by_id: list[Morphism] = []
         self.rows: list[dict] = []
@@ -230,15 +229,15 @@ class FiniteCategory:
 
     def _compose_rule_id(self, i: int, j: int) -> int:
         """The id of morphisms_by_id[i]∘morphisms_by_id[j] by the model rule,
-        for a shape-checked pair with no override.  Models that can find the
-        id of a composite without building it override this."""
+        for a shape-checked pair not yet in the table.  Models that can find
+        the id of a composite without building it override this."""
         return self.intern(self._compose(self.morphisms_by_id[i], self.morphisms_by_id[j]))
 
     def _compose_block_ids(self, i: int, a, js: tuple[int, ...]) -> list[int] | None:
         """The ids of morphisms_by_id[i]∘g for g over js, the hom_ids tuple of
-        hom(a, dom i), for a row with no override on its left.  Models that
-        can read a whole block's composites at once override this and give
-        every id; None, the default, sends each missing entry to compose_id."""
+        hom(a, dom i), by the model rule.  Models that can read a whole
+        block's composites at once override this and give every id; None,
+        the default, sends each missing entry to compose_id."""
         return None
 
     def _involve(self, f: Morphism) -> Morphism | None:
@@ -298,8 +297,8 @@ class FiniteCategory:
 
     def compose_id(self, i: int, j: int) -> int:
         """The id of morphisms_by_id[i]∘morphisms_by_id[j], computed once per
-        category: from a clone's override when it has one, otherwise by the
-        model rule, so a missing table entry raises where it is first needed."""
+        category by the model rule, unless the table already holds it, so a
+        missing table entry raises where it is first needed."""
         row = self.rows[i]
         k = row.get(j)
         if k is None:
@@ -309,27 +308,28 @@ class FiniteCategory:
                     f"cannot compose {render_morphism(f)} after {render_morphism(g)}: "
                     f"domain {render_object(f.dom)} does not match codomain {render_object(g.cod)}"
                 )
-            fg = self._compose_overrides.get((f, g)) if self._compose_overrides else None
-            k = row[j] = self.intern(fg) if fg is not None else self._compose_rule_id(i, j)
+            k = row[j] = self._compose_rule_id(i, j)
         return k
 
     def compose_ids(self, i: int, js: Sequence[int]) -> list[int]:
         """[compose_id(i, j) for j in js], reading the entries already in
         row i in place: a scan over a whole hom block mostly hits.  When js
-        is the category's hom_ids tuple of hom(a, dom i) and no override has
-        i on its left, the model's block hook may fill the block in one
-        call; otherwise each missing entry goes through compose_id, once
-        and in js order."""
+        is the category's hom_ids tuple of hom(a, dom i), the model's block
+        hook may fill the block in one call, and the entries already in the
+        row (a defect among them) stand; otherwise each missing entry goes
+        through compose_id, once and in js order."""
         row = self.rows[i]
         try:
             return list(map(row.__getitem__, js))
         except KeyError:
             pass
-        by_id, overrides = self.morphisms_by_id, self._compose_overrides
+        by_id = self.morphisms_by_id
         f, a = by_id[i], by_id[js[0]].dom
-        if js is self._hom_ids.get((a, f.dom)) and not (overrides and any(left == f for left, _ in overrides)):
+        if js is self._hom_ids.get((a, f.dom)):
             ks = self._compose_block_ids(i, a, js)
             if ks is not None:
+                if row:
+                    return list(map(row.setdefault, js, ks))
                 row.update(zip(js, ks))
                 return ks
         for j in js:
@@ -347,15 +347,13 @@ class FiniteCategory:
 
     def involve_id(self, i: int) -> int:
         """The id of morphisms_by_id[i]*, the canonical involution, computed
-        once per category: from a clone's override, the model rule, or else
-        the unique quasi-inverse found by search (raising when it is not
-        unique)."""
+        once per category, unless given or written as a defect: by the model
+        rule, or else the unique quasi-inverse found by search (raising when
+        it is not unique)."""
         k = self._involution_ids.get(i)
         if k is None:
             f = self.morphisms_by_id[i]
-            g = self._involve_overrides.get(f)
-            if g is None:
-                g = self._involve(f)
+            g = self._involve(f)
             if g is None:
                 g = self.unique_quasi_inverse(f)
             k = self._involution_ids[i] = self.intern(g)
@@ -430,33 +428,32 @@ class FiniteCategory:
     def with_corrupted_composition(self, f: Morphism, g: Morphism, result: Morphism) -> "FiniteCategory":
         if g.cod != f.dom or result.dom != g.dom or result.cod != f.cod:
             raise ShapeMismatchError("corrupted composite must be shape-correct")
-        return self._clone(compose={(f, g): result})
+        twin = self._clone()
+        i, j, k = map(twin.intern, (f, g, result))
+        twin.rows[i][j] = k
+        return twin
 
     def with_corrupted_involution(self, f: Morphism, result: Morphism) -> "FiniteCategory":
         if result.dom != f.cod or result.cod != f.dom:
             raise ShapeMismatchError("corrupted involution must be shape-correct")
-        return self._clone(involve={f: result})
+        twin = self._clone()
+        i, k = map(twin.intern, (f, result))
+        twin._given_involution = {**self._given_involution, i: k}
+        twin._involution_ids[i] = k
+        return twin
 
-    def _clone(self, compose=(), involve=()) -> "FiniteCategory":
-        """A twin with these overrides added to this category's.  It starts
-        from a copy of the table the category was built with, less every
-        overridden entry, which it reads from its override at first need;
-        all else it computes again, on its own table."""
+    def _clone(self) -> "FiniteCategory":
+        """A twin with a copy of this category's id table.  Every entry of
+        rows was given at construction, written as a defect or found by the
+        model rule, so it holds in the twin too; what was found on the table
+        itself, the zero ids and the involutions found by search, the twin
+        finds again on its own table."""
         twin = copy.copy(self)
-        twin._compose_overrides = {**self._compose_overrides, **dict(compose)}
-        twin._involve_overrides = {**self._involve_overrides, **dict(involve)}
         twin._empty_table()
-        if self._given is not None:
-            morphisms, rows, involution = self._given
-            twin.morphisms_by_id = list(morphisms)
-            twin._ids = ids = dict(zip(morphisms, range(len(morphisms))))
-            twin.rows = [row.copy() for row in rows]
-            twin._involution_ids = dict(involution or {})
-            for f, g in twin._compose_overrides:
-                if f in ids and g in ids:
-                    twin.rows[ids[f]].pop(ids[g], None)
-            for f in twin._involve_overrides:
-                twin._involution_ids.pop(ids.get(f), None)
+        twin.morphisms_by_id = list(self.morphisms_by_id)
+        twin._ids = dict(self._ids)
+        twin.rows = [row.copy() for row in self.rows]
+        twin._involution_ids = dict(self._given_involution)
         return twin
 
 
@@ -544,12 +541,12 @@ class TableCategory(FiniteCategory):
             for m in members:
                 if m.dom != a or m.cod != b:
                     raise InvcatError(f"{render_morphism(m)} filed under wrong hom-set")
-        # the category's own table shares its rows and involution with the
-        # given one: without an override, no entry of either ever changes
-        self._given = (tuple(morphisms), tuple(rows), involution)
+        # the id table is the given one: the model rules raise and store
+        # nothing, so no entry of it ever changes
         self.morphisms_by_id, self.rows = list(morphisms), list(rows)
         self._ids = dict(zip(morphisms, range(len(morphisms))))
-        self._involution_ids = involution if involution is not None else {}
+        if involution is not None:
+            self._given_involution = self._involution_ids = involution
 
     def _hom(self, a, b) -> tuple[Morphism, ...]:
         return self._homs.get((a, b), ())

@@ -249,7 +249,7 @@ class PBijCategory(FiniteCategory):
         # the codes of hom(a, b), joined in hom order, and the slices that
         # cut it back into codes.
         # _code_ids[(a, b)] maps the code of a model composite a → b to its
-        # id; a clone's override never enters it.
+        # id; a clone's defect never enters it.
         self._codes: dict = {}
         self._joined: dict = {}
         self._code_ids: dict = {}

@@ -4,7 +4,7 @@ entries missing from construction on."""
 
 import itertools
 
-from invcat import TableCategory
+from invcat import FiniteCategory, TableCategory
 
 
 def endomorphism_clones(base):
@@ -30,26 +30,34 @@ def involution_clones(base):
                 yield base.with_corrupted_involution(f, wrong)
 
 
-def single_entry_clones(base):
-    """One clone of base per composable pair (f, g) and per other member of
-    the hom-set of f∘g, with that member as the composite; then one per
+def single_entry_defects(base):
+    """Each single-entry defect of base, as the method that seeds it and its
+    arguments: one per composable pair (f, g) and per other member of the
+    hom-set of f∘g, with that member as the composite; then one per
     morphism f and per other member of the hom-set of f*, as its involution."""
     objects = base.objects
+    composite, involution = FiniteCategory.with_corrupted_composition, FiniteCategory.with_corrupted_involution
     for a, b, c in itertools.product(objects, repeat=3):
         for f, g in itertools.product(base.hom(b, c), base.hom(a, b)):
             fg = base.compose(f, g)
-            yield from (base.with_corrupted_composition(f, g, m) for m in base.hom(a, c) if m != fg)
+            yield from ((composite, (f, g, m)) for m in base.hom(a, c) if m != fg)
     for a, b in itertools.product(objects, repeat=2):
         for f in base.hom(a, b):
             star = base.involve(f)
-            yield from (base.with_corrupted_involution(f, m) for m in base.hom(b, a) if m != star)
+            yield from ((involution, (f, m)) for m in base.hom(b, a) if m != star)
+
+
+def single_entry_clones(base):
+    """One clone of base per single-entry defect, in single_entry_defects order."""
+    for corrupt, args in single_entry_defects(base):
+        yield corrupt(base, *args)
 
 
 def to_table(cat, zero_object=None) -> TableCategory:
     """cat copied into a TableCategory, which has no model hooks: its
     hom-sets, the composite of every composable pair of members and every
     member's involution, read from cat's own id table (so a clone's
-    overrides carry over), and its identities; its zero object unless
+    defects carry over), and its identities; its zero object unless
     another is given."""
     objects = cat.objects
     homs = {(a, b): cat.hom_ids(a, b) for a, b in itertools.product(objects, repeat=2)}

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import sys
 import weakref
 from collections import Counter
@@ -48,9 +49,16 @@ from invcat.exactness import exactness_clauses
 from invcat.projections import AnnihilatorNotFoundError, baer_star_clauses
 from invcat.report import FAIL, PASS, SKIPPED, Clause, Failed, Passed, run_clause
 from invcat.transfer import SUITES, TransferKind, _row
-from model_copies import endomorphism_clones, involution_clones, morphism_tables, table_lacking
+from model_copies import (
+    endomorphism_clones,
+    involution_clones,
+    morphism_tables,
+    single_entry_defects,
+    table_lacking,
+)
 from test_exactness import composable_pairs
 from test_golden import NOT_BAER_STAR, README_FIXTURE, _clone
+from test_pbij import _doc
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
@@ -138,9 +146,16 @@ def test_pbij_zero_is_composed_through_the_zero_object_once_per_category(monkeyp
     assert cat.zero(s1, s2) is z
     assert calls == [(Morphism(s0, s2, frozenset()), Morphism(s1, s0, frozenset()))]
     assert cat.is_zero(z) and not cat.is_zero(cat.identity(s2))
-    p1 = make_pbij(s2, s2, (("e1", "e1"),))
+    # a clone copies the table, not the zero ids: it composes its zero
+    # again on its own table, where the entry is already written
+    p1, composed = make_pbij(s2, s2, (("e1", "e1"),)), list(calls)
     twin = cat.with_corrupted_involution(p1, p1)
-    assert cat.morphisms_by_id and twin.morphisms_by_id == [] and twin.rows == []
+    assert twin.morphisms_by_id == [*cat.morphisms_by_id, p1] and twin.rows == [*cat.rows, {}]
+    assert twin.zero(s1, s2) is z and calls == composed
+    # so a defect on the pair through the zero object is the twin's zero
+    up = make_pbij(s1, s2, (("e1", "e1"),))
+    twin = cat.with_corrupted_composition(Morphism(s0, s2, frozenset()), Morphism(s1, s0, frozenset()), up)
+    assert twin.zero(s1, s2) == up and cat.zero(s1, s2) is z and calls == composed
 
 
 def test_identity_id_is_looked_up_once_per_category(monkeypatch):
@@ -151,8 +166,10 @@ def test_identity_id_is_looked_up_once_per_category(monkeypatch):
     i = cat.identity_id(s2)
     assert cat.morphisms_by_id[i] == model(s2)
     assert cat.identity_id(s2) == i and calls == [s2]
+    # a clone keeps the ids of its base's table, and looks the identity up again
     twin = cat.with_corrupted_involution(cat.morphisms_by_id[i], cat.morphisms_by_id[i])
-    assert twin.morphisms_by_id == [] and twin.identity_id(s2) == 0 and calls == [s2, s2]
+    assert twin.morphisms_by_id == cat.morphisms_by_id and twin.morphisms_by_id is not cat.morphisms_by_id
+    assert twin.identity_id(s2) == i and twin.identity_id(s2) == i and calls == [s2, s2]
 
 
 def test_pbij_zero_is_the_object_an_equal_composite_returns():
@@ -849,16 +866,19 @@ def test_associativity_fills_the_table_every_clause_and_run_shares(budget):
     assert len(pairs) == 166 and calls == []
 
 
-def test_compose_id_goes_through_compose_once_per_pair(pbij2, budget):
+def test_compose_id_goes_through_compose_once_per_pair():
+    base = canonical_pbij_category((1, 2))
     s2 = size_finset(2)
     p1, p2 = make_pbij(s2, s2, (("e1", "e1"),)), make_pbij(s2, s2, (("e2", "e2"),))
-    twin = pbij2.with_corrupted_composition(p1, p2, p1)
+    twin = base.with_corrupted_composition(p1, p2, p1)
+    assert base.morphisms_by_id == [] and twin.morphisms_by_id == [p1, p2]
     calls = []
     real = twin._compose
     twin._compose = lambda f, g: calls.append((f, g)) or real(f, g)
     i, j = twin.intern(p1), twin.intern(p2)
     assert twin.intern(make_pbij(s2, s2, (("e1", "e1"),))) == i
-    assert twin.compose_id(i, j) == i  # the clone's override wins over the model rule
+    assert twin.rows[i] == {j: i}  # the defect is written when the clone is made
+    assert twin.compose_id(i, j) == i  # and the model rule is never asked for it
     assert calls == []
     for _ in range(2):
         assert twin.morphisms_by_id[twin.compose_id(j, i)] == twin.zero(s2, s2)
@@ -872,25 +892,31 @@ def test_clone_overrides_land_in_the_clone_table_only(budget):
     p1, p2 = make_pbij(s2, s2, (("e1", "e1"),)), make_pbij(s2, s2, (("e2", "e2"),))
     swap = make_pbij(s2, s2, (("e1", "e2"), ("e2", "e1")))
     truth = base.compose(p1, p2)
+    i, j = base.intern(p1), base.intern(p2)
+    rows = [dict(row) for row in base.rows]
+    # the twin's table is its base's, each row a copy, with the defect written in
     twin = base.with_corrupted_composition(p1, p2, p1)
-    assert twin.morphisms_by_id == [] and twin.rows == []
+    assert twin.morphisms_by_id == base.morphisms_by_id
+    assert twin.rows == [{**row, j: i} if n == i else row for n, row in enumerate(rows)]
+    assert not any(map(operator.is_, twin.rows, base.rows))
     assert twin.compose(p1, p2) == p1 != truth
-    assert twin.rows[twin.intern(p1)][twin.intern(p2)] == twin.intern(p1)
-    assert base.morphisms_by_id[base.rows[base.intern(p1)][base.intern(p2)]] == truth
-    assert base.compose(p1, p2) == truth
-    # a clone of a clone starts empty too, and keeps the earlier override
+    assert base.rows == rows and base.compose(p1, p2) == truth
+    # a clone of a clone copies the twin's table and keeps both defects
     twin2 = twin.with_corrupted_involution(swap, p1)
-    assert twin2.morphisms_by_id == []
+    assert twin2.morphisms_by_id == [*twin.morphisms_by_id, swap]
+    assert twin2.rows == [*twin.rows, {}]
     assert twin2.compose(p1, p2) == p1 and twin2.involve(swap) == p1
+    twin3 = twin2.with_corrupted_involution(p1, swap)._clone()  # and so on down
+    assert twin3.compose(p1, p2) == p1 and twin3.involve(swap) == p1 and twin3.involve(p1) == swap
     assert twin.involve(swap) == swap == base.involve(swap)
     assert not check_inverse_category(twin2, budget).passed
     assert check_inverse_category(base, budget).passed
 
 
 def test_a_table_clone_answers_its_overrides_and_reads_the_rest_from_its_table(budget):
-    # a table clone starts from a copy of the table its base was built
-    # with, less the overridden entries, before and after suites have run
-    # on the base; the base keeps its own table
+    # a table clone starts from a copy of its base's table with the
+    # defects written in, before and after suites have run on the base;
+    # the base keeps its own table
     base = build_category(parse_spec(NOT_BAER_STAR))[0]
     table, involution = morphism_tables(base)
     rows = [dict(row) for row in base.rows]
@@ -922,6 +948,79 @@ def test_a_table_clone_answers_its_overrides_and_reads_the_rest_from_its_table(b
             assert not check_inverse_category(twin, budget).passed
         assert [dict(row) for row in base.rows[: len(rows)]] == rows
         assert base.compose(f, g) == table[f, g] and base.involve(h) == involution[h]
+
+
+def _outcome(answer, *args):
+    """answer(*args), or the type of the library error it raises."""
+    try:
+        return answer(*args)
+    except InvcatError as error:
+        return type(error)
+
+
+def test_warm_and_fresh_bases_give_the_same_clone(budget):
+    # a clone copies its base's table as it stands: one made after the
+    # suites ran on the base answers as one made from a fresh base
+    warm = canonical_pbij_category((1, 2))
+    checks = (check_inverse_category, check_exactness, check_coherence)
+    for check in checks:
+        check(warm, budget)
+    objects = warm.objects
+    pairs = [
+        (f, g)
+        for a, b, c in itertools.product(objects, repeat=3)
+        for f, g in itertools.product(warm.hom(b, c), warm.hom(a, b))
+    ]
+    morphisms = [f for a, b in itertools.product(objects, repeat=2) for f in warm.hom(a, b)]
+
+    def answers(cat):
+        return [_outcome(cat.compose, *pair) for pair in pairs], [_outcome(cat.involve, f) for f in morphisms]
+
+    seeded = Counter()
+    for n, (corrupt, args) in enumerate(single_entry_defects(warm)):
+        seeded[corrupt.__name__] += 1
+        twins = corrupt(warm, *args), corrupt(canonical_pbij_category((1, 2)), *args)
+        if n % 8 == 0:
+            for check in checks:
+                assert _doc(check(twins[0], budget)) == _doc(check(twins[1], budget)), (check.__name__, args)
+        assert answers(twins[0]) == answers(twins[1]), args
+    assert seeded == {"with_corrupted_composition": 480, "with_corrupted_involution": 56}
+
+
+def test_a_clone_of_a_clone_of_a_table_with_no_involution_rule_searches_its_own_table():
+    i2 = symmetric_inverse_monoid(2)
+    m = {s: Morphism("X", "X", s) for s in i2.elements}
+    cat = TableCategory(
+        ("X",),
+        {("X", "X"): tuple(m.values())},
+        {(m[x], m[y]): m[i2.product(x, y)] for x in m for y in m},
+        {"X": m[i2.identity]},
+    )
+    assert not cat.has_involution_rule
+    searched = {f: cat.involve(f) for f in m.values()}  # every involution asked for first
+    assert searched[m["e1>e1"]] == m["e1>e1"] and searched[m["e1>e2"]] == m["e2>e1"]
+    twin = cat.with_corrupted_involution(m["e1>e2"], m["0"])
+    twin2 = twin.with_corrupted_composition(m["e1>e1"], m["e1>e1"], m["0"])
+    assert twin2.involve(m["e1>e2"]) == m["0"]
+    # searched again on twin2's table, where e1>e1 ∘ e1>e1 = 0 leaves e1>e1
+    # no quasi-inverse; the searched answers of its bases are not copied
+    with pytest.raises(NotInverseCategoryError):
+        twin2.involve(m["e1>e1"])
+    assert twin.involve(m["e1>e1"]) == cat.involve(m["e1>e1"]) == m["e1>e1"]
+
+
+def test_moore_penrose_unique_fails_by_value_on_a_left_zero_band_with_identity(budget):
+    # x·y = x for x ≠ 1 and x* = x: fgf = f and gfg = g for f, g in {a, b},
+    # and fg = f, gf = g are self-adjoint, so a has two Moore-Penrose inverses
+    one, a, b = elements = tuple(Morphism("X", "X", s) for s in ("1", "a", "b"))
+    table = {(x, y): y if x == one else x for x in elements for y in elements}
+    cat = TableCategory(("X",), {("X", "X"): elements}, table, {"X": one}, {x: x for x in elements})
+    clause = check_inverse_category(cat, budget).clause("involution.moore-penrose-unique")
+    assert (clause.status, clause.checked, clause.counterexample) == (
+        FAIL,
+        2,
+        "X→X [a] has 2 Moore-Penrose inverses, e.g. X→X [a] and X→X [b]",
+    )
 
 
 def test_involve_asks_the_model_once_per_morphism_per_category(budget):

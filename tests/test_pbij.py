@@ -338,17 +338,21 @@ def test_block_hook_composes_every_row_over_every_pool_as_the_model_does(sizes, 
     assert all(filled for _, filled in hooked)
 
 
-def test_an_override_keeps_its_row_off_the_block_hook():
+def test_a_defect_row_takes_the_block_hook_and_keeps_its_defect():
     base = canonical_pbij_category((2,))
     s2 = base.finset("S2")
     e1, e2 = partial_identity(s2, ("e1",)), partial_identity(s2, ("e2",))
     twin = base.with_corrupted_composition(e1, e2, e1)  # e1∘e2 is ∅, made e1
     hooked, ids = _count_block_hook(twin), twin.hom_ids(s2, s2)
     one, left, right = twin.identity_id(s2), twin.intern(e1), twin.intern(e2)
+    assert twin.rows[left] == {right: left}
     for i in (one, left, right):
         assert twin.compose_ids(i, ids) == [twin.compose_id(i, j) for j in ids]
-    assert twin.compose_ids(left, ids)[ids.index(right)] == left
-    assert hooked == [(one, True), (right, True)]
+    by_id = twin.morphisms_by_id
+    assert twin.compose_ids(left, ids) == [
+        left if j == right else twin.intern(compose_pbij(e1, by_id[j])) for j in ids
+    ]
+    assert hooked == [(one, True), (left, True), (right, True)]
 
 
 def test_a_partly_filled_row_takes_the_block_hook_and_composes_each_composite_once():
@@ -498,10 +502,11 @@ def test_block_scans_read_hits_in_place_and_compute_misses_in_order():
     assert got[-1] == got[-2]
     assert cat.compose_ids(f, ids) == got[-2::-1] and asked == misses
     del cat._compose_rule_id
-    # a clone starts with an empty table, and its override wins
+    # a clone starts with a copy of the table, the defect written in
     by_id = cat.morphisms_by_id
     twin = cat.with_corrupted_composition(by_id[f], by_id[ids[0]], by_id[f])
-    assert twin.hom_ids(s2, s2) == ids and twin.rows[f] == {}
+    assert twin.hom_ids(s2, s2) == ids and twin.rows[f] is not cat.rows[f]
+    assert twin.rows == [{**row, ids[0]: f} if n == f else row for n, row in enumerate(cat.rows)]
     row = twin.compose_ids(f, ids)
     assert row == [twin.compose_id(f, j) for j in ids]
     assert row[0] == f != cat.compose_id(f, ids[0])
