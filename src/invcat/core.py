@@ -83,7 +83,7 @@ class BudgetValueError(InvcatError):
 
 
 def render_object(obj: Any) -> str:
-    return getattr(obj, "name", str(obj))
+    return obj.name if hasattr(obj, "name") else str(obj)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -528,19 +528,20 @@ class TableCategory(FiniteCategory):
 
     def _take(self, objects, morphisms, homs, rows, identities, involution, zero_object) -> None:
         super().__init__(objects, zero_object)
-        self._homs = {
-            pair: tuple(sorted(map(morphisms.__getitem__, ids), key=morphism_sort_key))
-            for pair, ids in homs.items()
-        }
         self._identities = {a: morphisms[i] for a, i in identities.items()}
         self.has_involution_rule = involution is not None
         for a in self._objects:
             if a not in self._identities:
                 raise InvcatError(f"missing identity for object {render_object(a)}")
-        for (a, b), members in self._homs.items():
-            for m in members:
-                if m.dom != a or m.cod != b:
-                    raise InvcatError(f"{render_morphism(m)} filed under wrong hom-set")
+        for (a, b), ids in homs.items():
+            wrong = [m for m in map(morphisms.__getitem__, ids) if m.dom != a or m.cod != b]
+            if wrong:
+                raise InvcatError(f"{render_morphism(min(wrong, key=morphism_sort_key))} filed under wrong hom-set")
+        # each hom-set numbered once, in hom order: its members share dom
+        # and cod, so their payloads give morphism_sort_key's order
+        payload_of = [payload_sort_key(m.payload) for m in morphisms]
+        self._hom_ids = {pair: tuple(sorted(ids, key=payload_of.__getitem__)) for pair, ids in homs.items()}
+        self._homs = {pair: tuple(map(morphisms.__getitem__, ids)) for pair, ids in self._hom_ids.items()}
         # the id table is the given one: the model rules raise and store
         # nothing, so no entry of it ever changes
         self.morphisms_by_id, self.rows = list(morphisms), list(rows)

@@ -13,6 +13,7 @@ from .core import (
     InvcatError,
     Morphism,
     TableCategory,
+    _quasi_inverses,
     build_report,
     category_axiom_clauses,
     inverse_category_clauses,
@@ -114,7 +115,8 @@ def validate_inverse_monoid(elements, table, identity: str) -> InverseMonoid:
     for clause in category_axiom_clauses(enum):
         if clause.status == FAIL:
             raise MonoidAxiomError(_VIOLATIONS[clause.clause_id], clause.counterexample)
-    inverses = {x: elements[cat.involve_id(i)] for i, x in enumerate(elements)}
+    # the clauses passed, so each element's one quasi-inverse is in the run's memo
+    inverses = {m.payload: enum.cached(_quasi_inverses, m)[0].payload for m in cat.morphisms_by_id}
 
     idempotents = tuple(x for i, x in enumerate(elements) if rows[i][i] == i)
     zero = next(

@@ -136,6 +136,16 @@ def pbij_code(f: Morphism) -> str:
     return "\0" + "".join(position[image[x]] if x in image else "\0" for x in f.dom.elements)
 
 
+def inverse_code(code: str, n: int) -> str:
+    """The code of f* from the code of f, for f into an n-element set:
+    position p holding chr(q) becomes position q holding chr(p)."""
+    inverse = ["\0"] * (n + 1)
+    for p, q in enumerate(map(ord, code)):
+        inverse[q] = chr(p)
+    inverse[0] = "\0"  # where f is undefined, and position 0, wrote there
+    return "".join(inverse)
+
+
 def invert_pbij(f: Morphism) -> Morphism:
     return Morphism(f.cod, f.dom, frozenset((y, x) for x, y in f.payload))
 

@@ -19,6 +19,7 @@ from .pbij import (
     canonical_pbij_category,
     compose_pbij,
     identity_pbij,
+    inverse_code,
     invert_pbij,
     make_pbij,
     pbij_code,
@@ -287,8 +288,9 @@ def _saturate(
     Each member is numbered when it is found, and each composable pair is
     composed once, on the string codes of its members (pbij_code), when
     the later of the two leaves the frontier: its id is written into the id
-    table.  A code names one member of its hom-set, so a Morphism is built
-    only for a new member.  With a budget, a hom-set that grows past
+    table.  Each member's inverse is read from its code (inverse_code) the
+    same way.  A code names one member of its hom-set, so a Morphism is
+    built only for a new member.  With a budget, a hom-set that grows past
     budget.homset_limit raises BudgetExceededError at once."""
     objs = list(objects)
     if ZERO_FINSET not in objs:
@@ -335,7 +337,9 @@ def _saturate(
         m, x, y, code_m = frontier.pop()
         done_from[x].append((m, y, code_m))
         done_into[y].append((m, x, code_m))
-        involution[m] = add(invert_pbij(morphisms[m]), y, x)
+        code = inverse_code(code_m, len(objs[y]))
+        star = by_code[y][x].get(code)
+        involution[m] = star if star is not None else add(invert_pbij(morphisms[m]), y, x, code)
         out_of_m = by_code[x]
         for n, z, code_n in done_from[y]:
             code = code_m.translate(code_n)

@@ -44,7 +44,7 @@ from invcat import (
 )
 import invcat
 import invcat.core as core
-from invcat.core import ShapeMismatchError, morphism_sort_key
+from invcat.core import ShapeMismatchError, morphism_sort_key, render_object
 from invcat.exactness import exactness_clauses
 from invcat.projections import AnnihilatorNotFoundError, baer_star_clauses
 from invcat.report import FAIL, PASS, SKIPPED, Clause, Failed, Passed, run_clause
@@ -279,6 +279,18 @@ def test_enumeration_reflects_sampling():
     assert full.total_enumerated() == seen == 34 + 1 + 1 + 1
     with pytest.raises(BudgetExceededError):
         list(Enumeration(big, Budget(max_size=2)).morphisms())
+
+
+def test_a_named_object_renders_without_its_repr(monkeypatch, A, B, f):
+    def no_repr(obj):
+        raise AssertionError("repr built")
+
+    monkeypatch.setattr(FinSet, "__repr__", no_repr)
+    assert render_object(A) == "A"
+    assert render_morphism(f) == "f = A→B {1↦a, 2↦b}"
+    assert sorted([f, make_pbij(B, A, ())], key=morphism_sort_key)[0] == f
+    # an object with no name renders as its str
+    assert (render_object("X"), render_object(3)) == ("X", "3")
 
 
 def test_morphism_sort_key_is_total_on_mixed_payloads(A, B):

@@ -198,6 +198,18 @@ def test_validation_runs_only_the_clauses_it_reads(monkeypatch):
     ]
 
 
+def test_validation_searches_each_quasi_inverse_once(monkeypatch):
+    # the inverses are read from the run's memo, which the clauses filled
+    monoid, searched = symmetric_inverse_monoid(3), []
+    real = invcat.core.FiniteCategory.quasi_inverses_of
+    monkeypatch.setattr(
+        invcat.core.FiniteCategory, "quasi_inverses_of", lambda cat, f: searched.append(f) or real(cat, f)
+    )
+    validated = validate_inverse_monoid(monoid.elements, monoid.table, monoid.identity)
+    assert len(searched) == len(set(searched)) == len(monoid) == 34
+    assert validated.inverses == monoid.inverses
+
+
 def test_validation_never_samples():
     # Z/210 has more elements than the default budget enumerates; validation
     # reads the whole table all the same, so a broken entry is found

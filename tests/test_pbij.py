@@ -42,6 +42,7 @@ from invcat.pbij import (
     corestriction,
     image_labels,
     image_subset,
+    inverse_code,
     inverse_image_subset,
     pbij_code,
     pbij_pairs,
@@ -272,6 +273,20 @@ def test_pbij_code_names_each_member_of_a_hom_set_and_composes_by_lookup():
         for f in enumerate_pbij(mid, cod):
             for g in enumerate_pbij(dom, mid):
                 assert pbij_code(g).translate(pbij_code(f)) == pbij_code(compose_pbij(f, g))
+
+
+def test_inverse_code_is_the_code_of_the_inverse():
+    sizes = [size_finset(k) for k in range(4)]
+    for dom, cod in itertools.product(sizes, repeat=2):
+        for f in enumerate_pbij(dom, cod):
+            assert inverse_code(pbij_code(f), len(cod)) == pbij_code(invert_pbij(f))
+    # positions past chr(255) invert too
+    big = FinSet("Big", tuple(f"x{n:03d}" for n in range(300)))
+    labels = big.elements
+    flip = make_pbij(big, big, tuple(zip(labels[::2], labels[::-2])))
+    into = make_pbij(sizes[2], big, (("e1", labels[-1]),))
+    for f in (flip, into, invert_pbij(into)):
+        assert inverse_code(pbij_code(f), len(f.cod)) == pbij_code(invert_pbij(f))
 
 
 def test_codes_past_latin1_compose_as_the_model_does():

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import Phase, given, seed, settings, strategies as st
 
 import invcat
+import invcat.monoid
 import invcat.specfile
 from invcat import (
     Budget,
     BudgetExceededError,
     build_category,
+    canonical_pbij_category,
     check_inverse_category,
     dumps_spec,
     load_monoid_table,
@@ -23,7 +25,10 @@ from invcat import (
     parse_spec,
     render_morphism,
     serialize_spec,
+    symmetric_inverse_monoid,
+    two_object_category,
 )
+from invcat.core import morphism_sort_key
 from invcat.pbij import ZERO_FINSET, compose_pbij, identity_pbij, invert_pbij, zero_pbij
 from invcat.specfile import (
     CategorySpec,
@@ -36,6 +41,7 @@ from invcat.specfile import (
     parse_monoid_table,
     spec_from_category_fixture,
 )
+from model_copies import to_table
 from test_golden import NOT_BAER_STAR, README_FIXTURE
 
 FIXTURE_DOC = {
@@ -330,6 +336,19 @@ I5_DOC = {
 }
 
 
+# a 4-cycle, a transposition and a rank-3 partial identity generate all of
+# I4, 209 endomorphisms
+I4_DOC = {
+    "format-version": 1,
+    "objects": [{"name": "A", "elements": ["1", "2", "3", "4"]}],
+    "morphisms": [
+        {"name": "cycle", "dom": "A", "cod": "A", "pairs": [["1", "2"], ["2", "3"], ["3", "4"], ["4", "1"]]},
+        {"name": "swap", "dom": "A", "cod": "A", "pairs": [["1", "2"], ["2", "1"], ["3", "3"], ["4", "4"]]},
+        {"name": "drop", "dom": "A", "cod": "A", "pairs": [["1", "1"], ["2", "2"], ["3", "3"]]},
+    ],
+}
+
+
 def _reference_closure(objects, seeds) -> set:
     """Add inverses and every composite of the whole pool until nothing new
     appears: the closure, by the plainest route."""
@@ -360,16 +379,21 @@ def _assert_the_id_table_is_the_closure(cat) -> None:
 
 
 def _assert_saturation_builds_each_member_once(spec) -> None:
-    made = []
+    made, inverted = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             invcat.specfile, "compose_pbij", lambda f, g: made.append(compose_pbij(f, g)) or made[-1]
         )
+        patch.setattr(invcat.specfile, "invert_pbij", lambda f: inverted.append(invert_pbij(f)) or inverted[-1])
         cat, named = build_category(spec)
-    # a composite is built only when its code is new: once per member at most
-    assert len(set(made)) == len(made)
+    # a composite or an inverse is built only when its code is new: each
+    # member not given is built once, by one of the two, and no given one is
     pool = {m for hom in cat._homs.values() for m in hom}
-    assert set(made) <= pool
+    given = {identity_pbij(a) for a in cat.objects} | set(named.values())
+    given |= {zero_pbij(a, b) for a in cat.objects for b in cat.objects}
+    built = made + inverted
+    assert len(set(built)) == len(built) == len(pool) - len(given)
+    assert set(built) <= pool - given
     assert pool == _reference_closure(cat.objects, named.values())
     _assert_the_id_table_is_the_closure(cat)
 
@@ -382,6 +406,54 @@ def test_saturation_builds_each_member_once_on_the_readme_fixture():
 @given(explicit_specs())
 def test_saturation_builds_each_member_once(spec):
     _assert_saturation_builds_each_member_once(spec)
+
+
+def _assert_homs_numbered_at_construction(cat) -> None:
+    """Every hom(a, b) of a fresh table category is in morphism_sort_key
+    order, every member is in one of them, and hom_ids answers them all
+    without interning a member again."""
+
+    def intern(m):
+        raise AssertionError(f"interned {render_morphism(m)}")
+
+    cat.intern = intern
+    try:
+        homs = {(a, b): cat.hom(a, b) for a in cat.objects for b in cat.objects}
+    finally:
+        del cat.intern
+    for (a, b), hom in homs.items():
+        assert all(m.dom == a and m.cod == b for m in hom)
+        assert list(hom) == sorted(hom, key=morphism_sort_key)
+    ids = sorted(i for a, b in homs for i in cat.hom_ids(a, b))
+    assert ids == list(range(len(cat.morphisms_by_id)))
+
+
+@pytest.mark.hashseed
+def test_table_categories_number_each_hom_set_once_in_sort_order(monkeypatch):
+    cats = [build_category(parse_spec(doc))[0] for doc in (README_FIXTURE, I4_DOC)]
+
+    @seed(43)
+    @settings(max_examples=20, database=None, phases=[Phase.generate], deadline=None)
+    @given(explicit_specs())
+    def draw(spec):
+        cats.append(build_category(spec)[0])
+
+    draw()
+    cats += [to_table(canonical_pbij_category((0, 1, 2, 3)))]
+    # I3's one-object category, checked before validation runs on it
+    one_object = []
+    real = invcat.monoid.Enumeration
+
+    def checked(cat, budget):
+        _assert_homs_numbered_at_construction(cat)
+        one_object.append(cat)
+        return real(cat, budget)
+
+    monkeypatch.setattr(invcat.monoid, "Enumeration", checked)
+    cats.append(two_object_category(symmetric_inverse_monoid(3)))
+    assert len(one_object) == 1 and len(one_object[0].morphisms_by_id) == 34
+    for cat in cats:
+        _assert_homs_numbered_at_construction(cat)
 
 
 def test_saturation_budget_stops_at_the_first_hom_set_over_it():
