@@ -120,6 +120,7 @@ CLONES = (
 CATEGORIES = {
     "pbij012": (lambda: (canonical_pbij_category((0, 1, 2)), None), True),
     "pbij12": (lambda: (canonical_pbij_category((1, 2)), None), True),
+    "pbij04": (lambda: (canonical_pbij_category((0, 4)), None), True),
     **{
         f"two-object-{name}": (lambda make=make: _two_object(make()), False)
         for name, make in MONOIDS.items()
