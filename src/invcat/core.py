@@ -719,9 +719,10 @@ def category_axiom_clauses(enum: Enumeration) -> list[Clause]:
     cat = enum.cat
 
     def identity_laws(f: Morphism):
-        if cat.compose(f, cat.identity(f.dom)) != f:
+        fi = cat.intern(f)
+        if cat.compose_id(fi, cat.identity_id(f.dom)) != fi:
             return f"f∘id ≠ f for {render_morphism(f)}"
-        if cat.compose(cat.identity(f.cod), f) != f:
+        if cat.compose_id(cat.identity_id(f.cod), fi) != fi:
             return f"id∘f ≠ f for {render_morphism(f)}"
         return None
 

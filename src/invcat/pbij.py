@@ -260,9 +260,14 @@ class PBijCategory(FiniteCategory):
         # cut it back into codes.
         # _code_ids[(a, b)] maps the code of a model composite a → b to its
         # id; a clone's defect never enters it.
+        # _built holds what the proposal hooks and identity built, handed out
+        # again as the same instance: the subset object of a label tuple, the
+        # kernel or cokernel proposal of each (object, labels, left), and the
+        # identity of each object.
         self._codes: dict = {}
         self._joined: dict = {}
         self._code_ids: dict = {}
+        self._built: dict = {}
 
     def _compose(self, f: Morphism, g: Morphism) -> Morphism:
         return compose_pbij(f, g)
@@ -307,16 +312,32 @@ class PBijCategory(FiniteCategory):
         return invert_pbij(f)
 
     def identity(self, a: FinSet) -> Morphism:
-        return identity_pbij(a)
+        e = self._built.get(a)
+        if e is None:
+            e = self._built[a] = identity_pbij(a)
+        return e
+
+    def _subset(self, labels: tuple[str, ...]) -> FinSet:
+        sub = self._built.get(labels)
+        if sub is None:
+            sub = self._built[labels] = subset_finset(labels)
+        return sub
 
     def _kernel(self, f: Morphism, left: bool) -> Morphism:
         # the inclusion of the subset where f is undefined, or the
-        # corestriction of cod(f) onto the labels f does not hit
-        return inclusion(f.dom, undefined_labels(f)) if left else corestriction(f.cod, unhit_labels(f))
+        # corestriction of cod(f) onto the labels f does not hit; the labels
+        # are a's own, so there is nothing to validate
+        a, labels = (f.dom, undefined_labels(f)) if left else (f.cod, unhit_labels(f))
+        key = (a, labels, left)
+        u = self._built.get(key)
+        if u is None:
+            sub, pairs = self._subset(labels), frozenset(zip(labels, labels))
+            u = self._built[key] = Morphism(sub, a, pairs) if left else Morphism(a, sub, pairs)
+        return u
 
     def _factorization(self, f: Morphism) -> Morphism:
         # f corestricted onto its image; f∘q* is the inclusion of the image
-        return Morphism(f.dom, subset_finset(image_labels(f)), f.payload)
+        return Morphism(f.dom, self._subset(image_labels(f)), f.payload)
 
     def finset(self, name: str) -> FinSet:
         for s in self.objects:

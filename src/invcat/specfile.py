@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import Budget, BudgetExceededError, FiniteCategory, InvcatError, Morphism, TableCategory
@@ -64,6 +64,10 @@ class CategorySpec:
     objects: tuple[ObjectSpec, ...] = ()
     morphisms: tuple[MorphismSpec, ...] | None = None
     generators: GeneratorSpec | None = None
+    # the objects and declared morphisms parse_spec validated, kept for
+    # declared_morphisms; a spec built by hand or by dataclasses.replace
+    # has none, and its morphisms are validated when it is built
+    _declared: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -143,15 +147,14 @@ def parse_spec(data) -> CategorySpec:
     _require(bool(objects), "explicit specs need at least one object")
     finsets = _finsets(objects)
     morphisms: list[MorphismSpec] = []
-    seen_names: set[str] = set()
+    named: dict[str, Morphism] = {}
     raw_morphisms = [] if data["morphisms"] is None else data["morphisms"]
     _require(isinstance(raw_morphisms, list), "morphisms must be a list")
     for raw in raw_morphisms:
         _require(isinstance(raw, dict), "each morphism must be a mapping")
         name = raw.get("name")
         _require(isinstance(name, str) and name, "morphism name must be a non-empty string")
-        _require(name not in seen_names, f"duplicate morphism name {name!r}")
-        seen_names.add(name)
+        _require(name not in named, f"duplicate morphism name {name!r}")
         dom, cod = raw.get("dom"), raw.get("cod")
         for side, label in (("dom", dom), ("cod", cod)):
             _require(
@@ -169,11 +172,13 @@ def parse_spec(data) -> CategorySpec:
             )
             pairs.append((entry[0], entry[1]))
         try:
-            make_pbij(finsets[dom], finsets[cod], pairs)
+            named[name] = make_pbij(finsets[dom], finsets[cod], pairs)
         except PBijValidationError as err:
             raise SpecFormatError(f"morphism {name!r} is invalid: {err}") from err
         morphisms.append(MorphismSpec(name, dom, cod, tuple(sorted(pairs))))
-    return CategorySpec(tuple(objects), tuple(morphisms), None)
+    spec = CategorySpec(tuple(objects), tuple(morphisms), None)
+    object.__setattr__(spec, "_declared", (tuple(finsets.values()), named))
+    return spec
 
 
 def serialize_spec(spec: CategorySpec) -> dict:
@@ -389,7 +394,11 @@ def _finsets(objects: Iterable[ObjectSpec]) -> dict[str, FinSet]:
 
 def declared_morphisms(spec: CategorySpec) -> tuple[tuple[FinSet, ...], dict[str, Morphism]]:
     """The objects and the declared morphisms by name of an explicit spec,
-    validated as partial bijections but not saturated."""
+    validated as partial bijections but not saturated: by parse_spec, for
+    a spec it returned, or here."""
+    if spec._declared is not None:
+        finsets, named = spec._declared
+        return finsets, dict(named)
     finsets = _finsets(spec.objects)
     named = {
         m.name: make_pbij(finsets[m.dom], finsets[m.cod], m.pairs)

@@ -14,6 +14,7 @@ from invcat import (
     FiniteCategory,
     FinSet,
     InvcatError,
+    Morphism,
     PBijCategory,
     PBijValidationError,
     build_category,
@@ -612,3 +613,36 @@ def test_a_block_over_several_domains_keeps_each_composite_in_its_hom_set():
         assert cat.compose(s, cat.compose(s, m)) == m
     got = cat.compose_ids(cat.intern(identity_pbij(c)), [cat.intern(g), cat.intern(h)])
     assert [cat.morphisms_by_id[k] for k in got] == [g, h]
+
+
+@pytest.mark.parametrize("sizes", [(0, 1, 2, 3), (0, 4)])
+def test_proposals_subsets_and_identities_are_built_once_per_category(sizes):
+    cat = canonical_pbij_category(sizes)
+    fs = [f for a in cat.objects for b in cat.objects for f in cat.hom(a, b)]
+
+    def answers(cat):
+        return [(cat._kernel(f, True), cat._kernel(f, False), cat._factorization(f)) for f in fs]
+
+    first = answers(cat)
+    for f, (kernel, cokernel, epi) in zip(fs, first):
+        assert kernel == inclusion(f.dom, undefined_labels(f))
+        assert cokernel == corestriction(f.cod, unhit_labels(f))
+        assert epi == Morphism(f.dom, subset_finset(image_labels(f)), f.payload)
+    for a in cat.objects:
+        assert cat.identity(a) == identity_pbij(a)
+        assert cat.identity(a) is cat.identity(a)
+    # asked again: the same instances, and one subset object per label tuple
+    for (kernel, cokernel, epi), again in zip(first, answers(cat)):
+        assert again[0] is kernel and again[1] is cokernel and again[2].cod is epi.cod
+    subsets = {}
+    for kernel, cokernel, epi in first:
+        for sub in (kernel.dom, cokernel.cod, epi.cod):
+            assert subsets.setdefault(sub.elements, sub) is sub
+
+    # a clone builds its own: it starts empty and proposes equal morphisms
+    a = cat.objects[-1]
+    clone = cat.with_corrupted_composition(cat.identity(a), cat.identity(a), cat.zero(a, a))
+    assert clone._built == {}
+    for (kernel, cokernel, epi), theirs in zip(first, answers(clone)):
+        assert theirs == (kernel, cokernel, epi) and theirs[0] is not kernel
+    assert clone.identity(a) == cat.identity(a) and clone.identity(a) is not cat.identity(a)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import string
@@ -22,6 +23,7 @@ from invcat import (
     load_monoid_table,
     load_spec,
     loads_spec,
+    make_pbij,
     parse_spec,
     render_morphism,
     serialize_spec,
@@ -29,7 +31,7 @@ from invcat import (
     two_object_category,
 )
 from invcat.core import morphism_sort_key
-from invcat.pbij import ZERO_FINSET, compose_pbij, identity_pbij, invert_pbij, zero_pbij
+from invcat.pbij import ZERO_FINSET, UnknownElementError, compose_pbij, identity_pbij, invert_pbij, zero_pbij
 from invcat.specfile import (
     CategorySpec,
     GeneratorSpec,
@@ -514,3 +516,28 @@ def test_saturation_numbers_alike_under_every_hash_seed():
         input=json.dumps(docs), env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert json.loads(elsewhere.stdout) == json.loads(json.dumps(here))
+
+
+def test_parse_then_build_validates_each_declared_morphism_once(monkeypatch):
+    calls = []
+
+    def counted(dom, cod, pairs, name=None):
+        calls.append(name)
+        return make_pbij(dom, cod, pairs, name)
+
+    monkeypatch.setattr(invcat.specfile, "make_pbij", counted)
+    for doc in (README_FIXTURE, NOT_BAER_STAR, I4_DOC):
+        calls.clear()
+        spec = parse_spec(doc)
+        _, named = build_category(spec)
+        named.clear()  # the caller's copy: the spec keeps its own
+        assert sorted(declared_morphisms(spec)[1]) == sorted(m["name"] for m in doc["morphisms"])
+        assert len(calls) == len(doc["morphisms"])
+    # a spec built by hand, or copied by replace, is validated when it is built
+    for hand in (CategorySpec(spec.objects, spec.morphisms, None), dataclasses.replace(spec)):
+        calls.clear()
+        assert build_category(hand)[1] == build_category(spec)[1]
+        assert len(calls) == len(spec.morphisms)
+    bad = CategorySpec((ObjectSpec("A", ("1",)),), (MorphismSpec("m", "A", "A", (("1", "2"),)),), None)
+    with pytest.raises(UnknownElementError, match="'2' is not an element of A"):
+        build_category(bad)
