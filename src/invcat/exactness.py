@@ -18,6 +18,7 @@ from .core import (
     Enumeration,
     FiniteCategory,
     InvcatError,
+    Memo,
     Morphism,
     build_report,
     render_morphism,
@@ -104,7 +105,7 @@ def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumerat
     every g with f∘g = 0 factors through u exactly once."""
     if u.cod != f.dom:
         return f"{render_morphism(u)} does not land in dom(f)"
-    if not cat.is_zero(cat.compose(f, u)):
+    if cat.compose_id(cat.intern(f), cat.intern(u)) != cat.zero_id(u.dom, f.cod):
         return f"f∘u ≠ 0 for u = {render_morphism(u)}"
     return _unique_factorization_witness(cat, f, u, enum, left=True)
 
@@ -112,7 +113,7 @@ def kernel_witness(cat: FiniteCategory, f: Morphism, u: Morphism, enum: Enumerat
 def cokernel_witness(cat: FiniteCategory, f: Morphism, q: Morphism, enum: Enumeration) -> str | None:
     if q.dom != f.cod:
         return f"{render_morphism(q)} does not start at cod(f)"
-    if not cat.is_zero(cat.compose(q, f)):
+    if cat.compose_id(cat.intern(q), cat.intern(f)) != cat.zero_id(f.dom, q.cod):
         return f"q∘f ≠ 0 for q = {render_morphism(q)}"
     return _unique_factorization_witness(cat, f, q, enum, left=False)
 
@@ -123,32 +124,40 @@ def _unique_factorization_witness(
     """The first g killed by f (f∘g = 0 if left, else g∘f = 0) that is not u∘h
     (h∘u) for exactly one h, or None, visiting w, then g, in pool order.
 
-    Works on morphism ids: the killed g of each (f, w, side) and
-    the factorization counts of each (u, w, side) are built once per run; a
-    failing g is rendered from its pool, by position."""
-    fi, ui = cat.intern(f), cat.intern(u)
-    for w in cat.objects:
-        hits = enum.cached(_killed, (fi, w, left))[1]
+    Works on morphism ids: the killed g of each (f, side) and the
+    factorization counts of each (u, side) are tables kept once per run,
+    filled object by object as the walk reaches them."""
+    killed = enum.cached(_killed, (cat.intern(f), left))
+    ways = enum.cached(_factorization_counts, (cat.intern(u), left))
+    for n in range(len(cat.objects)):
+        hits = killed[n]
         if not hits:
             continue
-        ways = enum.cached(_factorization_counts, (ui, w, left))
-        a, b = (w, f.dom) if left else (f.cod, w)
-        ids = enum.pool_ids(a, b)
-        for k in hits:
-            count = ways[ids[k]]
+        counts = ways[n]
+        for g in hits:
+            count = counts.get(g, 0)
             if count != 1:
-                return f"{render_morphism(enum.pool(a, b)[k])} factors through {render_morphism(u)} in {count} ways"
+                g = cat.morphisms_by_id[g]
+                return f"{render_morphism(g)} factors through {render_morphism(u)} in {count} ways"
     return None
 
 
-def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Counter:
-    """How many h give each composite id: u∘h for h: w → dom u when left,
-    h∘u for h: cod u → w otherwise."""
-    u, w, left = key
-    m = cat.morphisms_by_id[u]
+def _factorization_counts(cat: FiniteCategory, key, enum: Enumeration) -> Memo:
+    """For key (u, left): how many h give each composite id, as a table
+    filled on first need; entry n, for the n-th object w, counts u∘h for
+    h: w → dom u when left, h∘u for h: cod u → w otherwise."""
+    u, left = key
+    m, objects = cat.morphisms_by_id[u], cat.objects
     if left:
-        return Counter(cat.compose_ids(u, cat.hom_ids(w, m.dom)))
-    return Counter(cat.precompose_ids(u, cat.hom_ids(m.cod, w)))
+        return Memo(lambda n: _counts(cat.compose_ids(u, cat.hom_ids(objects[n], m.dom))))
+    return Memo(lambda n: _counts(cat.precompose_ids(u, cat.hom_ids(m.cod, objects[n]))))
+
+
+def _counts(ids: list[int]) -> dict:
+    """How often each id occurs in ids, without the ids that do not: a
+    plain dict of ones when they are distinct, as they mostly are."""
+    counts = dict.fromkeys(ids, 1)
+    return counts if len(counts) == len(ids) else Counter(ids)
 
 
 def kernel(cat: FiniteCategory, f: Morphism, enum: Enumeration) -> Morphism:

@@ -490,6 +490,20 @@ def test_a_table_category_needs_an_identity_for_every_object():
         TableCategory(["X", "Y"], {("X", "X"): [one]}, {(one, one): one}, {"X": one})
 
 
+def test_a_table_category_names_an_unknown_object_and_a_missing_involution_entry():
+    # C2 = {1, a}, with an involution table that lacks a
+    one, a = Morphism("X", "X", "1"), Morphism("X", "X", "a")
+    table = {(one, one): one, (one, a): a, (a, one): a, (a, a): one}
+    cat = TableCategory(["X"], {("X", "X"): [one, a]}, table, {"X": one}, {one: one})
+    assert cat.has_involution_rule and cat.involve(one) == one
+    with pytest.raises(InvcatError) as raised:
+        cat.identity("Y")
+    assert str(raised.value) == "unknown object Y"
+    with pytest.raises(InvcatError) as raised:
+        cat.involve(a)
+    assert str(raised.value) == "involution table is missing X→X [a]"
+
+
 def test_a_table_category_rejects_a_morphism_filed_under_the_wrong_hom_set():
     one, other = Morphism("X", "X", "1"), Morphism("Y", "Y", "1")
     with pytest.raises(InvcatError, match=r"Y→Y \[1\] filed under wrong hom-set"):

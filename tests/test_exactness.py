@@ -252,6 +252,65 @@ def test_searches_agree_with_reference(budget):
     assert seen["witness"] > seen["none"] > 0, seen
 
 
+def test_search_tables_are_built_once_per_morphism_id_and_side(monkeypatch):
+    # one killed table per (f, side) and one factor-count table per (u,
+    # side) in a run, each entry filled once, however often they are read
+    tables, entries = Counter(), Counter()
+
+    def counted(build):
+        def table(cat, key, enum):
+            tables[build.__name__, key] += 1
+            memo = build(cat, key, enum)
+            fill = memo.fill
+
+            def fill_once(n):
+                entries[build.__name__, key, n] += 1
+                return fill(n)
+
+            memo.fill = fill_once
+            return memo
+
+        return table
+
+    killed = counted(invcat.projections._killed)
+    monkeypatch.setattr(invcat.projections, "_killed", killed)
+    monkeypatch.setattr(invcat.exactness, "_killed", killed)
+    monkeypatch.setattr(invcat.exactness, "_factorization_counts", counted(invcat.exactness._factorization_counts))
+    assert check_exactness(canonical_pbij_category((0, 1, 2))).passed
+    assert {(name, left) for name, (_, left) in tables} == {
+        ("_killed", True),
+        ("_killed", False),
+        ("_factorization_counts", True),
+        ("_factorization_counts", False),
+    }
+    assert max(tables.values()) == 1 and max(entries.values()) == 1
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_a_witness_failing_at_an_early_object_reads_nothing_of_a_later_one(left, monkeypatch):
+    # f = 0 on S2 kills every g; the first g at w = S1 that does not factor
+    # through u ends the walk before any pool or zero morphism at w = S2 is read
+    cat = canonical_pbij_category((0, 1, 2))
+    _, s1, s2 = cat.objects
+    f, reads = cat.zero(s2, s2), []
+    pool_ids, zero_id = Enumeration.pool_ids, FiniteCategory.zero_id
+
+    def reading(read):
+        return lambda self, a, b: (reads.append((a, b)), read(self, a, b))[1]
+
+    monkeypatch.setattr(Enumeration, "pool_ids", reading(pool_ids))
+    monkeypatch.setattr(FiniteCategory, "zero_id", reading(zero_id))
+    if left:
+        u, g = inclusion(s2, ("e1",)), make_pbij(s1, s2, (("e1", "e2"),))
+        witness = kernel_witness(cat, f, u, Enumeration(cat))
+    else:
+        u, g = corestriction(s2, ("e1",)), make_pbij(s2, s1, (("e2", "e1"),))
+        witness = cokernel_witness(cat, f, u, Enumeration(cat))
+    assert witness == f"{render_morphism(g)} factors through {render_morphism(u)} in 0 ways"
+    assert ((s1, s2) if left else (s2, s1)) in reads
+    assert (s2, s2) not in reads
+
+
 def test_missing_table_entry_raises_from_exactness_and_coherence(budget):
     # the searches compose through the id table, so a table that lacks a
     # pair from construction on raises where the pair is first needed

@@ -9,6 +9,7 @@ from invcat import (
     Budget,
     BudgetExceededError,
     InverseMonoid,
+    InvcatError,
     MonoidAxiomError,
     TableShapeError,
     chain_semilattice,
@@ -238,6 +239,15 @@ def test_stock_monoids():
     assert len(chain) == 3
     assert chain.product("e1", "e2") == "e2"
     assert not is_group(chain)
+
+
+@pytest.mark.parametrize(
+    "build, text", [(cyclic_group, "cyclic group needs n >= 1"), (chain_semilattice, "chain needs n >= 1")]
+)
+def test_stock_monoids_need_an_element(build, text):
+    with pytest.raises(InvcatError) as raised:
+        build(0)
+    assert str(raised.value) == text
 
 
 def test_two_object_category_reuses_reachable_zero():

@@ -236,6 +236,20 @@ def test_size_finset_shapes():
     assert names.count("S2") == 1  # duplicate sizes collapse
 
 
+@pytest.mark.parametrize(
+    "name, labels, text",
+    [
+        ("", ("a",), "object name must be non-empty"),
+        ("A", ("a", ""), "empty element label in A"),
+        ("A", ("a", "b", "a"), "duplicate element labels in A"),
+    ],
+)
+def test_finset_rejects_an_empty_name_an_empty_label_and_duplicate_labels(name, labels, text):
+    with pytest.raises(InvcatError) as raised:
+        FinSet(name, labels)
+    assert str(raised.value) == text
+
+
 def test_equal_composites_are_one_object():
     cat = canonical_pbij_category((2,))
     s2 = cat.finset("S2")
